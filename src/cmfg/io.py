@@ -225,6 +225,15 @@ def strategy_to_json(s: RestrictedStrategy, game: GameSpec) -> list:
 
 
 def strategy_from_json(doc, game: GameSpec) -> RestrictedStrategy:
+    """Table [t][x] of action labels; refuses any shape but horizon x |X|."""
+    rows, width = game.horizon, len(game.states)
+    if not isinstance(doc, list) or len(doc) != rows or any(
+        not isinstance(row, list) or len(row) != width for row in doc
+    ):
+        raise ValueError(
+            f"strategy table must have {rows} rows (one per time) of {width} "
+            "action labels (one per state)"
+        )
     idx = game.actions.index
     return RestrictedStrategy(tuple(tuple(idx(lbl) for lbl in row) for row in doc))
 
@@ -312,6 +321,8 @@ def profile_from_json(
             )
             for a in doc["explicit"]
         )
+        if not atoms:
+            raise ValueError("explicit profile needs at least one atom")
         n = n_players if n_players is not None else len(atoms[0][0])
         return ExplicitProfile(n, atoms)
     if "factored" in doc:

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-import numpy as np
-
 from . import rng
 from .mfg import CorrelatedFlow, factor_flow, verify_solution
 from .model import (
@@ -29,16 +27,7 @@ from .model import (
     ProbabilityVector,
     Scalar,
 )
-from .nplayer import (
-    FactoredProfile,
-    SimulationConfig,
-    _ProfileSampler,
-    _SimTables,
-    _initial_states,
-    _simulate_states,
-    _slot_count,
-    deviation_gain,
-)
+from .nplayer import FactoredProfile, SimulationConfig, _MonteCarlo, deviation_gain
 from .transport import flow_space_distance
 
 InitialFamily = Union[ProbabilityVector, Callable[[int], ProbabilityVector]]
@@ -190,25 +179,14 @@ def empirical_rho_n(
     observations merge with summed weights, all exact.
     """
     n = profile.n_players
-    tables = _SimTables(game, profile.support_strategies())
-    sampler = _ProfileSampler(profile, tables)
-    m0f = m0n.to_float()
-    slots = np.arange(_slot_count(n, game.horizon), dtype=np.uint64)
+    mc = _MonteCarlo(game, profile.support_strategies())
     buckets: dict[tuple, int] = {}
-    reps = cfg.replications
-    chunk = 4096
-    for start in range(0, reps, chunk):
-        count = min(chunk, reps - start)
-        uni = rng.uniform_block(cfg.master_seed, start, count, slots)
-        strat_rows = sampler.draw(uni[:, : n + 1])
-        x0 = _initial_states(m0f, uni[:, n + 1 : 2 * n + 1])
-        noise = uni[:, 2 * n + 1 :].reshape(count, game.horizon, n)
-        traj = _simulate_states(tables, strat_rows, x0, noise)
-        others = traj[:, :, 1:]  # exclusive of player 1
-        counts = (others[..., None] == np.arange(len(game.states))).sum(axis=2)
-        for r in range(count):
-            key = (int(strat_rows[r, 0]), tuple(map(tuple, counts[r])))
+    for _, strat_rows, x0, noise in mc.batches(profile, m0n, cfg):
+        _, seen = mc.run(strat_rows, x0, noise, 0)  # exclusive of player 1
+        for rec_row, path in zip(strat_rows[:, 0].tolist(), seen.tolist()):
+            key = (rec_row, tuple(map(tuple, path)))
             buckets[key] = buckets.get(key, 0) + 1
+    reps = cfg.replications
     space = game.states
     denom = n - 1
     atoms = []
@@ -221,7 +199,7 @@ def empirical_rho_n(
                 for row in count_rows
             )
         )
-        atoms.append((tables.strategies[rec_row], flow, Fraction(mult, reps)))
+        atoms.append((mc.strategies[rec_row], flow, Fraction(mult, reps)))
     return EmpiricalCorrelatedFlow(CorrelatedFlow(tuple(atoms)), reps, n)
 
 

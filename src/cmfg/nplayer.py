@@ -435,8 +435,13 @@ def profile_cost_exact(
 # vectorized Monte Carlo engine
 
 
-class _SimTables:
-    """Float64 views of the game plus a row-index table for strategies."""
+class _MonteCarlo:
+    """The vectorized Monte Carlo engine for one table of strategies.
+
+    Holds float64 views of the game and a row-index table for strategies;
+    `batches` draws each chunk's random inputs and `run` simulates them.
+    Every Monte Carlo caller goes through these two methods.
+    """
 
     def __init__(self, game: GameSpec, strategies: Sequence[RestrictedStrategy]):
         gf = game.to_float()
@@ -464,6 +469,60 @@ class _SimTables:
                     self.act[s_idx, t, x] = s.action(t, x)
         self.strategy_index = {s.actions: i for i, s in enumerate(strategies)}
 
+    def batches(
+        self, profile: CorrelatedProfile, m0n: ProbabilityVector, cfg: SimulationConfig
+    ):
+        """Per chunk of replications, (start, strategy rows, initial states,
+        noise) of shapes (count, N), (count, N) and (count, T, N), drawn from
+        the slot layout documented in `rng`."""
+        if not isinstance(m0n, ProbabilityVector):
+            raise ValueError("Monte Carlo paths need a product initial law")
+        n, T = profile.n_players, self.horizon
+        sampler = _ProfileSampler(profile, self)
+        w0 = np.array([float(v) for v in m0n.weights])
+        slots = np.arange(2 * n + 1 + T * n, dtype=np.uint64)
+        reps = cfg.replications
+        for start in range(0, reps, _CHUNK):
+            count = min(_CHUNK, reps - start)
+            uni = rng.uniform_block(cfg.master_seed, start, count, slots)
+            strat_rows = sampler.draw(uni[:, : n + 1])
+            x0 = _pick(w0, uni[:, n + 1 : 2 * n + 1])
+            yield start, strat_rows, x0, uni[:, 2 * n + 1 :].reshape(count, T, n)
+
+    def run(
+        self, strat_rows: np.ndarray, x0: np.ndarray, noise: np.ndarray, player: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Walk t = 0..T once from per-player strategy rows and noises.
+
+        Returns the realized total cost of `player` and the exclusive counts
+        of the other N-1 players that it sees, shape (reps, T+1, d).
+        """
+        reps, n = x0.shape
+        T = self.horizon
+        seen = np.empty((reps, T + 1, self.d), dtype=np.int64)
+        cost = np.zeros(reps, dtype=np.float64)
+        bins = self.d * np.arange(reps)[:, None]  # one bin per (replication, state)
+        states = x0
+        for t in range(T + 1):
+            onehot = states[..., None] == np.arange(self.d)
+            counts = np.bincount((bins + states).ravel(), minlength=reps * self.d)
+            counts = counts.reshape(reps, self.d)
+            seen[:, t] = counts - onehot[:, player]
+            m_i = seen[:, t] / (n - 1)
+            xi = states[:, player]
+            if t == T:
+                break
+            acts = self.act[strat_rows, t, states]
+            ai = acts[:, player]
+            cost += _affine_eval(self.rb[t, xi, ai], self.rc[t, xi, ai], m_i)
+            m = (counts[:, None, :] - onehot) / (n - 1)
+            w = _affine_eval(
+                self.kb[t, states, acts], self.kc[t, states, acts], m[:, :, None, :]
+            )
+            states = _pick(w, noise[:, t, :])
+        cost += _affine_eval(self.tb[xi], self.tc[xi], m_i)
+        return cost, seen
+
 
 def _pick(weights: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Vectorized categorical_pick over the last axis (identical semantics)."""
@@ -476,13 +535,6 @@ def _pick(weights: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.where(hit.any(axis=-1), first, fallback).astype(np.int64)
 
 
-def _others_measure(states: np.ndarray, d: int) -> np.ndarray:
-    """Exclusive empirical measures, shape (reps, N, d), denominators N-1."""
-    onehot = states[..., None] == np.arange(d)
-    counts = onehot.sum(axis=1)
-    return (counts[:, None, :] - onehot) / (states.shape[1] - 1)
-
-
 def _affine_eval(base: np.ndarray, coef: np.ndarray, m: np.ndarray) -> np.ndarray:
     # accumulate coefficient terms in state order, then add the base, matching
     # the scalar evaluation order bit for bit
@@ -492,48 +544,10 @@ def _affine_eval(base: np.ndarray, coef: np.ndarray, m: np.ndarray) -> np.ndarra
     return base + acc
 
 
-def _simulate_states(
-    tables: _SimTables, strat_rows: np.ndarray, x0: np.ndarray, noise: np.ndarray
-) -> np.ndarray:
-    """Trajectories (reps, T+1, N) from per-player strategy rows and noises."""
-    reps, n = x0.shape
-    traj = np.empty((reps, tables.horizon + 1, n), dtype=np.int64)
-    traj[:, 0, :] = x0
-    states = x0
-    for t in range(tables.horizon):
-        m = _others_measure(states, tables.d)
-        acts = tables.act[strat_rows, t, states]
-        base = tables.kb[t, states, acts]
-        coef = tables.kc[t, states, acts]
-        w = _affine_eval(base, coef, m[:, :, None, :])
-        states = _pick(w, noise[:, t, :])
-        traj[:, t + 1, :] = states
-    return traj
-
-
-def _player_cost(
-    tables: _SimTables, traj: np.ndarray, strat_rows_i: np.ndarray, player: int
-) -> np.ndarray:
-    """Realized total cost of one player along each trajectory."""
-    reps = traj.shape[0]
-    cost = np.zeros(reps, dtype=np.float64)
-    for t in range(tables.horizon):
-        states = traj[:, t, :]
-        xi = states[:, player]
-        a = tables.act[strat_rows_i, t, xi]
-        m = _others_measure(states, tables.d)[:, player, :]
-        cost += _affine_eval(tables.rb[t, xi, a], tables.rc[t, xi, a], m)
-    states = traj[:, tables.horizon, :]
-    xi = states[:, player]
-    m = _others_measure(states, tables.d)[:, player, :]
-    cost += _affine_eval(tables.tb[xi], tables.tc[xi], m)
-    return cost
-
-
 class _ProfileSampler:
     """Draws strategy assignments from a profile using slots 0..N."""
 
-    def __init__(self, profile: CorrelatedProfile, tables: _SimTables):
+    def __init__(self, profile: CorrelatedProfile, tables: _MonteCarlo):
         self.n = profile.n_players
         if isinstance(profile, ExplicitProfile):
             self.kind = "explicit"
@@ -577,23 +591,6 @@ class _ProfileSampler:
         return rows
 
 
-def _slot_count(n: int, horizon: int) -> int:
-    return 2 * n + 1 + horizon * n
-
-
-def _initial_states(
-    m0: ProbabilityVector, uniforms: np.ndarray
-) -> np.ndarray:
-    w = np.array([float(v) for v in m0.weights])
-    return _pick(w, uniforms)
-
-
-def _require_product_initial(m0n) -> ProbabilityVector:
-    if not isinstance(m0n, ProbabilityVector):
-        raise ValueError("Monte Carlo paths need a product initial law")
-    return m0n
-
-
 def mc_profile_cost(
     game: GameSpec,
     profile: CorrelatedProfile,
@@ -603,9 +600,7 @@ def mc_profile_cost(
     cfg: SimulationConfig,
 ) -> tuple[float, float]:
     """Monte Carlo estimate and standard error of one player's expected cost."""
-    m0 = _require_product_initial(m0n).to_float()
-    n = profile.n_players
-    if not 0 <= player < n:
+    if not 0 <= player < profile.n_players:
         raise ValueError(f"player index {player} out of range")
     support = list(profile.support_strategies())
     support_keys = {s.actions for s in support}
@@ -614,26 +609,17 @@ def mc_profile_cost(
         if img.actions not in support_keys:
             support_keys.add(img.actions)
             support.append(img)
-    tables = _SimTables(game, support)
+    mc = _MonteCarlo(game, support)
     remap = np.array(
-        [tables.strategy_index[u.apply(s).actions] for s in tables.strategies],
+        [mc.strategy_index[u.apply(s).actions] for s in mc.strategies],
         dtype=np.int64,
     )
-    sampler = _ProfileSampler(profile, tables)
-    slots = np.arange(_slot_count(n, game.horizon), dtype=np.uint64)
     reps = cfg.replications
     total = 0.0
     total_sq = 0.0
-    for start in range(0, reps, _CHUNK):
-        count = min(_CHUNK, reps - start)
-        uni = rng.uniform_block(cfg.master_seed, start, count, slots)
-        strat_rows = sampler.draw(uni[:, : n + 1])
-        played = strat_rows.copy()
-        played[:, player] = remap[strat_rows[:, player]]
-        x0 = _initial_states(m0, uni[:, n + 1 : 2 * n + 1])
-        noise = uni[:, 2 * n + 1 :].reshape(count, game.horizon, n)
-        traj = _simulate_states(tables, played, x0, noise)
-        cost = _player_cost(tables, traj, played[:, player], player)
+    for _, strat_rows, x0, noise in mc.batches(profile, m0n, cfg):
+        strat_rows[:, player] = remap[strat_rows[:, player]]
+        cost, _ = mc.run(strat_rows, x0, noise, player)
         total += float(np.sum(cost))
         total_sq += float(np.sum(cost * cost))
     mean = total / reps
@@ -746,13 +732,10 @@ def _deviation_gain_exact(
 def _deviation_gain_mc(
     game, profile, player, m0n, cfg: SimulationConfig, strategy_cap
 ) -> DeviationGainResult:
-    m0 = _require_product_initial(m0n).to_float()
-    n = profile.n_players
-    if not 0 <= player < n:
+    if not 0 <= player < profile.n_players:
         raise ValueError(f"player index {player} out of range")
     candidates = enumerate_strategies(game, strategy_cap)
-    tables = _SimTables(game, candidates)
-    sampler = _ProfileSampler(profile, tables)
+    mc = _MonteCarlo(game, candidates)
     reps = cfg.replications
     n_cand = len(candidates)
     if reps * n_cand * 8 > _COST_MATRIX_BYTES_CAP:
@@ -761,21 +744,12 @@ def _deviation_gain_mc(
         )
     costs = np.empty((reps, n_cand), dtype=np.float64)
     rec_rows = np.empty(reps, dtype=np.int64)
-    slots = np.arange(_slot_count(n, game.horizon), dtype=np.uint64)
-    for start in range(0, reps, _CHUNK):
-        count = min(_CHUNK, reps - start)
-        uni = rng.uniform_block(cfg.master_seed, start, count, slots)
-        strat_rows = sampler.draw(uni[:, : n + 1])
-        rec_rows[start : start + count] = strat_rows[:, player]
-        x0 = _initial_states(m0, uni[:, n + 1 : 2 * n + 1])
-        noise = uni[:, 2 * n + 1 :].reshape(count, game.horizon, n)
-        played = strat_rows.copy()
+    for start, strat_rows, x0, noise in mc.batches(profile, m0n, cfg):
+        stop = start + len(strat_rows)
+        rec_rows[start:stop] = strat_rows[:, player]
         for c in range(n_cand):
-            played[:, player] = c
-            traj = _simulate_states(tables, played, x0, noise)
-            costs[start : start + count, c] = _player_cost(
-                tables, traj, played[:, player], player
-            )
+            strat_rows[:, player] = c
+            costs[start:stop, c] = mc.run(strat_rows, x0, noise, player)[0]
     rows = []
     gains = np.zeros(reps, dtype=np.float64)
     epsilon = 0.0

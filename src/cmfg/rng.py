@@ -6,8 +6,9 @@ counter, and each slot reuses the same generator one level down.  This makes
 results independent of execution order and chunking, so parallel runs and
 common-random-number comparisons are reproducible by construction.
 
-Slot layout used by the simulators, per replication with N players over
-horizon T:
+Slot layout per replication with N players over horizon T.  Its one user is
+the batch generator of the Monte Carlo engine (`nplayer._MonteCarlo.batches`),
+which every Monte Carlo caller goes through:
 
     0                     profile draw (flow atom or explicit atom)
     1 .. N                per-player strategy draws given the flow

@@ -256,6 +256,90 @@ class TestNPlayerCommands:
         assert eps["method"] == "exact"
 
 
+class TestMalformedDocuments:
+    """Bad input documents exit 2 with a message, never 1 or a traceback."""
+
+    @pytest.fixture()
+    def short_flow(self, example_dir, tmp_path):
+        doc = io.read_json(str(example_dir / "rho.json"))
+        for atom in doc["atoms"]:
+            atom["strategy"] = atom["strategy"][:1]
+        path = tmp_path / "short_rho.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.fixture()
+    def short_profile(self, example_dir, tmp_path):
+        out = tmp_path / "lift"
+        assert run_cli(
+            [
+                "lift",
+                "--game", str(example_dir / "game.json"),
+                "--flow", str(example_dir / "rho.json"),
+                "-N", "3", "-o", str(out),
+            ]
+        ) == 0
+        doc = io.read_json(str(out / "profile.json"))
+        for cond in doc["factored"]["conditionals"]:
+            for entry in cond:
+                entry["strategy"] = entry["strategy"][:1]
+        path = tmp_path / "short_profile.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def assert_shape_error(self, code, capsys):
+        assert code == 2
+        assert "must have 2 rows (one per time) of 2 action labels" in (
+            capsys.readouterr().err
+        )
+
+    def test_lift_rejects_short_strategy(self, example_dir, short_flow, tmp_path, capsys):
+        code = run_cli(
+            [
+                "lift", "--game", str(example_dir / "game.json"),
+                "--flow", str(short_flow), "-N", "3", "-o", str(tmp_path / "o"),
+            ]
+        )
+        self.assert_shape_error(code, capsys)
+        assert not (tmp_path / "o" / "profile.json").exists()
+
+    def test_mfg_verify_rejects_short_strategy(
+        self, example_dir, short_flow, tmp_path, capsys
+    ):
+        code = run_cli(
+            [
+                "mfg", "verify", "--game", str(example_dir / "game.json"),
+                "--flow", str(short_flow), "-o", str(tmp_path / "o"),
+            ]
+        )
+        self.assert_shape_error(code, capsys)
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_epsilon_rejects_short_strategy(
+        self, example_dir, short_profile, tmp_path, capsys, method
+    ):
+        code = run_cli(
+            [
+                "nplayer", "epsilon", "--game", str(example_dir / "game.json"),
+                "--profile", str(short_profile), "--method", method,
+                "--reps", "10", "-o", str(tmp_path / "o"),
+            ]
+        )
+        self.assert_shape_error(code, capsys)
+
+    def test_epsilon_rejects_empty_explicit_profile(self, example_dir, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"explicit": []}))
+        code = run_cli(
+            [
+                "nplayer", "epsilon", "--game", str(example_dir / "game.json"),
+                "--profile", str(empty), "-o", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 2
+        assert "at least one atom" in capsys.readouterr().err
+
+
 class TestLimitsCommands:
     def test_epsilon_curve_csv_contract(self, example_dir, tmp_path):
         out = tmp_path / "curve"

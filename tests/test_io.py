@@ -108,6 +108,13 @@ class TestStrategyAndFlowDocuments:
         assert doc == [["1", "0"], ["0", "0"]]
         assert io.strategy_from_json(doc, game) == phi
 
+    @pytest.mark.parametrize(
+        "doc", [[["1", "0"]], [["1", "0"], ["0"]], [["1", "0", "0"], ["0", "0"]], "10"]
+    )
+    def test_strategy_of_wrong_shape_rejected(self, game, doc):
+        with pytest.raises(ValueError, match="2 rows .* of 2 action labels"):
+            io.strategy_from_json(doc, game)
+
     def test_flow_roundtrip(self, game, rho):
         doc = io.flow_to_json(rho, game)
         again = io.flow_from_json(doc, game)
@@ -134,6 +141,10 @@ class TestProfileDocuments:
         assert again.n_players == 3
         assert again.flows == prof.flows
         assert again.conditionals == prof.conditionals
+
+    def test_empty_explicit_profile_rejected(self, game):
+        with pytest.raises(ValueError, match="at least one atom"):
+            io.profile_from_json({"explicit": []}, game)
 
     def test_unknown_shape_rejected(self, game):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Finite-N games: joint propagation, profile costs, CE solving, simulation."""
 
 import math
+import random
 from fractions import Fraction as F
 from itertools import product
 
@@ -9,18 +10,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfg import rng
+from cmfg import nplayer, rng
 from cmfg.lp import check_solution
-from cmfg.mfg import DeviationMap
+from cmfg.mfg import CorrelatedFlow, DeviationMap
 from cmfg.model import (
     EXACT,
+    AffineCost,
+    AffineSimplexMap,
     CapacityError,
+    FiniteSpace,
+    FlowTrajectory,
+    GameSpec,
     ProbabilityVector,
     RestrictedStrategy,
+    ThresholdTransition,
     categorical_pick,
     enumerate_strategies,
     psi_sample,
     strategy_index,
+    validate_game,
 )
 from cmfg.nplayer import (
     ExplicitProfile,
@@ -38,7 +46,7 @@ from cmfg.nplayer import (
     solve_symmetric_ce,
     symmetrize,
 )
-from cmfg.limits import lift
+from cmfg.limits import empirical_rho_n, lift
 
 PHI_PLUS = RestrictedStrategy(((1, 0), (1, 0)))
 PHI_PLUS_HAT = RestrictedStrategy(((1, 0), (0, 0)))
@@ -268,69 +276,72 @@ class TestProfileCostExact:
         assert cost == F(1, 3) * F(-27, 256) + F(2, 3) * F(0)
 
 
-def scalar_mc_reference(game, profile, player, u, m0, cfg):
-    """Rebuild the simulator one replication at a time from the stream layout.
+def _scalar_measure(g, states, skip):
+    """Float exclusive empirical measure of everyone but `skip`."""
+    n = len(states)
+    counts = _counts(states, skip, len(g.states))
+    return ProbabilityVector(g.states, tuple(c / (n - 1) for c in counts), "float")
 
-    Slot 0 draws the profile atom (or flow), slots 1..N the per-player
-    conditional strategies, N+1..2N the initial states, and 2N+1+t*N+i the
-    transition noise of player i at time t.
-    """
+
+def _scalar_draw(profile, uni):
+    """Strategy vector of one replication: slot 0 picks the profile atom (or
+    flow), slots 1..N the per-player conditional strategies."""
+    if isinstance(profile, ExplicitProfile):
+        atom_w = [float(w) for _, w in profile.atoms]
+        return list(profile.atoms[categorical_pick(atom_w, uni(0))][0])
+    k = categorical_pick([float(w) for w in profile.flow_weights], uni(0))
+    cond = profile.conditionals[k]
+    weights = [float(w) for _, w in cond]
+    return [
+        cond[categorical_pick(weights, uni(1 + j))][0]
+        for j in range(profile.n_players)
+    ]
+
+
+def _scalar_path(g, m0f, vec, uni):
+    """States of every player at times 0..T: slots N+1..2N draw the initial
+    states and 2N+1+t*N+i the transition noise of player i at time t."""
+    n = len(vec)
+    states = [categorical_pick(m0f.weights, uni(n + 1 + j)) for j in range(n)]
+    path = [states]
+    for t in range(g.horizon):
+        states = [
+            psi_sample(
+                g, t, states[i], _scalar_measure(g, states, i),
+                vec[i].action(t, states[i]), uni(2 * n + 1 + t * n + i),
+            )
+            for i in range(n)
+        ]
+        path.append(states)
+    return path
+
+
+def _scalar_cost(g, vec, path, player):
+    """Realized total cost of one player: running costs over t, then terminal."""
+    total = 0.0
+    for t in range(g.horizon):
+        x = path[t][player]
+        total += g.running_cost(
+            t, x, _scalar_measure(g, path[t], player), vec[player].action(t, x)
+        )
+    x = path[-1][player]
+    return total + g.terminal_cost(x, _scalar_measure(g, path[-1], player))
+
+
+def _scalar_uniforms(cfg, rep):
+    return lambda slot: rng.uniform(cfg.master_seed, rep, slot)
+
+
+def scalar_mc_reference(game, profile, player, u, m0, cfg):
+    """Rebuild the simulator one replication at a time from the stream layout."""
     g = game.to_float()
     m0f = m0.to_float()
-    n = profile.n_players
-    horizon = g.horizon
-    if isinstance(profile, ExplicitProfile):
-        atom_vecs = [vec for vec, _ in profile.atoms]
-        atom_w = [float(w) for _, w in profile.atoms]
-    else:
-        flows_w = [float(w) for w in profile.flow_weights]
-        conds = [
-            ([s for s, _ in cond], [float(w) for _, w in cond])
-            for cond in profile.conditionals
-        ]
     costs = []
     for rep in range(cfg.replications):
-        def uni(slot):
-            return rng.uniform(cfg.master_seed, rep, slot)
-
-        if isinstance(profile, ExplicitProfile):
-            vec = list(atom_vecs[categorical_pick(atom_w, uni(0))])
-        else:
-            k = categorical_pick(flows_w, uni(0))
-            names, weights = conds[k]
-            vec = [names[categorical_pick(weights, uni(1 + j))] for j in range(n)]
+        uni = _scalar_uniforms(cfg, rep)
+        vec = _scalar_draw(profile, uni)
         vec[player] = u.apply(vec[player])
-        states = [
-            categorical_pick(m0f.weights, uni(n + 1 + j)) for j in range(n)
-        ]
-        total = 0.0
-        for t in range(horizon):
-            m_self = ProbabilityVector(
-                g.states,
-                tuple(c / (n - 1) for c in _counts(states, player, len(g.states))),
-                "float",
-            )
-            total += g.running_cost(
-                t, states[player], m_self, vec[player].action(t, states[player])
-            )
-            new_states = []
-            for i in range(n):
-                m_i = ProbabilityVector(
-                    g.states,
-                    tuple(c / (n - 1) for c in _counts(states, i, len(g.states))),
-                    "float",
-                )
-                a_i = vec[i].action(t, states[i])
-                z = uni(2 * n + 1 + t * n + i)
-                new_states.append(psi_sample(g, t, states[i], m_i, a_i, z))
-            states = new_states
-        m_self = ProbabilityVector(
-            g.states,
-            tuple(c / (n - 1) for c in _counts(states, player, len(g.states))),
-            "float",
-        )
-        total += g.terminal_cost(states[player], m_self)
-        costs.append(total)
+        costs.append(_scalar_cost(g, vec, _scalar_path(g, m0f, vec, uni), player))
     # aggregate exactly like the array engine does within one chunk
     arr = np.array(costs)
     reps = len(costs)
@@ -344,12 +355,128 @@ def scalar_mc_reference(game, profile, player, u, m0, cfg):
     return mean, stderr
 
 
+def scalar_deviation_reference(game, profile, player, m0, cfg):
+    """(rec_index, best_index, cost, best_value, gap) per recommendation, with
+    every candidate simulated on the same uniforms, one replication at a time."""
+    g = game.to_float()
+    m0f = m0.to_float()
+    candidates = enumerate_strategies(game)
+    index = {s.actions: i for i, s in enumerate(candidates)}
+    reps = cfg.replications
+    costs = [[0.0] * len(candidates) for _ in range(reps)]
+    recs = []
+    for rep in range(reps):
+        uni = _scalar_uniforms(cfg, rep)
+        vec = _scalar_draw(profile, uni)
+        recs.append(index[vec[player].actions])
+        for c, psi in enumerate(candidates):
+            vec[player] = psi
+            costs[rep][c] = _scalar_cost(g, vec, _scalar_path(g, m0f, vec, uni), player)
+    rows = []
+    for rec in sorted(set(recs)):
+        sums = [
+            sum(costs[r][c] for r in range(reps) if recs[r] == rec) / reps
+            for c in range(len(candidates))
+        ]
+        best = min(range(len(sums)), key=sums.__getitem__)
+        rows.append((rec, best, sums[rec], sums[best], sums[rec] - sums[best]))
+    return rows
+
+
+def scalar_empirical_reference(game, profile, m0, cfg):
+    """Atoms (player 1's recommendation, others' empirical flow, weight)."""
+    g = game.to_float()
+    m0f = m0.to_float()
+    n = profile.n_players
+    buckets = {}
+    for rep in range(cfg.replications):
+        uni = _scalar_uniforms(cfg, rep)
+        vec = _scalar_draw(profile, uni)
+        path = _scalar_path(g, m0f, vec, uni)
+        flow = tuple(
+            tuple(F(int(c), n - 1) for c in _counts(states, 0, len(g.states)))
+            for states in path
+        )
+        key = (vec[0], flow)
+        buckets[key] = buckets.get(key, 0) + 1
+    return CorrelatedFlow(
+        tuple(
+            (
+                rec,
+                FlowTrajectory(
+                    tuple(ProbabilityVector(game.states, row, EXACT) for row in flow)
+                ),
+                F(mult, cfg.replications),
+            )
+            for (rec, flow), mult in buckets.items()
+        )
+    )
+
+
 def _counts(states, skip, d):
     counts = [0.0] * d
     for j, x in enumerate(states):
         if j != skip:
             counts[x] += 1.0
     return counts
+
+
+def mixing_game(seed=3):
+    """Three states, two actions, horizon 2; kernels and costs depend on the
+    measure (vertex-mixture kernel rows with nonzero coefficients)."""
+    r = random.Random(seed)
+    d, n_actions, horizon = 3, 2, 2
+
+    def pvec():
+        raw = [r.randint(1, 4) for _ in range(d)]
+        return [F(v, sum(raw)) for v in raw]
+
+    def row():
+        base, vertices, s = pvec(), [pvec() for _ in range(d)], F(r.randint(1, 4), 4)
+        coef = tuple(
+            tuple(s * (vertices[y][i] - base[i]) for y in range(d)) for i in range(d)
+        )
+        return AffineSimplexMap(tuple(base), coef)
+
+    def cost():
+        return F(r.randint(-4, 4), 8)
+
+    rows = tuple(
+        tuple(tuple(row() for _ in range(n_actions)) for _ in range(d))
+        for _ in range(horizon)
+    )
+    costs = AffineCost(
+        tuple(tuple(tuple(cost() for _ in range(n_actions)) for _ in range(d))
+              for _ in range(horizon)),
+        tuple(tuple(tuple(tuple(cost() for _ in range(d)) for _ in range(n_actions))
+                    for _ in range(d)) for _ in range(horizon)),
+        tuple(cost() for _ in range(d)),
+        tuple(tuple(cost() for _ in range(d)) for _ in range(d)),
+    )
+    return GameSpec(
+        horizon, FiniteSpace(("a", "b", "c")), FiniteSpace(("u", "v")),
+        ThresholdTransition(rows), costs, EXACT,
+    )
+
+
+def mixing_profiles(game):
+    """An explicit 3-player and a factored 4-player profile of the mixing game."""
+    s = enumerate_strategies(game)
+    explicit = ExplicitProfile(
+        3, (((s[5], s[40], s[63]), F(1, 3)), ((s[12], s[12], s[33]), F(2, 3)))
+    )
+    flat = FlowTrajectory(
+        (ProbabilityVector.uniform(game.states, EXACT),) * (game.horizon + 1)
+    )
+    factored = FactoredProfile(
+        4, (flat, flat), (F(1, 4), F(3, 4)),
+        (((s[5], F(1, 2)), (s[40], F(1, 2))),
+         ((s[12], F(1, 3)), (s[33], F(1, 6)), (s[63], F(1, 2)))),
+    )
+    return explicit, factored
+
+
+MIXING_M0 = (F(1, 2), F(1, 3), F(1, 6))
 
 
 class TestMonteCarlo:
@@ -407,6 +534,64 @@ class TestMonteCarlo:
             game, lift(rho, 2), 0, DeviationMap.identity(), uniform_m0, cfg
         )
         assert stderr == 0.0
+
+
+class TestEngineAgainstScalarOracle:
+    """Every MC caller, on a game whose kernel depends on the measure, over
+    several chunks (the last one partial)."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(nplayer, "_CHUNK", 16)
+
+    @pytest.fixture(scope="class")
+    def mixing(self):
+        game = mixing_game()
+        assert validate_game(game).ok
+        assert any(c for by_x in game.transition.rows for by_a in by_x
+                   for row in by_a for r in row.coef for c in r)
+        return game, ProbabilityVector(game.states, MIXING_M0, EXACT)
+
+    @pytest.mark.parametrize("kind", ["explicit", "factored"])
+    def test_deviation_gain_mc(self, mixing, kind):
+        game, m0 = mixing
+        profile = dict(zip(("explicit", "factored"), mixing_profiles(game)))[kind]
+        cfg = SimulationConfig(master_seed=9, replications=40)
+        got = deviation_gain(game, profile, 1, m0, "mc", cfg)
+        want = scalar_deviation_reference(game, profile, 1, m0, cfg)
+        assert [(r.rec_index, r.best_index) for r in got.rows] == [
+            (rec, best) for rec, best, *_ in want
+        ]
+        for row, (_, _, cost, best_value, gap) in zip(got.rows, want):
+            assert abs(row.cost - cost) < 1e-12
+            assert abs(row.best_value - best_value) < 1e-12
+            assert abs(row.gap - gap) < 1e-12
+        assert abs(got.epsilon - sum(w[4] for w in want)) < 1e-12
+
+    def test_profile_cost(self, mixing):
+        game, m0 = mixing
+        profile = mixing_profiles(game)[1]
+        s = enumerate_strategies(game)
+        u = DeviationMap.single(s[33], s[7])
+        cfg = SimulationConfig(master_seed=4, replications=40)
+        got = mc_profile_cost(game, profile, 2, u, m0, cfg)
+        want = scalar_mc_reference(game, profile, 2, u, m0, cfg)
+        assert abs(got[0] - want[0]) < 1e-12
+
+    def test_empirical_rho_n(self, mixing):
+        game, m0 = mixing
+        profile = mixing_profiles(game)[1]
+        cfg = SimulationConfig(master_seed=6, replications=40)
+        emp = empirical_rho_n(game, profile, m0, cfg)
+        assert (emp.samples, emp.n_players) == (40, 4)
+        assert emp.flow.atoms == scalar_empirical_reference(game, profile, m0, cfg).atoms
+
+    def test_empirical_rho_n_rejects_a_joint_initial_law(self, mixing):
+        game, m0 = mixing
+        profile = mixing_profiles(game)[1]
+        joint = JointStateDistribution.from_product(m0, profile.n_players)
+        with pytest.raises(ValueError, match="product initial law"):
+            empirical_rho_n(game, profile, joint, SimulationConfig(0, 8))
 
 
 class TestPickParity:
