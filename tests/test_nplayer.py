@@ -552,10 +552,10 @@ class TestEngineAgainstScalarOracle:
                    for row in by_a for r in row.coef for c in r)
         return game, ProbabilityVector(game.states, MIXING_M0, EXACT)
 
-    @pytest.mark.parametrize("kind", ["explicit", "factored"])
+    @pytest.mark.parametrize("kind", [0, 1], ids=["explicit", "factored"])
     def test_deviation_gain_mc(self, mixing, kind):
         game, m0 = mixing
-        profile = dict(zip(("explicit", "factored"), mixing_profiles(game)))[kind]
+        profile = mixing_profiles(game)[kind]
         cfg = SimulationConfig(master_seed=9, replications=40)
         got = deviation_gain(game, profile, 1, m0, "mc", cfg)
         want = scalar_deviation_reference(game, profile, 1, m0, cfg)
