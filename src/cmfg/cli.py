@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import __version__, io, limits, mfg, nplayer, transport, two_state
+from . import __version__, io, limits, mfg, nplayer, two_state
 from .model import (
     DEFAULT_ATOM_CAP,
     DEFAULT_JOINT_CAP,

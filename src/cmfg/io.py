@@ -27,7 +27,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .mfg import CorrelatedFlow
 from .model import (
@@ -243,6 +243,9 @@ def _trajectory_to_json(flow: FlowTrajectory) -> list:
 
 
 def _trajectory_from_json(doc, game: GameSpec) -> FlowTrajectory:
+    """Measures at t = 0..T; refuses any other count."""
+    if not isinstance(doc, list) or len(doc) != game.horizon + 1:
+        raise ValueError(f"flow must have {game.horizon + 1} measures (one per time)")
     mode = game.arithmetic
     return FlowTrajectory(
         tuple(

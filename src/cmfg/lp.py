@@ -55,21 +55,6 @@ class LinearProgram:
             raise ValueError("objective length does not match variable count")
 
 
-def lp_debug_dump(lp: LinearProgram) -> str:
-    """Readable listing of the whole system with rational entries."""
-    lines = [f"minimize: " + (
-        " + ".join(f"{c}*{v}" for c, v in zip(lp.objective, lp.variables) if c)
-        if lp.objective and any(lp.objective) else "0 (feasibility)"
-    )]
-    lines.append(f"subject to ({len(lp.rows)} rows, {len(lp.variables)} nonnegative variables):")
-    for row in lp.rows:
-        terms = " + ".join(
-            f"{c}*{v}" for c, v in zip(row.coeffs, lp.variables) if c
-        ) or "0"
-        lines.append(f"  {terms} {row.relation} {row.rhs}")
-    return "\n".join(lines)
-
-
 class _Tableau:
     """Dense simplex tableau; row 0 is the objective row."""
 

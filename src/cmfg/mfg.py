@@ -5,26 +5,27 @@ A candidate solution is a correlated flow: a joint distribution over
 two halves: optimality (no strategy modification improves the representative
 player's cost) and consistency (each flow in the support regenerates itself
 when the conditional strategy mix is propagated forward).
+
+Inputs are validated at the edge: each public function checks the modes and
+lengths of its flows once, and the recursions then run on raw weight tuples
+through one single-player step, `GameSpec.raw_step`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Sequence
 
 from .model import (
     DEFAULT_STRATEGY_CAP,
     EXACT,
     FLOAT,
-    FLOAT_TOL,
-    FLOAT_SUM_TOL,
-    FiniteSpace,
     FlowTrajectory,
     GameSpec,
     ProbabilityVector,
     RestrictedStrategy,
     Scalar,
+    arith,
     dist,
     enumerate_strategies,
     zero,
@@ -35,11 +36,10 @@ def _flow_key(flow: FlowTrajectory) -> tuple:
     return tuple(m.weights for m in flow.measures)
 
 
-def _flows_close(a: FlowTrajectory, b: FlowTrajectory, mode: str) -> bool:
-    if mode == EXACT:
-        return _flow_key(a) == _flow_key(b)
-    return all(
-        abs(x - y) <= FLOAT_TOL
+def _flows_close(a: FlowTrajectory, b: FlowTrajectory, tol: Scalar) -> bool:
+    # with tol 0 (exact mode) only equal flows are close
+    return _flow_key(a) == _flow_key(b) or bool(tol) and all(
+        abs(x - y) <= tol
         for ma, mb in zip(a.measures, b.measures)
         for x, y in zip(ma.weights, mb.weights)
     )
@@ -55,6 +55,7 @@ class CorrelatedFlow:
         if not self.atoms:
             raise ValueError("correlated flow needs at least one atom")
         mode = self.atoms[0][1].mode
+        tol = arith(mode).tol
         merged: list[list] = []
         for phi, flow, w in self.atoms:
             if flow.mode != mode:
@@ -63,7 +64,7 @@ class CorrelatedFlow:
                 raise ValueError(f"atom weight {w} is not positive")
             hit = None
             for entry in merged:
-                if entry[0] == phi and _flows_close(entry[1], flow, mode):
+                if entry[0] == phi and _flows_close(entry[1], flow, tol):
                     hit = entry
                     break
             if hit is not None:
@@ -73,12 +74,7 @@ class CorrelatedFlow:
             else:
                 merged.append([phi, flow, w])
         merged.sort(key=lambda e: (e[0].sort_key(), _flow_key(e[1])))
-        total = sum(e[2] for e in merged)
-        if mode == EXACT:
-            if total != 1:
-                raise ValueError(f"atom weights sum to {total}, not 1")
-        elif abs(total - 1.0) > FLOAT_SUM_TOL:
-            raise ValueError(f"atom weights sum to {total!r}")
+        arith(mode).check_mass([e[2] for e in merged], "atom")
         object.__setattr__(self, "atoms", tuple((p, f, w) for p, f, w in merged))
 
     @property
@@ -120,9 +116,10 @@ def factor_flow(rho: CorrelatedFlow) -> FlowFactorization:
     """Group atoms by flow; conditional weights are renormalized atom weights."""
     flows: list[FlowTrajectory] = []
     groups: list[list] = []
+    tol = arith(rho.mode).tol
     for phi, flow, w in rho.atoms:
         for i, known in enumerate(flows):
-            if _flows_close(known, flow, rho.mode):
+            if _flows_close(known, flow, tol):
                 groups[i].append((phi, w))
                 break
         else:
@@ -171,6 +168,12 @@ def _require_game_mode(game: GameSpec, mode: str) -> None:
         raise ValueError(f"mixing arithmetic modes: game {game.arithmetic}, data {mode}")
 
 
+def _require_flow(game: GameSpec, flow: FlowTrajectory) -> None:
+    if len(flow) != game.horizon + 1:
+        raise ValueError(f"flow must have {game.horizon + 1} measures, got {len(flow)}")
+    _require_game_mode(game, flow.mode)
+
+
 def state_law(
     game: GameSpec,
     phi: RestrictedStrategy,
@@ -178,24 +181,11 @@ def state_law(
     m0: ProbabilityVector,
 ) -> FlowTrajectory:
     """Law of the representative state when the strategy and the flow are frozen."""
-    if len(flow) != game.horizon + 1:
-        raise ValueError(f"flow must have {game.horizon + 1} measures, got {len(flow)}")
-    _require_game_mode(game, flow.mode)
+    _require_flow(game, flow)
     _require_game_mode(game, m0.mode)
     laws = [m0]
-    cur = m0.weights
-    dx = len(game.states)
     for t in range(game.horizon):
-        nxt = [zero(game.arithmetic)] * dx
-        for x in range(dx):
-            px = cur[x]
-            if not px:
-                continue
-            row = game.transition.row(t, x, phi.action(t, x)).weights_at(flow[t].weights)
-            for y in range(dx):
-                if row[y]:
-                    nxt[y] += px * row[y]
-        cur = tuple(nxt)
+        cur = game.raw_step(t, laws[t].weights, phi.actions[t], flow[t].weights)
         laws.append(ProbabilityVector(game.states, cur, game.arithmetic))
     return FlowTrajectory(tuple(laws))
 
@@ -207,17 +197,20 @@ def deterministic_cost(
     m0: ProbabilityVector,
 ) -> Scalar:
     """Expected total cost of playing phi against a frozen flow."""
-    laws = state_law(game, phi, flow, m0)
+    _require_flow(game, flow)
+    _require_game_mode(game, m0.mode)
+    law = m0.weights
     total = zero(game.arithmetic)
     for t in range(game.horizon):
-        for x in range(len(game.states)):
-            p = laws[t][x]
+        m, acts = flow[t].weights, phi.actions[t]
+        for x, p in enumerate(law):
             if p:
-                total += p * game.running_cost(t, x, flow[t], phi.action(t, x))
-    for x in range(len(game.states)):
-        p = laws[game.horizon][x]
+                total += p * game.raw_running_cost(t, x, m, acts[x])
+        law = game.raw_step(t, law, acts, m)
+    m = flow[game.horizon].weights
+    for x, p in enumerate(law):
         if p:
-            total += p * game.terminal_cost(x, flow[game.horizon])
+            total += p * game.raw_terminal_cost(x, m)
     return total
 
 
@@ -319,8 +312,7 @@ def optimality_gap(
         g = own - br.value
         rows.append(GapRow(phi, own, br.strategy, br.value, g, br.tied))
         gap += g
-    tol = 0 if game.arithmetic == EXACT else FLOAT_TOL
-    return OptimalityReport(gap <= tol, gap, tuple(rows))
+    return OptimalityReport(gap <= arith(game.arithmetic).tol, gap, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -347,7 +339,7 @@ def consistency_check(
     _require_game_mode(game, rho.mode)
     fact = factor_flow(rho)
     rows = []
-    tol = 0 if game.arithmetic == EXACT else FLOAT_TOL
+    tol = arith(game.arithmetic).tol
     for flow, fw, cond in zip(fact.flows, fact.flow_weights, fact.conditionals):
         laws = [(state_law(game, phi, flow, m0), w) for phi, w in cond]
         residual = zero(game.arithmetic)
@@ -397,29 +389,24 @@ def dp_best_response(game: GameSpec, flow: FlowTrajectory) -> DpResult:
     with several flows in the conditional the player cannot condition on the
     flow and enumeration must be used instead.
     """
-    if len(flow) != game.horizon + 1:
-        raise ValueError(f"flow must have {game.horizon + 1} measures, got {len(flow)}")
-    _require_game_mode(game, flow.mode)
+    _require_flow(game, flow)
     dx, da = len(game.states), len(game.actions)
     T = game.horizon
     values: list[tuple[Scalar, ...]] = [
-        tuple(game.terminal_cost(x, flow[T]) for x in range(dx))
+        tuple(game.raw_terminal_cost(x, flow[T].weights) for x in range(dx))
     ]
     table: list[tuple[int, ...]] = []
     nxt = values[0]
     for t in range(T - 1, -1, -1):
         row_vals = []
         row_acts = []
+        m = flow[t].weights
         for x in range(dx):
             best_v = None
             best_a = 0
             for a in range(da):
-                v = game.running_cost(t, x, flow[t], a) + sum(
-                    k * nxt[y]
-                    for y, k in enumerate(
-                        game.transition.row(t, x, a).weights_at(flow[t].weights)
-                    )
-                    if k
+                v = game.raw_running_cost(t, x, m, a) + sum(
+                    k * nxt[y] for y, k in enumerate(game.raw_kernel(t, x, m, a)) if k
                 )
                 if best_v is None or v < best_v:  # ties keep the smaller action
                     best_v, best_a = v, a
@@ -446,18 +433,11 @@ def mkv_propagate(
     _require_game_mode(game, m0.mode)
     if not conditional:
         raise ValueError("empty strategy conditional")
-    total = sum(w for _, w in conditional)
-    if game.arithmetic == EXACT:
-        if total != 1:
-            raise ValueError(f"conditional weights sum to {total}, not 1")
-    elif abs(total - 1.0) > FLOAT_SUM_TOL:
-        raise ValueError(f"conditional weights sum to {total!r}")
-    if any(w <= 0 for _, w in conditional):
-        raise ValueError("conditional weights must be positive")
-
-    dx = len(game.states)
     strategies = [phi for phi, _ in conditional]
     weights = [w for _, w in conditional]
+    arith(game.arithmetic).check_mass(weights, "conditional", positive=True)
+
+    dx = len(game.states)
     laws = [m0.weights for _ in strategies]
     mixed_path = []
     per_path = [[m0] for _ in strategies]
@@ -471,19 +451,11 @@ def mkv_propagate(
 
     mixed_path.append(mix(laws))
     for t in range(game.horizon):
-        h_t = mixed_path[t]
-        new_laws = []
-        for phi, cur in zip(strategies, laws):
-            nxt = [zero(game.arithmetic)] * dx
-            for x in range(dx):
-                if not cur[x]:
-                    continue
-                row = game.transition.row(t, x, phi.action(t, x)).weights_at(h_t.weights)
-                for y in range(dx):
-                    if row[y]:
-                        nxt[y] += cur[x] * row[y]
-            new_laws.append(tuple(nxt))
-        laws = new_laws
+        h_t = mixed_path[t].weights
+        laws = [
+            game.raw_step(t, cur, phi.actions[t], h_t)
+            for phi, cur in zip(strategies, laws)
+        ]
         for path, row in zip(per_path, laws):
             path.append(ProbabilityVector(game.states, row, game.arithmetic))
         mixed_path.append(mix(laws))

@@ -5,15 +5,22 @@ action space, a transition kernel that is affine in the population measure
 (realized through a threshold coupling against uniform noise), and stage costs
 that are affine in the population measure.  Every numeric object carries an
 arithmetic mode, either ``exact`` (``fractions.Fraction``) or ``float``
-(float64); mixing modes inside one operation is an error.
+(float64); mixing modes inside one operation is an error.  `Arithmetic` holds
+the rules that differ between the two modes.
+
+Inputs are validated at the edge: the dataclasses check shapes, signs, mass
+and modes once, when they are built.  The ``raw_*`` methods of `GameSpec` are
+the unchecked forms on plain weight tuples that the engines use inside their
+loops; `GameSpec.kernel`, `running_cost` and `terminal_cost` wrap them.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 Scalar = Union[Fraction, float]
 
@@ -34,33 +41,73 @@ class CapacityError(RuntimeError):
     """Raised when an enumeration or state-space bound would be exceeded."""
 
 
+@dataclass(frozen=True)
+class Arithmetic:
+    """The rules of one arithmetic mode.
+
+    ``ratio(c, n)`` is c/n as a Fraction or as a float division, ``tol`` the
+    tolerance of equality checks and ``mass_tol`` that of total probability
+    mass; both tolerances are 0 in exact mode.
+    """
+
+    mode: str
+    scalar: type
+    ratio: Callable[[Scalar, int], Scalar]
+    tol: Scalar
+    mass_tol: Scalar
+
+    def check_mass(self, weights: Sequence[Scalar], what: str, *, positive=False) -> None:
+        """Weights must be nonnegative (positive if asked) with total mass one."""
+        for i, w in enumerate(weights):
+            if w < 0 or (positive and not w):
+                sign = "positive" if positive else "nonnegative"
+                raise ValueError(f"{what} weight {w} at index {i} is not {sign}")
+        total = sum(weights)
+        if not abs(total - 1) <= self.mass_tol:
+            raise ValueError(f"{self.mode} {what} weights sum to {total}, not 1")
+
+
+_ARITHMETIC = {
+    EXACT: Arithmetic(EXACT, Fraction, Fraction, Fraction(0), Fraction(0)),
+    FLOAT: Arithmetic(FLOAT, float, operator.truediv, FLOAT_TOL, FLOAT_SUM_TOL),
+}
+
+
+def arith(mode: str) -> Arithmetic:
+    """The rules of a mode; unknown modes are rejected."""
+    try:
+        return _ARITHMETIC[mode]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown arithmetic mode {mode!r}") from None
+
+
+def arith_of(weights: Iterable[Scalar]) -> Arithmetic:
+    """Float rules if any weight is a float, exact rules otherwise."""
+    return _ARITHMETIC[FLOAT if any(isinstance(w, float) for w in weights) else EXACT]
+
+
 def check_mode(mode: str) -> str:
-    if mode not in (EXACT, FLOAT):
-        raise ValueError(f"unknown arithmetic mode {mode!r}")
-    return mode
+    return arith(mode).mode
 
 
 def coerce_scalar(value, mode: str) -> Scalar:
     """Coerce a number into the given mode; cross-mode values are rejected."""
-    if mode == EXACT:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise ValueError(f"exact mode requires Fraction or int, got {type(value).__name__}")
-    if isinstance(value, float):
+    kind = arith(mode).scalar
+    if isinstance(value, kind):
         return value
     if isinstance(value, int):
-        return float(value)
-    raise ValueError(f"float mode requires float or int, got {type(value).__name__}")
+        return kind(value)
+    raise ValueError(
+        f"{mode} mode requires {kind.__name__} or int, got {type(value).__name__}"
+    )
 
 
 def zero(mode: str) -> Scalar:
-    return Fraction(0) if mode == EXACT else 0.0
+    return arith(mode).scalar(0)
 
 
 def one(mode: str) -> Scalar:
-    return Fraction(1) if mode == EXACT else 1.0
+    return arith(mode).scalar(1)
 
 
 @dataclass(frozen=True)
@@ -100,28 +147,17 @@ class ProbabilityVector:
     mode: str
 
     def __post_init__(self):
-        check_mode(self.mode)
         if len(self.weights) != len(self.space):
             raise ValueError("weight count does not match space size")
         object.__setattr__(
             self, "weights", tuple(coerce_scalar(w, self.mode) for w in self.weights)
         )
-        for i, w in enumerate(self.weights):
-            if w < 0:
-                raise ValueError(f"negative weight at index {i}: {w}")
-        total = sum(self.weights)
-        if self.mode == EXACT:
-            if total != 1:
-                raise ValueError(f"exact weights sum to {total}, not 1")
-        elif abs(total - 1.0) > FLOAT_SUM_TOL:
-            raise ValueError(f"float weights sum to {total!r}, |sum-1| > {FLOAT_SUM_TOL}")
+        arith(self.mode).check_mass(self.weights, "measure")
 
     @staticmethod
     def uniform(space: FiniteSpace, mode: str) -> "ProbabilityVector":
         d = len(space)
-        if mode == EXACT:
-            return ProbabilityVector(space, (Fraction(1, d),) * d, EXACT)
-        return ProbabilityVector(space, (1.0 / d,) * d, FLOAT)
+        return ProbabilityVector(space, (arith(mode).ratio(1, d),) * d, mode)
 
     @staticmethod
     def dirac(space: FiniteSpace, index: int, mode: str) -> "ProbabilityVector":
@@ -147,7 +183,7 @@ def dist(m: ProbabilityVector, n: ProbabilityVector) -> Scalar:
     """Total-variation style metric: half the L1 distance between weights."""
     _require_same_frame(m, n)
     total = sum(abs(a - b) for a, b in zip(m.weights, n.weights))
-    return total / 2 if m.mode == FLOAT else Fraction(total, 2)
+    return arith(m.mode).ratio(total, 2)
 
 
 def mean_of(m: ProbabilityVector) -> Scalar:
@@ -241,7 +277,7 @@ class AffineSimplexMap:
     def violations(self, mode: str) -> list[str]:
         """Messages for each violated simplex-map invariant (empty if valid)."""
         out = []
-        tol = 0 if mode == EXACT else FLOAT_SUM_TOL
+        tol = arith(mode).mass_tol
         total = sum(self.base)
         if abs(total - 1) > tol:
             out.append(f"base weights sum to {total}, not 1")
@@ -324,7 +360,7 @@ class GameSpec:
         self._check_scalar_types()
 
     def _check_scalar_types(self):
-        want = Fraction if self.arithmetic == EXACT else float
+        want = arith(self.arithmetic).scalar
 
         def walk(node):
             if isinstance(node, tuple):
@@ -342,26 +378,47 @@ class GameSpec:
         walk((self.cost.running_base, self.cost.running_coef,
               self.cost.terminal_base, self.cost.terminal_coef))
 
+    def raw_kernel(self, t: int, x: int, m: Sequence[Scalar], a: int) -> tuple[Scalar, ...]:
+        """Next-state weights from (t, x) under action a and measure weights m."""
+        return self.transition.rows[t][x][a].weights_at(m)
+
+    def raw_running_cost(self, t: int, x: int, m: Sequence[Scalar], a: int) -> Scalar:
+        coef = self.cost.running_coef[t][x][a]
+        return self.cost.running_base[t][x][a] + sum(c * w for c, w in zip(coef, m) if c)
+
+    def raw_terminal_cost(self, x: int, m: Sequence[Scalar]) -> Scalar:
+        coef = self.cost.terminal_coef[x]
+        return self.cost.terminal_base[x] + sum(c * w for c, w in zip(coef, m) if c)
+
+    def raw_step(
+        self, t: int, law: Sequence[Scalar], actions: Sequence[int], m: Sequence[Scalar]
+    ) -> tuple[Scalar, ...]:
+        """One player's state law at t+1 from its law at t, playing actions[x]
+        in state x against the frozen measure weights m."""
+        nxt = [zero(self.arithmetic)] * len(law)
+        for x, px in enumerate(law):
+            if px:
+                for y, k in enumerate(self.raw_kernel(t, x, m, actions[x])):
+                    if k:
+                        nxt[y] += px * k
+        return tuple(nxt)
+
+    def _require_mode(self, m: ProbabilityVector) -> None:
+        if m.mode != self.arithmetic:
+            raise ValueError(f"mixing arithmetic modes: game {self.arithmetic}, measure {m.mode}")
+
     def kernel(self, t: int, x: int, m: ProbabilityVector, a: int) -> ProbabilityVector:
         """Distribution of the next state from (t, x) under action a and measure m."""
-        if m.mode != self.arithmetic:
-            raise ValueError(f"mixing arithmetic modes: game {self.arithmetic}, measure {m.mode}")
-        w = self.transition.row(t, x, a).weights_at(m.weights)
-        return ProbabilityVector(self.states, w, self.arithmetic)
+        self._require_mode(m)
+        return ProbabilityVector(self.states, self.raw_kernel(t, x, m.weights, a), self.arithmetic)
 
     def running_cost(self, t: int, x: int, m: ProbabilityVector, a: int) -> Scalar:
-        if m.mode != self.arithmetic:
-            raise ValueError(f"mixing arithmetic modes: game {self.arithmetic}, measure {m.mode}")
-        base = self.cost.running_base[t][x][a]
-        coef = self.cost.running_coef[t][x][a]
-        return base + sum(c * w for c, w in zip(coef, m.weights) if c)
+        self._require_mode(m)
+        return self.raw_running_cost(t, x, m.weights, a)
 
     def terminal_cost(self, x: int, m: ProbabilityVector) -> Scalar:
-        if m.mode != self.arithmetic:
-            raise ValueError(f"mixing arithmetic modes: game {self.arithmetic}, measure {m.mode}")
-        return self.cost.terminal_base[x] + sum(
-            c * w for c, w in zip(self.cost.terminal_coef[x], m.weights) if c
-        )
+        self._require_mode(m)
+        return self.raw_terminal_cost(x, m.weights)
 
     def to_float(self) -> "GameSpec":
         """Float64 copy of the game; this is a conversion, not a mode mix."""
@@ -415,21 +472,16 @@ def psi_sample(game: GameSpec, t: int, x: int, m: ProbabilityVector, a: int, z) 
     also contains z = 0."""
     if z < 0 or z > 1:
         raise ValueError(f"noise draw {z!r} outside [0, 1]")
-    weights = game.transition.row(t, x, a).weights_at(m.weights)
-    return categorical_pick(weights, z)
+    return categorical_pick(game.raw_kernel(t, x, m.weights, a), z)
 
 
 def lipschitz_modulus(game: GameSpec) -> Scalar:
     """Diagnostic bound 2 * max |coef| on the measure-sensitivity of kernel rows."""
-    worst = zero(game.arithmetic)
-    for by_x in game.transition.rows:
-        for by_a in by_x:
-            for row in by_a:
-                for r in row.coef:
-                    for c in r:
-                        if abs(c) > worst:
-                            worst = abs(c)
-    return 2 * worst
+    coefs = (
+        abs(c) for by_x in game.transition.rows for by_a in by_x for row in by_a
+        for r in row.coef for c in r
+    )
+    return 2 * max(coefs, default=zero(game.arithmetic))
 
 
 def strategy_count(game: GameSpec) -> int:
@@ -446,12 +498,10 @@ def enumerate_strategies(
             f"strategy enumeration needs {count} strategies, cap is {cap}"
         )
     T, dx, da = game.horizon, len(game.states), len(game.actions)
-    out = []
-    for flat in itertools.product(range(da), repeat=T * dx):
-        out.append(RestrictedStrategy(
-            tuple(tuple(flat[t * dx:(t + 1) * dx]) for t in range(T))
-        ))
-    return tuple(out)
+    return tuple(
+        RestrictedStrategy(tuple(flat[t * dx:(t + 1) * dx] for t in range(T)))
+        for flat in itertools.product(range(da), repeat=T * dx)
+    )
 
 
 def strategy_index(game: GameSpec, phi: RestrictedStrategy) -> int:
@@ -474,10 +524,8 @@ def empirical_measure(
     counts = [0] * len(space)
     for s in states:
         counts[s] += 1
-    n = len(states)
-    if mode == EXACT:
-        return ProbabilityVector(space, tuple(Fraction(c, n) for c in counts), EXACT)
-    return ProbabilityVector(space, tuple(c / n for c in counts), FLOAT)
+    ratio = arith(mode).ratio
+    return ProbabilityVector(space, tuple(ratio(c, len(states)) for c in counts), mode)
 
 
 @dataclass(frozen=True)

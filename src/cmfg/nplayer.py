@@ -10,6 +10,10 @@ N-1 states.  This module provides
     random numbers, and
   * symmetric correlated equilibria via an exact-rational feasibility LP
     reduced to strategy multisets.
+
+Profiles and joint laws are validated once, when they are built; the exact
+propagation then works on raw weight tuples, counts each joint state once
+and reads kernel rows and costs through the raw `GameSpec` methods.
 """
 
 from __future__ import annotations
@@ -30,10 +34,6 @@ from .model import (
     DEFAULT_JOINT_CAP,
     DEFAULT_LP_CAP,
     DEFAULT_STRATEGY_CAP,
-    EXACT,
-    FLOAT,
-    FLOAT_SUM_TOL,
-    FLOAT_TOL,
     CapacityError,
     FiniteSpace,
     FlowTrajectory,
@@ -41,6 +41,8 @@ from .model import (
     ProbabilityVector,
     RestrictedStrategy,
     Scalar,
+    arith,
+    arith_of,
     enumerate_strategies,
     zero,
 )
@@ -51,21 +53,6 @@ _COST_MATRIX_BYTES_CAP = 1 << 29  # 512 MiB of per-replication candidate costs
 
 # ---------------------------------------------------------------------------
 # profiles
-
-
-def _weights_mode(weights) -> str:
-    return FLOAT if any(isinstance(w, float) for w in weights) else EXACT
-
-
-def _check_weights(weights, mode: str, what: str) -> None:
-    if any(w <= 0 for w in weights):
-        raise ValueError(f"{what} weights must be positive")
-    total = sum(weights)
-    if mode == EXACT:
-        if total != 1:
-            raise ValueError(f"{what} weights sum to {total}, not 1")
-    elif abs(total - 1.0) > FLOAT_SUM_TOL:
-        raise ValueError(f"{what} weights sum to {total!r}")
 
 
 @dataclass(frozen=True)
@@ -90,13 +77,13 @@ class ExplicitProfile:
             else:
                 merged[key] = [tuple(vec), w]
         atoms = sorted(merged.values(), key=lambda e: tuple(s.sort_key() for s in e[0]))
-        mode = _weights_mode([w for _, w in atoms])
-        _check_weights([w for _, w in atoms], mode, "profile")
+        weights = [w for _, w in atoms]
+        arith_of(weights).check_mass(weights, "profile", positive=True)
         object.__setattr__(self, "atoms", tuple((v, w) for v, w in atoms))
 
     @property
     def mode(self) -> str:
-        return _weights_mode([w for _, w in self.atoms])
+        return arith_of(w for _, w in self.atoms).mode
 
     def support_strategies(self) -> tuple[RestrictedStrategy, ...]:
         seen: dict[tuple, RestrictedStrategy] = {}
@@ -122,17 +109,16 @@ class FactoredProfile:
             raise ValueError("flows, weights and conditionals must align")
         if not self.flows:
             raise ValueError("factored profile needs at least one flow")
-        mode = _weights_mode(self.flow_weights)
-        _check_weights(self.flow_weights, mode, "flow")
+        arith_of(self.flow_weights).check_mass(self.flow_weights, "flow", positive=True)
         for cond in self.conditionals:
             if not cond:
                 raise ValueError("empty strategy conditional")
-            _check_weights([w for _, w in cond], _weights_mode([w for _, w in cond]),
-                           "conditional")
+            weights = [w for _, w in cond]
+            arith_of(weights).check_mass(weights, "conditional", positive=True)
 
     @property
     def mode(self) -> str:
-        return _weights_mode(self.flow_weights)
+        return arith_of(self.flow_weights).mode
 
     def support_strategies(self) -> tuple[RestrictedStrategy, ...]:
         seen: dict[tuple, RestrictedStrategy] = {}
@@ -149,9 +135,7 @@ class FactoredProfile:
         atoms = []
         for wf, cond in zip(self.flow_weights, self.conditionals):
             for combo in itertools.product(cond, repeat=self.n_players):
-                w = wf
-                for _, ws in combo:
-                    w = w * ws
+                w = math.prod((ws for _, ws in combo), start=wf)
                 atoms.append((tuple(s for s, _ in combo), w))
         return ExplicitProfile(self.n_players, tuple(atoms))
 
@@ -167,6 +151,7 @@ def symmetrize(profile: ExplicitProfile, cap: int = DEFAULT_ATOM_CAP) -> Explici
             f"symmetrization may need {len(profile.atoms) * n_fact} atoms, cap {cap}"
         )
     atoms = []
+    ratio = arith(profile.mode).ratio
     for vec, w in profile.atoms:
         perms = sorted(set(itertools.permutations(range(len(vec)))),
                        key=lambda p: tuple(vec[i].sort_key() for i in p))
@@ -174,9 +159,7 @@ def symmetrize(profile: ExplicitProfile, cap: int = DEFAULT_ATOM_CAP) -> Explici
         for p in perms:
             arranged = tuple(vec[i] for i in p)
             distinct.setdefault(tuple(s.actions for s in arranged), arranged)
-        share = (
-            w / len(distinct) if isinstance(w, float) else w * Fraction(1, len(distinct))
-        )
+        share = ratio(w, len(distinct))
         for arranged in distinct.values():
             atoms.append((arranged, share))
     return ExplicitProfile(profile.n_players, tuple(atoms))
@@ -187,16 +170,11 @@ def is_symmetric(profile: CorrelatedProfile) -> bool:
     if isinstance(profile, FactoredProfile):
         return True  # i.i.d. given the flow
     table = {tuple(s.actions for s in vec): w for vec, w in profile.atoms}
-    mode = profile.mode
+    tol = arith(profile.mode).tol
     for vec, w in profile.atoms:
         for p in itertools.permutations(tuple(s.actions for s in vec)):
             other = table.get(tuple(p))
-            if other is None:
-                return False
-            if mode == EXACT:
-                if other != w:
-                    return False
-            elif abs(other - w) > FLOAT_TOL:
+            if other is None or abs(other - w) > tol:
                 return False
     return True
 
@@ -233,18 +211,11 @@ class JointStateDistribution:
             raise ValueError(
                 f"want {d ** self.n_players} weights, got {len(self.weights)}"
             )
-        if any(w < 0 for w in self.weights):
-            raise ValueError("negative weight")
-        total = sum(self.weights)
-        if self.mode == EXACT:
-            if total != 1:
-                raise ValueError(f"weights sum to {total}, not 1")
-        elif abs(total - 1.0) > FLOAT_SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}")
+        arith_of(self.weights).check_mass(self.weights, "joint")
 
     @property
     def mode(self) -> str:
-        return _weights_mode(self.weights)
+        return arith_of(self.weights).mode
 
     def decode(self, idx: int) -> tuple[int, ...]:
         d = len(self.space)
@@ -277,26 +248,8 @@ class JointStateDistribution:
         d = len(m0.space)
         if d ** n_players > cap:
             raise CapacityError(f"{d ** n_players} joint states exceed cap {cap}")
-        weights = []
-        for combo in itertools.product(m0.weights, repeat=n_players):
-            w = combo[0]
-            for v in combo[1:]:
-                w = w * v
-            weights.append(w)
-        return JointStateDistribution(m0.space, n_players, tuple(weights))
-
-
-def _exclusive_measure(
-    space: FiniteSpace, states: Sequence[int], skip: int, mode: str
-) -> ProbabilityVector:
-    counts = [0] * len(space)
-    for j, x in enumerate(states):
-        if j != skip:
-            counts[x] += 1
-    n = len(states) - 1
-    if mode == EXACT:
-        return ProbabilityVector(space, tuple(Fraction(c, n) for c in counts), EXACT)
-    return ProbabilityVector(space, tuple(c / n for c in counts), FLOAT)
+        weights = tuple(map(math.prod, itertools.product(m0.weights, repeat=n_players)))
+        return JointStateDistribution(m0.space, n_players, weights)
 
 
 @dataclass(frozen=True)
@@ -341,43 +294,51 @@ def exact_joint_propagate(
             )
     if joint.space.labels != game.states.labels:
         raise ValueError("initial law lives on different states")
-    mode = game.arithmetic
+    ratio = arith(game.arithmetic).ratio
+    zero_w = zero(game.arithmetic)
     d = len(game.states)
-    size = d ** n
+    # joint states in index order, each counted once; a player in state x
+    # sees the others' measure (counts - e_x) / (n - 1)
+    cells = list(itertools.product(range(d), repeat=n))
+    counts = [tuple(map(xs.count, range(d))) for xs in cells]
+
+    def others(key, x):
+        return tuple(ratio(c - (y == x), n - 1) for y, c in enumerate(key))
+
     weights = list(joint.weights)
-    costs = [zero(mode)] * n
+    costs = [zero_w] * n
     laws = [joint]
     for t in range(game.horizon):
-        nxt = [zero(mode)] * size
-        for idx, w in enumerate(weights):
+        acts = [s.actions[t] for s in played]
+        step = {}  # (counts, x, a) -> (nonzero kernel entries, running cost)
+        nxt = [zero_w] * len(cells)
+        for xs, key, w in zip(cells, counts, weights):
             if not w:
                 continue
-            xs = joint.decode(idx)
-            rows = []
-            for l in range(n):
-                m_l = _exclusive_measure(game.states, xs, l, mode)
-                a_l = played[l].action(t, xs[l])
-                rows.append(game.kernel(t, xs[l], m_l, a_l).weights)
-                costs[l] += w * game.running_cost(t, xs[l], m_l, a_l)
             acc = [(0, w)]
-            for row in rows:
-                acc = [
-                    (base * d + y, pw * wy)
-                    for base, pw in acc
-                    for y, wy in enumerate(row)
-                    if wy
-                ]
-            for j, wj in acc:
-                nxt[j] += wj
+            for l, x in enumerate(xs):
+                a = acts[l][x]
+                hit = step.get((key, x, a))
+                if hit is None:
+                    m = others(key, x)
+                    row = game.raw_kernel(t, x, m, a)
+                    hit = step[key, x, a] = (
+                        [(y, k) for y, k in enumerate(row) if k],
+                        game.raw_running_cost(t, x, m, a),
+                    )
+                costs[l] += w * hit[1]
+                acc = [(j * d + y, pj * k) for j, pj in acc for y, k in hit[0]]
+            for j, pj in acc:
+                nxt[j] += pj
         weights = nxt
         laws.append(JointStateDistribution(game.states, n, tuple(weights)))
-    for idx, w in enumerate(weights):
-        if not w:
-            continue
-        xs = joint.decode(idx)
-        for l in range(n):
-            m_l = _exclusive_measure(game.states, xs, l, mode)
-            costs[l] += w * game.terminal_cost(xs[l], m_l)
+    terminal = {}  # (counts, x) -> terminal cost
+    for xs, key, w in zip(cells, counts, weights):
+        if w:
+            for l, x in enumerate(xs):
+                if (key, x) not in terminal:
+                    terminal[key, x] = game.raw_terminal_cost(x, others(key, x))
+                costs[l] += w * terminal[key, x]
     return JointPropagation(tuple(laws), tuple(costs))
 
 
@@ -714,10 +675,7 @@ def _deviation_gain_exact(
                 v += w * table.cost(psi, others)
             values.append(v)
         id_value = values[cand_index[rec_key]]
-        best_i = 0
-        for i in range(1, len(values)):
-            if values[i] < values[best_i]:
-                best_i = i
+        best_i = min(range(len(values)), key=values.__getitem__)  # first minimum
         gap = id_value - values[best_i]
         epsilon += gap
         rows.append(
@@ -782,58 +740,6 @@ def _deviation_gain_mc(
 # correlated-equilibrium LP
 
 
-def _strategy_space_size(game: GameSpec) -> int:
-    return len(game.actions) ** (game.horizon * len(game.states))
-
-
-def ce_constraints(
-    game: GameSpec,
-    n_players: int,
-    m0n: Union[ProbabilityVector, JointStateDistribution],
-    *,
-    lp_cap: int = DEFAULT_LP_CAP,
-    joint_cap: int = DEFAULT_JOINT_CAP,
-    strategy_cap: int = DEFAULT_STRATEGY_CAP,
-) -> LinearProgram:
-    """Full correlated-equilibrium feasibility system over gamma in P(R^N).
-
-    One variable per ordered strategy assignment; one row per (player,
-    recommendation, deviation) triple plus the unit-mass equality.  The
-    gamma >= 0 part is implicit: LP variables are nonnegative.
-    """
-    if game.arithmetic != EXACT:
-        raise ValueError("the equilibrium LP needs exact arithmetic")
-    strategies = enumerate_strategies(game, strategy_cap)
-    n_r = len(strategies)
-    n_vars = n_r ** n_players
-    if n_vars > lp_cap:
-        raise CapacityError(f"{n_vars} LP variables exceed cap {lp_cap}")
-    assignments = list(itertools.product(range(n_r), repeat=n_players))
-    names = tuple("g_" + "_".join(map(str, vec)) for vec in assignments)
-    table = _AnonymousCostTable(game, m0n, joint_cap)
-
-    def d_cost(own_i: int, others: tuple[int, ...]) -> Fraction:
-        return table.cost(strategies[own_i], tuple(strategies[j] for j in others))
-
-    rows = []
-    zero_f = Fraction(0)
-    for i in range(n_players):
-        for rec in range(n_r):
-            for psi in range(n_r):
-                if psi == rec:
-                    continue
-                coeffs = []
-                for vec in assignments:
-                    if vec[i] != rec:
-                        coeffs.append(zero_f)
-                        continue
-                    others = vec[:i] + vec[i + 1 :]
-                    coeffs.append(d_cost(psi, others) - d_cost(rec, others))
-                rows.append(LinRow(tuple(coeffs), GE, zero_f))
-    rows.append(LinRow(tuple(Fraction(1) for _ in names), EQ, Fraction(1)))
-    return LinearProgram(names, tuple(rows))
-
-
 def solve_symmetric_ce(
     game: GameSpec,
     n_players: int,
@@ -851,7 +757,7 @@ def solve_symmetric_ce(
     all the content because the system is permutation-covariant.  The result
     expands to explicit atoms with weight w(multiset)/#arrangements.
     """
-    if game.arithmetic != EXACT:
+    if arith(game.arithmetic).scalar is not Fraction:
         raise ValueError("the equilibrium LP needs exact arithmetic")
     strategies = enumerate_strategies(game, strategy_cap)
     n_r = len(strategies)
@@ -957,48 +863,28 @@ def exchangeability_check(
     n = explicit.n_players
     if not 0 <= t <= game.horizon:
         raise ValueError(f"time {t} outside 0..{game.horizon}")
-    mode = game.arithmetic
+    ar = arith(game.arithmetic)
     d = len(game.states)
-    mixed = [zero(mode)] * (d ** n)
+    mixed = [zero(ar.mode)] * (d ** n)
     for vec, w in explicit.atoms:
         law = exact_joint_propagate(game, vec, None, m0n, joint_cap=joint_cap).laws[t]
         for idx, p in enumerate(law.weights):
             if p:
                 mixed[idx] += w * p
-    decoder = JointStateDistribution(
-        game.states, n, tuple(mixed)
-    )
     groups: dict[tuple[int, ...], list] = {}
-    for idx, p in enumerate(mixed):
-        if not p:
-            continue
-        xs = decoder.decode(idx)
-        counts = [0] * d
-        for x in xs:
-            counts[x] += 1
-        groups.setdefault(tuple(counts), []).append((xs[0], p))
+    for xs, p in zip(itertools.product(range(d), repeat=n), mixed):
+        if p:
+            counts = tuple(xs.count(y) for y in range(d))
+            groups.setdefault(counts, []).append((xs[0], p))
     rows = []
-    ok = True
-    tol = zero(mode) if mode == EXACT else FLOAT_TOL
     for counts in sorted(groups):
         entries = groups[counts]
         mass = sum(p for _, p in entries)
-        cond = [zero(mode)] * d
+        cond = [zero(ar.mode)] * d
         for x0, p in entries:
             cond[x0] += p
-        worst = zero(mode)
-        for s in range(d):
-            if mode == EXACT:
-                gap = abs(cond[s] / mass - Fraction(counts[s], n))
-            else:
-                gap = abs(cond[s] / mass - counts[s] / n)
-            if gap > worst:
-                worst = gap
-        if worst > tol:
-            ok = False
-        if mode == EXACT:
-            empirical = tuple(Fraction(c, n) for c in counts)
-        else:
-            empirical = tuple(c / n for c in counts)
+        empirical = tuple(ar.ratio(c, n) for c in counts)
+        worst = max(abs(c / mass - e) for c, e in zip(cond, empirical))
         rows.append(ExchangeabilityRow(empirical, mass, worst))
+    ok = all(row.worst_gap <= ar.tol for row in rows)
     return ExchangeabilityReport(ok, t, tuple(rows))

@@ -41,11 +41,6 @@ def stream_value(seed: int, rep: int, slot: int) -> int:
     return mix64((rep_seed + (slot + 1) * _GOLDEN) & _MASK)
 
 
-def uniform(seed: int, rep: int, slot: int) -> float:
-    """One uniform in [0, 1) with 53 random bits."""
-    return (stream_value(seed, rep, slot) >> 11) * _SCALE
-
-
 def _mix_array(z: np.ndarray) -> np.ndarray:
     z = z ^ (z >> np.uint64(30))
     z = z * np.uint64(_M1)
@@ -62,9 +57,9 @@ def rep_seeds(seed: int, rep_start: int, rep_count: int) -> np.ndarray:
 def uniform_block(
     seed: int, rep_start: int, rep_count: int, slots: np.ndarray
 ) -> np.ndarray:
-    """Matrix of uniforms, rows = replications, columns = the given slots.
-
-    Bit-identical to calling uniform() entrywise.
+    """Matrix of uniforms in [0, 1) with 53 random bits, rows = replications,
+    columns = the given slots: entry (r, s) is
+    ``(stream_value(seed, rep_start + r, slots[s]) >> 11) * 2**-53``.
     """
     rs = rep_seeds(seed, rep_start, rep_count)
     slot_off = (np.asarray(slots, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)

@@ -1,0 +1,92 @@
+"""Slow reference forms that the tests hold the package's fast paths to.
+
+  * `uniform`: one counter-based uniform at a time, the scalar form of
+    `rng.uniform_block`;
+  * `ce_constraints`: the full correlated-equilibrium system over ordered
+    strategy assignments, of which `nplayer.solve_symmetric_ce` solves the
+    multiset reduction;
+  * `lp_debug_dump`: a readable listing of a linear program.
+"""
+
+import itertools
+from fractions import Fraction
+
+from cmfg.lp import EQ, GE, LinearProgram, LinRow
+from cmfg.model import (
+    DEFAULT_JOINT_CAP,
+    DEFAULT_LP_CAP,
+    DEFAULT_STRATEGY_CAP,
+    EXACT,
+    CapacityError,
+    enumerate_strategies,
+)
+from cmfg.nplayer import _AnonymousCostTable
+from cmfg.rng import stream_value
+
+
+def uniform(seed: int, rep: int, slot: int) -> float:
+    """One uniform in [0, 1) with 53 random bits."""
+    return (stream_value(seed, rep, slot) >> 11) * 2.0 ** -53
+
+
+def ce_constraints(
+    game,
+    n_players: int,
+    m0n,
+    *,
+    lp_cap: int = DEFAULT_LP_CAP,
+    joint_cap: int = DEFAULT_JOINT_CAP,
+    strategy_cap: int = DEFAULT_STRATEGY_CAP,
+) -> LinearProgram:
+    """Full correlated-equilibrium feasibility system over gamma in P(R^N).
+
+    One variable per ordered strategy assignment; one row per (player,
+    recommendation, deviation) triple plus the unit-mass equality.  The
+    gamma >= 0 part is implicit: LP variables are nonnegative.
+    """
+    if game.arithmetic != EXACT:
+        raise ValueError("the equilibrium LP needs exact arithmetic")
+    strategies = enumerate_strategies(game, strategy_cap)
+    n_r = len(strategies)
+    n_vars = n_r ** n_players
+    if n_vars > lp_cap:
+        raise CapacityError(f"{n_vars} LP variables exceed cap {lp_cap}")
+    assignments = list(itertools.product(range(n_r), repeat=n_players))
+    names = tuple("g_" + "_".join(map(str, vec)) for vec in assignments)
+    table = _AnonymousCostTable(game, m0n, joint_cap)
+
+    def d_cost(own_i: int, others: tuple[int, ...]) -> Fraction:
+        return table.cost(strategies[own_i], tuple(strategies[j] for j in others))
+
+    rows = []
+    zero_f = Fraction(0)
+    for i in range(n_players):
+        for rec in range(n_r):
+            for psi in range(n_r):
+                if psi == rec:
+                    continue
+                coeffs = []
+                for vec in assignments:
+                    if vec[i] != rec:
+                        coeffs.append(zero_f)
+                        continue
+                    others = vec[:i] + vec[i + 1 :]
+                    coeffs.append(d_cost(psi, others) - d_cost(rec, others))
+                rows.append(LinRow(tuple(coeffs), GE, zero_f))
+    rows.append(LinRow(tuple(Fraction(1) for _ in names), EQ, Fraction(1)))
+    return LinearProgram(names, tuple(rows))
+
+
+def lp_debug_dump(lp: LinearProgram) -> str:
+    """Readable listing of the whole system with rational entries."""
+    lines = [f"minimize: " + (
+        " + ".join(f"{c}*{v}" for c, v in zip(lp.objective, lp.variables) if c)
+        if lp.objective and any(lp.objective) else "0 (feasibility)"
+    )]
+    lines.append(f"subject to ({len(lp.rows)} rows, {len(lp.variables)} nonnegative variables):")
+    for row in lp.rows:
+        terms = " + ".join(
+            f"{c}*{v}" for c, v in zip(row.coeffs, lp.variables) if c
+        ) or "0"
+        lines.append(f"  {terms} {row.relation} {row.rhs}")
+    return "\n".join(lines)

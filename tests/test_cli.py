@@ -287,6 +287,33 @@ class TestMalformedDocuments:
         path.write_text(json.dumps(doc))
         return path
 
+    @pytest.fixture()
+    def cut_flow(self, example_dir, tmp_path):
+        doc = io.read_json(str(example_dir / "rho.json"))
+        for atom in doc["atoms"]:
+            atom["flow"] = atom["flow"][1:]
+        path = tmp_path / "cut_rho.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.fixture()
+    def cut_profile(self, example_dir, tmp_path):
+        out = tmp_path / "lift"
+        assert run_cli(
+            [
+                "lift",
+                "--game", str(example_dir / "game.json"),
+                "--flow", str(example_dir / "rho.json"),
+                "-N", "3", "-o", str(out),
+            ]
+        ) == 0
+        doc = io.read_json(str(out / "profile.json"))
+        for entry in doc["factored"]["flows"]:
+            entry["flow"] = entry["flow"][1:]
+        path = tmp_path / "cut_profile.json"
+        path.write_text(json.dumps(doc))
+        return path
+
     def assert_shape_error(self, code, capsys):
         assert code == 2
         assert "must have 2 rows (one per time) of 2 action labels" in (
@@ -326,6 +353,31 @@ class TestMalformedDocuments:
             ]
         )
         self.assert_shape_error(code, capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lift", "-N", "3"],
+            ["mfg", "propagate", "--m0", "1/2,1/2"],
+            ["nplayer", "epsilon", "--method", "exact"],
+            ["nplayer", "epsilon", "--method", "mc", "--reps", "10"],
+        ],
+        ids=["lift", "mfg-propagate", "epsilon-exact", "epsilon-mc"],
+    )
+    def test_flow_with_too_few_measures_rejected(
+        self, example_dir, cut_flow, cut_profile, tmp_path, capsys, argv
+    ):
+        source = (
+            ["--profile", str(cut_profile)] if argv[0] == "nplayer"
+            else ["--flow", str(cut_flow)]
+        )
+        out = tmp_path / "o"
+        code = run_cli(
+            argv + ["--game", str(example_dir / "game.json"), *source, "-o", str(out)]
+        )
+        assert code == 2
+        assert "flow must have 3 measures" in capsys.readouterr().err
+        assert not out.exists() or not any(out.glob("*.json"))
 
     def test_epsilon_rejects_empty_explicit_profile(self, example_dir, tmp_path, capsys):
         empty = tmp_path / "empty.json"

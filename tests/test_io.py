@@ -120,6 +120,19 @@ class TestStrategyAndFlowDocuments:
         again = io.flow_from_json(doc, game)
         assert again.atoms == rho.atoms
 
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_flow_with_wrong_measure_count_rejected(self, game, rho, length):
+        doc = io.flow_to_json(rho, game)
+        for atom in doc["atoms"]:
+            atom["flow"] = (atom["flow"] * 2)[-length:]
+        with pytest.raises(ValueError, match="flow must have 3 measures"):
+            io.flow_from_json(doc, game)
+        profile = io.profile_to_json(lift(rho, 3), game)
+        for entry in profile["factored"]["flows"]:
+            entry["flow"] = (entry["flow"] * 2)[-length:]
+        with pytest.raises(ValueError, match="flow must have 3 measures"):
+            io.profile_from_json(profile, game)
+
     def test_flow_weights_serialized_as_ratios(self, game, rho):
         doc = io.flow_to_json(rho, game)
         assert all(isinstance(a["weight"], str) for a in doc["atoms"])

@@ -14,9 +14,9 @@ from cmfg.lp import (
     LinRow,
     UnboundedError,
     check_solution,
-    lp_debug_dump,
     solve_lp,
 )
+from oracles import lp_debug_dump
 
 
 def sparse(names, pairs, relation, rhs):

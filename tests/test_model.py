@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfg import model
+from cmfg import mfg, model, nplayer
 from cmfg.model import (
     EXACT,
     FLOAT,
@@ -346,3 +346,63 @@ class TestFlowTrajectory:
             FlowTrajectory((u, f))
 
 
+
+
+def _masses(k, mode, delta):
+    """k weights of total mass 1 + delta."""
+    share = F(1, k) if mode == EXACT else 1 / k
+    return (share,) * (k - 1) + (share + delta,)
+
+
+def _flat_flow(game, mode):
+    return FlowTrajectory((ProbabilityVector.uniform(game.states, mode),) * (game.horizon + 1))
+
+
+_HOLD = RestrictedStrategy(((1, 0), (1, 0)))
+_IDLE = RestrictedStrategy(((0, 0), (0, 0)))
+
+# every constructor or check that enforces unit mass, fed two (four) weights
+MASS_SITES = {
+    "ProbabilityVector": lambda game, mode, delta: ProbabilityVector(
+        game.states, _masses(2, mode, delta), mode
+    ),
+    "ExplicitProfile": lambda game, mode, delta: nplayer.ExplicitProfile(
+        2, tuple(zip(((_HOLD, _HOLD), (_IDLE, _IDLE)), _masses(2, mode, delta)))
+    ),
+    "FactoredProfile.flows": lambda game, mode, delta: nplayer.FactoredProfile(
+        2, (_flat_flow(game, mode),) * 2, _masses(2, mode, delta),
+        (((_HOLD, model.one(mode)),),) * 2,
+    ),
+    "FactoredProfile.conditionals": lambda game, mode, delta: nplayer.FactoredProfile(
+        2, (_flat_flow(game, mode),), (model.one(mode),),
+        (tuple(zip((_HOLD, _IDLE), _masses(2, mode, delta))),),
+    ),
+    "JointStateDistribution": lambda game, mode, delta: nplayer.JointStateDistribution(
+        game.states, 2, _masses(4, mode, delta)
+    ),
+    "CorrelatedFlow": lambda game, mode, delta: mfg.CorrelatedFlow(
+        tuple((phi, _flat_flow(game, mode), w)
+              for phi, w in zip((_HOLD, _IDLE), _masses(2, mode, delta)))
+    ),
+    "mkv_propagate": lambda game, mode, delta: mfg.mkv_propagate(
+        game if mode == EXACT else game.to_float(),
+        tuple(zip((_HOLD, _IDLE), _masses(2, mode, delta))),
+        ProbabilityVector.uniform(game.states, mode),
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(MASS_SITES))
+@pytest.mark.parametrize(
+    "mode, delta, accepted",
+    [(EXACT, F(0), True), (EXACT, F(1, 10 ** 9), False),
+     (FLOAT, 1e-13, True), (FLOAT, 1e-11, False)],
+    ids=["exact-unit", "exact-off-1e-9", "float-off-1e-13", "float-off-1e-11"],
+)
+def test_unit_mass_rule_is_shared(game, site, mode, delta, accepted):
+    build = MASS_SITES[site]
+    if accepted:
+        build(game, mode, delta)
+    else:
+        with pytest.raises(ValueError, match="sum to"):
+            build(game, mode, delta)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfg import nplayer, rng
+from cmfg import nplayer
 from cmfg.lp import check_solution
 from cmfg.mfg import CorrelatedFlow, DeviationMap
 from cmfg.model import (
@@ -36,7 +36,6 @@ from cmfg.nplayer import (
     JointStateDistribution,
     SimulationConfig,
     _pick,
-    ce_constraints,
     deviation_gain,
     exact_joint_propagate,
     exchangeability_check,
@@ -47,6 +46,7 @@ from cmfg.nplayer import (
     symmetrize,
 )
 from cmfg.limits import empirical_rho_n, lift
+from oracles import ce_constraints, uniform
 
 PHI_PLUS = RestrictedStrategy(((1, 0), (1, 0)))
 PHI_PLUS_HAT = RestrictedStrategy(((1, 0), (0, 0)))
@@ -74,9 +74,31 @@ def joint_path_oracle(game, strategies, m0):
     horizon = game.horizon
     laws = [dict() for _ in range(horizon + 1)]
     costs = [F(0)] * n
-    for path in product(range(d ** n), repeat=1):
-        pass  # paths are built positionwise below
     joints = list(product(range(d), repeat=n))
+    steps = {}  # (t, joint state) -> per player (running cost, kernel weights)
+    finals = {}  # final joint state -> per player terminal cost
+
+    def step(t, cur):
+        if (t, cur) not in steps:
+            out = []
+            for i in range(n):
+                m_i = ProbabilityVector(game.states, exclusive(cur, i, d), EXACT)
+                a_i = strategies[i].action(t, cur[i])
+                out.append((game.running_cost(t, cur[i], m_i, a_i),
+                            game.kernel(t, cur[i], m_i, a_i).weights))
+            steps[t, cur] = out
+        return steps[t, cur]
+
+    def final(last):
+        if last not in finals:
+            finals[last] = [
+                game.terminal_cost(
+                    last[i], ProbabilityVector(game.states, exclusive(last, i, d), EXACT)
+                )
+                for i in range(n)
+            ]
+        return finals[last]
+
     for path in product(joints, repeat=horizon + 1):
         prob = F(1)
         for i in range(n):
@@ -87,26 +109,20 @@ def joint_path_oracle(game, strategies, m0):
         ok = True
         for t in range(horizon):
             cur, nxt = path[t], path[t + 1]
-            for i in range(n):
-                m_i = ProbabilityVector(game.states, exclusive(cur, i, d), EXACT)
-                a_i = strategies[i].action(t, cur[i])
-                run[i] += game.running_cost(t, cur[i], m_i, a_i)
-                step = game.kernel(t, cur[i], m_i, a_i)[nxt[i]]
-                if not step:
+            for i, (running, kernel) in enumerate(step(t, cur)):
+                run[i] += running
+                if not kernel[nxt[i]]:
                     ok = False
                     break
-                prob *= step
+                prob *= kernel[nxt[i]]
             if not ok:
                 break
         if not ok or not prob:
             continue
         for t in range(horizon + 1):
             laws[t][path[t]] = laws[t].get(path[t], F(0)) + prob
-        for i in range(n):
-            m_i = ProbabilityVector(
-                game.states, exclusive(path[horizon], i, d), EXACT
-            )
-            costs[i] += prob * (run[i] + game.terminal_cost(path[horizon][i], m_i))
+        for i, terminal in enumerate(final(path[horizon])):
+            costs[i] += prob * (run[i] + terminal)
     return laws, costs
 
 
@@ -329,7 +345,7 @@ def _scalar_cost(g, vec, path, player):
 
 
 def _scalar_uniforms(cfg, rep):
-    return lambda slot: rng.uniform(cfg.master_seed, rep, slot)
+    return lambda slot: uniform(cfg.master_seed, rep, slot)
 
 
 def scalar_mc_reference(game, profile, player, u, m0, cfg):
@@ -592,6 +608,45 @@ class TestEngineAgainstScalarOracle:
         joint = JointStateDistribution.from_product(m0, profile.n_players)
         with pytest.raises(ValueError, match="product initial law"):
             empirical_rho_n(game, profile, joint, SimulationConfig(0, 8))
+
+
+class TestExactPropagationOnMixingGame:
+    """exact_joint_propagate against the path oracle on a game whose kernel
+    and costs depend on the measure, so every exclusive measure matters."""
+
+    @pytest.fixture(scope="class")
+    def mixing(self):
+        game = mixing_game()
+        return game, ProbabilityVector(game.states, MIXING_M0, EXACT)
+
+    @pytest.mark.parametrize(
+        "picks, deviation",
+        [((5, 40), None), ((12, 33), (1, 63)), ((5, 40, 63), None)],
+        ids=["N2", "N2-deviation", "N3"],
+    )
+    def test_laws_and_costs_match_oracle(self, mixing, picks, deviation):
+        game, m0 = mixing
+        s = enumerate_strategies(game)
+        vec = tuple(s[i] for i in picks)
+        dev = None if deviation is None else (deviation[0], s[deviation[1]])
+        got = exact_joint_propagate(game, vec, dev, m0)
+        played = list(vec)
+        if dev is not None:
+            played[dev[0]] = dev[1]
+        laws, costs = joint_path_oracle(game, played, m0)
+        for t, law in enumerate(got.laws):
+            dense = {law.decode(i): w for i, w in enumerate(law.weights) if w}
+            assert dense == laws[t]
+        assert got.costs == tuple(costs)
+        assert len(costs) == len(vec)
+
+        floats = exact_joint_propagate(game.to_float(), vec, dev, m0.to_float())
+        for exact_law, float_law in zip(got.laws, floats.laws):
+            assert all(
+                abs(float(a) - b) < 1e-12
+                for a, b in zip(exact_law.weights, float_law.weights)
+            )
+        assert all(abs(float(a) - b) < 1e-12 for a, b in zip(got.costs, floats.costs))
 
 
 class TestPickParity:

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cmfg import rng
+from oracles import uniform
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK = (1 << 64) - 1
@@ -31,7 +32,7 @@ def test_stream_value_is_nested_mix():
 
 
 def test_uniform_unit_interval_and_granularity():
-    vals = [rng.uniform(0, rep, slot) for rep in range(50) for slot in range(4)]
+    vals = [uniform(0, rep, slot) for rep in range(50) for slot in range(4)]
     assert all(0.0 <= v < 1.0 for v in vals)
     assert all(v == (int(v * (1 << 53))) * 2.0 ** -53 for v in vals)
 
@@ -42,7 +43,7 @@ def test_uniform_block_matches_scalar():
     assert block.shape == (11, 9)
     for r in range(11):
         for s in range(9):
-            assert block[r, s] == rng.uniform(123, 5 + r, s)
+            assert block[r, s] == uniform(123, 5 + r, s)
 
 
 def test_uniform_block_chunk_invariant():
@@ -65,7 +66,7 @@ def test_large_seed_wraps():
 
 @given(st.integers(0, MASK), st.integers(0, 1000), st.integers(0, 100))
 def test_streams_decorrelate(seed, rep, slot):
-    a = rng.uniform(seed, rep, slot)
-    b = rng.uniform(seed, rep, slot + 1)
-    c = rng.uniform(seed, rep + 1, slot)
+    a = uniform(seed, rep, slot)
+    b = uniform(seed, rep, slot + 1)
+    c = uniform(seed, rep + 1, slot)
     assert a != b or a != c  # astronomically unlikely to collide twice
