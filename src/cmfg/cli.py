@@ -58,6 +58,12 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
+def _threads(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need at least one thread, got {text}")
+    return int(text)
+
+
 def _default_threads() -> int:
     env = os.environ.get("CMFG_THREADS", "")
     try:
@@ -68,7 +74,7 @@ def _default_threads() -> int:
 
 def _add_common(p: argparse.ArgumentParser, *, seeded: bool = False) -> None:
     p.add_argument("-o", "--out", default=".", help="output directory")
-    p.add_argument("--threads", type=int, default=_default_threads(),
+    p.add_argument("--threads", type=_threads, default=_default_threads(),
                    help="parallelism hint (CMFG_THREADS fallback)")
     p.add_argument("--joint-cap", type=int, default=DEFAULT_JOINT_CAP)
     p.add_argument("--atom-cap", type=int, default=DEFAULT_ATOM_CAP)

@@ -7,7 +7,8 @@ N-1 states.  This module provides
   * a vectorized Monte Carlo simulator with counter-based random streams,
   * deviation gains (the epsilon in epsilon-correlated equilibrium),
     decomposed per recommendation, exactly or by simulation with common
-    random numbers, and
+    random numbers, where one walk of the deviator's action tree per chunk
+    costs every candidate strategy, and
   * symmetric correlated equilibria via an exact-rational feasibility LP
     reduced to strategy multisets.
 
@@ -190,6 +191,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.threads < 1:
+            raise ValueError("need at least one thread")
         object.__setattr__(self, "master_seed", self.master_seed & 0xFFFFFFFFFFFFFFFF)
 
 
@@ -400,8 +403,12 @@ class _MonteCarlo:
     """The vectorized Monte Carlo engine for one table of strategies.
 
     Holds float64 views of the game and a row-index table for strategies;
-    `batches` draws each chunk's random inputs and `run` simulates them.
-    Every Monte Carlo caller goes through these two methods.
+    `batches` draws each chunk's random inputs, `run` simulates them with one
+    player on its strategy row, and `deviation_costs` walks that player's
+    action tree to cost every strategy of the table at once.  Both share the
+    step `_node`, which evaluates kernel rows once per (replication, state,
+    action), since a player sees the others only through its own state and
+    the state counts.  Every Monte Carlo caller goes through these methods.
     """
 
     def __init__(self, game: GameSpec, strategies: Sequence[RestrictedStrategy]):
@@ -410,24 +417,16 @@ class _MonteCarlo:
         self.d = len(gf.states)
         self.n_actions = len(gf.actions)
         T, d, A = self.horizon, self.d, self.n_actions
-        self.kb = np.zeros((T, d, A, d))
-        self.kc = np.zeros((T, d, A, d, d))
-        for t in range(T):
-            for x in range(d):
-                for a in range(A):
-                    row = gf.transition.row(t, x, a)
-                    self.kb[t, x, a] = row.base
-                    self.kc[t, x, a] = row.coef
+        rows = [row for by_t in gf.transition.rows for by_x in by_t for row in by_x]
+        self.kb = np.array([r.base for r in rows], dtype=np.float64).reshape(T, d, A, d)
+        self.kc = np.array([r.coef for r in rows], dtype=np.float64).reshape(T, d, A, d, d)
         self.rb = np.array(gf.cost.running_base, dtype=np.float64)
         self.rc = np.array(gf.cost.running_coef, dtype=np.float64)
         self.tb = np.array(gf.cost.terminal_base, dtype=np.float64)
         self.tc = np.array(gf.cost.terminal_coef, dtype=np.float64)
+        self.eye = np.eye(d, dtype=np.int64)
         self.strategies = tuple(strategies)
-        self.act = np.zeros((len(strategies), T, d), dtype=np.int64)
-        for s_idx, s in enumerate(strategies):
-            for t in range(T):
-                for x in range(d):
-                    self.act[s_idx, t, x] = s.action(t, x)
+        self.act = np.array([s.actions for s in self.strategies], dtype=np.int64)
         self.strategy_index = {s.actions: i for i, s in enumerate(strategies)}
 
     def batches(
@@ -450,6 +449,21 @@ class _MonteCarlo:
             x0 = _pick(w0, uni[:, n + 1 : 2 * n + 1])
             yield start, strat_rows, x0, uni[:, 2 * n + 1 :].reshape(count, T, n)
 
+    def _node(self, t: int, states: np.ndarray):
+        """The step at time t from the states (reps, N): state counts (reps,
+        d), the measures (reps, d, d) whose row x a player in state x sees and,
+        before the horizon, the `_thresholds` (reps, d, A, d-1) of the kernel
+        row at every (replication, state, action)."""
+        reps, n = states.shape
+        bins = self.d * np.arange(reps)[:, None]  # one bin per (replication, state)
+        counts = np.bincount((bins + states).ravel(), minlength=reps * self.d)
+        counts = counts.reshape(reps, self.d)
+        m = (counts[:, None, :] - self.eye) / (n - 1)
+        if t == self.horizon:
+            return counts, m, None
+        w = _affine_eval(self.kb[t], self.kc[t], m[:, :, None, None, :])
+        return counts, m, _thresholds(w)
+
     def run(
         self, strat_rows: np.ndarray, x0: np.ndarray, noise: np.ndarray, player: int
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -458,50 +472,86 @@ class _MonteCarlo:
         Returns the realized total cost of `player` and the exclusive counts
         of the other N-1 players that it sees, shape (reps, T+1, d).
         """
-        reps, n = x0.shape
-        T = self.horizon
-        seen = np.empty((reps, T + 1, self.d), dtype=np.int64)
-        cost = np.zeros(reps, dtype=np.float64)
-        bins = self.d * np.arange(reps)[:, None]  # one bin per (replication, state)
+        rep = np.arange(len(x0))
+        seen = np.empty((len(x0), self.horizon + 1, self.d), dtype=np.int64)
+        cost = np.zeros(len(x0), dtype=np.float64)
         states = x0
-        for t in range(T + 1):
-            onehot = states[..., None] == np.arange(self.d)
-            counts = np.bincount((bins + states).ravel(), minlength=reps * self.d)
-            counts = counts.reshape(reps, self.d)
-            seen[:, t] = counts - onehot[:, player]
-            m_i = seen[:, t] / (n - 1)
+        for t in range(self.horizon + 1):
+            counts, m, th = self._node(t, states)
             xi = states[:, player]
-            if t == T:
+            seen[:, t] = counts - self.eye[xi]
+            if th is None:
                 break
             acts = self.act[strat_rows, t, states]
             ai = acts[:, player]
-            cost += _affine_eval(self.rb[t, xi, ai], self.rc[t, xi, ai], m_i)
-            m = (counts[:, None, :] - onehot) / (n - 1)
-            w = _affine_eval(
-                self.kb[t, states, acts], self.kc[t, states, acts], m[:, :, None, :]
-            )
-            states = _pick(w, noise[:, t, :])
-        cost += _affine_eval(self.tb[xi], self.tc[xi], m_i)
+            cost += _affine_eval(self.rb[t, xi, ai], self.rc[t, xi, ai], m[rep, xi])
+            states = _count_below(th[rep[:, None], states, acts], noise[:, t])
+        cost += _affine_eval(self.tb[xi], self.tc[xi], m[rep, xi])
         return cost, seen
+
+    def deviation_costs(
+        self, strat_rows: np.ndarray, x0: np.ndarray, noise: np.ndarray, player: int
+    ) -> np.ndarray:
+        """Realized total cost (reps, strategies) of `player` under every
+        strategy of the table, the others on their rows.  A strategy changes
+        the path only through the actions it plays, so one depth-first walk of
+        the action tree (|A|^T leaves) serves all: each reads the leaf that its
+        realized actions select."""
+        reps, A = len(x0), self.n_actions
+        visited = [np.empty((reps, A ** t), dtype=np.int64) for t in range(self.horizon)]
+        leaves = np.empty((reps, A ** self.horizon), dtype=np.float64)
+        self._visit(0, 0, x0, np.zeros(reps), (strat_rows, noise, player, visited, leaves))
+        leaf = np.zeros((reps, len(self.act)), dtype=np.int64)
+        rows = np.arange(len(self.act))
+        for t, xs in enumerate(visited):
+            leaf = leaf * A + self.act[rows, t, np.take_along_axis(xs, leaf, axis=1)]
+        return np.take_along_axis(leaves, leaf, axis=1)
+
+    def _visit(self, t, node, states, cost, walk):
+        """Node `node` (the player's actions so far, base |A|) at time t: one
+        step and N-player draw, then per action only the player's own draw."""
+        strat_rows, noise, player, visited, leaves = walk
+        rep = np.arange(len(states))
+        _, m, th = self._node(t, states)
+        x = states[:, player]
+        if th is None:
+            leaves[:, node] = cost + _affine_eval(self.tb[x], self.tc[x], m[rep, x])
+            return
+        visited[t][:, node] = x
+        acts = self.act[strat_rows, t, states]
+        nxt = _count_below(th[rep[:, None], states, acts], noise[:, t])
+        for a in range(self.n_actions):
+            nxt[:, player] = _count_below(th[rep, x, a], noise[:, t, player])
+            step = _affine_eval(self.rb[t, x, a], self.rc[t, x, a], m[rep, x])
+            self._visit(t + 1, node * self.n_actions + a, nxt, cost + step, walk)
+
+
+def _thresholds(weights: np.ndarray) -> np.ndarray:
+    """Thresholds over the last axis (one fewer than weights) whose count
+    below z is `categorical_pick(weights, z)`: -inf before the first positive
+    weight, +inf from the last one on, the cumulative positive weight between."""
+    positive = weights > 0
+    cum = np.cumsum(np.where(positive, weights, 0.0), axis=-1)[..., :-1]
+    later = np.logical_or.accumulate(positive[..., :0:-1], axis=-1)[..., ::-1]
+    started = np.logical_or.accumulate(positive, axis=-1)[..., :-1]
+    return np.where(started, np.where(later, cum, np.inf), -np.inf)
+
+
+def _count_below(thresholds: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return (thresholds < z[..., None]).sum(axis=-1)
 
 
 def _pick(weights: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Vectorized categorical_pick over the last axis (identical semantics)."""
-    w = np.broadcast_to(weights, z.shape + (weights.shape[-1],))
-    positive = w > 0
-    cum = np.cumsum(np.where(positive, w, 0.0), axis=-1)
-    hit = (cum >= z[..., None]) & positive
-    first = hit.argmax(axis=-1)
-    fallback = w.shape[-1] - 1 - positive[..., ::-1].argmax(axis=-1)
-    return np.where(hit.any(axis=-1), first, fallback).astype(np.int64)
+    return _count_below(_thresholds(weights), z)
 
 
 def _affine_eval(base: np.ndarray, coef: np.ndarray, m: np.ndarray) -> np.ndarray:
     # accumulate coefficient terms in state order, then add the base, matching
     # the scalar evaluation order bit for bit
-    acc = np.zeros(base.shape, dtype=np.float64)
+    acc = 0.0
     for y in range(m.shape[-1]):
-        acc += coef[..., y] * m[..., y]
+        acc = acc + coef[..., y] * m[..., y]
     return base + acc
 
 
@@ -509,47 +559,33 @@ class _ProfileSampler:
     """Draws strategy assignments from a profile using slots 0..N."""
 
     def __init__(self, profile: CorrelatedProfile, tables: _MonteCarlo):
-        self.n = profile.n_players
+        index = tables.strategy_index
         if isinstance(profile, ExplicitProfile):
-            self.kind = "explicit"
-            self.atom_cum = np.cumsum([float(w) for _, w in profile.atoms])
-            self.atom_rows = np.array(
-                [
-                    [tables.strategy_index[s.actions] for s in vec]
-                    for vec, _ in profile.atoms
-                ],
+            self.top = _thresholds(np.array([float(w) for _, w in profile.atoms]))
+            self.rows = np.array(
+                [[index[s.actions] for s in vec] for vec, _ in profile.atoms],
                 dtype=np.int64,
             )
-        else:
-            self.kind = "factored"
-            self.flow_cum = np.cumsum([float(w) for w in profile.flow_weights])
-            width = max(len(c) for c in profile.conditionals)
-            self.cond_cum = np.full((len(profile.flows), width), np.inf)
-            self.cond_rows = np.zeros((len(profile.flows), width), dtype=np.int64)
-            self.cond_size = np.array(
-                [len(c) for c in profile.conditionals], dtype=np.int64
-            )
-            for k, cond in enumerate(profile.conditionals):
-                cum = 0.0
-                for s_local, (s, w) in enumerate(cond):
-                    cum += float(w)
-                    self.cond_cum[k, s_local] = cum
-                    self.cond_rows[k, s_local] = tables.strategy_index[s.actions]
+            self.cond = None
+            return
+        self.top = _thresholds(np.array([float(w) for w in profile.flow_weights]))
+        width = max(len(c) for c in profile.conditionals)
+        cond = np.zeros((len(profile.flows), width))
+        self.rows = np.zeros((len(profile.flows), width), dtype=np.int64)
+        for k, strategies in enumerate(profile.conditionals):
+            for s_local, (s, w) in enumerate(strategies):
+                cond[k, s_local] = float(w)
+                self.rows[k, s_local] = index[s.actions]
+        self.cond = _thresholds(cond)
 
     def draw(self, uniforms: np.ndarray) -> np.ndarray:
-        """Strategy rows (reps, N); uniforms holds slots 0..N per replication."""
-        if self.kind == "explicit":
-            atom = np.searchsorted(self.atom_cum, uniforms[:, 0], side="left")
-            atom = np.minimum(atom, len(self.atom_cum) - 1)
-            return self.atom_rows[atom]
-        flow = np.searchsorted(self.flow_cum, uniforms[:, 0], side="left")
-        flow = np.minimum(flow, len(self.flow_cum) - 1)
-        rows = np.empty((uniforms.shape[0], self.n), dtype=np.int64)
-        for j in range(self.n):
-            local = (self.cond_cum[flow] < uniforms[:, 1 + j][:, None]).sum(axis=1)
-            local = np.minimum(local, self.cond_size[flow] - 1)  # float slack
-            rows[:, j] = self.cond_rows[flow, local]
-        return rows
+        """Strategy rows (reps, N); uniforms holds slots 0..N per replication:
+        slot 0 picks the atom (or flow), slots 1..N each player's strategy."""
+        top = _count_below(self.top, uniforms[:, 0])
+        if self.cond is None:
+            return self.rows[top]
+        local = _count_below(self.cond[top][:, None, :], uniforms[:, 1:])
+        return self.rows[top[:, None], local]
 
 
 def mc_profile_cost(
@@ -705,9 +741,7 @@ def _deviation_gain_mc(
     for start, strat_rows, x0, noise in mc.batches(profile, m0n, cfg):
         stop = start + len(strat_rows)
         rec_rows[start:stop] = strat_rows[:, player]
-        for c in range(n_cand):
-            strat_rows[:, player] = c
-            costs[start:stop, c] = mc.run(strat_rows, x0, noise, player)[0]
+        costs[start:stop] = mc.deviation_costs(strat_rows, x0, noise, player)
     rows = []
     gains = np.zeros(reps, dtype=np.float64)
     epsilon = 0.0

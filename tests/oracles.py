@@ -5,11 +5,20 @@
   * `ce_constraints`: the full correlated-equilibrium system over ordered
     strategy assignments, of which `nplayer.solve_symmetric_ce` solves the
     multiset reduction;
-  * `lp_debug_dump`: a readable listing of a linear program.
+  * `lp_debug_dump`: a readable listing of a linear program;
+  * `random_game`: seeded random valid games whose kernels and costs depend
+    on the measure;
+  * `deviation_costs_by_candidate`: the Monte Carlo deviation audit with one
+    simulation per candidate strategy, which
+    `nplayer._MonteCarlo.deviation_costs` replaces by one walk of the
+    deviator's action tree.
 """
 
 import itertools
+import random
 from fractions import Fraction
+
+import numpy as np
 
 from cmfg.lp import EQ, GE, LinearProgram, LinRow
 from cmfg.model import (
@@ -17,7 +26,12 @@ from cmfg.model import (
     DEFAULT_LP_CAP,
     DEFAULT_STRATEGY_CAP,
     EXACT,
+    AffineCost,
+    AffineSimplexMap,
     CapacityError,
+    FiniteSpace,
+    GameSpec,
+    ThresholdTransition,
     enumerate_strategies,
 )
 from cmfg.nplayer import _AnonymousCostTable
@@ -90,3 +104,63 @@ def lp_debug_dump(lp: LinearProgram) -> str:
         ) or "0"
         lines.append(f"  {terms} {row.relation} {row.rhs}")
     return "\n".join(lines)
+
+
+def random_game(seed: int, d: int, n_actions: int, horizon: int) -> GameSpec:
+    """A valid exact game with d states, n_actions actions and the horizon.
+
+    Each kernel row is a vertex mixture (1 - s) base + s sum_y m(y) v_y, so
+    it depends on the measure and stays a probability vector on the whole
+    simplex.  About half of the rows put zero weight on a random nonempty
+    set of states, for every measure, so samplers meet zero entries.
+    """
+    r = random.Random(seed)
+
+    def pvec(support):
+        raw = [r.randint(1, 4) if i in support else 0 for i in range(d)]
+        return [Fraction(v, sum(raw)) for v in raw]
+
+    def row():
+        support = set(range(d))
+        if d > 1 and r.random() < 0.5:
+            support = set(r.sample(range(d), r.randint(1, d - 1)))
+        base = pvec(support)
+        vertices = [pvec(support) for _ in range(d)]
+        s = Fraction(r.randint(1, 4), 4)
+        coef = tuple(
+            tuple(s * (vertices[y][i] - base[i]) for y in range(d)) for i in range(d)
+        )
+        return AffineSimplexMap(tuple(base), coef)
+
+    def cost():
+        return Fraction(r.randint(-4, 4), 8)
+
+    rows = tuple(
+        tuple(tuple(row() for _ in range(n_actions)) for _ in range(d))
+        for _ in range(horizon)
+    )
+    costs = AffineCost(
+        tuple(tuple(tuple(cost() for _ in range(n_actions)) for _ in range(d))
+              for _ in range(horizon)),
+        tuple(tuple(tuple(tuple(cost() for _ in range(d)) for _ in range(n_actions))
+                    for _ in range(d)) for _ in range(horizon)),
+        tuple(cost() for _ in range(d)),
+        tuple(tuple(cost() for _ in range(d)) for _ in range(d)),
+    )
+    return GameSpec(
+        horizon,
+        FiniteSpace(tuple(f"x{i}" for i in range(d))),
+        FiniteSpace(tuple(f"a{i}" for i in range(n_actions))),
+        ThresholdTransition(rows), costs, EXACT,
+    )
+
+
+def deviation_costs_by_candidate(mc, strat_rows, x0, noise, player):
+    """`_MonteCarlo.deviation_costs` with one `run` per candidate strategy on
+    the same chunk of random inputs."""
+    costs = np.empty((len(x0), len(mc.strategies)), dtype=np.float64)
+    rows = strat_rows.copy()
+    for c in range(len(mc.strategies)):
+        rows[:, player] = c
+        costs[:, c] = mc.run(rows, x0, noise, player)[0]
+    return costs

@@ -61,6 +61,15 @@ class TestParseArgs:
         spec = cli.parse_args(["validate", "g.json"])
         assert spec.options["threads"] == 1
 
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_threads_below_one_exits_2(self, value, capsys):
+        argv = ["nplayer", "epsilon", "--game", "g.json", "--profile", "p.json",
+                "--method", "mc", "--threads", value]
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args(argv)
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
 
 class TestExampleCommand:
     def test_emits_expected_files(self, example_dir):

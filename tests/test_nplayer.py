@@ -1,7 +1,9 @@
 """Finite-N games: joint propagation, profile costs, CE solving, simulation."""
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction as F
 from itertools import product
 
@@ -10,20 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfg import nplayer
+from cmfg import nplayer, rng
 from cmfg.lp import check_solution
 from cmfg.mfg import CorrelatedFlow, DeviationMap
 from cmfg.model import (
     EXACT,
-    AffineCost,
-    AffineSimplexMap,
     CapacityError,
-    FiniteSpace,
     FlowTrajectory,
-    GameSpec,
     ProbabilityVector,
     RestrictedStrategy,
-    ThresholdTransition,
     categorical_pick,
     enumerate_strategies,
     psi_sample,
@@ -35,6 +32,7 @@ from cmfg.nplayer import (
     FactoredProfile,
     JointStateDistribution,
     SimulationConfig,
+    _MonteCarlo,
     _pick,
     deviation_gain,
     exact_joint_propagate,
@@ -46,7 +44,7 @@ from cmfg.nplayer import (
     symmetrize,
 )
 from cmfg.limits import empirical_rho_n, lift
-from oracles import ce_constraints, uniform
+from oracles import ce_constraints, deviation_costs_by_candidate, random_game, uniform
 
 PHI_PLUS = RestrictedStrategy(((1, 0), (1, 0)))
 PHI_PLUS_HAT = RestrictedStrategy(((1, 0), (0, 0)))
@@ -437,44 +435,6 @@ def _counts(states, skip, d):
     return counts
 
 
-def mixing_game(seed=3):
-    """Three states, two actions, horizon 2; kernels and costs depend on the
-    measure (vertex-mixture kernel rows with nonzero coefficients)."""
-    r = random.Random(seed)
-    d, n_actions, horizon = 3, 2, 2
-
-    def pvec():
-        raw = [r.randint(1, 4) for _ in range(d)]
-        return [F(v, sum(raw)) for v in raw]
-
-    def row():
-        base, vertices, s = pvec(), [pvec() for _ in range(d)], F(r.randint(1, 4), 4)
-        coef = tuple(
-            tuple(s * (vertices[y][i] - base[i]) for y in range(d)) for i in range(d)
-        )
-        return AffineSimplexMap(tuple(base), coef)
-
-    def cost():
-        return F(r.randint(-4, 4), 8)
-
-    rows = tuple(
-        tuple(tuple(row() for _ in range(n_actions)) for _ in range(d))
-        for _ in range(horizon)
-    )
-    costs = AffineCost(
-        tuple(tuple(tuple(cost() for _ in range(n_actions)) for _ in range(d))
-              for _ in range(horizon)),
-        tuple(tuple(tuple(tuple(cost() for _ in range(d)) for _ in range(n_actions))
-                    for _ in range(d)) for _ in range(horizon)),
-        tuple(cost() for _ in range(d)),
-        tuple(tuple(cost() for _ in range(d)) for _ in range(d)),
-    )
-    return GameSpec(
-        horizon, FiniteSpace(("a", "b", "c")), FiniteSpace(("u", "v")),
-        ThresholdTransition(rows), costs, EXACT,
-    )
-
-
 def mixing_profiles(game):
     """An explicit 3-player and a factored 4-player profile of the mixing game."""
     s = enumerate_strategies(game)
@@ -544,6 +504,11 @@ class TestMonteCarlo:
         )
         assert abs(mean - float(exact)) <= 3 * stderr
 
+    def test_threads_below_one_rejected(self):
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="thread"):
+                SimulationConfig(master_seed=0, replications=10, threads=threads)
+
     def test_single_replication_has_zero_stderr(self, game, rho, uniform_m0):
         cfg = SimulationConfig(master_seed=0, replications=1)
         _, stderr = mc_profile_cost(
@@ -562,7 +527,7 @@ class TestEngineAgainstScalarOracle:
 
     @pytest.fixture(scope="class")
     def mixing(self):
-        game = mixing_game()
+        game = random_game(3, 3, 2, 2)
         assert validate_game(game).ok
         assert any(c for by_x in game.transition.rows for by_a in by_x
                    for row in by_a for r in row.coef for c in r)
@@ -610,13 +575,113 @@ class TestEngineAgainstScalarOracle:
             empirical_rho_n(game, profile, joint, SimulationConfig(0, 8))
 
 
+def random_profiles(game, seed):
+    """An explicit 3-player and a factored 5-player profile on random strategies."""
+    r = random.Random(seed)
+    s = enumerate_strategies(game)
+    explicit = ExplicitProfile(
+        3, tuple((tuple(r.choice(s) for _ in range(3)), F(1, 3)) for _ in range(3))
+    )
+    flat = FlowTrajectory(
+        (ProbabilityVector.uniform(game.states, EXACT),) * (game.horizon + 1)
+    )
+    factored = FactoredProfile(
+        5, (flat, flat), (F(1, 4), F(3, 4)),
+        (tuple((x, F(1, 2)) for x in r.sample(s, 2)),
+         tuple((x, F(1, 3)) for x in r.sample(s, 3))),
+    )
+    return explicit, factored
+
+
+def random_m0(game):
+    return ProbabilityVector(
+        game.states, {2: (F(1, 3), F(2, 3)), 3: MIXING_M0}[len(game.states)], EXACT
+    )
+
+
+class TestActionTreeAgainstCandidateLoop:
+    """The action-tree audit against one `run` per candidate, on random games
+    whose kernel rows have zero entries, over three chunks (the last one
+    partial): equal per-replication costs and equal results, not close."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(nplayer, "_CHUNK", 16)
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 2, 2), (2, 3, 3), (2, 2, 3), (3, 3, 2)],
+        ids=lambda s: "d{}-A{}-T{}".format(*s),
+    )
+    @pytest.mark.parametrize("kind", [0, 1], ids=["explicit", "factored"])
+    @pytest.mark.parametrize("last", [False, True], ids=["first-player", "last-player"])
+    def test_costs_and_result_equal(self, monkeypatch, shape, kind, last):
+        game = random_game(sum(shape), *shape)
+        assert validate_game(game).ok
+        assert any(w == 0 for by_x in game.transition.rows for by_a in by_x
+                   for row in by_a for w in row.base)
+        m0 = random_m0(game)
+        profile = random_profiles(game, sum(shape))[kind]
+        player = profile.n_players - 1 if last else 0
+        cfg = SimulationConfig(master_seed=sum(shape) + kind, replications=40)
+        mc = _MonteCarlo(game, enumerate_strategies(game))
+        chunks = 0
+        for _, strat_rows, x0, noise in mc.batches(profile, m0, cfg):
+            got = mc.deviation_costs(strat_rows, x0, noise, player)
+            want = deviation_costs_by_candidate(mc, strat_rows, x0, noise, player)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            chunks += 1
+        assert chunks == 3
+        got = deviation_gain(game, profile, player, m0, "mc", cfg)
+        monkeypatch.setattr(_MonteCarlo, "deviation_costs", deviation_costs_by_candidate)
+        want = deviation_gain(game, profile, player, m0, "mc", cfg)
+        assert got == want
+
+
+class TestChunkMemory:
+    def test_no_uniform_block_outlives_its_call(self, monkeypatch):
+        """With the cyclic collector off, every chunk's uniforms are freed by
+        the time the call returns: nothing in the engine holds them in a
+        reference cycle."""
+        monkeypatch.setattr(nplayer, "_CHUNK", 16)
+        refs = []
+        uniform_block = rng.uniform_block
+
+        def tracked(*args):
+            block = uniform_block(*args)
+            refs.append(weakref.ref(block))
+            return block
+
+        monkeypatch.setattr(rng, "uniform_block", tracked)
+        game = random_game(5, 3, 2, 2)
+        m0 = random_m0(game)
+        profile = random_profiles(game, 5)[1]
+        cfg = SimulationConfig(master_seed=3, replications=80)
+        calls = {
+            "deviation_gain": lambda: deviation_gain(game, profile, 0, m0, "mc", cfg),
+            "mc_profile_cost": lambda: mc_profile_cost(
+                game, profile, 0, DeviationMap.identity(), m0, cfg
+            ),
+            "empirical_rho_n": lambda: empirical_rho_n(game, profile, m0, cfg),
+        }
+        gc.collect()
+        gc.disable()
+        try:
+            for name, call in calls.items():
+                refs.clear()
+                call()
+                alive = sum(ref() is not None for ref in refs)
+                assert (len(refs), alive) == (5, 0), name
+        finally:
+            gc.enable()
+
+
 class TestExactPropagationOnMixingGame:
     """exact_joint_propagate against the path oracle on a game whose kernel
     and costs depend on the measure, so every exclusive measure matters."""
 
     @pytest.fixture(scope="class")
     def mixing(self):
-        game = mixing_game()
+        game = random_game(3, 3, 2, 2)
         return game, ProbabilityVector(game.states, MIXING_M0, EXACT)
 
     @pytest.mark.parametrize(
@@ -662,6 +727,14 @@ class TestPickParity:
         got = _pick(w, zs)[0]
         want = categorical_pick([v / total for v in raw], z)
         assert got == want
+
+    @pytest.mark.parametrize(
+        "raw, z",
+        [([0.0, 0.5, 0.5], 0.0), ([0.1] * 10 + [0.0], 1.0), ([0.2, 0.0, 0.8, 0.0], 0.2)],
+        ids=["zero-to-first-positive", "float-slack-to-last-positive", "boundary"],
+    )
+    def test_edge_cases_match_scalar(self, raw, z):
+        assert _pick(np.array([raw]), np.array([z]))[0] == categorical_pick(raw, z)
 
 
 class TestDeviationGain:
