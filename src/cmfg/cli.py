@@ -28,6 +28,7 @@ from .model import (
     DEFAULT_LP_CAP,
     DEFAULT_OT_CAP,
     DEFAULT_STRATEGY_CAP,
+    EXACT,
     CapacityError,
     validate_game,
 )
@@ -75,7 +76,7 @@ def _default_threads() -> int:
 def _add_common(p: argparse.ArgumentParser, *, seeded: bool = False) -> None:
     p.add_argument("-o", "--out", default=".", help="output directory")
     p.add_argument("--threads", type=_threads, default=_default_threads(),
-                   help="parallelism hint (CMFG_THREADS fallback)")
+                   help="recorded in the manifest only (CMFG_THREADS fallback)")
     p.add_argument("--joint-cap", type=int, default=DEFAULT_JOINT_CAP)
     p.add_argument("--atom-cap", type=int, default=DEFAULT_ATOM_CAP)
     p.add_argument("--lp-cap", type=int, default=DEFAULT_LP_CAP)
@@ -387,7 +388,7 @@ def _run_mfg_propagate(session: _Session, opts: dict) -> int:
 
 def _example_params(opts: dict) -> two_state.ExampleParams:
     if opts.get("beta"):
-        parts = [Fraction(p.strip()) for p in opts["beta"].split(",")]
+        parts = [io.parse_scalar(p, EXACT) for p in opts["beta"].split(",")]
         if len(parts) != 4:
             raise ValueError("--beta needs exactly four rationals")
         return two_state.ExampleParams(tuple(parts), opts["c0"], opts["c1"])
@@ -457,7 +458,7 @@ def _run_nplayer_epsilon(session: _Session, opts: dict) -> int:
     game = io.game_from_json(session.read_json(opts["game"]))
     profile = io.profile_from_json(session.read_json(opts["profile"]), game)
     m0 = _uniform_m0(game, opts.get("m0"))
-    cfg = nplayer.SimulationConfig(opts["seed"], opts["reps"], opts["threads"])
+    cfg = nplayer.SimulationConfig(opts["seed"], opts["reps"])
     gain = nplayer.deviation_gain(
         game, profile, opts["player"], m0, opts["method"], cfg,
         joint_cap=opts["joint_cap"], atom_cap=opts["atom_cap"],
@@ -487,7 +488,7 @@ def _run_lift(session: _Session, opts: dict) -> int:
 
 def _run_limits_epsilon_curve(session: _Session, opts: dict) -> int:
     game, rho, m0 = _load_game_flow(session, opts)
-    cfg = nplayer.SimulationConfig(opts["seed"], opts["reps"], opts["threads"])
+    cfg = nplayer.SimulationConfig(opts["seed"], opts["reps"])
     curve = limits.epsilon_curve(
         game, rho, m0, opts["ns"], cfg, opts["method"],
         joint_cap=opts["joint_cap"], atom_cap=opts["atom_cap"],
@@ -512,7 +513,7 @@ def _run_limits_epsilon_curve(session: _Session, opts: dict) -> int:
 
 def _run_limits_converge(session: _Session, opts: dict) -> int:
     game, rho, m0 = _load_game_flow(session, opts)
-    cfg = nplayer.SimulationConfig(opts["seed"], opts["reps"], opts["threads"])
+    cfg = nplayer.SimulationConfig(opts["seed"], opts["reps"])
     rows = limits.convergence_report(game, rho, m0, opts["ns"], cfg)
     session.write_csv(
         "convergence.csv",

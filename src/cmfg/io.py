@@ -62,13 +62,20 @@ def parse_scalar(value, mode: str) -> Scalar:
                 f"exact mode requires integers or 'p/q' strings, got {value!r}"
             )
         if isinstance(value, str):
-            return Fraction(value.strip())
+            return _rational(value)
         raise ValueError(f"not a number: {value!r}")
     if isinstance(value, (int, float)):
         return float(value)
     if isinstance(value, str):
-        return float(Fraction(value.strip()))
+        return float(_rational(value))
     raise ValueError(f"not a number: {value!r}")
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def scalar_json(value: Scalar):

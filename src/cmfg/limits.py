@@ -132,9 +132,7 @@ def epsilon_curve(
                 n, gain.epsilon, None, None, time.perf_counter() - started, "exact"
             )
         else:
-            sub = SimulationConfig(
-                _sub_seed(cfg.master_seed, n), cfg.replications, cfg.threads
-            )
+            sub = SimulationConfig(_sub_seed(cfg.master_seed, n), cfg.replications)
             gain = deviation_gain(
                 game, profile, 0, m0n, "mc", sub, strategy_cap=strategy_cap
             )
@@ -229,9 +227,7 @@ def convergence_report(
     rows = []
     for n in sorted(set(int(n) for n in ns)):
         started = time.perf_counter()
-        sub = SimulationConfig(
-            _sub_seed(cfg.master_seed, n), cfg.replications, cfg.threads
-        )
+        sub = SimulationConfig(_sub_seed(cfg.master_seed, n), cfg.replications)
         emp = empirical_rho_n(game, lift(rho, n), _initial_for(m0, n), sub)
         w1 = flow_space_distance(emp.flow, rho)
         rows.append(

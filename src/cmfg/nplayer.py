@@ -3,7 +3,8 @@
 Players are coupled only through the exclusive empirical measure of the other
 N-1 states.  This module provides
 
-  * exact joint-state propagation on the dense product space X^N,
+  * exact propagation of the count chain (one player's state and the
+    others' state counts per strategy), which every exact caller uses,
   * a vectorized Monte Carlo simulator with counter-based random streams,
   * deviation gains (the epsilon in epsilon-correlated equilibrium),
     decomposed per recommendation, exactly or by simulation with common
@@ -12,15 +13,16 @@ N-1 states.  This module provides
   * symmetric correlated equilibria via an exact-rational feasibility LP
     reduced to strategy multisets.
 
-Profiles and joint laws are validated once, when they are built; the exact
-propagation then works on raw weight tuples, counts each joint state once
-and reads kernel rows and costs through the raw `GameSpec` methods.
+Profiles and initial laws are validated once, when they are built; the
+exact propagation then works on raw weight tuples and reads kernel rows and
+costs through the raw `GameSpec` methods.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -36,7 +38,6 @@ from .model import (
     DEFAULT_LP_CAP,
     DEFAULT_STRATEGY_CAP,
     CapacityError,
-    FiniteSpace,
     FlowTrajectory,
     GameSpec,
     ProbabilityVector,
@@ -45,6 +46,7 @@ from .model import (
     arith,
     arith_of,
     enumerate_strategies,
+    one,
     zero,
 )
 
@@ -186,163 +188,139 @@ class SimulationConfig:
 
     master_seed: int
     replications: int
-    threads: int = 1
 
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("need at least one replication")
-        if self.threads < 1:
-            raise ValueError("need at least one thread")
         object.__setattr__(self, "master_seed", self.master_seed & 0xFFFFFFFFFFFFFFFF)
 
 
 # ---------------------------------------------------------------------------
-# exact joint propagation
+# exact propagation of the count chain
 
 
 @dataclass(frozen=True)
-class JointStateDistribution:
-    """Dense distribution over X^N, player 0 in the most significant digit."""
+class CountPropagation:
+    """Law of the count chain at times 0..T and player 0's expected cost.
 
-    space: FiniteSpace
-    n_players: int
-    weights: tuple[Scalar, ...]
+    `groups` are the distinct strategies of players 1..N-1 in order of first
+    appearance.  A chain state is the tuple (x0, c_0, c_1, ...): player 0's
+    state, then for each group g the d-tuple c_g of how many of its players
+    sit in each state.
+    """
 
-    def __post_init__(self):
-        d = len(self.space)
-        if len(self.weights) != d ** self.n_players:
-            raise ValueError(
-                f"want {d ** self.n_players} weights, got {len(self.weights)}"
-            )
-        arith_of(self.weights).check_mass(self.weights, "joint")
-
-    @property
-    def mode(self) -> str:
-        return arith_of(self.weights).mode
-
-    def decode(self, idx: int) -> tuple[int, ...]:
-        d = len(self.space)
-        out = []
-        for _ in range(self.n_players):
-            out.append(idx % d)
-            idx //= d
-        return tuple(reversed(out))
-
-    def encode(self, states: Sequence[int]) -> int:
-        d = len(self.space)
-        idx = 0
-        for x in states:
-            idx = idx * d + x
-        return idx
-
-    def marginal(self, player: int) -> ProbabilityVector:
-        d = len(self.space)
-        mode = self.mode
-        acc = [zero(mode)] * d
-        for idx, w in enumerate(self.weights):
-            if w:
-                acc[self.decode(idx)[player]] += w
-        return ProbabilityVector(self.space, tuple(acc), mode)
-
-    @staticmethod
-    def from_product(
-        m0: ProbabilityVector, n_players: int, cap: int = DEFAULT_JOINT_CAP
-    ) -> "JointStateDistribution":
-        d = len(m0.space)
-        if d ** n_players > cap:
-            raise CapacityError(f"{d ** n_players} joint states exceed cap {cap}")
-        weights = tuple(map(math.prod, itertools.product(m0.weights, repeat=n_players)))
-        return JointStateDistribution(m0.space, n_players, weights)
-
-
-@dataclass(frozen=True)
-class JointPropagation:
-    laws: tuple[JointStateDistribution, ...]  # times 0..T
-    costs: tuple[Scalar, ...]  # total expected cost per player
+    groups: tuple[RestrictedStrategy, ...]
+    laws: tuple[dict[tuple, Scalar], ...]  # times 0..T
+    cost: Scalar  # total expected cost of player 0
 
 
 def exact_joint_propagate(
     game: GameSpec,
     strategies: Sequence[RestrictedStrategy],
-    deviation: Optional[tuple[int, RestrictedStrategy]],
-    m0n: Union[ProbabilityVector, JointStateDistribution],
+    m0n: ProbabilityVector,
     *,
     joint_cap: int = DEFAULT_JOINT_CAP,
-) -> JointPropagation:
-    """Forward law on X^N and exact expected costs for every player.
+) -> CountPropagation:
+    """Exact law of the count chain and expected total cost of player 0.
 
-    Each player transitions with the kernel evaluated at the empirical
-    measure of the other N-1 players; transitions are conditionally
-    independent given the joint state.  `deviation=(i, psi)` makes player i
-    follow psi instead of its assigned strategy.
+    Each player moves with the kernel evaluated at the empirical measure of
+    the other N-1 players, independently given the current states, and a
+    player sees the others only through that measure.  So (player 0's state,
+    the others' state counts per strategy) is itself a Markov chain.  A step
+    evaluates one kernel row and running cost per (counts, state, action);
+    a group's next counts come from adding its players one at a time, and
+    groups combine as independent parts.  Inputs with more than `joint_cap`
+    joint states |X|^N are refused.
     """
     n = len(strategies)
     if n < 2:
         raise ValueError("need at least two players")
-    played = list(strategies)
-    if deviation is not None:
-        i, psi = deviation
-        if not 0 <= i < n:
-            raise ValueError(f"player index {i} out of range")
-        played[i] = psi
-    if isinstance(m0n, ProbabilityVector):
-        joint = JointStateDistribution.from_product(m0n, n, joint_cap)
-    else:
-        joint = m0n
-        if joint.n_players != n:
-            raise ValueError("initial joint law has wrong player count")
-        if len(joint.weights) > joint_cap:
-            raise CapacityError(
-                f"{len(joint.weights)} joint states exceed cap {joint_cap}"
-            )
-    if joint.space.labels != game.states.labels:
+    if not isinstance(m0n, ProbabilityVector):
+        raise ValueError("exact propagation needs a product initial law")
+    if m0n.space.labels != game.states.labels:
         raise ValueError("initial law lives on different states")
-    ratio = arith(game.arithmetic).ratio
-    zero_w = zero(game.arithmetic)
     d = len(game.states)
-    # joint states in index order, each counted once; a player in state x
-    # sees the others' measure (counts - e_x) / (n - 1)
-    cells = list(itertools.product(range(d), repeat=n))
-    counts = [tuple(map(xs.count, range(d))) for xs in cells]
+    if d ** n > joint_cap:
+        raise CapacityError(f"{d ** n} joint states exceed cap {joint_cap}")
+    ratio = arith(game.arithmetic).ratio
+    own, others = strategies[0], strategies[1:]
+    groups = tuple({s.actions: s for s in others}.values())
+    sizes = Counter(s.actions for s in others)
+    blank = {(0,) * d: one(game.arithmetic)}
+    moves = {}  # (t, counts of all N, x, a) -> (nonzero kernel entries, running cost)
 
-    def others(key, x):
-        return tuple(ratio(c - (y == x), n - 1) for y, c in enumerate(key))
+    def seen(counts, x):
+        # a player in state x sees the others' measure (counts - e_x) / (n - 1)
+        return tuple(ratio(c - (y == x), n - 1) for y, c in enumerate(counts))
 
-    weights = list(joint.weights)
-    costs = [zero_w] * n
-    laws = [joint]
+    def move(t, counts, x, a):
+        hit = moves.get((t, counts, x, a))
+        if hit is None:
+            m = seen(counts, x)
+            row = game.raw_kernel(t, x, m, a)
+            hit = moves[t, counts, x, a] = (
+                [(y, k) for y, k in enumerate(row) if k],
+                game.raw_running_cost(t, x, m, a),
+            )
+        return hit
+
+    def spread(t, counts, acts, c):
+        # next counts of a group whose c[x] players in state x play acts[t][x]
+        law = blank
+        for x, cx in enumerate(c):
+            if cx:
+                law = _add_players(law, cx, move(t, counts, x, acts[t][x])[0])
+        return law.items()
+
+    start = [(y, w) for y, w in enumerate(m0n.weights) if w]
+    law = dict(_product(
+        [((x,), w) for x, w in start],
+        [_add_players(blank, sizes[s.actions], start).items() for s in groups],
+    ))
+    laws = [law]
+    cost = zero(game.arithmetic)
     for t in range(game.horizon):
-        acts = [s.actions[t] for s in played]
-        step = {}  # (counts, x, a) -> (nonzero kernel entries, running cost)
-        nxt = [zero_w] * len(cells)
-        for xs, key, w in zip(cells, counts, weights):
-            if not w:
-                continue
-            acc = [(0, w)]
-            for l, x in enumerate(xs):
-                a = acts[l][x]
-                hit = step.get((key, x, a))
-                if hit is None:
-                    m = others(key, x)
-                    row = game.raw_kernel(t, x, m, a)
-                    hit = step[key, x, a] = (
-                        [(y, k) for y, k in enumerate(row) if k],
-                        game.raw_running_cost(t, x, m, a),
-                    )
-                costs[l] += w * hit[1]
-                acc = [(j * d + y, pj * k) for j, pj in acc for y, k in hit[0]]
-            for j, pj in acc:
-                nxt[j] += pj
-        weights = nxt
-        laws.append(JointStateDistribution(game.states, n, tuple(weights)))
-    terminal = {}  # (counts, x) -> terminal cost
-    for xs, key, w in zip(cells, counts, weights):
-        if w:
-            for l, x in enumerate(xs):
-                if (key, x) not in terminal:
-                    terminal[key, x] = game.raw_terminal_cost(x, others(key, x))
-                costs[l] += w * terminal[key, x]
-    return JointPropagation(tuple(laws), tuple(costs))
+        nxt: dict[tuple, Scalar] = {}
+        for key, w in law.items():
+            counts = _inclusive(key)
+            row, running = move(t, counts, key[0], own.actions[t][key[0]])
+            cost += w * running
+            parts = [spread(t, counts, s.actions, c) for s, c in zip(groups, key[1:])]
+            for nk, p in _product([((y,), w * k) for y, k in row], parts):
+                nxt[nk] = nxt[nk] + p if nk in nxt else p
+        law = nxt
+        laws.append(law)
+    for key, w in law.items():
+        cost += w * game.raw_terminal_cost(key[0], seen(_inclusive(key), key[0]))
+    return CountPropagation(groups, tuple(laws), cost)
+
+
+def _add_players(law: dict, count: int, entries) -> dict:
+    """Law of a group's counts after `count` more players, each of which
+    lands in state y with probability k for each (y, k) in entries."""
+    for _ in range(count):
+        out: dict = {}
+        for c, w in law.items():
+            for y, k in entries:
+                nc = (*c[:y], c[y] + 1, *c[y + 1 :])
+                out[nc] = out[nc] + w * k if nc in out else w * k
+        law = out
+    return law
+
+
+def _product(heads: list, parts) -> list:
+    """Joint law of independent parts: every head extended by one entry of
+    each part, with the product of the probabilities."""
+    for part in parts:
+        heads = [(h + (c,), p * q) for h, p in heads for c, q in part]
+    return heads
+
+
+def _inclusive(key: tuple) -> tuple[int, ...]:
+    """State counts of all N players from a count-chain state."""
+    counts = [sum(by_group) for by_group in zip(*key[1:])]
+    counts[key[0]] += 1
+    return tuple(counts)
 
 
 class _AnonymousCostTable:
@@ -364,9 +342,9 @@ class _AnonymousCostTable:
         if hit is None:
             ordered = sorted(others, key=lambda s: s.sort_key())
             prop = exact_joint_propagate(
-                self.game, (own, *ordered), None, self.m0n, joint_cap=self.joint_cap
+                self.game, (own, *ordered), self.m0n, joint_cap=self.joint_cap
             )
-            hit = self.memo[key] = prop.costs[0]
+            hit = self.memo[key] = prop.cost
         return hit
 
 
@@ -375,7 +353,7 @@ def profile_cost_exact(
     profile: CorrelatedProfile,
     player: int,
     u: DeviationMap,
-    m0n: Union[ProbabilityVector, JointStateDistribution],
+    m0n: ProbabilityVector,
     *,
     joint_cap: int = DEFAULT_JOINT_CAP,
     atom_cap: int = DEFAULT_ATOM_CAP,
@@ -659,7 +637,7 @@ def deviation_gain(
     game: GameSpec,
     profile: CorrelatedProfile,
     player: int,
-    m0n: Union[ProbabilityVector, JointStateDistribution],
+    m0n: ProbabilityVector,
     method: str = "exact",
     cfg: Optional[SimulationConfig] = None,
     *,
@@ -777,7 +755,7 @@ def _deviation_gain_mc(
 def solve_symmetric_ce(
     game: GameSpec,
     n_players: int,
-    m0n: Union[ProbabilityVector, JointStateDistribution],
+    m0n: ProbabilityVector,
     *,
     minimize_total_cost: bool = False,
     lp_cap: int = DEFAULT_LP_CAP,
@@ -878,7 +856,7 @@ class ExchangeabilityReport:
 def exchangeability_check(
     game: GameSpec,
     profile: CorrelatedProfile,
-    m0n: Union[ProbabilityVector, JointStateDistribution],
+    m0n: ProbabilityVector,
     t: int,
     *,
     joint_cap: int = DEFAULT_JOINT_CAP,
@@ -886,8 +864,7 @@ def exchangeability_check(
 ) -> ExchangeabilityReport:
     """Conditional law of player 0 given the empirical measure equals it.
 
-    Requires a symmetric profile and a product (or exchangeable) initial law;
-    checks every empirical measure with positive mass at time t.
+    Requires a symmetric profile and a product initial law; checks every empirical measure with positive mass at time t.
     """
     if not is_symmetric(profile):
         raise ValueError("profile is not symmetric")
@@ -899,24 +876,16 @@ def exchangeability_check(
         raise ValueError(f"time {t} outside 0..{game.horizon}")
     ar = arith(game.arithmetic)
     d = len(game.states)
-    mixed = [zero(ar.mode)] * (d ** n)
+    by_counts: dict[tuple[int, ...], list] = {}  # counts of all N -> mass per x0
     for vec, w in explicit.atoms:
-        law = exact_joint_propagate(game, vec, None, m0n, joint_cap=joint_cap).laws[t]
-        for idx, p in enumerate(law.weights):
-            if p:
-                mixed[idx] += w * p
-    groups: dict[tuple[int, ...], list] = {}
-    for xs, p in zip(itertools.product(range(d), repeat=n), mixed):
-        if p:
-            counts = tuple(xs.count(y) for y in range(d))
-            groups.setdefault(counts, []).append((xs[0], p))
+        law = exact_joint_propagate(game, vec, m0n, joint_cap=joint_cap).laws[t]
+        for key, p in law.items():
+            cond = by_counts.setdefault(_inclusive(key), [zero(ar.mode)] * d)
+            cond[key[0]] += w * p
     rows = []
-    for counts in sorted(groups):
-        entries = groups[counts]
-        mass = sum(p for _, p in entries)
-        cond = [zero(ar.mode)] * d
-        for x0, p in entries:
-            cond[x0] += p
+    for counts in sorted(by_counts):
+        cond = by_counts[counts]
+        mass = sum(cond)
         empirical = tuple(ar.ratio(c, n) for c in counts)
         worst = max(abs(c / mass - e) for c, e in zip(cond, empirical))
         rows.append(ExchangeabilityRow(empirical, mass, worst))

@@ -401,6 +401,26 @@ class TestMalformedDocuments:
         assert "at least one atom" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["example", "section5", "--beta", "1/0,1/4,1/4,1/4"],
+            ["nplayer", "solve-ce", "--game", "GAME", "-N", "2", "--m0", "1/0,1"],
+            ["validate", "ZERO_GAME"],
+        ],
+        ids=["example-beta", "solve-ce-m0", "validate-terminal-base"],
+    )
+    def test_zero_denominator_exits_2(self, example_dir, tmp_path, capsys, argv):
+        doc = io.read_json(str(example_dir / "game.json"))
+        doc["cost"]["terminal_base"][0] = "1/0"
+        zero_game = tmp_path / "zero_game.json"
+        zero_game.write_text(json.dumps(doc))
+        paths = {"GAME": str(example_dir / "game.json"), "ZERO_GAME": str(zero_game)}
+        code = run_cli([paths.get(a, a) for a in argv] + ["-o", str(tmp_path / "o")])
+        assert code == 2
+        assert "zero denominator" in capsys.readouterr().err
+
+
 class TestLimitsCommands:
     def test_epsilon_curve_csv_contract(self, example_dir, tmp_path):
         out = tmp_path / "curve"

@@ -29,6 +29,11 @@ class TestScalars:
         assert io.parse_scalar(2, FLOAT) == 2.0
         assert io.parse_scalar("1/4", FLOAT) == 0.25
 
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_zero_denominator_rejected(self, mode):
+        with pytest.raises(ValueError, match="zero denominator"):
+            io.parse_scalar("1/0", mode)
+
     def test_scalar_json_forms(self):
         assert io.scalar_json(F(1, 3)) == "1/3"
         assert io.scalar_json(F(4)) == "4"

@@ -377,9 +377,6 @@ MASS_SITES = {
         2, (_flat_flow(game, mode),), (model.one(mode),),
         (tuple(zip((_HOLD, _IDLE), _masses(2, mode, delta))),),
     ),
-    "JointStateDistribution": lambda game, mode, delta: nplayer.JointStateDistribution(
-        game.states, 2, _masses(4, mode, delta)
-    ),
     "CorrelatedFlow": lambda game, mode, delta: mfg.CorrelatedFlow(
         tuple((phi, _flat_flow(game, mode), w)
               for phi, w in zip((_HOLD, _IDLE), _masses(2, mode, delta)))

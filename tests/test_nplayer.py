@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfg import nplayer, rng
+from cmfg import nplayer, rng, two_state
 from cmfg.lp import check_solution
 from cmfg.mfg import CorrelatedFlow, DeviationMap
 from cmfg.model import (
@@ -30,7 +30,6 @@ from cmfg.model import (
 from cmfg.nplayer import (
     ExplicitProfile,
     FactoredProfile,
-    JointStateDistribution,
     SimulationConfig,
     _MonteCarlo,
     _pick,
@@ -124,11 +123,6 @@ def joint_path_oracle(game, strategies, m0):
     return laws, costs
 
 
-@pytest.fixture(scope="module")
-def m0n2(game, uniform_m0):
-    return JointStateDistribution.from_product(uniform_m0, 2)
-
-
 class TestProfiles:
     def test_explicit_merges_and_sorts(self):
         a = ((PHI_PLUS, PHI_O), F(1, 4))
@@ -193,68 +187,65 @@ class TestSymmetrize:
         assert is_symmetric(lift(rho, 3))
 
 
-class TestJointStateDistribution:
-    def test_encode_decode_roundtrip(self, game):
-        jsd = JointStateDistribution.from_product(
-            ProbabilityVector.uniform(game.states, EXACT), 3
+def lumped(joint_law, vec, player):
+    """A joint law of the oracle summed into count-chain states with `player`
+    in front: (its state, then per distinct strategy of the others, in order
+    of first appearance, how many of them sit in each state)."""
+    d = len(vec[0].actions[0])
+    others = [j for j in range(len(vec)) if j != player]
+    groups = list(dict.fromkeys(vec[j].actions for j in others))
+    out = {}
+    for xs, w in joint_law.items():
+        counts = [[0] * d for _ in groups]
+        for j in others:
+            counts[groups.index(vec[j].actions)][xs[j]] += 1
+        key = (xs[player], *map(tuple, counts))
+        out[key] = out.get(key, F(0)) + w
+    return out
+
+
+def assert_engine_matches_oracle(game, vec, m0):
+    """For every player moved to the front, the count-chain laws and the cost
+    equal the oracle's as Fractions; the float copy agrees within 1e-12."""
+    laws, costs = joint_path_oracle(game, vec, m0)
+    for i in range(len(vec)):
+        front = (vec[i], *(s for j, s in enumerate(vec) if j != i))
+        got = exact_joint_propagate(game, front, m0)
+        assert [s.actions for s in got.groups] == list(
+            dict.fromkeys(s.actions for s in front[1:])
         )
-        for idx in range(8):
-            assert jsd.encode(jsd.decode(idx)) == idx
+        assert list(got.laws) == [lumped(law, vec, i) for law in laws]
+        assert got.cost == costs[i]
 
-    def test_player_zero_most_significant(self, game):
-        jsd = JointStateDistribution.from_product(
-            ProbabilityVector.uniform(game.states, EXACT), 3
-        )
-        assert jsd.decode(4) == (1, 0, 0)
-
-    def test_marginals_of_product(self, game):
-        skew = ProbabilityVector(game.states, (F(3, 4), F(1, 4)), EXACT)
-        jsd = JointStateDistribution.from_product(skew, 2)
-        for i in range(2):
-            assert jsd.marginal(i).weights == skew.weights
-
-    def test_cap(self, game):
-        with pytest.raises(CapacityError):
-            JointStateDistribution.from_product(
-                ProbabilityVector.uniform(game.states, EXACT), 13
-            )
+        floats = exact_joint_propagate(game.to_float(), front, m0.to_float())
+        for exact_law, float_law in zip(got.laws, floats.laws):
+            for key in exact_law.keys() | float_law.keys():
+                assert abs(float(exact_law.get(key, 0)) - float_law.get(key, 0.0)) < 1e-12
+        assert abs(float(got.cost) - floats.cost) < 1e-12
 
 
 class TestExactJointPropagation:
-    def test_matches_path_oracle_two_players(self, game, m0n2, uniform_m0):
+    def test_matches_path_oracle_two_players(self, game, uniform_m0):
         for vec in ((PHI_PLUS, PHI_O), (PHI_PLUS, PHI_MINUS), (PHI_O, PHI_O)):
-            spec = exact_joint_propagate(game, vec, None, m0n2)
-            laws, costs = joint_path_oracle(game, vec, uniform_m0)
-            for t in range(game.horizon + 1):
-                dense = {}
-                for idx, w in enumerate(spec.laws[t].weights):
-                    if w:
-                        dense[spec.laws[t].decode(idx)] = w
-                assert dense == laws[t]
-            assert tuple(spec.costs) == tuple(costs)
-
-    def test_deviation_changes_one_player(self, game, m0n2, uniform_m0):
-        vec = (PHI_PLUS, PHI_O)
-        spec = exact_joint_propagate(game, vec, (0, PHI_O), m0n2)
-        _, costs = joint_path_oracle(game, (PHI_O, PHI_O), uniform_m0)
-        assert spec.costs[0] == costs[0]
+            assert_engine_matches_oracle(game, vec, uniform_m0)
 
     def test_three_players_against_oracle(self, game, uniform_m0):
-        m0n3 = JointStateDistribution.from_product(uniform_m0, 3)
-        vec = (PHI_PLUS, PHI_O, PHI_MINUS)
-        spec = exact_joint_propagate(game, vec, None, m0n3)
-        laws, costs = joint_path_oracle(game, vec, uniform_m0)
-        assert tuple(spec.costs) == tuple(costs)
-        final = {
-            spec.laws[2].decode(i): w
-            for i, w in enumerate(spec.laws[2].weights)
-            if w
-        }
-        assert final == laws[2]
+        assert_engine_matches_oracle(game, (PHI_PLUS, PHI_O, PHI_MINUS), uniform_m0)
+
+    def test_repeated_strategies_against_oracle(self, game, uniform_m0):
+        assert_engine_matches_oracle(game, (PHI_PLUS, PHI_O, PHI_PLUS, PHI_O), uniform_m0)
+
+    def test_cap(self, game, uniform_m0):
+        with pytest.raises(CapacityError):
+            exact_joint_propagate(game, (PHI_O,) * 13, uniform_m0)
+
+    def test_needs_a_product_initial_law(self, game, uniform_m0):
+        with pytest.raises(ValueError, match="product initial law"):
+            exact_joint_propagate(game, (PHI_O, PHI_O), uniform_m0.weights)
 
 
 class TestProfileCostExact:
-    def test_pinned_two_player_table(self, game, m0n2):
+    def test_pinned_two_player_table(self, game, uniform_m0):
         ident = DeviationMap.identity()
         cases = {
             (PHI_PLUS, PHI_PLUS): F(-27, 256),
@@ -264,29 +255,29 @@ class TestProfileCostExact:
         }
         for (mine, other), expected in cases.items():
             cost = profile_cost_exact(
-                game, dirac_profile(mine, other), 0, ident, m0n2
+                game, dirac_profile(mine, other), 0, ident, uniform_m0
             )
             assert cost == expected, (mine, other)
 
-    def test_symmetry_between_players(self, game, m0n2):
+    def test_symmetry_between_players(self, game, uniform_m0):
         ident = DeviationMap.identity()
-        c0 = profile_cost_exact(game, dirac_profile(PHI_PLUS, PHI_O), 1, ident, m0n2)
-        c1 = profile_cost_exact(game, dirac_profile(PHI_O, PHI_PLUS), 0, ident, m0n2)
+        c0 = profile_cost_exact(game, dirac_profile(PHI_PLUS, PHI_O), 1, ident, uniform_m0)
+        c1 = profile_cost_exact(game, dirac_profile(PHI_O, PHI_PLUS), 0, ident, uniform_m0)
         assert c0 == c1
 
-    def test_deviation_map_applies_to_own_draw(self, game, m0n2):
+    def test_deviation_map_applies_to_own_draw(self, game, uniform_m0):
         u = DeviationMap.single(PHI_PLUS, PHI_O)
-        cost = profile_cost_exact(game, dirac_profile(PHI_PLUS, PHI_PLUS), 0, u, m0n2)
+        cost = profile_cost_exact(game, dirac_profile(PHI_PLUS, PHI_PLUS), 0, u, uniform_m0)
         assert cost == profile_cost_exact(
-            game, dirac_profile(PHI_O, PHI_PLUS), 0, DeviationMap.identity(), m0n2
+            game, dirac_profile(PHI_O, PHI_PLUS), 0, DeviationMap.identity(), uniform_m0
         )
 
-    def test_mixture_is_affine(self, game, m0n2):
+    def test_mixture_is_affine(self, game, uniform_m0):
         ident = DeviationMap.identity()
         mixed = ExplicitProfile(
             2, (((PHI_PLUS, PHI_PLUS), F(1, 3)), ((PHI_O, PHI_O), F(2, 3)))
         )
-        cost = profile_cost_exact(game, mixed, 0, ident, m0n2)
+        cost = profile_cost_exact(game, mixed, 0, ident, uniform_m0)
         assert cost == F(1, 3) * F(-27, 256) + F(2, 3) * F(0)
 
 
@@ -493,21 +484,16 @@ class TestMonteCarlo:
         )
         assert abs(mean - ref[0]) < 1e-12
 
-    def test_three_sigma_agreement_with_exact(self, game, rho, uniform_m0, m0n2):
+    def test_three_sigma_agreement_with_exact(self, game, rho, uniform_m0):
         profile = lift(rho, 2)
         exact = profile_cost_exact(
-            game, profile, 0, DeviationMap.identity(), m0n2
+            game, profile, 0, DeviationMap.identity(), uniform_m0
         )
         cfg = SimulationConfig(master_seed=0, replications=40_000)
         mean, stderr = mc_profile_cost(
             game, profile, 0, DeviationMap.identity(), uniform_m0, cfg
         )
         assert abs(mean - float(exact)) <= 3 * stderr
-
-    def test_threads_below_one_rejected(self):
-        for threads in (0, -3):
-            with pytest.raises(ValueError, match="thread"):
-                SimulationConfig(master_seed=0, replications=10, threads=threads)
 
     def test_single_replication_has_zero_stderr(self, game, rho, uniform_m0):
         cfg = SimulationConfig(master_seed=0, replications=1)
@@ -570,9 +556,8 @@ class TestEngineAgainstScalarOracle:
     def test_empirical_rho_n_rejects_a_joint_initial_law(self, mixing):
         game, m0 = mixing
         profile = mixing_profiles(game)[1]
-        joint = JointStateDistribution.from_product(m0, profile.n_players)
         with pytest.raises(ValueError, match="product initial law"):
-            empirical_rho_n(game, profile, joint, SimulationConfig(0, 8))
+            empirical_rho_n(game, profile, m0.weights, SimulationConfig(0, 8))
 
 
 def random_profiles(game, seed):
@@ -676,42 +661,21 @@ class TestChunkMemory:
 
 
 class TestExactPropagationOnMixingGame:
-    """exact_joint_propagate against the path oracle on a game whose kernel
-    and costs depend on the measure, so every exclusive measure matters."""
-
-    @pytest.fixture(scope="class")
-    def mixing(self):
-        game = random_game(3, 3, 2, 2)
-        return game, ProbabilityVector(game.states, MIXING_M0, EXACT)
+    """exact_joint_propagate against the path oracle, for every player, on
+    random games whose kernels and costs depend on the measure, so every
+    exclusive measure and every per-strategy count matters."""
 
     @pytest.mark.parametrize(
-        "picks, deviation",
-        [((5, 40), None), ((12, 33), (1, 63)), ((5, 40, 63), None)],
-        ids=["N2", "N2-deviation", "N3"],
+        "seed, d, picks",
+        [(3, 3, (5, 40)), (3, 3, (12, 63)), (3, 3, (5, 40, 63)),
+         (3, 3, (5, 40, 40)), (7, 2, (3, 9, 9, 14))],
+        ids=["N2", "N2-other-pair", "N3", "d3-N3-repeated", "d2-N4-repeated"],
     )
-    def test_laws_and_costs_match_oracle(self, mixing, picks, deviation):
-        game, m0 = mixing
+    def test_laws_and_costs_match_oracle(self, seed, d, picks):
+        game = random_game(seed, d, 2, 2)
+        m0 = random_m0(game)
         s = enumerate_strategies(game)
-        vec = tuple(s[i] for i in picks)
-        dev = None if deviation is None else (deviation[0], s[deviation[1]])
-        got = exact_joint_propagate(game, vec, dev, m0)
-        played = list(vec)
-        if dev is not None:
-            played[dev[0]] = dev[1]
-        laws, costs = joint_path_oracle(game, played, m0)
-        for t, law in enumerate(got.laws):
-            dense = {law.decode(i): w for i, w in enumerate(law.weights) if w}
-            assert dense == laws[t]
-        assert got.costs == tuple(costs)
-        assert len(costs) == len(vec)
-
-        floats = exact_joint_propagate(game.to_float(), vec, dev, m0.to_float())
-        for exact_law, float_law in zip(got.laws, floats.laws):
-            assert all(
-                abs(float(a) - b) < 1e-12
-                for a, b in zip(exact_law.weights, float_law.weights)
-            )
-        assert all(abs(float(a) - b) < 1e-12 for a, b in zip(got.costs, floats.costs))
+        assert_engine_matches_oracle(game, tuple(s[i] for i in picks), m0)
 
 
 class TestPickParity:
@@ -738,38 +702,48 @@ class TestPickParity:
 
 
 class TestDeviationGain:
-    def test_lifted_two_player_gain_is_zero(self, game, rho, m0n2):
-        result = deviation_gain(game, lift(rho, 2), 0, m0n2, "exact")
+    def test_lifted_two_player_gain_is_zero(self, game, rho, uniform_m0):
+        result = deviation_gain(game, lift(rho, 2), 0, uniform_m0, "exact")
         assert result.epsilon == 0
         assert result.method == "exact"
         assert all(row.gap == 0 for row in result.rows)
 
-    def test_rows_cover_the_support(self, game, rho, m0n2):
-        result = deviation_gain(game, lift(rho, 2), 0, m0n2, "exact")
+    def test_rows_cover_the_support(self, game, rho, uniform_m0):
+        result = deviation_gain(game, lift(rho, 2), 0, uniform_m0, "exact")
         recs = {row.recommendation for row in result.rows}
         assert recs == set(rho.support_strategies())
 
-    def test_exact_matches_brute_force(self, game, m0n2):
+    def test_exact_matches_brute_force(self, game, uniform_m0):
         profile = symmetrize(dirac_profile(PHI_PLUS, PHI_O))
-        result = deviation_gain(game, profile, 0, m0n2, "exact")
+        result = deviation_gain(game, profile, 0, uniform_m0, "exact")
         strategies = enumerate_strategies(game)
         ident = DeviationMap.identity()
-        base = profile_cost_exact(game, profile, 0, ident, m0n2)
+        base = profile_cost_exact(game, profile, 0, ident, uniform_m0)
         brute_eps = F(0)
         for rec in (PHI_PLUS, PHI_O):
             values = []
             for psi in strategies:
                 u = DeviationMap.single(rec, psi)
-                values.append(profile_cost_exact(game, profile, 0, u, m0n2))
-            own = profile_cost_exact(game, profile, 0, ident, m0n2)
+                values.append(profile_cost_exact(game, profile, 0, u, uniform_m0))
+            own = profile_cost_exact(game, profile, 0, ident, uniform_m0)
             brute_eps += own - min(values)
         assert result.epsilon == brute_eps
 
-    def test_mc_estimates_positive_gain(self, game, uniform_m0, m0n2):
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_lift_of_the_c1_3_32_example_has_exact_gain_5_2048(self, n):
+        # each flow recommends one of two strategies, so the others repeat
+        # strategies and the engine's per-strategy counts carry this value
+        params = two_state.ExampleParams.from_alpha(F(1, 2), F(1, 32), F(3, 32))
+        game, rho, _ = two_state.build_example(params)
+        uniform = ProbabilityVector.uniform(game.states, EXACT)
+        result = deviation_gain(game, lift(rho, n), 0, uniform, "exact")
+        assert result.epsilon == F(5, 2048)
+
+    def test_mc_estimates_positive_gain(self, game, uniform_m0):
         # telling player 0 to idle while the other holds up leaves 27/256
         # of value on the table: joining the crowd is strictly better
         profile = dirac_profile(PHI_O, PHI_PLUS)
-        exact = deviation_gain(game, profile, 0, m0n2, "exact")
+        exact = deviation_gain(game, profile, 0, uniform_m0, "exact")
         assert exact.epsilon >= F(27, 256) > 0
         cfg = SimulationConfig(master_seed=0, replications=60_000)
         mc = deviation_gain(game, profile, 0, uniform_m0, "mc", cfg)
@@ -784,13 +758,13 @@ class TestDeviationGain:
 
 
 class TestCeConstraints:
-    def test_size_matches_two_player_case(self, game, m0n2):
-        lp = ce_constraints(game, 2, m0n2)
+    def test_size_matches_two_player_case(self, game, uniform_m0):
+        lp = ce_constraints(game, 2, uniform_m0)
         assert len(lp.variables) == 256
         assert len(lp.rows) == 2 * 16 * 15 + 1
 
-    def test_lifted_solution_satisfies_all_rows(self, game, rho, m0n2):
-        lp = ce_constraints(game, 2, m0n2)
+    def test_lifted_solution_satisfies_all_rows(self, game, rho, uniform_m0):
+        lp = ce_constraints(game, 2, uniform_m0)
         explicit = lift(rho, 2).expand()
         weights = {
             tuple(strategy_index(game, s) for s in vec): w
@@ -803,13 +777,13 @@ class TestCeConstraints:
                 values[f"g_{i}_{j}"] = weights.get((i, j), F(0))
         assert check_solution(lp, values)
 
-    def test_float_game_rejected(self, game, m0n2):
+    def test_float_game_rejected(self, game, uniform_m0):
         with pytest.raises(ValueError):
-            ce_constraints(game.to_float(), 2, m0n2)
+            ce_constraints(game.to_float(), 2, uniform_m0)
 
-    def test_lp_cap(self, game, m0n2):
+    def test_lp_cap(self, game, uniform_m0):
         with pytest.raises(CapacityError):
-            ce_constraints(game, 5, m0n2)
+            ce_constraints(game, 5, uniform_m0)
 
 
 class TestSolveSymmetricCe:
@@ -824,11 +798,10 @@ class TestSolveSymmetricCe:
         plain = solve_symmetric_ce(game, 2, uniform_m0)
         best = solve_symmetric_ce(game, 2, uniform_m0, minimize_total_cost=True)
         ident = DeviationMap.identity()
-        m0n = JointStateDistribution.from_product(uniform_m0, 2)
 
         def total(profile):
             return sum(
-                profile_cost_exact(game, profile, i, ident, m0n) for i in range(2)
+                profile_cost_exact(game, profile, i, ident, uniform_m0) for i in range(2)
             )
 
         assert total(best) <= total(plain)
@@ -838,24 +811,20 @@ class TestSolveSymmetricCe:
 class TestExchangeability:
     def test_symmetrized_profile_passes(self, game, uniform_m0):
         profile = symmetrize(dirac_profile(PHI_PLUS, PHI_O, PHI_O))
-        m0n = JointStateDistribution.from_product(uniform_m0, 3)
         for t in (1, 2):
-            report = exchangeability_check(game, profile, m0n, t)
+            report = exchangeability_check(game, profile, uniform_m0, t)
             assert report.ok
             assert all(row.worst_gap == 0 for row in report.rows)
 
     def test_lifted_profile_passes(self, game, rho, uniform_m0):
-        m0n = JointStateDistribution.from_product(uniform_m0, 3)
-        report = exchangeability_check(game, lift(rho, 3), m0n, 1)
+        report = exchangeability_check(game, lift(rho, 3), uniform_m0, 1)
         assert report.ok
 
     def test_asymmetric_profile_rejected(self, game, uniform_m0):
-        m0n = JointStateDistribution.from_product(uniform_m0, 2)
         with pytest.raises(ValueError):
-            exchangeability_check(game, dirac_profile(PHI_PLUS, PHI_O), m0n, 1)
+            exchangeability_check(game, dirac_profile(PHI_PLUS, PHI_O), uniform_m0, 1)
 
     def test_time_range_checked(self, game, uniform_m0):
         profile = symmetrize(dirac_profile(PHI_PLUS, PHI_O))
-        m0n = JointStateDistribution.from_product(uniform_m0, 2)
         with pytest.raises(ValueError):
-            exchangeability_check(game, profile, m0n, 5)
+            exchangeability_check(game, profile, uniform_m0, 5)
