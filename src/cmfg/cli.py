@@ -4,7 +4,9 @@ Subcommands: validate, mfg verify|best-response|propagate, example section5,
 nplayer solve-ce|epsilon, lift, limits epsilon-curve|converge.
 
 Exit codes: 0 success (verdict "pass" where applicable), 1 verdict failure,
-2 argument or input parsing failure, 3 capacity cap exceeded.  Every command
+2 argument or input parsing failure, 3 capacity cap exceeded (`limits
+converge` applies --strategy-cap to its check that rho is a solution and
+--ot-cap to each transport, which exits 3 before its first pivot).  Every command
 writes a manifest.json (inputs, seed, versions, wall time) next to its
 outputs, and all files are written atomically.
 """
@@ -42,21 +44,12 @@ class CommandSpec:
     options: dict = field(default_factory=dict)
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+def _rational(text: str) -> Fraction:
+    return io.parse_scalar(text, EXACT)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer list: {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("empty integer list")
-    return values
+def _player_counts(text: str) -> tuple[int, ...]:
+    return io.list_from_text(text, int)
 
 
 def _threads(text: str) -> int:
@@ -117,12 +110,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("example", help="built-in worked examples")
     esub = pe.add_subparsers(dest="subcommand", required=True)
     q = esub.add_parser("section5", help="two-state crowd-seeking example")
-    q.add_argument("--alpha", type=_fraction, default=None,
+    q.add_argument("--alpha", type=_rational, default=None,
                    help="sets beta = (a/4, a/4, (1-a)/4, (1-a)/4)")
     q.add_argument("--beta", default=None,
                    help="four comma-separated rationals b1,b2,b3,b4")
-    q.add_argument("--c0", type=_fraction, default=Fraction(1, 32))
-    q.add_argument("--c1", type=_fraction, default=Fraction(1, 16))
+    q.add_argument("--c0", type=_rational, default=Fraction(1, 32))
+    q.add_argument("--c1", type=_rational, default=Fraction(1, 16))
     _add_common(q)
 
     pn = sub.add_parser("nplayer", help="finite-N game commands")
@@ -154,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = lsub.add_parser("epsilon-curve", help="deviation gain of the lift per N")
     q.add_argument("--game", required=True)
     q.add_argument("--flow", required=True)
-    q.add_argument("--Ns", type=_int_list, required=True, dest="ns")
+    q.add_argument("--Ns", type=_player_counts, required=True, dest="ns")
     q.add_argument("--reps", type=int, default=100_000)
     q.add_argument("--method", choices=("auto", "exact", "mc"), default="auto")
     q.add_argument("--m0", default=None)
@@ -162,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = lsub.add_parser("converge", help="W1 distance of the sampled law to rho")
     q.add_argument("--game", required=True)
     q.add_argument("--flow", required=True)
-    q.add_argument("--Ns", type=_int_list, required=True, dest="ns")
+    q.add_argument("--Ns", type=_player_counts, required=True, dest="ns")
     q.add_argument("--reps", type=int, default=200)
     q.add_argument("--m0", default=None)
     _add_common(q, seeded=True)
@@ -246,10 +239,6 @@ class _Session:
         io.write_json_atomic(self.path("manifest.json"), manifest)
 
 
-def _scalar_out(v):
-    return io.scalar_json(v)
-
-
 def _load_game_flow(session: _Session, opts: dict):
     game = io.game_from_json(session.read_json(opts["game"]))
     rho = io.flow_from_json(session.read_json(opts["flow"]), game)
@@ -289,7 +278,7 @@ def _run_validate(session: _Session, opts: dict) -> int:
         "validation.json",
         {
             "ok": report.ok,
-            "lipschitz_modulus": _scalar_out(report.lipschitz),
+            "lipschitz_modulus": io.scalar_json(report.lipschitz),
             "violations": [
                 {"location": v.location, "message": v.message}
                 for v in report.violations
@@ -305,15 +294,15 @@ def _verdict_json(verdict, game) -> dict:
         "is_solution": verdict.is_solution,
         "optimality": {
             "ok": opt.ok,
-            "gap": _scalar_out(opt.gap),
+            "gap": io.scalar_json(opt.gap),
             "has_tie": opt.has_tie,
             "rows": [
                 {
                     "recommendation": io.strategy_to_json(r.recommendation, game),
-                    "cost": _scalar_out(r.cost),
+                    "cost": io.scalar_json(r.cost),
                     "best": io.strategy_to_json(r.best, game),
-                    "best_value": _scalar_out(r.best_value),
-                    "gap": _scalar_out(r.gap),
+                    "best_value": io.scalar_json(r.best_value),
+                    "gap": io.scalar_json(r.gap),
                     "tied": r.tied,
                 }
                 for r in opt.rows
@@ -321,13 +310,13 @@ def _verdict_json(verdict, game) -> dict:
         },
         "consistency": {
             "ok": cons.ok,
-            "max_residual": _scalar_out(cons.max_residual),
+            "max_residual": io.scalar_json(cons.max_residual),
             "rows": [
                 {
-                    "weight": _scalar_out(r.weight),
-                    "residual": _scalar_out(r.residual),
+                    "weight": io.scalar_json(r.weight),
+                    "residual": io.scalar_json(r.residual),
                     "flow": [
-                        [_scalar_out(w) for w in pv.weights]
+                        [io.scalar_json(w) for w in pv.weights]
                         for pv in r.flow.measures
                     ],
                 }
@@ -365,7 +354,7 @@ def _run_mfg_best_response(session: _Session, opts: dict) -> int:
         rows,
     )
     session.write_json(
-        "gap.json", {"ok": report.ok, "gap": _scalar_out(report.gap)}
+        "gap.json", {"ok": report.ok, "gap": io.scalar_json(report.gap)}
     )
     return 0 if report.ok else 1
 
@@ -388,10 +377,10 @@ def _run_mfg_propagate(session: _Session, opts: dict) -> int:
 
 def _example_params(opts: dict) -> two_state.ExampleParams:
     if opts.get("beta"):
-        parts = [io.parse_scalar(p, EXACT) for p in opts["beta"].split(",")]
+        parts = io.list_from_text(opts["beta"], _rational)
         if len(parts) != 4:
             raise ValueError("--beta needs exactly four rationals")
-        return two_state.ExampleParams(tuple(parts), opts["c0"], opts["c1"])
+        return two_state.ExampleParams(parts, opts["c0"], opts["c1"])
     alpha = opts["alpha"] if opts.get("alpha") is not None else Fraction(1, 2)
     return two_state.ExampleParams.from_alpha(alpha, opts["c0"], opts["c1"])
 
@@ -407,11 +396,11 @@ def _run_example_section5(session: _Session, opts: dict) -> int:
         {
             "verdict": verdict.verdict,
             "closed_forms_match": verdict.closed_forms_match,
-            "c0": _scalar_out(params.c0),
-            "c1": _scalar_out(params.c1),
-            "c0_threshold": _scalar_out(verdict.c0_threshold),
-            "c1_threshold": _scalar_out(verdict.c1_threshold),
-            "margins": [_scalar_out(m) for m in verdict.margins],
+            "c0": io.scalar_json(params.c0),
+            "c1": io.scalar_json(params.c1),
+            "c0_threshold": io.scalar_json(verdict.c0_threshold),
+            "c1_threshold": io.scalar_json(verdict.c1_threshold),
+            "margins": [io.scalar_json(m) for m in verdict.margins],
             "solution": _verdict_json(verdict.solution, game),
         },
     )
@@ -449,7 +438,7 @@ def _run_nplayer_solve_ce(session: _Session, opts: dict) -> int:
     worst = max(g.epsilon for _, g in reports)
     session.write_json(
         "equilibrium.json",
-        {"players": opts["n_players"], "max_deviation_gain": _scalar_out(worst)},
+        {"players": opts["n_players"], "max_deviation_gain": io.scalar_json(worst)},
     )
     return 0 if worst == 0 else 1
 
@@ -469,7 +458,7 @@ def _run_nplayer_epsilon(session: _Session, opts: dict) -> int:
         "epsilon.json",
         {
             "player": opts["player"],
-            "epsilon": _scalar_out(gain.epsilon),
+            "epsilon": io.scalar_json(gain.epsilon),
             "method": gain.method,
             "stderr": gain.stderr,
             "replications": gain.replications,
@@ -514,7 +503,10 @@ def _run_limits_epsilon_curve(session: _Session, opts: dict) -> int:
 def _run_limits_converge(session: _Session, opts: dict) -> int:
     game, rho, m0 = _load_game_flow(session, opts)
     cfg = nplayer.SimulationConfig(opts["seed"], opts["reps"])
-    rows = limits.convergence_report(game, rho, m0, opts["ns"], cfg)
+    rows = limits.convergence_report(
+        game, rho, m0, opts["ns"], cfg,
+        strategy_cap=opts["strategy_cap"], ot_cap=opts["ot_cap"],
+    )
     session.write_csv(
         "convergence.csv",
         ("N", "W1", "reps", "seconds"),

@@ -7,17 +7,22 @@ Conventions
   * CSV cells print floats with 17 significant digits and carry an `exact`
     flag column wherever a value may be rational;
   * every writer is atomic: write to a temp file in the same directory, then
-    rename over the target.
+    rename over the target;
+  * every reader checks shapes through one table reader: each nested list
+    must have the lengths its horizon, states and actions give, a scalar
+    where a list belongs (or the reverse) is refused, and integer fields
+    (horizon, n_players) must be JSON integers.  Any such fault raises
+    ValueError, which the command line reports with exit code 2.
 
 Documents
-  game:    {horizon, states, actions, transition: {base[t][x][a][i],
+  game:    {horizon, states: [labels], actions: [labels], transition: {base[t][x][a][i],
             coef[t][x][a][i][y]}, cost: {running_base[t][x][a],
             running_coef[t][x][a][y], terminal_base[x], terminal_coef[x][y]},
             arithmetic: "exact" | "float"}
   flow:    {atoms: [{weight, strategy: [t][x] action labels,
             flow: [T+1][x] weights}]}
   profile: {explicit: [{weight, strategies: [player][t][x] action labels]}}
-        or {factored: {flows: [{weight, flow}],
+        or {factored: {n_players, flows: [{weight, flow}],
             conditionals: [[{weight, strategy}]]}}
 """
 
@@ -27,21 +32,19 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .mfg import CorrelatedFlow
 from .model import (
     EXACT,
-    FLOAT,
-    AffineCost,
-    AffineSimplexMap,
     FiniteSpace,
     FlowTrajectory,
     GameSpec,
     ProbabilityVector,
     RestrictedStrategy,
     Scalar,
-    ThresholdTransition,
+    check_mode,
+    map_nested,
 )
 from .nplayer import CorrelatedProfile, ExplicitProfile, FactoredProfile
 
@@ -51,31 +54,18 @@ from .nplayer import CorrelatedProfile, ExplicitProfile, FactoredProfile
 
 
 def parse_scalar(value, mode: str) -> Scalar:
-    """One number from JSON; exact mode accepts only integers and "p/q"."""
-    if isinstance(value, bool):
-        raise ValueError(f"not a number: {value!r}")
-    if mode == EXACT:
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, float):
-            raise ValueError(
-                f"exact mode requires integers or 'p/q' strings, got {value!r}"
-            )
-        if isinstance(value, str):
-            return _rational(value)
-        raise ValueError(f"not a number: {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
+    """One number from JSON or a command line: an integer, a "p/q" string or,
+    in float mode only, a JSON float."""
     if isinstance(value, str):
-        return float(_rational(value))
-    raise ValueError(f"not a number: {value!r}")
-
-
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        try:
+            value = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"not a number: {value!r}")
+    elif mode == EXACT and isinstance(value, float):
+        raise ValueError(f"exact mode requires integers or 'p/q' strings, got {value!r}")
+    return Fraction(value) if mode == EXACT else float(value)
 
 
 def scalar_json(value: Scalar):
@@ -98,6 +88,43 @@ def csv_cell(value) -> str:
 
 def is_exact_value(value: Scalar) -> bool:
     return isinstance(value, (Fraction, int))
+
+
+# ---------------------------------------------------------------------------
+# document shapes
+
+
+def _table(doc, shape: tuple, leaf, error: str) -> tuple:
+    """Nested tuples of leaf(entry) from nested JSON lists whose lengths are
+    shape (None: any length); any other nesting raises ValueError(error).
+    Each leaf parser refuses the values it cannot read, lists among them."""
+    if not shape:
+        return leaf(doc)
+    if not isinstance(doc, list) or shape[0] not in (None, len(doc)):
+        raise ValueError(error)
+    return tuple(_table(entry, shape[1:], leaf, error) for entry in doc)
+
+
+def _field(doc, key: str):
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object with key {key!r}, got {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"missing key {key!r}")
+    return doc[key]
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def list_from_text(text: str, parse) -> tuple:
+    """Comma-separated items, each read by parse, e.g. '1/2,1/2'; blank items are skipped."""
+    values = tuple(parse(p.strip()) for p in text.split(",") if p.strip())
+    if not values:
+        raise ValueError(f"empty list {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -143,84 +170,36 @@ def read_json(path: str):
 
 
 def game_to_json(game: GameSpec) -> dict:
-    mode = game.arithmetic
-    tr = game.transition
-    base = [
-        [[list(map(scalar_json, tr.rows[t][x][a].base)) for a in range(len(game.actions))]
-         for x in range(len(game.states))]
-        for t in range(game.horizon)
-    ]
-    coef = [
-        [[[list(map(scalar_json, r)) for r in tr.rows[t][x][a].coef]
-          for a in range(len(game.actions))]
-         for x in range(len(game.states))]
-        for t in range(game.horizon)
-    ]
-    c = game.cost
     return {
         "horizon": game.horizon,
         "states": list(game.states.labels),
         "actions": list(game.actions.labels),
-        "transition": {"base": base, "coef": coef},
-        "cost": {
-            "running_base": [
-                [[scalar_json(v) for v in by_x] for by_x in by_t]
-                for by_t in c.running_base
-            ],
-            "running_coef": [
-                [[[scalar_json(v) for v in by_a] for by_a in by_x] for by_x in by_t]
-                for by_t in c.running_coef
-            ],
-            "terminal_base": [scalar_json(v) for v in c.terminal_base],
-            "terminal_coef": [[scalar_json(v) for v in row] for row in c.terminal_coef],
-        },
-        "arithmetic": mode,
+        **map_nested(game.tables(), scalar_json, list),
+        "arithmetic": game.arithmetic,
     }
 
 
 def game_from_json(doc: dict) -> GameSpec:
-    mode = doc.get("arithmetic", EXACT)
-    if mode not in (EXACT, FLOAT):
-        raise ValueError(f"unknown arithmetic mode {mode!r}")
-    states = FiniteSpace(tuple(doc["states"]))
-    actions = FiniteSpace(tuple(doc["actions"]))
-    horizon = int(doc["horizon"])
-    tr = doc["transition"]
-    rows = tuple(
-        tuple(
-            tuple(
-                AffineSimplexMap(
-                    tuple(parse_scalar(v, mode) for v in tr["base"][t][x][a]),
-                    tuple(
-                        tuple(parse_scalar(v, mode) for v in r)
-                        for r in tr["coef"][t][x][a]
-                    ),
-                )
-                for a in range(len(actions))
-            )
-            for x in range(len(states))
-        )
-        for t in range(horizon)
+    horizon = _integer(_field(doc, "horizon"), "horizon")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    states, actions = (
+        FiniteSpace(_table(_field(doc, key), (None,), lambda v: v, f"{key} must be a label list"))
+        for key in ("states", "actions")
     )
-    c = doc["cost"]
-    cost = AffineCost(
-        tuple(
-            tuple(tuple(parse_scalar(v, mode) for v in by_x) for by_x in by_t)
-            for by_t in c["running_base"]
-        ),
-        tuple(
-            tuple(
-                tuple(tuple(parse_scalar(v, mode) for v in by_a) for by_a in by_x)
-                for by_x in by_t
+    mode = check_mode(doc.get("arithmetic", EXACT))
+    shapes = GameSpec.table_shapes(horizon, len(states), len(actions))
+    tables = {
+        part: {
+            key: _table(
+                _field(_field(doc, part), key), shape, lambda v: parse_scalar(v, mode),
+                f"{part}.{key} must be a {' x '.join(map(str, shape))} table",
             )
-            for by_t in c["running_coef"]
-        ),
-        tuple(parse_scalar(v, mode) for v in c["terminal_base"]),
-        tuple(
-            tuple(parse_scalar(v, mode) for v in row) for row in c["terminal_coef"]
-        ),
-    )
-    return GameSpec(horizon, states, actions, ThresholdTransition(rows), cost, mode)
+            for key, shape in by_key.items()
+        }
+        for part, by_key in shapes.items()
+    }
+    return GameSpec.from_tables(horizon, states, actions, tables, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +213,11 @@ def strategy_to_json(s: RestrictedStrategy, game: GameSpec) -> list:
 def strategy_from_json(doc, game: GameSpec) -> RestrictedStrategy:
     """Table [t][x] of action labels; refuses any shape but horizon x |X|."""
     rows, width = game.horizon, len(game.states)
-    if not isinstance(doc, list) or len(doc) != rows or any(
-        not isinstance(row, list) or len(row) != width for row in doc
-    ):
-        raise ValueError(
-            f"strategy table must have {rows} rows (one per time) of {width} "
-            "action labels (one per state)"
-        )
-    idx = game.actions.index
-    return RestrictedStrategy(tuple(tuple(idx(lbl) for lbl in row) for row in doc))
+    return RestrictedStrategy(_table(
+        doc, (rows, width), game.actions.index,
+        f"strategy table must have {rows} rows (one per time) of {width} "
+        "action labels (one per state)",
+    ))
 
 
 def _trajectory_to_json(flow: FlowTrajectory) -> list:
@@ -251,17 +226,16 @@ def _trajectory_to_json(flow: FlowTrajectory) -> list:
 
 def _trajectory_from_json(doc, game: GameSpec) -> FlowTrajectory:
     """Measures at t = 0..T; refuses any other count."""
-    if not isinstance(doc, list) or len(doc) != game.horizon + 1:
-        raise ValueError(f"flow must have {game.horizon + 1} measures (one per time)")
-    mode = game.arithmetic
-    return FlowTrajectory(
-        tuple(
-            ProbabilityVector(
-                game.states, tuple(parse_scalar(w, mode) for w in row), mode
-            )
-            for row in doc
-        )
+    mode, steps, d = game.arithmetic, game.horizon + 1, len(game.states)
+    rows = _table(
+        doc, (steps, d), lambda w: parse_scalar(w, mode),
+        f"flow must have {steps} measures (one per time) of {d} weights (one per state)",
     )
+    return FlowTrajectory(tuple(ProbabilityVector(game.states, row, mode) for row in rows))
+
+
+def _weight(doc, game: GameSpec) -> Scalar:
+    return parse_scalar(_field(doc, "weight"), game.arithmetic)
 
 
 def flow_to_json(rho: CorrelatedFlow, game: GameSpec) -> dict:
@@ -278,16 +252,15 @@ def flow_to_json(rho: CorrelatedFlow, game: GameSpec) -> dict:
 
 
 def flow_from_json(doc: dict, game: GameSpec) -> CorrelatedFlow:
-    mode = game.arithmetic
-    atoms = tuple(
-        (
-            strategy_from_json(a["strategy"], game),
-            _trajectory_from_json(a["flow"], game),
-            parse_scalar(a["weight"], mode),
-        )
-        for a in doc["atoms"]
-    )
-    return CorrelatedFlow(atoms)
+    return CorrelatedFlow(_table(
+        _field(doc, "atoms"), (None,),
+        lambda a: (
+            strategy_from_json(_field(a, "strategy"), game),
+            _trajectory_from_json(_field(a, "flow"), game),
+            _weight(a, game),
+        ),
+        "flow atoms must be a list of objects",
+    ))
 
 
 def profile_to_json(profile: CorrelatedProfile, game: GameSpec) -> dict:
@@ -319,43 +292,41 @@ def profile_to_json(profile: CorrelatedProfile, game: GameSpec) -> dict:
     }
 
 
-def profile_from_json(
-    doc: dict, game: GameSpec, n_players: Optional[int] = None
-) -> CorrelatedProfile:
-    mode = game.arithmetic
+def profile_from_json(doc: dict, game: GameSpec) -> CorrelatedProfile:
+    if not isinstance(doc, dict) or not {"explicit", "factored"} & doc.keys():
+        raise ValueError("profile document needs an 'explicit' or 'factored' key")
     if "explicit" in doc:
-        atoms = tuple(
-            (
-                tuple(strategy_from_json(s, game) for s in a["strategies"]),
-                parse_scalar(a["weight"], mode),
-            )
-            for a in doc["explicit"]
+        atoms = _table(
+            doc["explicit"], (None,),
+            lambda a: (
+                _table(_field(a, "strategies"), (None,),
+                       lambda s: strategy_from_json(s, game), "strategies must be a list"),
+                _weight(a, game),
+            ),
+            "explicit profile must be a list of atoms",
         )
         if not atoms:
             raise ValueError("explicit profile needs at least one atom")
-        n = n_players if n_players is not None else len(atoms[0][0])
-        return ExplicitProfile(n, atoms)
-    if "factored" in doc:
-        body = doc["factored"]
-        n = n_players if n_players is not None else int(body["n_players"])
-        flows = tuple(_trajectory_from_json(f["flow"], game) for f in body["flows"])
-        weights = tuple(parse_scalar(f["weight"], mode) for f in body["flows"])
-        conds = tuple(
-            tuple(
-                (strategy_from_json(c["strategy"], game), parse_scalar(c["weight"], mode))
-                for c in cond
-            )
-            for cond in body["conditionals"]
-        )
-        return FactoredProfile(n, flows, weights, conds)
-    raise ValueError("profile document needs an 'explicit' or 'factored' key")
+        return ExplicitProfile(len(atoms[0][0]), atoms)
+    body = doc["factored"]
+    n = _integer(_field(body, "n_players"), "n_players")
+    flows = _table(
+        _field(body, "flows"), (None,),
+        lambda f: (_trajectory_from_json(_field(f, "flow"), game), _weight(f, game)),
+        "factored flows must be a list",
+    )
+    conds = _table(
+        _field(body, "conditionals"), (len(flows), None),
+        lambda c: (strategy_from_json(_field(c, "strategy"), game), _weight(c, game)),
+        f"conditionals must be {len(flows)} lists, one per flow",
+    )
+    return FactoredProfile(n, tuple(f for f, _ in flows), tuple(w for _, w in flows), conds)
 
 
 def measure_from_text(text: str, game: GameSpec) -> ProbabilityVector:
     """Comma-separated weights over the game's states, e.g. '1/2,1/2'."""
-    parts = [p for p in text.split(",") if p.strip()]
     mode = game.arithmetic
-    weights = tuple(parse_scalar(p.strip(), mode) for p in parts)
+    weights = list_from_text(text, lambda p: parse_scalar(p, mode))
     return ProbabilityVector(game.states, weights, mode)
 
 

@@ -13,13 +13,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import rng
 from .mfg import CorrelatedFlow, factor_flow, verify_solution
 from .model import (
     DEFAULT_ATOM_CAP,
     DEFAULT_JOINT_CAP,
+    DEFAULT_OT_CAP,
     DEFAULT_STRATEGY_CAP,
     EXACT,
     FlowTrajectory,
@@ -29,13 +30,6 @@ from .model import (
 )
 from .nplayer import FactoredProfile, SimulationConfig, _MonteCarlo, deviation_gain
 from .transport import flow_space_distance
-
-InitialFamily = Union[ProbabilityVector, Callable[[int], ProbabilityVector]]
-
-
-def _initial_for(m0: InitialFamily, n: int) -> ProbabilityVector:
-    return m0(n) if callable(m0) else m0
-
 
 def lift(rho: CorrelatedFlow, n_players: int) -> FactoredProfile:
     """The N-player profile that draws one flow, then i.i.d. recommendations."""
@@ -89,7 +83,7 @@ def _sub_seed(master: int, n: int) -> int:
 def epsilon_curve(
     game: GameSpec,
     rho: CorrelatedFlow,
-    m0: InitialFamily,
+    m0: ProbabilityVector,
     ns: Sequence[int],
     cfg: SimulationConfig,
     method: str = "auto",
@@ -114,7 +108,6 @@ def epsilon_curve(
         if n < 2:
             raise ValueError("need at least two players")
         profile = lift(rho, n)
-        m0n = _initial_for(m0, n)
         if method == "auto":
             joint = d ** n
             atoms = sum(len(c) ** n for c in profile.conditionals)
@@ -125,7 +118,7 @@ def epsilon_curve(
         started = time.perf_counter()
         if use == "exact":
             gain = deviation_gain(
-                game, profile, 0, m0n, "exact",
+                game, profile, 0, m0, "exact",
                 joint_cap=joint_cap, atom_cap=atom_cap, strategy_cap=strategy_cap,
             )
             row = EpsilonRow(
@@ -134,7 +127,7 @@ def epsilon_curve(
         else:
             sub = SimulationConfig(_sub_seed(cfg.master_seed, n), cfg.replications)
             gain = deviation_gain(
-                game, profile, 0, m0n, "mc", sub, strategy_cap=strategy_cap
+                game, profile, 0, m0, "mc", sub, strategy_cap=strategy_cap
             )
             row = EpsilonRow(
                 n, gain.epsilon, gain.stderr, gain.replications,
@@ -212,24 +205,27 @@ class ConvergenceRow:
 def convergence_report(
     game: GameSpec,
     rho: CorrelatedFlow,
-    m0: InitialFamily,
+    m0: ProbabilityVector,
     ns: Sequence[int],
     cfg: SimulationConfig,
+    *,
+    strategy_cap: int = DEFAULT_STRATEGY_CAP,
+    ot_cap: int = DEFAULT_OT_CAP,
 ) -> tuple[ConvergenceRow, ...]:
     """W1 distance between the sampled N-player law and rho, per N.
 
-    Refuses flows that are not correlated MFG solutions: the experiment is
-    only meaningful for a solution's lift.
+    Refuses flows that are not correlated MFG solutions under m0: the
+    experiment is only meaningful for a solution's lift.
     """
-    verdict = verify_solution(game, rho, _initial_for(m0, 2))
+    verdict = verify_solution(game, rho, m0, strategy_cap)
     if not verdict.is_solution:
         raise ValueError("rho is not a correlated MFG solution")
     rows = []
     for n in sorted(set(int(n) for n in ns)):
         started = time.perf_counter()
         sub = SimulationConfig(_sub_seed(cfg.master_seed, n), cfg.replications)
-        emp = empirical_rho_n(game, lift(rho, n), _initial_for(m0, n), sub)
-        w1 = flow_space_distance(emp.flow, rho)
+        emp = empirical_rho_n(game, lift(rho, n), m0, sub)
+        w1 = flow_space_distance(emp.flow, rho, cap=ot_cap)
         rows.append(
             ConvergenceRow(n, w1, cfg.replications, time.perf_counter() - started)
         )

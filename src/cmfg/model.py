@@ -119,10 +119,10 @@ class FiniteSpace:
     def __post_init__(self):
         if not self.labels:
             raise ValueError("a finite space needs at least one label")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("labels must be distinct")
         if not all(isinstance(l, str) for l in self.labels):
             raise ValueError("labels must be strings")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("labels must be distinct")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -331,52 +331,59 @@ class GameSpec:
         check_mode(self.arithmetic)
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        T, dx, da = self.horizon, len(self.states), len(self.actions)
-        tr = self.transition.rows
-        if len(tr) != T or any(len(by_x) != dx for by_x in tr) or any(
-            len(by_a) != da for by_x in tr for by_a in by_x
-        ):
+        T, d, A = self.horizon, len(self.states), len(self.actions)
+        if not _has_shape(self.transition.rows, (T, d, A)):
             raise ValueError("transition table shape does not match (T, |X|, |A|)")
-        for by_x in tr:
-            for by_a in by_x:
-                for row in by_a:
-                    if len(row.base) != dx:
-                        raise ValueError("transition row dimension does not match |X|")
-        c = self.cost
-        if len(c.running_base) != T or len(c.running_coef) != T:
-            raise ValueError("running cost must cover t = 0..T-1")
-        for base_x, coef_x in zip(c.running_base, c.running_coef):
-            if len(base_x) != dx or len(coef_x) != dx:
-                raise ValueError("running cost state dimension mismatch")
-            for base_a, coef_a in zip(base_x, coef_x):
-                if len(base_a) != da or len(coef_a) != da:
-                    raise ValueError("running cost action dimension mismatch")
-                if any(len(row) != dx for row in coef_a):
-                    raise ValueError("running cost coef dimension mismatch")
-        if len(c.terminal_base) != dx or len(c.terminal_coef) != dx or any(
-            len(row) != dx for row in c.terminal_coef
-        ):
-            raise ValueError("terminal cost dimension mismatch")
-        self._check_scalar_types()
+        tables = self.tables()
+        for part, shapes in self.table_shapes(T, d, A).items():
+            for key, shape in shapes.items():
+                if not _has_shape(tables[part][key], shape):
+                    raise ValueError(f"{part}.{key} does not have shape {shape}")
+        self._check_scalar_types(tables)
 
-    def _check_scalar_types(self):
+    def _check_scalar_types(self, tables: dict):
         want = arith(self.arithmetic).scalar
 
-        def walk(node):
-            if isinstance(node, tuple):
-                for item in node:
-                    walk(item)
-            elif isinstance(node, AffineSimplexMap):
-                walk(node.base)
-                walk(node.coef)
-            elif not isinstance(node, want):
+        def check(v):
+            if not isinstance(v, want):
                 raise ValueError(
-                    f"{self.arithmetic} mode game contains {type(node).__name__} entry {node!r}"
+                    f"{self.arithmetic} mode game contains {type(v).__name__} entry {v!r}"
                 )
 
-        walk(self.transition.rows)
-        walk((self.cost.running_base, self.cost.running_coef,
-              self.cost.terminal_base, self.cost.terminal_coef))
+        map_nested(tables, check)
+
+    @staticmethod
+    def table_shapes(horizon: int, d: int, n_actions: int) -> dict:
+        """The lengths of every table of `tables()`, nested the same way."""
+        T, A = horizon, n_actions
+        return {
+            "transition": {"base": (T, d, A, d), "coef": (T, d, A, d, d)},
+            "cost": {"running_base": (T, d, A), "running_coef": (T, d, A, d),
+                     "terminal_base": (d,), "terminal_coef": (d, d)},
+        }
+
+    def tables(self) -> dict:
+        """Every numeric table, indexed as in the document: transition base[t][x][a][i]
+        and coef[t][x][a][i][y], then the cost tables by their field names."""
+        rows = self.transition.rows
+        return {
+            "transition": {
+                "base": tuple(tuple(tuple(r.base for r in by_a) for by_a in by_x) for by_x in rows),
+                "coef": tuple(tuple(tuple(r.coef for r in by_a) for by_a in by_x) for by_x in rows),
+            },
+            "cost": vars(self.cost).copy(),
+        }
+
+    @staticmethod
+    def from_tables(horizon, states, actions, tables: dict, arithmetic: str) -> "GameSpec":
+        """The game whose `tables()` are the given ones."""
+        tr = tables["transition"]
+        rows = tuple(
+            tuple(tuple(map(AffineSimplexMap, b_a, c_a)) for b_a, c_a in zip(b_x, c_x))
+            for b_x, c_x in zip(tr["base"], tr["coef"])
+        )
+        cost = AffineCost(**tables["cost"])
+        return GameSpec(horizon, states, actions, ThresholdTransition(rows), cost, arithmetic)
 
     def raw_kernel(self, t: int, x: int, m: Sequence[Scalar], a: int) -> tuple[Scalar, ...]:
         """Next-state weights from (t, x) under action a and measure weights m."""
@@ -424,26 +431,28 @@ class GameSpec:
         """Float64 copy of the game; this is a conversion, not a mode mix."""
         if self.arithmetic == FLOAT:
             return self
-
-        def conv_map(row: AffineSimplexMap) -> AffineSimplexMap:
-            return AffineSimplexMap(
-                tuple(float(b) for b in row.base),
-                tuple(tuple(float(c) for c in r) for r in row.coef),
-            )
-
-        tr = ThresholdTransition(
-            tuple(tuple(tuple(conv_map(r) for r in by_a) for by_a in by_x)
-                  for by_x in self.transition.rows)
+        return GameSpec.from_tables(
+            self.horizon, self.states, self.actions, map_nested(self.tables(), float), FLOAT
         )
-        c = self.cost
-        cost = AffineCost(
-            tuple(tuple(tuple(float(v) for v in ba) for ba in bx) for bx in c.running_base),
-            tuple(tuple(tuple(tuple(float(v) for v in row) for row in ca) for ca in cx)
-                  for cx in c.running_coef),
-            tuple(float(v) for v in c.terminal_base),
-            tuple(tuple(float(v) for v in row) for row in c.terminal_coef),
-        )
-        return GameSpec(self.horizon, self.states, self.actions, tr, cost, FLOAT)
+
+
+def map_nested(node, fn: Callable, container: type = tuple):
+    """The dicts and tuples of node rebuilt, tuples as container, with fn
+    applied to every other value: the one walk over a game's `tables()`."""
+    if isinstance(node, dict):
+        return {k: map_nested(v, fn, container) for k, v in node.items()}
+    if isinstance(node, tuple):
+        return container(map_nested(v, fn, container) for v in node)
+    return fn(node)
+
+
+def _has_shape(node, shape: tuple) -> bool:
+    """Whether node nests tuples of the lengths in shape, with no tuple below."""
+    if not shape:
+        return not isinstance(node, tuple)
+    return isinstance(node, tuple) and len(node) == shape[0] and all(
+        _has_shape(v, shape[1:]) for v in node
+    )
 
 
 def categorical_pick(weights: Sequence[Scalar], z) -> int:

@@ -146,6 +146,14 @@ class FactoredProfile:
 CorrelatedProfile = Union[ExplicitProfile, FactoredProfile]
 
 
+def _explicit(profile: CorrelatedProfile, atom_cap: int, player: int = 0) -> ExplicitProfile:
+    """The profile's atoms over strategy tuples; refuses a player index out of range."""
+    explicit = profile.expand(atom_cap) if isinstance(profile, FactoredProfile) else profile
+    if not 0 <= player < explicit.n_players:
+        raise ValueError(f"player index {player} out of range")
+    return explicit
+
+
 def symmetrize(profile: ExplicitProfile, cap: int = DEFAULT_ATOM_CAP) -> ExplicitProfile:
     """Average the profile over all coordinate permutations."""
     n_fact = math.factorial(profile.n_players)
@@ -340,7 +348,9 @@ class _AnonymousCostTable:
         key = (own.actions, tuple(sorted(s.actions for s in others)))
         hit = self.memo.get(key)
         if hit is None:
-            ordered = sorted(others, key=lambda s: s.sort_key())
+            # equal-width tables: ordering by actions is ordering by sort_key()
+            by_actions = {s.actions: s for s in others}
+            ordered = (by_actions[a] for a in key[1])
             prop = exact_joint_propagate(
                 self.game, (own, *ordered), self.m0n, joint_cap=self.joint_cap
             )
@@ -359,11 +369,7 @@ def profile_cost_exact(
     atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> Scalar:
     """Expected cost of `player` when it applies modification u to its draw."""
-    explicit = (
-        profile.expand(atom_cap) if isinstance(profile, FactoredProfile) else profile
-    )
-    if not 0 <= player < explicit.n_players:
-        raise ValueError(f"player index {player} out of range")
+    explicit = _explicit(profile, atom_cap, player)
     table = _AnonymousCostTable(game, m0n, joint_cap)
     total = zero(game.arithmetic)
     for vec, w in explicit.atoms:
@@ -390,19 +396,12 @@ class _MonteCarlo:
     """
 
     def __init__(self, game: GameSpec, strategies: Sequence[RestrictedStrategy]):
-        gf = game.to_float()
-        self.horizon = gf.horizon
-        self.d = len(gf.states)
-        self.n_actions = len(gf.actions)
-        T, d, A = self.horizon, self.d, self.n_actions
-        rows = [row for by_t in gf.transition.rows for by_x in by_t for row in by_x]
-        self.kb = np.array([r.base for r in rows], dtype=np.float64).reshape(T, d, A, d)
-        self.kc = np.array([r.coef for r in rows], dtype=np.float64).reshape(T, d, A, d, d)
-        self.rb = np.array(gf.cost.running_base, dtype=np.float64)
-        self.rc = np.array(gf.cost.running_coef, dtype=np.float64)
-        self.tb = np.array(gf.cost.terminal_base, dtype=np.float64)
-        self.tc = np.array(gf.cost.terminal_coef, dtype=np.float64)
-        self.eye = np.eye(d, dtype=np.int64)
+        self.horizon, self.d, self.n_actions = game.horizon, len(game.states), len(game.actions)
+        tables = game.tables()
+        kernel, cost = tables["transition"], tables["cost"]
+        self.kb, self.kc = (np.array(kernel[k], dtype=np.float64) for k in ("base", "coef"))
+        self.rb, self.rc, self.tb, self.tc = (np.array(v, dtype=np.float64) for v in cost.values())
+        self.eye = np.eye(self.d, dtype=np.int64)
         self.strategies = tuple(strategies)
         self.act = np.array([s.actions for s in self.strategies], dtype=np.int64)
         self.strategy_index = {s.actions: i for i, s in enumerate(strategies)}
@@ -665,11 +664,7 @@ def deviation_gain(
 def _deviation_gain_exact(
     game, profile, player, m0n, joint_cap, atom_cap, strategy_cap
 ) -> DeviationGainResult:
-    explicit = (
-        profile.expand(atom_cap) if isinstance(profile, FactoredProfile) else profile
-    )
-    if not 0 <= player < explicit.n_players:
-        raise ValueError(f"player index {player} out of range")
+    explicit = _explicit(profile, atom_cap, player)
     candidates = enumerate_strategies(game, strategy_cap)
     cand_index = {s.actions: i for i, s in enumerate(candidates)}
     table = _AnonymousCostTable(game, m0n, joint_cap)
@@ -868,9 +863,7 @@ def exchangeability_check(
     """
     if not is_symmetric(profile):
         raise ValueError("profile is not symmetric")
-    explicit = (
-        profile.expand(atom_cap) if isinstance(profile, FactoredProfile) else profile
-    )
+    explicit = _explicit(profile, atom_cap)
     n = explicit.n_players
     if not 0 <= t <= game.horizon:
         raise ValueError(f"time {t} outside 0..{game.horizon}")

@@ -8,6 +8,8 @@
   * `lp_debug_dump`: a readable listing of a linear program;
   * `random_game`: seeded random valid games whose kernels and costs depend
     on the measure;
+  * `malformed_game`: a game document with one shape fault of the kinds in
+    `MALFORMED_GAMES`, each of which `io.game_from_json` must refuse;
   * `deviation_costs_by_candidate`: the Monte Carlo deviation audit with one
     simulation per candidate strategy, which
     `nplayer._MonteCarlo.deviation_costs` replaces by one walk of the
@@ -15,6 +17,7 @@
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -164,3 +167,34 @@ def deviation_costs_by_candidate(mc, strat_rows, x0, noise, player):
         rows[:, player] = c
         costs[:, c] = mc.run(rows, x0, noise, player)[0]
     return costs
+
+
+def malformed_game(doc, edit):
+    """A copy of the game document with one shape fault."""
+    doc = json.loads(json.dumps(doc))
+    base, coef = doc["transition"]["base"], doc["transition"]["coef"]
+    if edit == "not-an-object":
+        return []
+    if edit == "base-one-step-short":
+        base.pop()
+    if edit == "base-and-coef-one-step-long":
+        base.append(base[0])
+        coef.append(coef[0])
+    if edit == "base-row-is-scalar":
+        base[0] = 5
+    if edit == "states-is-string":
+        doc["states"] = "ab"
+    if edit == "horizon-is-float":
+        doc["horizon"] = 2.7
+    if edit == "horizon-is-bool":
+        doc["horizon"] = True
+    if edit == "horizon-is-negative":
+        doc["horizon"] = -1
+    return doc
+
+
+MALFORMED_GAMES = (
+    "not-an-object", "base-one-step-short", "base-and-coef-one-step-long",
+    "base-row-is-scalar", "states-is-string", "horizon-is-float", "horizon-is-bool",
+    "horizon-is-negative",
+)

@@ -8,6 +8,8 @@ import pytest
 
 from cmfg import cli, io
 
+from oracles import MALFORMED_GAMES, malformed_game
+
 
 def run_cli(argv):
     return cli.run(cli.parse_args(argv))
@@ -401,6 +403,65 @@ class TestMalformedDocuments:
         assert "at least one atom" in capsys.readouterr().err
 
 
+    def assert_invalid_input(self, code, capsys):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid input:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", MALFORMED_GAMES)
+    def test_malformed_game_exits_2(self, example_dir, tmp_path, capsys, edit):
+        doc = malformed_game(io.read_json(str(example_dir / "game.json")), edit)
+        path = tmp_path / "bad_game.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(["validate", str(path), "-o", str(tmp_path / "o")])
+        self.assert_invalid_input(code, capsys)
+
+    def test_fractional_player_count_exits_2(self, example_dir, tmp_path, capsys):
+        game = str(example_dir / "game.json")
+        lifted = tmp_path / "lift"
+        assert run_cli(
+            ["lift", "--game", game, "--flow", str(example_dir / "rho.json"),
+             "-N", "3", "-o", str(lifted)]
+        ) == 0
+        doc = io.read_json(str(lifted / "profile.json"))
+        doc["factored"]["n_players"] = 2.5
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(
+            ["nplayer", "epsilon", "--game", game, "--profile", str(path), "-o", str(tmp_path / "o")]
+        )
+        self.assert_invalid_input(code, capsys)
+
+    @pytest.mark.parametrize(
+        "kind, doc",
+        [("profile", {"explicit": {"a": 1}}), ("flow", {"atoms": 5})],
+        ids=["explicit-object", "atoms-scalar"],
+    )
+    def test_malformed_profile_or_flow_exits_2(self, example_dir, tmp_path, capsys, kind, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        game = ["--game", str(example_dir / "game.json"), "-o", str(tmp_path / "o")]
+        argv = (
+            ["nplayer", "epsilon", "--profile", str(path)] if kind == "profile"
+            else ["mfg", "verify", "--flow", str(path)]
+        )
+        self.assert_invalid_input(run_cli(argv + game), capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["example", "section5", "--c0", "1/0"],
+            ["example", "section5", "--alpha", "half"],
+            ["limits", "converge", "--game", "g.json", "--flow", "r.json", "--Ns", "2.5"],
+            ["limits", "converge", "--game", "g.json", "--flow", "r.json", "--Ns", ","],
+        ],
+        ids=["c0-zero-denominator", "alpha-word", "Ns-fraction", "Ns-empty"],
+    )
+    def test_bad_option_value_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args(argv)
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -457,6 +518,21 @@ class TestLimitsCommands:
         lines = (out / "convergence.csv").read_text().splitlines()
         assert lines[0] == "N,W1,reps,seconds"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("cap", ["--ot-cap", "--strategy-cap"])
+    def test_converge_honours_caps(self, example_dir, tmp_path, capsys, cap):
+        out = tmp_path / "conv"
+        code = run_cli(
+            [
+                "limits", "converge",
+                "--game", str(example_dir / "game.json"),
+                "--flow", str(example_dir / "rho.json"),
+                "--Ns", "5", "--reps", "50", cap, "5", "-o", str(out),
+            ]
+        )
+        assert code == 3
+        assert "capacity error" in capsys.readouterr().err
+        assert not (out / "convergence.csv").exists()
 
 
 class TestDeterminismAndManifest:

@@ -5,11 +5,15 @@ import os
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmfg import io
 from cmfg.limits import lift
 from cmfg.model import EXACT, FLOAT, RestrictedStrategy
 from cmfg.nplayer import ExplicitProfile, FactoredProfile
+
+from oracles import MALFORMED_GAMES, malformed_game, random_game
 
 
 class TestScalars:
@@ -106,6 +110,44 @@ class TestGameDocuments:
             io.game_from_json(doc)
 
 
+class TestMalformedGameDocuments:
+    @pytest.mark.parametrize("edit", MALFORMED_GAMES)
+    def test_rejected(self, game, edit):
+        with pytest.raises(ValueError):
+            io.game_from_json(malformed_game(io.game_to_json(game), edit))
+
+    def test_missing_table_rejected(self, game):
+        doc = io.game_to_json(game)
+        del doc["cost"]["terminal_coef"]
+        with pytest.raises(ValueError, match="terminal_coef"):
+            io.game_from_json(doc)
+
+
+class TestGameTables:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+    def test_roundtrip_and_float_copy(self, seed, d, n_actions, horizon):
+        g = random_game(seed, d, n_actions, horizon)
+        assert io.game_from_json(json.loads(json.dumps(io.game_to_json(g)))) == g
+        f = g.to_float()
+        c, fc = g.cost, f.cost
+        assert fc.running_base == tuple(
+            tuple(tuple(float(v) for v in by_a) for by_a in by_x) for by_x in c.running_base
+        )
+        assert fc.running_coef == tuple(
+            tuple(tuple(tuple(float(v) for v in row) for row in by_a) for by_a in by_x)
+            for by_x in c.running_coef
+        )
+        assert fc.terminal_base == tuple(float(v) for v in c.terminal_base)
+        assert fc.terminal_coef == tuple(tuple(float(v) for v in row) for row in c.terminal_coef)
+        for t in range(horizon):
+            for x in range(d):
+                for a in range(n_actions):
+                    row, frow = g.transition.row(t, x, a), f.transition.row(t, x, a)
+                    assert frow.base == tuple(float(v) for v in row.base)
+                    assert frow.coef == tuple(tuple(float(v) for v in r) for r in row.coef)
+
+
 class TestStrategyAndFlowDocuments:
     def test_strategy_uses_action_labels(self, game):
         phi = RestrictedStrategy(((1, 0), (0, 0)))
@@ -168,6 +210,27 @@ class TestProfileDocuments:
         with pytest.raises(ValueError):
             io.profile_from_json({"neither": []}, game)
 
+    @pytest.mark.parametrize("doc", [[], "explicit"])
+    def test_non_object_rejected(self, game, doc):
+        with pytest.raises(ValueError):
+            io.profile_from_json(doc, game)
+
+    @pytest.mark.parametrize("n_players", [2.5, "3", True])
+    def test_non_integer_player_count_rejected(self, game, rho, n_players):
+        doc = io.profile_to_json(lift(rho, 3), game)
+        doc["factored"]["n_players"] = n_players
+        with pytest.raises(ValueError, match="n_players must be a JSON integer"):
+            io.profile_from_json(doc, game)
+
+    def test_explicit_object_rejected(self, game):
+        with pytest.raises(ValueError):
+            io.profile_from_json({"explicit": {"a": 1}}, game)
+
+    @pytest.mark.parametrize("doc", [{"atoms": 5}, {"atoms": [5]}, {}, []])
+    def test_malformed_flow_rejected(self, game, doc):
+        with pytest.raises(ValueError):
+            io.flow_from_json(doc, game)
+
 
 class TestMeasureParsing:
     def test_measure_from_text(self, game):
@@ -177,6 +240,11 @@ class TestMeasureParsing:
     def test_wrong_arity_rejected(self, game):
         with pytest.raises(ValueError):
             io.measure_from_text("1/4,1/4,1/2", game)
+
+    @pytest.mark.parametrize("text", ["", ",", "1/2,[1]"])
+    def test_empty_or_bad_list_rejected(self, game, text):
+        with pytest.raises(ValueError):
+            io.measure_from_text(text, game)
 
     def test_non_distribution_rejected(self, game):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Core model types: spaces, measures, strategies, kernels, sampling."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from cmfg.model import (
     FlowTrajectory,
     ProbabilityVector,
     RestrictedStrategy,
+    ThresholdTransition,
     categorical_pick,
     dist,
     empirical_measure,
@@ -248,6 +250,24 @@ class TestGameSpec:
         u = ProbabilityVector.uniform(fg.states, FLOAT)
         row = fg.kernel(0, 0, u, 1)
         assert row.weights == (0.75, 0.25)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda g: replace(g, horizon=3),
+            lambda g: replace(g, transition=ThresholdTransition(g.transition.rows[:1])),
+            lambda g: replace(g, cost=replace(g.cost, running_coef=g.cost.running_coef[:1])),
+            lambda g: replace(g, cost=replace(
+                g.cost, terminal_coef=(g.cost.terminal_coef[0], g.cost.terminal_coef[1][:1]))),
+            lambda g: replace(g, cost=replace(g.cost, terminal_base=((F(0),), F(0)))),
+            lambda g: replace(g, cost=replace(g.cost, terminal_base=(0.5, F(0)))),
+        ],
+        ids=["horizon", "transition-steps", "running-coef-steps", "terminal-coef-row",
+             "tuple-entry", "float-entry"],
+    )
+    def test_tables_of_wrong_shape_or_type_rejected(self, game, edit):
+        with pytest.raises(ValueError):
+            edit(game)
 
     def test_validate_game_ok(self, game):
         report = validate_game(game)
