@@ -196,14 +196,13 @@ class _Session:
         self.started = time.perf_counter()
 
     def read_json(self, path: str):
-        doc = io.read_json(path)
         with open(path, "rb") as handle:
-            digest = hashlib.sha256(handle.read()).hexdigest()
+            data = handle.read()
         self.inputs[os.path.basename(path)] = {
             "path": os.path.abspath(path),
-            "sha256": digest,
+            "sha256": hashlib.sha256(data).hexdigest(),
         }
-        return doc
+        return json.loads(data.decode("utf-8"))
 
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
@@ -336,23 +335,7 @@ def _run_mfg_verify(session: _Session, opts: dict) -> int:
 def _run_mfg_best_response(session: _Session, opts: dict) -> int:
     game, rho, m0 = _load_game_flow(session, opts)
     report = mfg.optimality_gap(game, rho, m0, opts["strategy_cap"])
-    strategies = mfg.enumerate_strategies(game, opts["strategy_cap"])
-    index = {s.actions: i for i, s in enumerate(strategies)}
-    rows = [
-        (
-            0,
-            index[r.recommendation.actions],
-            r.cost,
-            index[r.best.actions],
-            r.gap,
-        )
-        for r in report.rows
-    ]
-    session.write_csv(
-        "best_response.csv",
-        ("player", "recommendation", "cost", "best_response", "gap"),
-        rows,
-    )
+    _gap_rows_csv(session, "best_response.csv", [(0, report)])
     session.write_json(
         "gap.json", {"ok": report.ok, "gap": io.scalar_json(report.gap)}
     )

@@ -29,6 +29,7 @@ Documents
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -55,7 +56,7 @@ from .nplayer import CorrelatedProfile, ExplicitProfile, FactoredProfile
 
 def parse_scalar(value, mode: str) -> Scalar:
     """One number from JSON or a command line: an integer, a "p/q" string or,
-    in float mode only, a JSON float."""
+    in float mode only, a JSON float; a float must be finite."""
     if isinstance(value, str):
         try:
             value = Fraction(value)
@@ -65,7 +66,15 @@ def parse_scalar(value, mode: str) -> Scalar:
         raise ValueError(f"not a number: {value!r}")
     elif mode == EXACT and isinstance(value, float):
         raise ValueError(f"exact mode requires integers or 'p/q' strings, got {value!r}")
-    return Fraction(value) if mode == EXACT else float(value)
+    if mode == EXACT:
+        return Fraction(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ValueError("number outside the float range") from None
+    if not math.isfinite(out):
+        raise ValueError(f"not a finite number: {out}")
+    return out
 
 
 def scalar_json(value: Scalar):

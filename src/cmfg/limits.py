@@ -70,8 +70,8 @@ class EpsilonCurve:
                 raise ValueError(f"negative epsilon {r.epsilon} at N={r.n_players}")
 
 
-# exact evaluation touches every (atom, joint state, joint successor) triple;
-# past this many triples the Monte Carlo route is faster at default replications
+# a fixed heuristic price for the exact route under --method auto (atoms times
+# squared joint size), kept as it is so that auto keeps its pinned choices
 _EXACT_WORK_CAP = 32768
 
 
@@ -94,11 +94,11 @@ def epsilon_curve(
 ) -> EpsilonCurve:
     """Deviation gain of the lifted profile at each population size.
 
-    Exact joint propagation when the joint-state space, the factored
-    expansion, and the propagation work (atoms times squared joint size,
-    the operation count of one exact evaluation) all fit their caps;
-    Monte Carlo with common random numbers otherwise.  Lifted profiles are
-    exchangeable, so player 1's gain equals every player's gain.
+    With method "auto", the exact engine when the joint-state space, the
+    factored expansion and a fixed heuristic price (atoms times squared joint
+    size) all fit their caps; Monte Carlo with common random numbers
+    otherwise.  Lifted profiles are exchangeable, so player 1's gain equals
+    every player's gain.
     """
     if method not in ("auto", "exact", "mc"):
         raise ValueError(f"unknown method {method!r}")

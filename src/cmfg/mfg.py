@@ -82,11 +82,8 @@ class CorrelatedFlow:
         return self.atoms[0][1].mode
 
     def support_strategies(self) -> tuple[RestrictedStrategy, ...]:
-        seen = []
-        for phi, _, _ in self.atoms:
-            if phi not in seen:
-                seen.append(phi)
-        return tuple(sorted(seen, key=lambda s: s.sort_key()))
+        # atoms are sorted by strategy first, so this is enumeration order
+        return tuple(dict.fromkeys(phi for phi, _, _ in self.atoms))
 
     def to_float(self) -> "CorrelatedFlow":
         if self.mode == FLOAT:
@@ -226,6 +223,22 @@ def correlated_cost(
     return total
 
 
+def conditional_values(
+    game: GameSpec,
+    rho: CorrelatedFlow,
+    phi: RestrictedStrategy,
+    candidates: Sequence[RestrictedStrategy],
+    m0: ProbabilityVector,
+) -> list[Scalar]:
+    """Unnormalized cost of playing each candidate on the event {recommendation = phi}."""
+    flows = [(flow, w) for p, flow, w in rho.atoms if p == phi]
+    return [
+        sum((w * deterministic_cost(game, psi, flow, m0) for flow, w in flows),
+            zero(game.arithmetic))
+        for psi in candidates
+    ]
+
+
 def conditional_cost(
     game: GameSpec,
     rho: CorrelatedFlow,
@@ -234,18 +247,38 @@ def conditional_cost(
     m0: ProbabilityVector,
 ) -> Scalar:
     """Unnormalized cost of playing psi on the event {recommendation = phi}."""
-    total = zero(game.arithmetic)
-    for p, flow, w in rho.atoms:
-        if p == phi:
-            total += w * deterministic_cost(game, psi, flow, m0)
-    return total
+    return conditional_values(game, rho, phi, (psi,), m0)[0]
 
 
 @dataclass(frozen=True)
-class BestResponse:
-    strategy: RestrictedStrategy
-    value: Scalar
-    tied: int  # number of strategies achieving the minimal value
+class GapRow:
+    """One recommendation's obedience check; every value is unnormalized."""
+
+    recommendation: RestrictedStrategy
+    rec_index: int  # position among the candidates
+    cost: Scalar  # cost of obeying
+    best: RestrictedStrategy
+    best_index: int
+    best_value: Scalar
+    gap: Scalar
+    tied: int  # number of candidates achieving the minimal value
+
+
+def gap_rows(
+    candidates: Sequence[RestrictedStrategy],
+    values_by_rec: Sequence[tuple[int, Sequence[Scalar]]],
+) -> tuple[GapRow, ...]:
+    """One row per (recommendation index, values of every candidate) pair;
+    the best response is the first minimum, the smallest of tied candidates."""
+    rows = []
+    for rec_i, values in values_by_rec:
+        best = min(values)
+        best_i = values.index(best)
+        rows.append(GapRow(
+            candidates[rec_i], rec_i, values[rec_i], candidates[best_i], best_i,
+            best, values[rec_i] - best, values.count(best),
+        ))
+    return tuple(rows)
 
 
 def best_response(
@@ -254,35 +287,13 @@ def best_response(
     phi: RestrictedStrategy,
     m0: ProbabilityVector,
     cap: int = DEFAULT_STRATEGY_CAP,
-) -> BestResponse:
-    """Exhaustive minimization of the conditional cost over every strategy.
-
-    Ties are broken by the lexicographic strategy order.
-    """
-    support = rho.support_strategies()
-    if phi not in support:
+) -> GapRow:
+    """Exhaustive minimization of the conditional cost over every strategy."""
+    if phi not in rho.support_strategies():
         raise ValueError("recommendation outside the support of the correlated flow")
-    flows = [(flow, w) for p, flow, w in rho.atoms if p == phi]
-    best_phi = None
-    best_val = None
-    tied = 0
-    for psi in enumerate_strategies(game, cap):
-        val = sum(w * deterministic_cost(game, psi, flow, m0) for flow, w in flows)
-        if best_val is None or val < best_val:
-            best_phi, best_val, tied = psi, val, 1
-        elif val == best_val:
-            tied += 1
-    return BestResponse(best_phi, best_val, tied)
-
-
-@dataclass(frozen=True)
-class GapRow:
-    recommendation: RestrictedStrategy
-    cost: Scalar            # unnormalized conditional cost of obeying
-    best: RestrictedStrategy
-    best_value: Scalar
-    gap: Scalar
-    tied: int
+    candidates = enumerate_strategies(game, cap)
+    values = conditional_values(game, rho, phi, candidates, m0)
+    return gap_rows(candidates, [(candidates.index(phi), values)])[0]
 
 
 @dataclass(frozen=True)
@@ -304,15 +315,13 @@ def optimality_gap(
 ) -> OptimalityReport:
     """Total improvement available over all recommendations; zero means optimal."""
     _require_game_mode(game, rho.mode)
-    rows = []
-    gap = zero(game.arithmetic)
-    for phi in rho.support_strategies():
-        own = conditional_cost(game, rho, phi, phi, m0)
-        br = best_response(game, rho, phi, m0, cap)
-        g = own - br.value
-        rows.append(GapRow(phi, own, br.strategy, br.value, g, br.tied))
-        gap += g
-    return OptimalityReport(gap <= arith(game.arithmetic).tol, gap, tuple(rows))
+    candidates = enumerate_strategies(game, cap)
+    rows = gap_rows(candidates, [
+        (candidates.index(phi), conditional_values(game, rho, phi, candidates, m0))
+        for phi in rho.support_strategies()
+    ])
+    gap = sum((r.gap for r in rows), zero(game.arithmetic))
+    return OptimalityReport(gap <= arith(game.arithmetic).tol, gap, rows)
 
 
 @dataclass(frozen=True)

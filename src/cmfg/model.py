@@ -549,12 +549,6 @@ class ValidationReport:
     violations: tuple[Violation, ...]
     lipschitz: Scalar
 
-    def lines(self) -> list[str]:
-        head = "valid" if self.ok else f"invalid ({len(self.violations)} violations)"
-        out = [f"game validation: {head}", f"kernel modulus bound: {self.lipschitz}"]
-        out.extend(f"  {v.location}: {v.message}" for v in self.violations)
-        return out
-
 
 def validate_game(game: GameSpec) -> ValidationReport:
     """Check every kernel row's simplex-map invariants; never raises."""

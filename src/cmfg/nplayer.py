@@ -31,7 +31,7 @@ import numpy as np
 
 from . import rng
 from .lp import EQ, GE, InfeasibleError, LinRow, LinearProgram, solve_lp
-from .mfg import DeviationMap
+from .mfg import DeviationMap, GapRow, gap_rows
 from .model import (
     DEFAULT_ATOM_CAP,
     DEFAULT_JOINT_CAP,
@@ -610,23 +610,10 @@ def mc_profile_cost(
 
 
 @dataclass(frozen=True)
-class DeviationRow:
-    """Per-recommendation slice of the gain: all quantities unnormalized."""
-
-    recommendation: RestrictedStrategy
-    rec_index: int
-    cost: Scalar  # contribution of this recommendation under identity
-    best: RestrictedStrategy
-    best_index: int
-    best_value: Scalar
-    gap: Scalar
-
-
-@dataclass(frozen=True)
 class DeviationGainResult:
     player: int
     epsilon: Scalar
-    rows: tuple[DeviationRow, ...]
+    rows: tuple[GapRow, ...]
     method: str  # "exact" | "mc"
     stderr: Optional[float] = None
     replications: Optional[int] = None
@@ -668,32 +655,22 @@ def _deviation_gain_exact(
     candidates = enumerate_strategies(game, strategy_cap)
     cand_index = {s.actions: i for i, s in enumerate(candidates)}
     table = _AnonymousCostTable(game, m0n, joint_cap)
-    by_rec: dict[tuple, list] = {}
+    by_rec: dict[int, list] = {}
     for vec, w in explicit.atoms:
-        by_rec.setdefault(vec[player].actions, []).append((vec, w))
-    rows = []
-    epsilon = zero(game.arithmetic)
-    for rec_key in sorted(by_rec):
-        atoms = by_rec[rec_key]
-        rec = next(vec[player] for vec, _ in atoms)
+        others = tuple(s for j, s in enumerate(vec) if j != player)
+        by_rec.setdefault(cand_index[vec[player].actions], []).append((others, w))
+    values_by_rec = []
+    for rec_i in sorted(by_rec):
         values = []
         for psi in candidates:
             v = zero(game.arithmetic)
-            for vec, w in atoms:
-                others = tuple(s for j, s in enumerate(vec) if j != player)
+            for others, w in by_rec[rec_i]:
                 v += w * table.cost(psi, others)
             values.append(v)
-        id_value = values[cand_index[rec_key]]
-        best_i = min(range(len(values)), key=values.__getitem__)  # first minimum
-        gap = id_value - values[best_i]
-        epsilon += gap
-        rows.append(
-            DeviationRow(
-                rec, cand_index[rec_key], id_value,
-                candidates[best_i], best_i, values[best_i], gap,
-            )
-        )
-    return DeviationGainResult(player, epsilon, tuple(rows), "exact")
+        values_by_rec.append((rec_i, values))
+    rows = gap_rows(candidates, values_by_rec)
+    epsilon = sum((r.gap for r in rows), zero(game.arithmetic))
+    return DeviationGainResult(player, epsilon, rows, "exact")
 
 
 def _deviation_gain_mc(
@@ -715,23 +692,16 @@ def _deviation_gain_mc(
         stop = start + len(strat_rows)
         rec_rows[start:stop] = strat_rows[:, player]
         costs[start:stop] = mc.deviation_costs(strat_rows, x0, noise, player)
-    rows = []
+    recs = sorted(set(rec_rows.tolist()))
+    masks = [rec_rows == rec_i for rec_i in recs]
+    rows = gap_rows(candidates, [
+        (rec_i, (costs[mask].sum(axis=0) / reps).tolist())  # unnormalized sums
+        for rec_i, mask in zip(recs, masks)
+    ])
+    epsilon = sum((r.gap for r in rows), 0.0)
     gains = np.zeros(reps, dtype=np.float64)
-    epsilon = 0.0
-    for rec_i in sorted(set(rec_rows.tolist())):
-        mask = rec_rows == rec_i
-        g_slice = costs[mask]
-        sums = g_slice.sum(axis=0) / reps  # unnormalized contributions
-        best_i = int(np.argmin(sums))
-        gap = float(sums[rec_i] - sums[best_i])
-        epsilon += gap
-        gains[mask] = g_slice[:, rec_i] - g_slice[:, best_i]
-        rows.append(
-            DeviationRow(
-                candidates[rec_i], rec_i, float(sums[rec_i]),
-                candidates[best_i], best_i, float(sums[best_i]), gap,
-            )
-        )
+    for row, mask in zip(rows, masks):
+        gains[mask] = costs[mask, row.rec_index] - costs[mask, row.best_index]
     if reps > 1:
         mean = float(gains.mean())
         var = float(np.sum((gains - mean) ** 2)) / (reps - 1)
@@ -739,7 +709,7 @@ def _deviation_gain_mc(
     else:
         stderr = 0.0
     return DeviationGainResult(
-        player, epsilon, tuple(rows), "mc", stderr=stderr, replications=reps
+        player, epsilon, rows, "mc", stderr=stderr, replications=reps
     )
 
 

@@ -13,7 +13,13 @@
   * `deviation_costs_by_candidate`: the Monte Carlo deviation audit with one
     simulation per candidate strategy, which
     `nplayer._MonteCarlo.deviation_costs` replaces by one walk of the
-    deviator's action tree.
+    deviator's action tree;
+  * `random_correlated_flow`: a seeded correlated flow on a game, with random
+    strategies, flows and weights (not a solution);
+  * `optimality_rows`: the mean-field optimality rows from a running minimum
+    over the candidates, one recommendation at a time, which
+    `mfg.optimality_gap` replaces by one value vector per recommendation and
+    the shared `mfg.gap_rows`.
 """
 
 import itertools
@@ -24,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from cmfg.lp import EQ, GE, LinearProgram, LinRow
+from cmfg.mfg import CorrelatedFlow, GapRow, deterministic_cost
 from cmfg.model import (
     DEFAULT_JOINT_CAP,
     DEFAULT_LP_CAP,
@@ -33,7 +40,9 @@ from cmfg.model import (
     AffineSimplexMap,
     CapacityError,
     FiniteSpace,
+    FlowTrajectory,
     GameSpec,
+    ProbabilityVector,
     ThresholdTransition,
     enumerate_strategies,
 )
@@ -167,6 +176,52 @@ def deviation_costs_by_candidate(mc, strat_rows, x0, noise, player):
         rows[:, player] = c
         costs[:, c] = mc.run(rows, x0, noise, player)[0]
     return costs
+
+
+def random_correlated_flow(seed: int, game: GameSpec, n_atoms: int) -> CorrelatedFlow:
+    """Up to n_atoms (strategy, flow) atoms with random rational flows and
+    weights; three strategies at most, so recommendations carry several flows."""
+    r = random.Random(seed)
+    strategies = enumerate_strategies(game)
+    d = len(game.states)
+
+    def measure():
+        raw = [r.randint(0, 3) for _ in range(d)]
+        raw[r.randrange(d)] += 1
+        return ProbabilityVector(game.states, tuple(Fraction(v, sum(raw)) for v in raw), EXACT)
+
+    pool = r.sample(strategies, min(3, len(strategies)))
+    atoms = {}
+    for _ in range(n_atoms):
+        flow = FlowTrajectory(tuple(measure() for _ in range(game.horizon + 1)))
+        atoms[(r.choice(pool), flow)] = r.randint(1, 5)
+    total = sum(atoms.values())
+    return CorrelatedFlow(tuple((phi, flow, Fraction(w, total)) for (phi, flow), w in atoms.items()))
+
+
+def optimality_rows(game, rho, m0, cap: int = DEFAULT_STRATEGY_CAP) -> tuple:
+    """Per recommendation in enumeration order: the cost of obeying as its own
+    atom sum, and the best response as the first strict running minimum over
+    every candidate, counting the candidates that tie with it."""
+    candidates = enumerate_strategies(game, cap)
+    support = sorted({phi for phi, _, _ in rho.atoms}, key=lambda s: s.sort_key())
+    rows = []
+    for phi in support:
+        flows = [(flow, w) for p, flow, w in rho.atoms if p == phi]
+        own = sum(w * deterministic_cost(game, phi, flow, m0) for flow, w in flows)
+        best_i = best_val = None
+        tied = 0
+        for i, psi in enumerate(candidates):
+            val = sum(w * deterministic_cost(game, psi, flow, m0) for flow, w in flows)
+            if best_val is None or val < best_val:
+                best_i, best_val, tied = i, val, 1
+            elif val == best_val:
+                tied += 1
+        rows.append(GapRow(
+            phi, candidates.index(phi), own, candidates[best_i], best_i, best_val,
+            own - best_val, tied,
+        ))
+    return tuple(rows)
 
 
 def malformed_game(doc, edit):

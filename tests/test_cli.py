@@ -1,5 +1,6 @@
 """Command-line interface: parsing, exit codes, artifacts, determinism."""
 
+import hashlib
 import json
 import os
 from fractions import Fraction as F
@@ -203,10 +204,14 @@ class TestVerificationCommands:
         code = run_cli(["validate", str(tmp_path / "nope.json")])
         assert code == 2
 
-    def test_malformed_json_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "data", [b"{not json", b"\xff\xfe{}", b"\xef\xbb\xbf{}"],
+        ids=["not-json", "not-utf-8", "utf-8-bom"],
+    )
+    def test_malformed_json_exits_2(self, tmp_path, data):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert run_cli(["validate", str(bad)]) == 2
+        bad.write_bytes(data)
+        assert run_cli(["validate", str(bad), "-o", str(tmp_path / "o")]) == 2
 
 
 class TestNPlayerCommands:
@@ -448,6 +453,20 @@ class TestMalformedDocuments:
         self.assert_invalid_input(run_cli(argv + game), capsys)
 
     @pytest.mark.parametrize(
+        "value", [10**400, float("nan"), float("inf")], ids=["overflow", "nan", "inf"]
+    )
+    def test_float_game_with_non_finite_number_exits_2(
+        self, example_dir, tmp_path, capsys, value
+    ):
+        doc = io.read_json(str(example_dir / "game.json"))
+        doc["arithmetic"] = "float"
+        doc["cost"]["terminal_base"][0] = value
+        path = tmp_path / "float_game.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(["validate", str(path), "-o", str(tmp_path / "o")])
+        self.assert_invalid_input(code, capsys)
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["example", "section5", "--c0", "1/0"],
@@ -558,8 +577,9 @@ class TestDeterminismAndManifest:
         manifest = io.read_json(str(out / "manifest.json"))
         assert manifest["command"] == "mfg verify"
         assert set(manifest["inputs"]) == {"game.json", "rho.json"}
-        for entry in manifest["inputs"].values():
-            assert len(entry["sha256"]) == 64
+        for name, entry in manifest["inputs"].items():
+            data = (example_dir / name).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
         assert manifest["outputs"] == ["verdict.json"]
         assert manifest["versions"]["cmfg"]
         assert manifest["wall_seconds"] > 0
@@ -577,3 +597,69 @@ class TestDeterminismAndManifest:
             ]
         )
         assert (example_dir / "game.json").read_bytes() == before
+
+
+def _gap_audit_outputs(tmp_path) -> dict[str, bytes]:
+    """Bytes of every gap table and verdict the CLI writes on the example at the
+    default c1 and at c1 = 3/32, including the N=4 lift's exact and MC audits."""
+    out = {}
+    for tag, extra in (("default", []), ("c1-3-32", ["--c1", "3/32"])):
+        ex = tmp_path / tag
+        run_cli(["example", "section5", *extra, "-o", str(ex)])
+        doc = ["--game", str(ex / "game.json"), "--flow", str(ex / "rho.json")]
+        for command, names in (
+            ("verify", ("verdict.json",)),
+            ("best-response", ("best_response.csv", "gap.json")),
+        ):
+            run_cli(["mfg", command, *doc, "-o", str(ex / command)])
+            for name in names:
+                out[f"{tag}/{command}/{name}"] = (ex / command / name).read_bytes()
+    ex = tmp_path / "c1-3-32"
+    assert run_cli([
+        "lift", "--game", str(ex / "game.json"), "--flow", str(ex / "rho.json"),
+        "-N", "4", "-o", str(ex / "lift"),
+    ]) == 0
+    for method, extra in (("exact", []), ("mc", ["--reps", "2000", "--seed", "3"])):
+        eps = ex / f"eps-{method}"
+        assert run_cli([
+            "nplayer", "epsilon", "--game", str(ex / "game.json"),
+            "--profile", str(ex / "lift" / "profile.json"), "--m0", "1/2,1/2",
+            "--method", method, *extra, "-o", str(eps),
+        ]) == 0
+        for name in ("gains.csv", "epsilon.json"):
+            out[f"c1-3-32/eps-{method}/{name}"] = (eps / name).read_bytes()
+    return out
+
+
+# SHA-256 of each file above as written before the mean-field optimality check
+# and both N-player deviation audits built their rows through one gap table
+GAP_AUDIT_DIGESTS = {
+    "default/verify/verdict.json":
+        "cd4d73d15baf60a9d7e401300035969ebab2f2dbb455e47efd66b92467d20b44",
+    "default/best-response/best_response.csv":
+        "aac2b010142dbd43a99a193263b92aefce6d84126bb89b73998ec6fe2491152f",
+    "default/best-response/gap.json":
+        "ff3d0d3f99a754753d79aafa2bdcafcf6a6c8834575da0b8d5150d3b85f762e9",
+    "c1-3-32/verify/verdict.json":
+        "cc53d4f175a5352007e01bc691e7aba006682860fbe2799100c97936cc48fa15",
+    "c1-3-32/best-response/best_response.csv":
+        "35310ccccb961efe4c24f6696d4807036eb7104b51bb5f8faa0ee53e563c8b96",
+    "c1-3-32/best-response/gap.json":
+        "4759488dd851bfa4ed1dbeed6d5797e5f4e6671dff6ac0e688fc559927f44059",
+    "c1-3-32/eps-exact/gains.csv":
+        "35310ccccb961efe4c24f6696d4807036eb7104b51bb5f8faa0ee53e563c8b96",
+    "c1-3-32/eps-exact/epsilon.json":
+        "316c90c959b9ede2776e0bf4576f4120150c16c2268287a7d55499d0d9e9581b",
+    "c1-3-32/eps-mc/gains.csv":
+        "fe08572e4dae49b2a22077b520815b1f621db620c4a0d080ebd5005f4b0db9d5",
+    "c1-3-32/eps-mc/epsilon.json":
+        "0f426304ec0af3d3da88158dc1551a184fc2ae6f291a1bd96222c566b698a67f",
+}
+
+
+def test_gap_audit_outputs_keep_their_bytes(tmp_path):
+    got = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in _gap_audit_outputs(tmp_path).items()
+    }
+    assert got == GAP_AUDIT_DIGESTS

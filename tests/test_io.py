@@ -33,6 +33,15 @@ class TestScalars:
         assert io.parse_scalar(2, FLOAT) == 2.0
         assert io.parse_scalar("1/4", FLOAT) == 0.25
 
+    @pytest.mark.parametrize(
+        "value",
+        ["1e400", 10**400, "-" + "9" * 400, float("nan"), float("inf"), float("-inf")],
+        ids=["string-overflow", "int-overflow", "negative-overflow", "nan", "inf", "-inf"],
+    )
+    def test_float_mode_rejects_non_finite(self, value):
+        with pytest.raises(ValueError):
+            io.parse_scalar(value, FLOAT)
+
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_zero_denominator_rejected(self, mode):
         with pytest.raises(ValueError, match="zero denominator"):

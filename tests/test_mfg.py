@@ -4,6 +4,8 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmfg import two_state
 from cmfg.mfg import (
@@ -28,6 +30,8 @@ from cmfg.model import (
     RestrictedStrategy,
     enumerate_strategies,
 )
+
+from oracles import optimality_rows, random_correlated_flow, random_game
 
 PHI_PLUS = RestrictedStrategy(((1, 0), (1, 0)))
 PHI_PLUS_HAT = RestrictedStrategy(((1, 0), (0, 0)))
@@ -106,10 +110,10 @@ class TestCorrelatedCost:
 class TestBestResponse:
     def test_recommendations_are_their_own_best_responses(self, game, rho, m0):
         br = best_response(game, rho, PHI_PLUS, m0)
-        assert br.strategy == PHI_PLUS
-        assert br.value == F(-13, 4096)
-        assert best_response(game, rho, PHI_PLUS_HAT, m0).value == F(-1, 512)
-        assert best_response(game, rho, PHI_O, m0).value == 0
+        assert br.best == PHI_PLUS
+        assert br.best_value == F(-13, 4096)
+        assert best_response(game, rho, PHI_PLUS_HAT, m0).best_value == F(-1, 512)
+        assert best_response(game, rho, PHI_O, m0).best_value == 0
 
     def test_value_is_minimum_over_enumeration(self, game, rho, m0):
         br = best_response(game, rho, PHI_PLUS, m0)
@@ -117,15 +121,15 @@ class TestBestResponse:
             conditional_cost(game, rho, PHI_PLUS, psi, m0)
             for psi in enumerate_strategies(game)
         ]
-        assert br.value == min(values)
+        assert br.best_value == min(values)
 
     def test_never_holding_is_uniquely_free_under_flat_flow(self, game, m0):
         # flat flow: crowd terms vanish, so cost = expected holding fees
         uniform_flow = FlowTrajectory((m0, m0, m0))
         flat = CorrelatedFlow(((PHI_O, uniform_flow, F(1)),))
         br = best_response(game, flat, PHI_O, m0)
-        assert br.strategy == PHI_O
-        assert br.value == 0 and br.tied == 1
+        assert br.best == PHI_O
+        assert br.best_value == 0 and br.tied == 1
 
     def test_boundary_tie_breaks_to_smallest_strategy(self, game):
         p = two_state.ExampleParams(beta=(F(1, 8),) * 4, c0=F(1, 32), c1=F(5, 64))
@@ -133,9 +137,9 @@ class TestBestResponse:
         br = best_response(game_b, rho_b, PHI_PLUS, m0_b)
         assert br.tied >= 2
         # dropping the second hold ties with holding on: smaller table wins
-        assert br.strategy == PHI_PLUS_HAT
+        assert br.best == PHI_PLUS_HAT
         own = conditional_cost(game_b, rho_b, PHI_PLUS, PHI_PLUS, m0_b)
-        assert br.value == own
+        assert br.best_value == own
 
 
 class TestOptimality:
@@ -291,3 +295,29 @@ class TestDeviationMap:
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ValueError):
             DeviationMap(((PHI_PLUS, PHI_O), (PHI_PLUS, PHI_MINUS)))
+
+
+class TestGapTableAgainstOracle:
+    """`optimality_gap` and `best_response` build their rows through the shared
+    gap table; the rows must equal the running-minimum oracle's on random
+    games and random correlated flows, in both arithmetic modes."""
+
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from([(2, 2, 2), (3, 2, 1), (2, 3, 1), (1, 2, 2)]),
+        st.integers(1, 5),
+        st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_rows_match_oracle(self, seed, shape, n_atoms, as_float):
+        game = random_game(seed, *shape)
+        rho = random_correlated_flow(seed, game, n_atoms)
+        m0 = rho.atoms[0][1][0]
+        if as_float:
+            game, rho, m0 = game.to_float(), rho.to_float(), m0.to_float()
+        want = optimality_rows(game, rho, m0)
+        report = optimality_gap(game, rho, m0)
+        assert report.rows == want
+        assert report.gap == sum(r.gap for r in want)
+        for row in want:
+            assert best_response(game, rho, row.recommendation, m0) == row

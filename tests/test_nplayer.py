@@ -756,6 +756,44 @@ class TestDeviationGain:
         assert result.epsilon >= 0
         assert result.stderr >= 0
 
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from([(2, 2, 2), (3, 2, 1), (2, 3, 1)]),
+        st.integers(2, 3),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_exact_rows_against_profile_costs(self, seed, shape, n, n_atoms):
+        # row.cost + J(single(rec, psi)) - J(identity) is the value of psi on
+        # the event {recommended rec}: at least best_value, equal at the best
+        game = random_game(seed, *shape)
+        strategies = enumerate_strategies(game)
+        r = random.Random(seed)
+        pool = r.sample(strategies, min(3, len(strategies)))
+        raw = [r.randint(1, 4) for _ in range(n_atoms)]
+        profile = ExplicitProfile(n, tuple(
+            (tuple(r.choice(pool) for _ in range(n)), F(w, sum(raw))) for w in raw
+        ))
+        player = r.randrange(n)
+        m0 = random_m0(game)
+        result = deviation_gain(game, profile, player, m0, "exact")
+        base = profile_cost_exact(game, profile, player, DeviationMap.identity(), m0)
+        assert [row.rec_index for row in result.rows] == sorted(
+            {strategies.index(vec[player]) for vec, _ in profile.atoms}
+        )
+        assert result.epsilon == sum(row.gap for row in result.rows)
+        for row in result.rows:
+            values = [
+                row.cost - base + profile_cost_exact(
+                    game, profile, player, DeviationMap.single(row.recommendation, psi), m0
+                )
+                for psi in strategies
+            ]
+            assert values[row.rec_index] == row.cost
+            assert min(values) == row.best_value == values[row.best_index]
+            assert values.index(row.best_value) == row.best_index
+            assert strategies[row.best_index] == row.best
+
 
 class TestCeConstraints:
     def test_size_matches_two_player_case(self, game, uniform_m0):
