@@ -427,12 +427,26 @@ class GameSpec:
         self._require_mode(m)
         return self.raw_terminal_cost(x, m.weights)
 
+    def float_tables(self) -> dict:
+        """`tables()` in floats; a number outside the float range is a
+        ValueError that names its table."""
+        out: dict = {}
+        for group, by_name in self.tables().items():
+            for name, table in by_name.items():
+                try:
+                    out.setdefault(group, {})[name] = map_nested(table, float)
+                except OverflowError:
+                    raise ValueError(
+                        f"{group}.{name} holds a number outside the float range"
+                    ) from None
+        return out
+
     def to_float(self) -> "GameSpec":
         """Float64 copy of the game; this is a conversion, not a mode mix."""
         if self.arithmetic == FLOAT:
             return self
         return GameSpec.from_tables(
-            self.horizon, self.states, self.actions, map_nested(self.tables(), float), FLOAT
+            self.horizon, self.states, self.actions, self.float_tables(), FLOAT
         )
 
 

@@ -25,7 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,6 +56,11 @@ _COST_MATRIX_BYTES_CAP = 1 << 29  # 512 MiB of per-replication candidate costs
 
 # ---------------------------------------------------------------------------
 # profiles
+
+
+def _distinct_sorted(strategies: Iterable[RestrictedStrategy]) -> tuple[RestrictedStrategy, ...]:
+    """The distinct strategies, in enumeration order."""
+    return tuple(sorted(set(strategies), key=RestrictedStrategy.sort_key))
 
 
 @dataclass(frozen=True)
@@ -89,11 +94,7 @@ class ExplicitProfile:
         return arith_of(w for _, w in self.atoms).mode
 
     def support_strategies(self) -> tuple[RestrictedStrategy, ...]:
-        seen: dict[tuple, RestrictedStrategy] = {}
-        for vec, _ in self.atoms:
-            for s in vec:
-                seen.setdefault(s.actions, s)
-        return tuple(sorted(seen.values(), key=lambda s: s.sort_key()))
+        return _distinct_sorted(s for vec, _ in self.atoms for s in vec)
 
 
 @dataclass(frozen=True)
@@ -124,11 +125,7 @@ class FactoredProfile:
         return arith_of(self.flow_weights).mode
 
     def support_strategies(self) -> tuple[RestrictedStrategy, ...]:
-        seen: dict[tuple, RestrictedStrategy] = {}
-        for cond in self.conditionals:
-            for s, _ in cond:
-                seen.setdefault(s.actions, s)
-        return tuple(sorted(seen.values(), key=lambda s: s.sort_key()))
+        return _distinct_sorted(s for cond in self.conditionals for s, _ in cond)
 
     def expand(self, cap: int = DEFAULT_ATOM_CAP) -> ExplicitProfile:
         """Integrate the flow out: atoms over strategy tuples with product weights."""
@@ -397,7 +394,7 @@ class _MonteCarlo:
 
     def __init__(self, game: GameSpec, strategies: Sequence[RestrictedStrategy]):
         self.horizon, self.d, self.n_actions = game.horizon, len(game.states), len(game.actions)
-        tables = game.tables()
+        tables = game.float_tables()
         kernel, cost = tables["transition"], tables["cost"]
         self.kb, self.kc = (np.array(kernel[k], dtype=np.float64) for k in ("base", "coef"))
         self.rb, self.rc, self.tb, self.tc = (np.array(v, dtype=np.float64) for v in cost.values())
@@ -611,7 +608,6 @@ def mc_profile_cost(
 
 @dataclass(frozen=True)
 class DeviationGainResult:
-    player: int
     epsilon: Scalar
     rows: tuple[GapRow, ...]
     method: str  # "exact" | "mc"
@@ -670,7 +666,7 @@ def _deviation_gain_exact(
         values_by_rec.append((rec_i, values))
     rows = gap_rows(candidates, values_by_rec)
     epsilon = sum((r.gap for r in rows), zero(game.arithmetic))
-    return DeviationGainResult(player, epsilon, rows, "exact")
+    return DeviationGainResult(epsilon, rows, "exact")
 
 
 def _deviation_gain_mc(
@@ -708,9 +704,7 @@ def _deviation_gain_mc(
         stderr = math.sqrt(var / reps)
     else:
         stderr = 0.0
-    return DeviationGainResult(
-        player, epsilon, rows, "mc", stderr=stderr, replications=reps
-    )
+    return DeviationGainResult(epsilon, rows, "mc", stderr=stderr, replications=reps)
 
 
 # ---------------------------------------------------------------------------

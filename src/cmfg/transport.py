@@ -4,17 +4,23 @@ The ground space is (strategy, flow trajectory) pairs with
 
     d((phi, m), (phi', m')) = 1_{phi != phi'} + sum_t dist(m_t, m'_t)
 
-and the optimal coupling is found with a transportation-tree simplex in
-rational arithmetic.  Bland's arc ordering (row-major, first negative reduced
-cost enters, smallest tied arc leaves) rules out cycling, and every result is
-re-certified against the dual before it is returned.
+and the optimal coupling is found with a transportation-tree simplex.  The
+simplex pivots on Python integers: the costs are put on one common
+denominator and the masses on another, once, and the value, plan and duals
+are divided back into `Fraction`s at the end.  Positive scaling keeps every
+sign and tie, so Bland's arc ordering (row-major, first negative reduced cost
+enters, smallest tied arc leaves) takes the pivots it would take on the
+rationals, and rules out cycling.  Every result is re-certified in
+`Fraction`s by `verify_transport` before it is returned.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from operator import sub
+from typing import Sequence
 
 from .mfg import CorrelatedFlow
 from .model import DEFAULT_OT_CAP, CapacityError, FLOAT
@@ -53,13 +59,54 @@ def solve_transport(
     if len(cost) != m or any(len(row) != n for row in cost):
         raise ValueError("cost matrix shape mismatch")
 
+    # one common denominator for the costs and another for the masses:
+    # positive scaling keeps the sign of every reduced cost and every tie in
+    # flow, so the integer simplex takes the pivots it would on the rationals
+    cost_den = math.lcm(*(c.denominator for row in cost for c in row))
+    mass_den = math.lcm(*(w.denominator for w in supply + demand))
+    int_cost = [[_scaled(c, cost_den) for c in row] for row in cost]
+    flow, pot = _simplex(
+        [_scaled(w, mass_den) for w in supply],
+        [_scaled(w, mass_den) for w in demand],
+        int_cost,
+    )
+    total = sum(int_cost[i][j] * f for (i, j), f in flow.items())
+    result = TransportResult(
+        Fraction(total, cost_den * mass_den),
+        tuple((i, j, Fraction(f, mass_den)) for (i, j), f in sorted(flow.items()) if f),
+        tuple(Fraction(p, cost_den) for p in pot[:m]),
+        tuple(Fraction(p, cost_den) for p in pot[m:]),
+    )
+    if not verify_transport(supply, demand, cost, result):
+        raise AssertionError("transport certificate failed")  # pragma: no cover
+    return result
+
+
+def _scaled(x: Fraction, den: int) -> int:
+    """x * den for a multiple den of x's denominator."""
+    return x.numerator * (den // x.denominator)
+
+
+def _simplex(
+    supply: list[int], demand: list[int], cost: list[list[int]]
+) -> tuple[dict[tuple[int, int], int], list[int]]:
+    """Transportation simplex on integers: the basis flows and the potentials.
+
+    Nodes 0..m-1 are the rows and m..m+n-1 the columns; the potentials are
+    the tree duals, u = pot[:m] with u[0] = 0 and v = pot[m:].  The basis is
+    kept as node adjacency and updated by the entering and leaving arcs.
+    """
+    m, n = len(supply), len(demand)
     # northwest-corner start: always m+n-1 arcs, zeros kept for the tree
-    flow: dict[tuple[int, int], Fraction] = {}
+    flow: dict[tuple[int, int], int] = {}
+    adj: list[list[int]] = [[] for _ in range(m + n)]
     s, d = list(supply), list(demand)
     i = j = 0
     while True:
         t = min(s[i], d[j])
         flow[(i, j)] = t
+        adj[i].append(m + j)
+        adj[m + j].append(i)
         s[i] -= t
         d[j] -= t
         if i == m - 1 and j == n - 1:
@@ -69,107 +116,79 @@ def solve_transport(
         else:
             j += 1
 
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    pot = [0] * (m + n)
+    _hang(adj, cost, m, 0, parent, depth, pot)
     while True:
-        u, v = _duals(flow, cost, m, n)
-        entering = None
+        v = pot[m:]
         for ei in range(m):
-            ci, ui = cost[ei], u[ei]
-            for ej in range(n):
-                if (ei, ej) not in flow and ci[ej] - ui - v[ej] < 0:
-                    entering = (ei, ej)
-                    break
-            if entering:
+            row, ui = cost[ei], pot[ei]
+            if min(map(sub, row, v)) < ui:
+                # Bland: the first arc in row-major order with c - u - v < 0
+                # (tree arcs have c - u - v = 0)
+                ej = next(j for j in range(n) if row[j] - v[j] < ui)
                 break
-        if entering is None:
-            break
-        _pivot(flow, entering, m, n)
-
-    value = sum(cost[i][j] * f for (i, j), f in flow.items())
-    plan = tuple(sorted((i, j, f) for (i, j), f in flow.items() if f > 0))
-    result = TransportResult(value, plan, tuple(u), tuple(v))
-    if not verify_transport(supply, demand, cost, result):
-        raise AssertionError("transport certificate failed")  # pragma: no cover
-    return result
-
-
-def _duals(
-    flow: dict[tuple[int, int], Fraction],
-    cost: Sequence[Sequence[Fraction]],
-    m: int,
-    n: int,
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Tree duals with u[0] = 0, via breadth-first walk of the basis arcs."""
-    by_row: list[list[int]] = [[] for _ in range(m)]
-    by_col: list[list[int]] = [[] for _ in range(n)]
-    for (i, j) in flow:
-        by_row[i].append(j)
-        by_col[j].append(i)
-    u: list[Optional[Fraction]] = [None] * m
-    v: list[Optional[Fraction]] = [None] * n
-    u[0] = _ZERO
-    queue = [("r", 0)]
-    while queue:
-        kind, k = queue.pop()
-        if kind == "r":
-            for j in by_row[k]:
-                if v[j] is None:
-                    v[j] = cost[k][j] - u[k]
-                    queue.append(("c", j))
         else:
-            for i in by_col[k]:
-                if u[i] is None:
-                    u[i] = cost[i][k] - v[k]
-                    queue.append(("r", i))
-    if any(x is None for x in u) or any(x is None for x in v):
-        raise AssertionError("basis is not a spanning tree")  # pragma: no cover
-    return u, v  # type: ignore[return-value]
+            return flow, pot
+        # the tree cycle closed by the entering arc, oriented along it: arcs
+        # walked from a column to a row lose mass, the others gain it
+        minus, plus = [], []
+        a, b = ei, m + ej
+        while a != b:
+            if depth[b] >= depth[a]:
+                p = parent[b]
+                if b >= m:
+                    minus.append((p, b - m))
+                else:
+                    plus.append((b, p - m))
+                b = p
+            else:
+                p = parent[a]
+                if a < m:
+                    minus.append((a, p - m))
+                else:
+                    plus.append((p, a - m))
+                a = p
+        theta = min(flow[arc] for arc in minus)
+        li, lj = min(arc for arc in minus if flow[arc] == theta)
+        for arc in minus:
+            flow[arc] -= theta
+        for arc in plus:
+            flow[arc] += theta
+        del flow[(li, lj)]
+        flow[(ei, ej)] = theta
+        adj[li].remove(m + lj)
+        adj[m + lj].remove(li)
+        adj[ei].append(m + ej)
+        adj[m + ej].append(ei)
+        # the leaving arc cut off the subtree below one of its ends; that
+        # subtree holds one end of the entering arc (the column's end if the
+        # cut-off end is a column) and is hung again from the other end
+        cut_column = parent[li] != m + lj
+        top, below = (m + ej, ei) if cut_column else (ei, m + ej)
+        _hang(adj, cost, m, top, parent, depth, pot, below)
 
 
-def _pivot(
-    flow: dict[tuple[int, int], Fraction], entering: tuple[int, int], m: int, n: int
-) -> None:
-    """Push mass around the unique tree cycle closed by the entering arc."""
-    ei, ej = entering
-    by_row: list[list[int]] = [[] for _ in range(m)]
-    by_col: list[list[int]] = [[] for _ in range(n)]
-    for (i, j) in flow:
-        by_row[i].append(j)
-        by_col[j].append(i)
-    # path from row ei to column ej through basis arcs
-    parent: dict[tuple[str, int], tuple[str, int]] = {}
-    stack = [("r", ei)]
-    seen = {("r", ei)}
-    while stack:
-        node = stack.pop()
-        kind, k = node
-        nbrs = (
-            [("c", j) for j in by_row[k]] if kind == "r" else [("r", i) for i in by_col[k]]
-        )
-        for nxt in nbrs:
-            if nxt not in seen:
-                seen.add(nxt)
-                parent[nxt] = node
-                stack.append(nxt)
-    path = [("c", ej)]
-    while path[-1] != ("r", ei):
-        path.append(parent[path[-1]])
-    # cycle arcs alternate -,+,-,... walking back from (entering sink)
-    minus: list[tuple[int, int]] = []
-    plus: list[tuple[int, int]] = [entering]
-    for step, (node_a, node_b) in enumerate(zip(path, path[1:])):
-        arc = (
-            (node_b[1], node_a[1]) if node_a[0] == "c" else (node_a[1], node_b[1])
-        )
-        (minus if step % 2 == 0 else plus).append(arc)
-    theta = min(flow[a] for a in minus)
-    leaving = min(a for a in minus if flow[a] == theta)
-    for a in minus:
-        flow[a] -= theta
-    for a in plus:
-        if a != entering:
-            flow[a] += theta
-    del flow[leaving]
-    flow[entering] = theta
+def _hang(adj, cost, m, top, parent, depth, pot, below=-1) -> None:
+    """Re-root the subtree containing `top` at `top`, hung below the node
+    `below` (-1 for the whole tree at row 0), setting parent, depth and the
+    potentials: each tree arc (i, j) has pot[i] + pot[m + j] = cost[i][j]."""
+    parent[top] = below
+    if below == -1:
+        depth[top], pot[top] = 0, 0
+    else:
+        depth[top] = depth[below] + 1
+        pot[top] = (cost[top][below - m] if top < m else cost[below][top - m]) - pot[below]
+    queue = [top]
+    for k in queue:
+        pk, dk, uk = parent[k], depth[k] + 1, pot[k]
+        for nb in adj[k]:
+            if nb != pk:
+                parent[nb] = k
+                depth[nb] = dk
+                pot[nb] = (cost[k][nb - m] if k < m else cost[nb][k - m]) - uk
+                queue.append(nb)
 
 
 def verify_transport(

@@ -19,13 +19,17 @@
   * `optimality_rows`: the mean-field optimality rows from a running minimum
     over the candidates, one recommendation at a time, which
     `mfg.optimality_gap` replaces by one value vector per recommendation and
-    the shared `mfg.gap_rows`.
+    the shared `mfg.gap_rows`;
+  * `fraction_transport`: the transportation simplex in `Fraction`s with the
+    basis rebuilt on every pivot, which `transport.solve_transport` runs on
+    integer numerators with the basis kept between pivots.
 """
 
 import itertools
 import json
 import random
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +52,7 @@ from cmfg.model import (
 )
 from cmfg.nplayer import _AnonymousCostTable
 from cmfg.rng import stream_value
+from cmfg.transport import TransportResult
 
 
 def uniform(seed: int, rep: int, slot: int) -> float:
@@ -253,3 +258,128 @@ MALFORMED_GAMES = (
     "base-row-is-scalar", "states-is-string", "horizon-is-float", "horizon-is-bool",
     "horizon-is-negative",
 )
+
+
+def fraction_transport(supply, demand, cost) -> TransportResult:
+    """The transportation simplex of `transport.solve_transport` in
+    `Fraction`s, pivot for pivot: the northwest-corner start, Bland's pivots
+    (row-major first negative reduced cost enters, smallest tied arc leaves),
+    and the tree duals and cycle rebuilt from the basis on every pivot."""
+    supply = [Fraction(s) for s in supply]
+    demand = [Fraction(d) for d in demand]
+    cost = [[Fraction(c) for c in row] for row in cost]
+    m, n = len(supply), len(demand)
+    # northwest-corner start: always m+n-1 arcs, zeros kept for the tree
+    flow: dict[tuple[int, int], Fraction] = {}
+    s, d = list(supply), list(demand)
+    i = j = 0
+    while True:
+        t = min(s[i], d[j])
+        flow[(i, j)] = t
+        s[i] -= t
+        d[j] -= t
+        if i == m - 1 and j == n - 1:
+            break
+        if s[i] == 0 and i < m - 1:
+            i += 1
+        else:
+            j += 1
+
+    while True:
+        u, v = _fraction_duals(flow, cost, m, n)
+        entering = None
+        for ei in range(m):
+            ci, ui = cost[ei], u[ei]
+            for ej in range(n):
+                if (ei, ej) not in flow and ci[ej] - ui - v[ej] < 0:
+                    entering = (ei, ej)
+                    break
+            if entering:
+                break
+        if entering is None:
+            break
+        _fraction_pivot(flow, entering, m, n)
+
+    value = sum(cost[i][j] * f for (i, j), f in flow.items())
+    plan = tuple(sorted((i, j, f) for (i, j), f in flow.items() if f > 0))
+    return TransportResult(value, plan, tuple(u), tuple(v))
+
+
+def _fraction_duals(
+    flow: dict[tuple[int, int], Fraction],
+    cost: Sequence[Sequence[Fraction]],
+    m: int,
+    n: int,
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Tree duals with u[0] = 0, via breadth-first walk of the basis arcs."""
+    by_row: list[list[int]] = [[] for _ in range(m)]
+    by_col: list[list[int]] = [[] for _ in range(n)]
+    for (i, j) in flow:
+        by_row[i].append(j)
+        by_col[j].append(i)
+    u: list[Optional[Fraction]] = [None] * m
+    v: list[Optional[Fraction]] = [None] * n
+    u[0] = Fraction(0)
+    queue = [("r", 0)]
+    while queue:
+        kind, k = queue.pop()
+        if kind == "r":
+            for j in by_row[k]:
+                if v[j] is None:
+                    v[j] = cost[k][j] - u[k]
+                    queue.append(("c", j))
+        else:
+            for i in by_col[k]:
+                if u[i] is None:
+                    u[i] = cost[i][k] - v[k]
+                    queue.append(("r", i))
+    if any(x is None for x in u) or any(x is None for x in v):
+        raise AssertionError("basis is not a spanning tree")  # pragma: no cover
+    return u, v  # type: ignore[return-value]
+
+
+def _fraction_pivot(
+    flow: dict[tuple[int, int], Fraction], entering: tuple[int, int], m: int, n: int
+) -> None:
+    """Push mass around the unique tree cycle closed by the entering arc."""
+    ei, ej = entering
+    by_row: list[list[int]] = [[] for _ in range(m)]
+    by_col: list[list[int]] = [[] for _ in range(n)]
+    for (i, j) in flow:
+        by_row[i].append(j)
+        by_col[j].append(i)
+    # path from row ei to column ej through basis arcs
+    parent: dict[tuple[str, int], tuple[str, int]] = {}
+    stack = [("r", ei)]
+    seen = {("r", ei)}
+    while stack:
+        node = stack.pop()
+        kind, k = node
+        nbrs = (
+            [("c", j) for j in by_row[k]] if kind == "r" else [("r", i) for i in by_col[k]]
+        )
+        for nxt in nbrs:
+            if nxt not in seen:
+                seen.add(nxt)
+                parent[nxt] = node
+                stack.append(nxt)
+    path = [("c", ej)]
+    while path[-1] != ("r", ei):
+        path.append(parent[path[-1]])
+    # cycle arcs alternate -,+,-,... walking back from (entering sink)
+    minus: list[tuple[int, int]] = []
+    plus: list[tuple[int, int]] = [entering]
+    for step, (node_a, node_b) in enumerate(zip(path, path[1:])):
+        arc = (
+            (node_b[1], node_a[1]) if node_a[0] == "c" else (node_a[1], node_b[1])
+        )
+        (minus if step % 2 == 0 else plus).append(arc)
+    theta = min(flow[a] for a in minus)
+    leaving = min(a for a in minus if flow[a] == theta)
+    for a in minus:
+        flow[a] -= theta
+    for a in plus:
+        if a != entering:
+            flow[a] += theta
+    del flow[leaving]
+    flow[entering] = theta

@@ -469,6 +469,37 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["nplayer", "epsilon", "--profile", "PROFILE", "--method", "mc", "--reps", "10"],
+            ["limits", "converge", "--flow", "FLOW", "--Ns", "5", "--reps", "10"],
+        ],
+        ids=["epsilon-mc", "limits-converge"],
+    )
+    def test_exact_game_beyond_float_range_exits_2(
+        self, example_dir, tmp_path, capsys, argv
+    ):
+        # exact mode takes 10**400, but the Monte Carlo engine runs on floats;
+        # the same terminal cost in both states keeps rho a solution
+        doc = io.read_json(str(example_dir / "game.json"))
+        doc["cost"]["terminal_base"] = [str(10**400)] * 2
+        huge_game = tmp_path / "huge_game.json"
+        huge_game.write_text(json.dumps(doc))
+        assert run_cli(["validate", str(huge_game), "-o", str(tmp_path / "v")]) == 0
+        lifted = tmp_path / "lift"
+        assert run_cli(
+            ["lift", "--game", str(example_dir / "game.json"),
+             "--flow", str(example_dir / "rho.json"), "-N", "3", "-o", str(lifted)]
+        ) == 0
+        capsys.readouterr()
+        paths = {"PROFILE": str(lifted / "profile.json"), "FLOW": str(example_dir / "rho.json")}
+        code = run_cli(
+            [paths.get(a, a) for a in argv]
+            + ["--game", str(huge_game), "-o", str(tmp_path / "o")]
+        )
+        self.assert_invalid_input(code, capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["example", "section5", "--c0", "1/0"],
             ["example", "section5", "--alpha", "half"],
             ["limits", "converge", "--game", "g.json", "--flow", "r.json", "--Ns", "2.5"],

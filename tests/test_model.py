@@ -251,6 +251,11 @@ class TestGameSpec:
         row = fg.kernel(0, 0, u, 1)
         assert row.weights == (0.75, 0.25)
 
+    def test_to_float_names_a_table_beyond_the_float_range(self, game):
+        huge = replace(game, cost=replace(game.cost, terminal_base=(F(10**400), F(0))))
+        with pytest.raises(ValueError, match="cost.terminal_base"):
+            huge.to_float()
+
     @pytest.mark.parametrize(
         "edit",
         [

@@ -1,12 +1,17 @@
 """Exact optimal transport on finite atom sets and the flow-space W1 metric."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import fraction_transport
 from scipy.optimize import linprog
 
 from cmfg import two_state
+from cmfg.limits import empirical_rho_n, lift
 from cmfg.model import (
     EXACT,
     CapacityError,
@@ -15,6 +20,7 @@ from cmfg.model import (
     ProbabilityVector,
 )
 from cmfg.mfg import CorrelatedFlow
+from cmfg.nplayer import SimulationConfig
 from cmfg.transport import (
     atom_distance,
     flow_space_distance,
@@ -62,12 +68,84 @@ def test_cap_enforced():
         solve_transport(supply, demand, cost, cap=1)
 
 
+CERTIFIED = ((F(1, 3), F(2, 3)), (F(1, 2), F(1, 2)), ((F(1), F(4)), (F(2), F(1, 2))))
+
+
 def test_duals_certify_optimality():
-    supply = (F(1, 3), F(2, 3))
-    demand = (F(1, 2), F(1, 2))
-    cost = ((F(1), F(4)), (F(2), F(1, 2)))
+    res = solve_transport(*CERTIFIED)
+    assert verify_transport(*CERTIFIED, res)
+
+
+def _moved(plan, mass):
+    """The plan with `mass` moved from its first cell to its second."""
+    (i0, j0, f0), (i1, j1, f1), *rest = plan
+    return ((i0, j0, f0 - mass), (i1, j1, f1 + mass), *rest)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda r: replace(r, row_duals=(r.row_duals[0] + F(1, 7),) + r.row_duals[1:]),
+        lambda r: replace(r, col_duals=r.col_duals[:-1] + (r.col_duals[-1] - F(1, 7),)),
+        lambda r: replace(r, plan=_moved(r.plan, F(1, 12))),
+        lambda r: replace(r, value=r.value + F(1, 100)),
+    ],
+    ids=["row-dual-off", "col-dual-off", "mass-moved", "wrong-value"],
+)
+def test_certificate_refuses_tampered_results(tamper):
+    res = solve_transport(*CERTIFIED)
+    assert len(res.plan) >= 2
+    assert not verify_transport(*CERTIFIED, tamper(res))
+
+
+@st.composite
+def transport_instances(draw):
+    """Balanced instances with zero masses, coprime cost denominators and
+    ties: masses are small counts over their total, costs small numerators
+    over a few denominators."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    counts = st.integers(0, 3)
+    supply = draw(st.lists(counts, min_size=m, max_size=m).filter(any))
+    demand = draw(st.lists(counts, min_size=n, max_size=n).filter(any))
+    dens = st.sampled_from((1, 2, 3, 5, 7))
+    cost = [[F(draw(st.integers(0, 4)), draw(dens)) for _ in range(n)] for _ in range(m)]
+    return (
+        [F(s, sum(supply)) for s in supply],
+        [F(d, sum(demand)) for d in demand],
+        cost,
+    )
+
+
+@given(transport_instances())
+@example(  # zero masses: the northwest-corner start is degenerate
+    ([F(1, 2), F(0), F(1, 2)], [F(0), F(1, 2), F(1, 2)],
+     [[F(1), F(0), F(2)], [F(0), F(1), F(1)], [F(2), F(1), F(0)]])
+)
+@example(([F(1)], [F(1, 3), F(0), F(2, 3)], [[F(1, 2), F(1, 3), F(1, 5)]]))  # m = 1
+@example(([F(1, 4), F(3, 4)], [F(1)], [[F(2, 7)], [F(3, 11)]]))  # n = 1
+@example(  # coprime cost denominators
+    ([F(1, 3), F(1, 3), F(1, 3)], [F(1, 2), F(1, 2)],
+     [[F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)], [F(2, 11), F(3, 13)]])
+)
+@example(([F(1, 3), F(2, 3)], [F(1, 2), F(1, 2)], [[F(1)] * 2] * 2))  # all costs tied
+@settings(max_examples=200, deadline=None)
+def test_matches_fraction_oracle(instance):
+    assert solve_transport(*instance) == fraction_transport(*instance)
+
+
+def test_matches_fraction_oracle_on_empirical_flow(game, rho, m0):
+    cfg = SimulationConfig(master_seed=3, replications=60)
+    emp = empirical_rho_n(game, lift(rho, 5), m0, cfg).flow
+    supply = [F(w) for _, _, w in emp.atoms]
+    demand = [F(w) for _, _, w in rho.atoms]
+    cost = [
+        [atom_distance(sa, fa, sb, fb) for sb, fb, _ in rho.atoms]
+        for sa, fa, _ in emp.atoms
+    ]
+    assert len(supply) > len(demand) > 1
     res = solve_transport(supply, demand, cost)
-    verify_transport(supply, demand, cost, res)
+    assert res == fraction_transport(supply, demand, cost)
+    assert res.value == flow_space_distance(emp, rho)
 
 
 def test_against_float_solver():
