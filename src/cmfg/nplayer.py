@@ -4,14 +4,17 @@ Players are coupled only through the exclusive empirical measure of the other
 N-1 states.  This module provides
 
   * exact propagation of the count chain (one player's state and the
-    others' state counts per strategy), which every exact caller uses,
+    others' state counts per strategy), which every exact caller uses; one
+    walk of the deviator's action tree on it costs every candidate strategy
+    against one multiset of the others' strategies,
   * a vectorized Monte Carlo simulator with counter-based random streams,
   * deviation gains (the epsilon in epsilon-correlated equilibrium),
-    decomposed per recommendation, exactly or by simulation with common
-    random numbers, where one walk of the deviator's action tree per chunk
-    costs every candidate strategy, and
+    decomposed per recommendation, exactly (one walk per multiset of the
+    others) or by simulation with common random numbers (one walk of the
+    action tree per chunk), and
   * symmetric correlated equilibria via an exact-rational feasibility LP
-    reduced to strategy multisets.
+    reduced to strategy multisets, whose rows come from one walk per
+    multiset of the others.
 
 Profiles and initial laws are validated once, when they are built; the
 exact propagation then works on raw weight tuples and reads kernel rows and
@@ -206,17 +209,19 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class CountPropagation:
-    """Law of the count chain at times 0..T and player 0's expected cost.
+    """Law of the count chain at times 0..T and player 0's expected costs.
 
     `groups` are the distinct strategies of players 1..N-1 in order of first
     appearance.  A chain state is the tuple (x0, c_0, c_1, ...): player 0's
     state, then for each group g the d-tuple c_g of how many of its players
-    sit in each state.
+    sit in each state.  `laws` and `cost` are those of player 0 on
+    strategies[0]; `costs` holds its cost on each candidate, in order.
     """
 
     groups: tuple[RestrictedStrategy, ...]
     laws: tuple[dict[tuple, Scalar], ...]  # times 0..T
     cost: Scalar  # total expected cost of player 0
+    costs: tuple[Scalar, ...]  # the same on each candidate strategy
 
 
 def exact_joint_propagate(
@@ -224,18 +229,32 @@ def exact_joint_propagate(
     strategies: Sequence[RestrictedStrategy],
     m0n: ProbabilityVector,
     *,
+    candidates: Optional[Sequence[RestrictedStrategy]] = None,
+    memo: Optional[_ChainSteps] = None,
     joint_cap: int = DEFAULT_JOINT_CAP,
 ) -> CountPropagation:
-    """Exact law of the count chain and expected total cost of player 0.
+    """Exact law of the count chain and player 0's expected total cost under
+    every candidate strategy (default: strategies[0] alone), in one walk.
 
     Each player moves with the kernel evaluated at the empirical measure of
     the other N-1 players, independently given the current states, and a
     player sees the others only through that measure.  So (player 0's state,
-    the others' state counts per strategy) is itself a Markov chain.  A step
-    evaluates one kernel row and running cost per (counts, state, action);
-    a group's next counts come from adding its players one at a time, and
-    groups combine as independent parts.  Inputs with more than `joint_cap`
-    joint states |X|^N are refused.
+    the others' state counts per strategy) is itself a Markov chain.  Player
+    0's action changes only its own kernel row, so a step builds the
+    others' next-count law once per chain state (a group's players added
+    one at a time, groups combined as independent parts) and pairs it with
+    the row of each action that player 0 may play.
+
+    The walk is the deviator's action tree: it splits the law by the set of
+    candidates that agree with player 0's history ((x_0, a_0), ...,
+    (x_{t-1}, a_{t-1})), that is with a_s = psi(s, x_s) at every s.  From
+    state x at time t the law moves on under each action that some
+    candidate of its set plays at (t, x), into the set of those that play
+    it, and a candidate's cost is the sum of the running and terminal costs
+    over the sets it belongs to.  With one candidate the walk is the plain
+    propagation.  `memo`, a `_ChainSteps` of the same game, carries kernel
+    rows, costs and the others' count laws from one walk to the next.
+    Inputs with more than `joint_cap` joint states |X|^N are refused.
     """
     n = len(strategies)
     if n < 2:
@@ -247,57 +266,129 @@ def exact_joint_propagate(
     d = len(game.states)
     if d ** n > joint_cap:
         raise CapacityError(f"{d ** n} joint states exceed cap {joint_cap}")
-    ratio = arith(game.arithmetic).ratio
+    steps = _ChainSteps(game) if memo is None else memo
     own, others = strategies[0], strategies[1:]
+    candidates = (own,) if candidates is None else tuple(candidates)
+    walked = tuple({s.actions: s for s in (own, *candidates)})  # own first
     groups = tuple({s.actions: s for s in others}.values())
     sizes = Counter(s.actions for s in others)
     blank = {(0,) * d: one(game.arithmetic)}
-    moves = {}  # (t, counts of all N, x, a) -> (nonzero kernel entries, running cost)
+    splits: dict[tuple, list] = {}  # (candidate set, t, x) -> [(action, subset)]
 
-    def seen(counts, x):
-        # a player in state x sees the others' measure (counts - e_x) / (n - 1)
-        return tuple(ratio(c - (y == x), n - 1) for y, c in enumerate(counts))
-
-    def move(t, counts, x, a):
-        hit = moves.get((t, counts, x, a))
+    def split(cands, t, x):
+        hit = splits.get((cands, t, x))
         if hit is None:
-            m = seen(counts, x)
-            row = game.raw_kernel(t, x, m, a)
-            hit = moves[t, counts, x, a] = (
-                [(y, k) for y, k in enumerate(row) if k],
-                game.raw_running_cost(t, x, m, a),
-            )
+            by_action: dict[int, list] = {}
+            for i in cands:
+                by_action.setdefault(walked[i][t][x], []).append(i)
+            hit = splits[cands, t, x] = [(a, tuple(sub)) for a, sub in by_action.items()]
         return hit
-
-    def spread(t, counts, acts, c):
-        # next counts of a group whose c[x] players in state x play acts[t][x]
-        law = blank
-        for x, cx in enumerate(c):
-            if cx:
-                law = _add_players(law, cx, move(t, counts, x, acts[t][x])[0])
-        return law.items()
 
     start = [(y, w) for y, w in enumerate(m0n.weights) if w]
     law = dict(_product(
         [((x,), w) for x, w in start],
         [_add_players(blank, sizes[s.actions], start).items() for s in groups],
     ))
+    nodes = {tuple(range(len(walked))): law}  # candidate set -> its part of the law
     laws = [law]
-    cost = zero(game.arithmetic)
+    spent: dict[tuple, Scalar] = {}  # candidate set -> expected cost on its histories
     for t in range(game.horizon):
-        nxt: dict[tuple, Scalar] = {}
+        acts = tuple(s.actions[t] for s in groups)
+        nxt: dict[tuple, dict] = {}
+        for cands, law in nodes.items():
+            for key, w in law.items():
+                x = key[0]
+                counts, spread = steps.others(t, key, acts)
+                for a, sub in split(cands, t, x):
+                    row, running = steps.move(t, counts, x, a)
+                    c = w * running
+                    spent[sub] = spent[sub] + c if sub in spent else c
+                    into = nxt.get(sub)
+                    if into is None:
+                        into = nxt[sub] = {}
+                    for y, k in row:
+                        wk = w * k
+                        for oc, q in spread:
+                            nk = (y, *oc)
+                            p = wk * q
+                            into[nk] = into[nk] + p if nk in into else p
+        nodes = nxt
+        mine = [law for cands, law in nodes.items() if cands[0] == 0]
+        laws.append(mine[0] if len(mine) == 1 else _summed(mine))
+    for cands, law in nodes.items():
         for key, w in law.items():
+            c = w * steps.terminal(key)
+            spent[cands] = spent[cands] + c if cands in spent else c
+    totals = [zero(game.arithmetic)] * len(walked)
+    for cands, c in spent.items():
+        for i in cands:
+            totals[i] += c
+    index = {a: i for i, a in enumerate(walked)}
+    return CountPropagation(
+        groups, tuple(laws), totals[0], tuple(totals[index[s.actions]] for s in candidates)
+    )
+
+
+class _ChainSteps:
+    """The count chain's one-step pieces for one game, memoized across walks.
+
+    Kernel rows and running costs per (t, inclusive counts, x, a), the
+    others' next-count law per (t, chain state, the groups' actions at t),
+    and terminal costs per chain state.  A chain state fixes the inclusive
+    counts and so N, so walks of any N may share one memo.
+    """
+
+    def __init__(self, game: GameSpec):
+        self.game = game
+        self.ratio = arith(game.arithmetic).ratio
+        self.one = one(game.arithmetic)
+        self.moves: dict[tuple, tuple] = {}
+        self.spreads: dict[tuple, tuple] = {}
+        self.terminals: dict[tuple, Scalar] = {}
+
+    def seen(self, counts: tuple[int, ...], x: int) -> tuple[Scalar, ...]:
+        # a player in state x sees the others' measure (counts - e_x) / (n - 1)
+        n = sum(counts)
+        return tuple(self.ratio(c - (y == x), n - 1) for y, c in enumerate(counts))
+
+    def move(self, t: int, counts: tuple[int, ...], x: int, a: int) -> tuple:
+        """Nonzero kernel entries [(y, k)] and running cost of a player in
+        state x playing a."""
+        hit = self.moves.get((t, counts, x, a))
+        if hit is None:
+            m = self.seen(counts, x)
+            row = self.game.raw_kernel(t, x, m, a)
+            hit = self.moves[t, counts, x, a] = (
+                [(y, k) for y, k in enumerate(row) if k],
+                self.game.raw_running_cost(t, x, m, a),
+            )
+        return hit
+
+    def others(self, t: int, key: tuple, acts: tuple) -> tuple:
+        """Inclusive counts of a chain state and the law of the others' next
+        counts, one d-tuple per group, when group g plays acts[g] at t."""
+        hit = self.spreads.get((t, key, acts))
+        if hit is None:
             counts = _inclusive(key)
-            row, running = move(t, counts, key[0], own.actions[t][key[0]])
-            cost += w * running
-            parts = [spread(t, counts, s.actions, c) for s, c in zip(groups, key[1:])]
-            for nk, p in _product([((y,), w * k) for y, k in row], parts):
-                nxt[nk] = nxt[nk] + p if nk in nxt else p
-        law = nxt
-        laws.append(law)
-    for key, w in law.items():
-        cost += w * game.raw_terminal_cost(key[0], seen(_inclusive(key), key[0]))
-    return CountPropagation(groups, tuple(laws), cost)
+            parts = []
+            for act, c in zip(acts, key[1:]):
+                # the group's c[x] players in state x play act[x]
+                law = {(0,) * len(c): self.one}
+                for x, cx in enumerate(c):
+                    if cx:
+                        law = _add_players(law, cx, self.move(t, counts, x, act[x])[0])
+                parts.append(law.items())
+            hit = self.spreads[t, key, acts] = (counts, _product([((), self.one)], parts))
+        return hit
+
+    def terminal(self, key: tuple) -> Scalar:
+        hit = self.terminals.get(key)
+        if hit is None:
+            x = key[0]
+            hit = self.terminals[key] = self.game.raw_terminal_cost(
+                x, self.seen(_inclusive(key), x)
+            )
+        return hit
 
 
 def _add_players(law: dict, count: int, entries) -> dict:
@@ -328,30 +419,46 @@ def _inclusive(key: tuple) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _summed(laws: list) -> dict:
+    """Pointwise sum of laws over chain states."""
+    out: dict = {}
+    for law in laws:
+        for key, w in law.items():
+            out[key] = out[key] + w if key in out else w
+    return out
+
+
 class _AnonymousCostTable:
-    """Memoized player cost given own strategy and the multiset of others.
+    """Player 0's costs on a fixed tuple of candidate strategies, memoized
+    per multiset of the others' strategies.
 
     All players share one game, so a player's expected cost depends on the
-    other strategies only through their multiset.
+    other strategies only through their multiset.  One walk of the count
+    chain per multiset costs every candidate, and every walk of the table
+    shares one memo of kernel rows, costs and count laws.
     """
 
-    def __init__(self, game, m0n, joint_cap=DEFAULT_JOINT_CAP):
+    def __init__(self, game, m0n, candidates, joint_cap=DEFAULT_JOINT_CAP):
         self.game = game
         self.m0n = m0n
+        self.candidates = tuple(candidates)
+        self.index = {s.actions: i for i, s in enumerate(self.candidates)}
         self.joint_cap = joint_cap
-        self.memo: dict[tuple, Scalar] = {}
+        self.steps = _ChainSteps(game)
+        self.memo: dict[tuple, tuple[Scalar, ...]] = {}
 
-    def cost(self, own: RestrictedStrategy, others: Sequence[RestrictedStrategy]) -> Scalar:
-        key = (own.actions, tuple(sorted(s.actions for s in others)))
+    def costs(self, others: Sequence[RestrictedStrategy]) -> tuple[Scalar, ...]:
+        """The candidates' costs, in order, against the others."""
+        key = tuple(sorted(s.actions for s in others))
         hit = self.memo.get(key)
         if hit is None:
             # equal-width tables: ordering by actions is ordering by sort_key()
             by_actions = {s.actions: s for s in others}
-            ordered = (by_actions[a] for a in key[1])
-            prop = exact_joint_propagate(
-                self.game, (own, *ordered), self.m0n, joint_cap=self.joint_cap
-            )
-            hit = self.memo[key] = prop.cost
+            ordered = tuple(by_actions[a] for a in key)
+            hit = self.memo[key] = exact_joint_propagate(
+                self.game, (self.candidates[0], *ordered), self.m0n,
+                candidates=self.candidates, memo=self.steps, joint_cap=self.joint_cap,
+            ).costs
         return hit
 
 
@@ -367,12 +474,14 @@ def profile_cost_exact(
 ) -> Scalar:
     """Expected cost of `player` when it applies modification u to its draw."""
     explicit = _explicit(profile, atom_cap, player)
-    table = _AnonymousCostTable(game, m0n, joint_cap)
+    draws = [
+        (u.apply(vec[player]), tuple(s for j, s in enumerate(vec) if j != player), w)
+        for vec, w in explicit.atoms
+    ]
+    table = _AnonymousCostTable(game, m0n, _distinct_sorted(s for s, _, _ in draws), joint_cap)
     total = zero(game.arithmetic)
-    for vec, w in explicit.atoms:
-        own = u.apply(vec[player])
-        others = tuple(s for j, s in enumerate(vec) if j != player)
-        total += w * table.cost(own, others)
+    for own, others, w in draws:
+        total += w * table.costs(others)[table.index[own.actions]]
     return total
 
 
@@ -650,19 +759,16 @@ def _deviation_gain_exact(
     explicit = _explicit(profile, atom_cap, player)
     candidates = enumerate_strategies(game, strategy_cap)
     cand_index = {s.actions: i for i, s in enumerate(candidates)}
-    table = _AnonymousCostTable(game, m0n, joint_cap)
+    table = _AnonymousCostTable(game, m0n, candidates, joint_cap)
     by_rec: dict[int, list] = {}
     for vec, w in explicit.atoms:
         others = tuple(s for j, s in enumerate(vec) if j != player)
         by_rec.setdefault(cand_index[vec[player].actions], []).append((others, w))
     values_by_rec = []
     for rec_i in sorted(by_rec):
-        values = []
-        for psi in candidates:
-            v = zero(game.arithmetic)
-            for others, w in by_rec[rec_i]:
-                v += w * table.cost(psi, others)
-            values.append(v)
+        values = [zero(game.arithmetic)] * len(candidates)
+        for others, w in by_rec[rec_i]:
+            values = [v + w * c for v, c in zip(values, table.costs(others))]
         values_by_rec.append((rec_i, values))
     rows = gap_rows(candidates, values_by_rec)
     epsilon = sum((r.gap for r in rows), zero(game.arithmetic))
@@ -738,43 +844,42 @@ def solve_symmetric_ce(
     if len(multisets) > lp_cap:
         raise CapacityError(f"{len(multisets)} LP variables exceed cap {lp_cap}")
     index_of = {m: k for k, m in enumerate(multisets)}
-    table = _AnonymousCostTable(game, m0n, joint_cap)
+    table = _AnonymousCostTable(game, m0n, strategies, joint_cap)
 
-    def d_cost(own_i: int, others: tuple[int, ...]) -> Fraction:
-        return table.cost(strategies[own_i], tuple(strategies[j] for j in others))
+    def costs(others: list[int]) -> tuple[Fraction, ...]:
+        # every strategy's cost against the others-multiset
+        return table.costs(tuple(strategies[j] for j in others))
+
+    def without(m_key: tuple[int, ...], rec: int) -> list[int]:
+        others = list(m_key)
+        others.remove(rec)
+        return others
 
     zero_f = Fraction(0)
     rows = []
     for rec in range(n_r):
-        # every multiset containing rec, keyed by the others-multiset
-        contributions = []
-        for m_key, k in index_of.items():
-            cnt = m_key.count(rec)
-            if cnt == 0:
-                continue
-            others = list(m_key)
-            others.remove(rec)
-            contributions.append((k, Fraction(cnt, n_players), tuple(others)))
+        # every multiset containing rec: (its variable, rec's share, the
+        # costs against the others-multiset)
+        contributions = [
+            (k, Fraction(m_key.count(rec), n_players), costs(without(m_key, rec)))
+            for m_key, k in index_of.items() if rec in m_key
+        ]
         for psi in range(n_r):
             if psi == rec:
                 continue
             coeffs = [zero_f] * len(multisets)
-            for k, share, others in contributions:
-                coeffs[k] = share * (d_cost(psi, others) - d_cost(rec, others))
+            for k, share, c in contributions:
+                coeffs[k] = share * (c[psi] - c[rec])
             rows.append(LinRow(tuple(coeffs), GE, zero_f))
     rows.append(LinRow(tuple(Fraction(1) for _ in multisets), EQ, Fraction(1)))
     names = tuple("w_" + "_".join(map(str, m)) for m in multisets)
     objective = None
     if minimize_total_cost:
-        obj = []
-        for m_key in multisets:
-            total = zero_f
-            for rec in sorted(set(m_key)):
-                others = list(m_key)
-                others.remove(rec)
-                total += m_key.count(rec) * d_cost(rec, tuple(others))
-            obj.append(total)
-        objective = tuple(obj)
+        objective = tuple(
+            sum((m_key.count(rec) * costs(without(m_key, rec))[rec]
+                 for rec in sorted(set(m_key))), zero_f)
+            for m_key in multisets
+        )
     lp = LinearProgram(names, tuple(rows), objective)
     try:
         solution = solve_lp(lp)
@@ -834,8 +939,9 @@ def exchangeability_check(
     ar = arith(game.arithmetic)
     d = len(game.states)
     by_counts: dict[tuple[int, ...], list] = {}  # counts of all N -> mass per x0
+    steps = _ChainSteps(game)
     for vec, w in explicit.atoms:
-        law = exact_joint_propagate(game, vec, m0n, joint_cap=joint_cap).laws[t]
+        law = exact_joint_propagate(game, vec, m0n, memo=steps, joint_cap=joint_cap).laws[t]
         for key, p in law.items():
             cond = by_counts.setdefault(_inclusive(key), [zero(ar.mode)] * d)
             cond[key[0]] += w * p

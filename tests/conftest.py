@@ -3,9 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from cmfg import two_state
 from cmfg.model import ProbabilityVector
+
+
+# `pytest --hypothesis-profile=ci` (the CI's tier-1 step) draws the same
+# examples on every run, so a red CI run reproduces locally
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
 
 
 DEFAULT_PARAMS = two_state.ExampleParams(

@@ -2,9 +2,13 @@
 
   * `uniform`: one counter-based uniform at a time, the scalar form of
     `rng.uniform_block`;
+  * `count_chain_cost` and `candidate_costs`: player 0's expected cost by
+    one propagation of the count chain per candidate strategy, which
+    `nplayer.exact_joint_propagate` replaces by one walk of the deviator's
+    action tree for all candidates;
   * `ce_constraints`: the full correlated-equilibrium system over ordered
-    strategy assignments, of which `nplayer.solve_symmetric_ce` solves the
-    multiset reduction;
+    strategy assignments, with costs from `candidate_costs`, of which
+    `nplayer.solve_symmetric_ce` solves the multiset reduction;
   * `lp_debug_dump`: a readable listing of a linear program;
   * `random_game`: seeded random valid games whose kernels and costs depend
     on the measure;
@@ -28,6 +32,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -48,9 +53,11 @@ from cmfg.model import (
     GameSpec,
     ProbabilityVector,
     ThresholdTransition,
+    arith,
     enumerate_strategies,
+    one,
+    zero,
 )
-from cmfg.nplayer import _AnonymousCostTable
 from cmfg.rng import stream_value
 from cmfg.transport import TransportResult
 
@@ -58,6 +65,88 @@ from cmfg.transport import TransportResult
 def uniform(seed: int, rep: int, slot: int) -> float:
     """One uniform in [0, 1) with 53 random bits."""
     return (stream_value(seed, rep, slot) >> 11) * 2.0 ** -53
+
+
+def count_chain_cost(game, strategies, m0n, joint_cap: int = DEFAULT_JOINT_CAP):
+    """Player 0's expected total cost by propagating the count chain (its
+    state, then per distinct strategy of the others the d-tuple of their
+    state counts) with player 0 on strategies[0] alone: kernel rows memoized
+    within the call only, each group's next counts built by adding its
+    players one at a time, groups combined as independent parts."""
+    n, d = len(strategies), len(game.states)
+    if d ** n > joint_cap:
+        raise CapacityError(f"{d ** n} joint states exceed cap {joint_cap}")
+    ratio = arith(game.arithmetic).ratio
+    own, others = strategies[0], strategies[1:]
+    groups = list(dict.fromkeys(s.actions for s in others))
+    sizes = Counter(s.actions for s in others)
+    blank = {(0,) * d: one(game.arithmetic)}
+
+    def seen(counts, x):
+        return tuple(ratio(c - (y == x), n - 1) for y, c in enumerate(counts))
+
+    def inclusive(key):
+        counts = [sum(by_group) for by_group in zip(*key[1:])]
+        counts[key[0]] += 1
+        return tuple(counts)
+
+    def add_players(law, count, entries):
+        for _ in range(count):
+            out = {}
+            for c, w in law.items():
+                for y, k in entries:
+                    nc = (*c[:y], c[y] + 1, *c[y + 1 :])
+                    out[nc] = out.get(nc, 0) + w * k
+            law = out
+        return law
+
+    def product(heads, parts):
+        for part in parts:
+            heads = [(h + (c,), p * q) for h, p in heads for c, q in part]
+        return heads
+
+    moves = {}
+
+    def move(t, counts, x, a):
+        if (t, counts, x, a) not in moves:
+            m = seen(counts, x)
+            row = game.raw_kernel(t, x, m, a)
+            moves[t, counts, x, a] = (
+                [(y, k) for y, k in enumerate(row) if k], game.raw_running_cost(t, x, m, a)
+            )
+        return moves[t, counts, x, a]
+
+    start = [(y, w) for y, w in enumerate(m0n.weights) if w]
+    law = dict(product(
+        [((x,), w) for x, w in start],
+        [add_players(blank, sizes[g], start).items() for g in groups],
+    ))
+    cost = zero(game.arithmetic)
+    for t in range(game.horizon):
+        nxt = {}
+        for key, w in law.items():
+            counts = inclusive(key)
+            row, running = move(t, counts, key[0], own.actions[t][key[0]])
+            cost += w * running
+            parts = []
+            for g, c in zip(groups, key[1:]):
+                spread = blank
+                for x, cx in enumerate(c):
+                    if cx:
+                        spread = add_players(spread, cx, move(t, counts, x, g[t][x])[0])
+                parts.append(spread.items())
+            for nk, p in product([((y,), w * k) for y, k in row], parts):
+                nxt[nk] = nxt.get(nk, 0) + p
+        law = nxt
+    for key, w in law.items():
+        cost += w * game.raw_terminal_cost(key[0], seen(inclusive(key), key[0]))
+    return cost
+
+
+def candidate_costs(game, candidates, others, m0n) -> tuple:
+    """Player 0's cost on each candidate against the others, one
+    `count_chain_cost` per candidate."""
+    return tuple(count_chain_cost(game, (psi, *others), m0n) for psi in candidates)
 
 
 def ce_constraints(
@@ -84,10 +173,15 @@ def ce_constraints(
         raise CapacityError(f"{n_vars} LP variables exceed cap {lp_cap}")
     assignments = list(itertools.product(range(n_r), repeat=n_players))
     names = tuple("g_" + "_".join(map(str, vec)) for vec in assignments)
-    table = _AnonymousCostTable(game, m0n, joint_cap)
+    memo: dict[tuple, Fraction] = {}
 
     def d_cost(own_i: int, others: tuple[int, ...]) -> Fraction:
-        return table.cost(strategies[own_i], tuple(strategies[j] for j in others))
+        key = (own_i, tuple(sorted(others)))
+        if key not in memo:
+            memo[key] = count_chain_cost(
+                game, [strategies[j] for j in (own_i, *key[1])], m0n, joint_cap
+            )
+        return memo[key]
 
     rows = []
     zero_f = Fraction(0)

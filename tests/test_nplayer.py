@@ -19,6 +19,7 @@ from cmfg.model import (
     EXACT,
     CapacityError,
     FlowTrajectory,
+    GameSpec,
     ProbabilityVector,
     RestrictedStrategy,
     categorical_pick,
@@ -43,7 +44,13 @@ from cmfg.nplayer import (
     symmetrize,
 )
 from cmfg.limits import empirical_rho_n, lift
-from oracles import ce_constraints, deviation_costs_by_candidate, random_game, uniform
+from oracles import (
+    candidate_costs,
+    ce_constraints,
+    deviation_costs_by_candidate,
+    random_game,
+    uniform,
+)
 
 PHI_PLUS = RestrictedStrategy(((1, 0), (1, 0)))
 PHI_PLUS_HAT = RestrictedStrategy(((1, 0), (0, 0)))
@@ -242,6 +249,72 @@ class TestExactJointPropagation:
     def test_needs_a_product_initial_law(self, game, uniform_m0):
         with pytest.raises(ValueError, match="product initial law"):
             exact_joint_propagate(game, (PHI_O, PHI_O), uniform_m0.weights)
+
+
+class TestActionTreeAgainstPerCandidateWalks:
+    """One walk of the count chain for a set of candidates against one
+    propagation per candidate (`oracles.candidate_costs`), on random games
+    whose kernels and costs depend on the measure, with strategies repeated
+    among the others and an initial law with a zero entry."""
+
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from([(3, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 1)]),
+        st.integers(2, 4),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_candidate_costs_equal_the_oracle_loop(self, seed, shape, n):
+        game = random_game(seed, *shape)
+        strategies = enumerate_strategies(game)
+        r = random.Random(seed)
+        raw = [r.randint(1, 3) for _ in game.states.labels]
+        raw[r.randrange(len(raw))] = 0
+        m0 = ProbabilityVector(game.states, tuple(F(v, sum(raw)) for v in raw), EXACT)
+        pool = r.sample(strategies, 2)
+        others = tuple(r.choice(pool) for _ in range(n - 1))
+        candidates = r.sample(strategies, r.randint(1, min(8, len(strategies))))
+        candidates.append(candidates[0])  # a repeated candidate keeps its place
+        own = r.choice(strategies)
+
+        got = exact_joint_propagate(game, (own, *others), m0, candidates=candidates)
+        want = candidate_costs(game, candidates, others, m0)
+        assert got.costs == want
+        single = exact_joint_propagate(game, (own, *others), m0)
+        assert got.cost == single.cost == single.costs[0]
+        assert got.laws == single.laws
+
+        floats = exact_joint_propagate(
+            game.to_float(), (own, *others), m0.to_float(), candidates=candidates
+        )
+        assert all(abs(f - float(c)) < 1e-12 for f, c in zip(floats.costs, want))
+
+
+class TestCostTableWork:
+    def test_ce_walks_once_per_others_multiset(self, monkeypatch):
+        """The N=3 CE of the c1 = 3/32 example walks the count chain once per
+        others-multiset, C(16 + 1, 2) = 136 times, and its cost table
+        evaluates each kernel row once: 24 distinct (t, x, measure, action)."""
+        params = two_state.ExampleParams.from_alpha(F(1, 2), F(1, 32), F(3, 32))
+        game, _, _ = two_state.build_example(params)
+        walks = []
+        engine = nplayer.exact_joint_propagate
+
+        def counted(*args, **kwargs):
+            walks.append(len(args[1]))
+            return engine(*args, **kwargs)
+
+        rows = []
+        raw_kernel = GameSpec.raw_kernel
+
+        def counted_kernel(self, t, x, m, a):
+            rows.append((t, x, tuple(m), a))
+            return raw_kernel(self, t, x, m, a)
+
+        monkeypatch.setattr(nplayer, "exact_joint_propagate", counted)
+        monkeypatch.setattr(GameSpec, "raw_kernel", counted_kernel)
+        solve_symmetric_ce(game, 3, ProbabilityVector.uniform(game.states, EXACT))
+        assert walks == [3] * 136
+        assert len(rows) == len(set(rows)) == 24
 
 
 class TestProfileCostExact:
