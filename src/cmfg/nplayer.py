@@ -846,14 +846,11 @@ def solve_symmetric_ce(
     index_of = {m: k for k, m in enumerate(multisets)}
     table = _AnonymousCostTable(game, m0n, strategies, joint_cap)
 
-    def costs(others: list[int]) -> tuple[Fraction, ...]:
-        # every strategy's cost against the others-multiset
-        return table.costs(tuple(strategies[j] for j in others))
-
-    def without(m_key: tuple[int, ...], rec: int) -> list[int]:
+    def costs(m_key: tuple[int, ...], rec: int) -> tuple[Fraction, ...]:
+        # every strategy's cost against the multiset m_key less one rec
         others = list(m_key)
         others.remove(rec)
-        return others
+        return table.costs(tuple(strategies[j] for j in others))
 
     zero_f = Fraction(0)
     rows = []
@@ -861,7 +858,7 @@ def solve_symmetric_ce(
         # every multiset containing rec: (its variable, rec's share, the
         # costs against the others-multiset)
         contributions = [
-            (k, Fraction(m_key.count(rec), n_players), costs(without(m_key, rec)))
+            (k, Fraction(m_key.count(rec), n_players), costs(m_key, rec))
             for m_key, k in index_of.items() if rec in m_key
         ]
         for psi in range(n_r):
@@ -876,7 +873,7 @@ def solve_symmetric_ce(
     objective = None
     if minimize_total_cost:
         objective = tuple(
-            sum((m_key.count(rec) * costs(without(m_key, rec))[rec]
+            sum((m_key.count(rec) * costs(m_key, rec)[rec]
                  for rec in sorted(set(m_key))), zero_f)
             for m_key in multisets
         )
