@@ -1,9 +1,11 @@
 """Exact-rational linear programming via the two-phase simplex method.
 
-Variables are implicitly nonnegative.  Rows are ">=" or "==" constraints with
-Fraction coefficients.  Bland's rule (smallest index enters, smallest basic
-index leaves on ratio ties) guarantees termination despite the heavy
-degeneracy of feasibility systems whose right-hand sides are mostly zero.
+Variables are implicitly nonnegative.  Rows are ">=" or "==" constraints
+whose coefficients (Fraction or int) are taken as given and written into the
+tableau once; only the right-hand side becomes a Fraction.  Bland's rule
+(smallest index enters, smallest basic index leaves on ratio ties)
+guarantees termination despite the heavy degeneracy of feasibility systems
+whose right-hand sides are mostly zero.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ class UnboundedError(Exception):
 
 @dataclass(frozen=True)
 class LinRow:
+    """One constraint, stored as given: coefficients (Fraction or int) and rhs."""
+
     coeffs: tuple[Fraction, ...]
     relation: str
     rhs: Fraction
@@ -36,8 +40,6 @@ class LinRow:
     def __post_init__(self):
         if self.relation not in (GE, EQ):
             raise ValueError(f"relation must be {GE!r} or {EQ!r}")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
 
 
 @dataclass(frozen=True)
@@ -105,38 +107,29 @@ class _Tableau:
 def solve_lp(lp: LinearProgram) -> dict[str, Fraction]:
     """A vertex solution: feasible for None objective, optimal otherwise."""
     n = len(lp.variables)
-    # normalize: ">= b" rows with b <= 0 flip to "-a x + s = -b" giving a free
-    # basic slack; others keep a surplus and receive an artificial variable
-    norm = []  # (coeffs, rhs, slack_sign) with rhs >= 0
-    for row in lp.rows:
-        if row.relation == GE and row.rhs <= 0:
-            norm.append(([-c for c in row.coeffs], -row.rhs, _ONE))
-        elif row.relation == GE:
-            norm.append((list(row.coeffs), row.rhs, -_ONE))
-        elif row.rhs < 0:
-            norm.append(([-c for c in row.coeffs], -row.rhs, None))
-        else:
-            norm.append((list(row.coeffs), row.rhs, None))
-
-    nslack = sum(1 for _, _, s in norm if s is not None)
-    need_art = [s is None or s < 0 for _, _, s in norm]
-    nart = sum(need_art)
+    # each row flips to rhs >= 0; a ">=" row with b <= 0 becomes
+    # "-a x + s = -b" with a free basic slack, other ">=" rows keep a surplus,
+    # and every row without a basic slack receives an artificial variable
+    flips = [r.rhs <= 0 if r.relation == GE else r.rhs < 0 for r in lp.rows]
+    nslack = sum(r.relation == GE for r in lp.rows)
+    nart = sum(r.relation == EQ or not f for r, f in zip(lp.rows, flips))
     ncols = n + nslack + nart + 1
-    tab = _Tableau(len(norm) + 1, ncols)
+    tab = _Tableau(len(lp.rows) + 1, ncols)
 
     si = n
     ai = n + nslack
-    for i, (coeffs, rhs, sign) in enumerate(norm):
+    for i, (row, flip) in enumerate(zip(lp.rows, flips)):
         r = tab.rows[i + 1]
-        for j, c in enumerate(coeffs):
-            r[j] = Fraction(c)
-        r[-1] = Fraction(rhs)
-        if sign is not None:
-            r[si] = sign
-            if sign > 0:
+        for j, c in enumerate(row.coeffs):
+            if c:
+                r[j] = -c if flip else c
+        r[-1] = Fraction(-row.rhs if flip else row.rhs)
+        if row.relation == GE:
+            r[si] = _ONE if flip else -_ONE
+            if flip:
                 tab.basis[i] = si
             si += 1
-        if need_art[i]:
+        if tab.basis[i] < 0:
             r[ai] = _ONE
             tab.basis[i] = ai
             ai += 1
@@ -167,8 +160,7 @@ def solve_lp(lp: LinearProgram) -> dict[str, Fraction]:
     tab.rows[0] = [_ZERO] * ncols
     if lp.objective is not None and any(lp.objective):
         obj = tab.rows[0]
-        for j, c in enumerate(lp.objective):
-            obj[j] = Fraction(c)
+        obj[:n] = lp.objective
         for i in range(1, len(tab.rows)):
             b = tab.basis[i - 1]
             f = tab.rows[0][b]

@@ -66,14 +66,14 @@ class TestAtomicWriters:
     def test_json_roundtrip_and_trailing_newline(self, tmp_path):
         path = str(tmp_path / "doc.json")
         io.write_json_atomic(path, {"a": [1, 2]})
-        raw = open(path, "rb").read()
+        raw = (tmp_path / "doc.json").read_bytes()
         assert raw.endswith(b"\n")
         assert io.read_json(path) == {"a": [1, 2]}
 
     def test_csv_layout(self, tmp_path):
         path = str(tmp_path / "t.csv")
         io.write_csv_atomic(path, ("a", "b"), [(1, 0.25), (F(1, 3), "x")])
-        text = open(path).read()
+        text = (tmp_path / "t.csv").read_text()
         assert text == "a,b\n1,0.25\n0.33333333333333331,x\n"
 
     def test_no_temp_files_left_behind(self, tmp_path):
@@ -87,7 +87,7 @@ class TestAtomicWriters:
         path = str(tmp_path / "f.txt")
         io.write_text_atomic(path, "long content here\n")
         io.write_text_atomic(path, "short\n")
-        assert open(path).read() == "short\n"
+        assert (tmp_path / "f.txt").read_text() == "short\n"
 
 
 class TestGameDocuments:

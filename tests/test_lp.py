@@ -37,7 +37,32 @@ def test_feasibility_only():
     )
     sol = solve_lp(lp)
     assert check_solution(lp, sol)
-    assert sol["x"] + sol["y"] == 1 and sol["x"] >= F(1, 4)
+    # the vertex Bland's rule picks among the feasible segment's two ends
+    assert sol == {"x": F(1, 4), "y": F(3, 4)}
+
+
+def test_degenerate_feasibility_vertex():
+    """Zero-rhs rows as in the CE system, so every ratio test ties at 0.
+
+    Both (0, 1/2, 1/2, 0) and (2/11, 7/22, 3/22, 4/11) are feasible vertices:
+    the column order and Bland's entering and leaving rules fix which one
+    comes back.  The data are ints, and the values still come back as
+    Fractions.
+    """
+    lp = LinearProgram(
+        variables=("a", "b", "c", "d"),
+        rows=(
+            LinRow((-1, 2, 2, -2), GE, 0),
+            LinRow((-1, 2, -2, 0), GE, 0),
+            LinRow((1, -1, 1, 0), EQ, 0),
+            LinRow((1, 1, -1, -1), EQ, 0),
+            LinRow((-1, -1, -1, -1), EQ, -1),
+        ),
+    )
+    sol = solve_lp(lp)
+    assert sol == {"a": F(2, 11), "b": F(7, 22), "c": F(3, 22), "d": F(4, 11)}
+    assert all(type(v) is F for v in sol.values())
+    assert check_solution(lp, sol)
 
 
 def test_optimum_exact():
@@ -129,6 +154,12 @@ def test_bad_relation_rejected():
         LinRow((F(1),), "<=", 0)
 
 
+def test_row_keeps_its_coefficients():
+    coeffs = (F(1), F(-1, 2), 0)
+    row = LinRow(coeffs, GE, 0)
+    assert row.coeffs is coeffs
+
+
 def test_debug_dump_mentions_rows():
     lp = LinearProgram(
         variables=("x", "y"),
@@ -140,25 +171,34 @@ def test_debug_dump_mentions_rows():
 
 
 def test_against_float_solver():
-    """Random min-cost LPs agree with scipy.linprog in status and value."""
+    """Random min-cost LPs agree with scipy.linprog in status and value.
+
+    Rows mix ">=" and "==" with negative, zero and positive rhs, so every
+    row normalization (flipped or not, slack or artificial) is exercised;
+    the data are ints and the values come back as Fractions.
+    """
     rng = random.Random(20250825)
-    for _ in range(25):
+    kinds = set()
+    for _ in range(150):
         n, m = rng.randint(2, 4), rng.randint(2, 4)
         names = tuple(f"v{i}" for i in range(n))
         a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         b = [rng.randint(-4, 4) for _ in range(m)]
+        rel = [rng.choice((GE, GE, EQ)) for _ in range(m)]
         c = [rng.randint(-2, 3) for _ in range(n)]
         lp = LinearProgram(
             variables=names,
-            rows=tuple(
-                LinRow(tuple(F(v) for v in row), GE, rhs) for row, rhs in zip(a, b)
-            ),
-            objective=tuple(F(v) for v in c),
+            rows=tuple(LinRow(tuple(row), r, rhs) for row, r, rhs in zip(a, rel, b)),
+            objective=tuple(c),
         )
+        ge = [i for i in range(m) if rel[i] == GE]
+        eq = [i for i in range(m) if rel[i] == EQ]
         ref = linprog(
             c,
-            A_ub=[[-v for v in row] for row in a],
-            b_ub=[-v for v in b],
+            A_ub=[[-v for v in a[i]] for i in ge] or None,
+            b_ub=[-b[i] for i in ge] or None,
+            A_eq=[a[i] for i in eq] or None,
+            b_eq=[b[i] for i in eq] or None,
             bounds=[(0, None)] * n,
             method="highs",
         )
@@ -170,6 +210,9 @@ def test_against_float_solver():
             assert ref.status == 3
         else:
             assert ref.status == 0
-            value = sum(F(ci) * sol[name] for ci, name in zip(c, names))
+            assert all(type(v) is F for v in sol.values())
+            value = sum(ci * sol[name] for ci, name in zip(c, names))
             assert abs(float(value) - ref.fun) < 1e-7
             assert check_solution(lp, sol)
+            kinds.update((r, (rhs > 0) - (rhs < 0)) for r, rhs in zip(rel, b))
+    assert kinds == {(r, s) for r in (GE, EQ) for s in (-1, 0, 1)}
