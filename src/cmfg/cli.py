@@ -71,7 +71,8 @@ def _add_common(p: argparse.ArgumentParser, *, seeded: bool = False) -> None:
     p.add_argument("--threads", type=_threads, default=_default_threads(),
                    help="recorded in the manifest only (CMFG_THREADS fallback)")
     p.add_argument("--joint-cap", type=int, default=DEFAULT_JOINT_CAP)
-    p.add_argument("--atom-cap", type=int, default=DEFAULT_ATOM_CAP)
+    p.add_argument("--atom-cap", type=int, default=DEFAULT_ATOM_CAP,
+                   help="bounds only the --method auto choice of limits epsilon-curve")
     p.add_argument("--lp-cap", type=int, default=DEFAULT_LP_CAP)
     p.add_argument("--strategy-cap", type=int, default=DEFAULT_STRATEGY_CAP)
     p.add_argument("--ot-cap", type=int, default=DEFAULT_OT_CAP)
@@ -413,8 +414,7 @@ def _run_nplayer_solve_ce(session: _Session, opts: dict) -> int:
     for player in range(opts["n_players"]):
         gain = nplayer.deviation_gain(
             game, profile, player, m0, "exact",
-            joint_cap=opts["joint_cap"], atom_cap=opts["atom_cap"],
-            strategy_cap=opts["strategy_cap"],
+            joint_cap=opts["joint_cap"], strategy_cap=opts["strategy_cap"],
         )
         reports.append((player, gain))
     _gap_rows_csv(session, "gains.csv", reports)
@@ -433,8 +433,7 @@ def _run_nplayer_epsilon(session: _Session, opts: dict) -> int:
     cfg = nplayer.SimulationConfig(opts["seed"], opts["reps"])
     gain = nplayer.deviation_gain(
         game, profile, opts["player"], m0, opts["method"], cfg,
-        joint_cap=opts["joint_cap"], atom_cap=opts["atom_cap"],
-        strategy_cap=opts["strategy_cap"],
+        joint_cap=opts["joint_cap"], strategy_cap=opts["strategy_cap"],
     )
     _gap_rows_csv(session, "gains.csv", [(opts["player"], gain)])
     session.write_json(

@@ -95,10 +95,10 @@ def epsilon_curve(
     """Deviation gain of the lifted profile at each population size.
 
     With method "auto", the exact engine when the joint-state space, the
-    factored expansion and a fixed heuristic price (atoms times squared joint
-    size) all fit their caps; Monte Carlo with common random numbers
-    otherwise.  Lifted profiles are exchangeable, so player 1's gain equals
-    every player's gain.
+    atom count sum_k |c_k|^N of the lift and a fixed heuristic price (that
+    count times the squared joint size) all fit their caps; Monte Carlo with
+    common random numbers otherwise.  Lifted profiles are exchangeable, so
+    player 1's gain equals every player's gain.
     """
     if method not in ("auto", "exact", "mc"):
         raise ValueError(f"unknown method {method!r}")
@@ -119,7 +119,7 @@ def epsilon_curve(
         if use == "exact":
             gain = deviation_gain(
                 game, profile, 0, m0, "exact",
-                joint_cap=joint_cap, atom_cap=atom_cap, strategy_cap=strategy_cap,
+                joint_cap=joint_cap, strategy_cap=strategy_cap,
             )
             row = EpsilonRow(
                 n, gain.epsilon, None, None, time.perf_counter() - started, "exact"

@@ -16,6 +16,9 @@ N-1 states.  This module provides
     reduced to strategy multisets, whose rows come from one walk per
     multiset of the others.
 
+Exact audits read a profile as one player's anonymous draws (own strategy,
+others-multiset, weight), never as atoms over ordered strategy tuples.
+
 Profiles and initial laws are validated once, when they are built; the
 exact propagation then works on raw weight tuples and reads kernel rows and
 costs through the raw `GameSpec` methods.
@@ -130,64 +133,80 @@ class FactoredProfile:
     def support_strategies(self) -> tuple[RestrictedStrategy, ...]:
         return _distinct_sorted(s for cond in self.conditionals for s, _ in cond)
 
-    def expand(self, cap: int = DEFAULT_ATOM_CAP) -> ExplicitProfile:
-        """Integrate the flow out: atoms over strategy tuples with product weights."""
-        n_atoms = sum(len(c) ** self.n_players for c in self.conditionals)
-        if n_atoms > cap:
-            raise CapacityError(f"expansion needs {n_atoms} atoms, cap {cap}")
-        atoms = []
-        for wf, cond in zip(self.flow_weights, self.conditionals):
-            for combo in itertools.product(cond, repeat=self.n_players):
-                w = math.prod((ws for _, ws in combo), start=wf)
-                atoms.append((tuple(s for s, _ in combo), w))
-        return ExplicitProfile(self.n_players, tuple(atoms))
-
 
 CorrelatedProfile = Union[ExplicitProfile, FactoredProfile]
 
 
-def _explicit(profile: CorrelatedProfile, atom_cap: int, player: int = 0) -> ExplicitProfile:
-    """The profile's atoms over strategy tuples; refuses a player index out of range."""
-    explicit = profile.expand(atom_cap) if isinstance(profile, FactoredProfile) else profile
-    if not 0 <= player < explicit.n_players:
+def _multinomial(counts: Iterable[int]) -> int:
+    """Distinct orderings of a multiset with these multiplicities."""
+    counts = tuple(counts)
+    return math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
+
+
+def _arrangements(items: Sequence) -> set[tuple]:
+    """The distinct orderings of a multiset, built by inserting one item at
+    a time; no stage holds more orderings than the result."""
+    arranged = {()}
+    for x in items:
+        arranged = {a[:i] + (x,) + a[i:] for a in arranged for i in range(len(a) + 1)}
+    return arranged
+
+
+def _anonymous_draws(profile: CorrelatedProfile, player: int) -> list[tuple]:
+    """What `player` draws: (own strategy, the others in enumeration order,
+    weight), merged over equal own strategy and others-multiset.
+
+    A player sees the others only through their multiset, so the draws carry
+    all that an exact audit needs.  An explicit profile groups its atoms; a
+    factored one takes, per flow and recommendation, each count vector of
+    the others over the conditional, with its multinomial weight.
+    """
+    if not 0 <= player < profile.n_players:
         raise ValueError(f"player index {player} out of range")
-    return explicit
+    if isinstance(profile, ExplicitProfile):
+        raw = [(vec[player], vec[:player] + vec[player + 1 :], w) for vec, w in profile.atoms]
+    else:
+        raw, n_others = [], profile.n_players - 1
+        for wf, cond in zip(profile.flow_weights, profile.conditionals):
+            for picks in itertools.combinations_with_replacement(range(len(cond)), n_others):
+                counts = Counter(picks)
+                w = wf * _multinomial(counts.values())
+                w = math.prod((cond[i][1] ** c for i, c in counts.items()), start=w)
+                raw.extend((own, tuple(cond[i][0] for i in picks), w * wo) for own, wo in cond)
+    merged: dict[tuple, Scalar] = {}
+    for own, others, w in raw:
+        key = (own, tuple(sorted(others, key=RestrictedStrategy.sort_key)))
+        merged[key] = merged[key] + w if key in merged else w
+    return [(own, others, w) for (own, others), w in merged.items()]
 
 
 def symmetrize(profile: ExplicitProfile, cap: int = DEFAULT_ATOM_CAP) -> ExplicitProfile:
     """Average the profile over all coordinate permutations."""
-    n_fact = math.factorial(profile.n_players)
-    if len(profile.atoms) * n_fact > cap:
-        raise CapacityError(
-            f"symmetrization may need {len(profile.atoms) * n_fact} atoms, cap {cap}"
-        )
+    n_atoms = sum(_multinomial(Counter(vec).values()) for vec, _ in profile.atoms)
+    if n_atoms > cap:
+        raise CapacityError(f"symmetrization needs {n_atoms} atoms, cap {cap}")
     atoms = []
     ratio = arith(profile.mode).ratio
     for vec, w in profile.atoms:
-        perms = sorted(set(itertools.permutations(range(len(vec)))),
-                       key=lambda p: tuple(vec[i].sort_key() for i in p))
-        distinct: dict[tuple, tuple] = {}
-        for p in perms:
-            arranged = tuple(vec[i] for i in p)
-            distinct.setdefault(tuple(s.actions for s in arranged), arranged)
-        share = ratio(w, len(distinct))
-        for arranged in distinct.values():
-            atoms.append((arranged, share))
+        arranged = _arrangements(vec)
+        share = ratio(w, len(arranged))
+        atoms.extend((arr, share) for arr in arranged)
     return ExplicitProfile(profile.n_players, tuple(atoms))
 
 
 def is_symmetric(profile: CorrelatedProfile) -> bool:
-    """Permutation invariance of the joint strategy law."""
+    """Permutation invariance of the joint strategy law: every multiset of
+    an explicit profile holds all its arrangements, with equal weights."""
     if isinstance(profile, FactoredProfile):
         return True  # i.i.d. given the flow
-    table = {tuple(s.actions for s in vec): w for vec, w in profile.atoms}
-    tol = arith(profile.mode).tol
+    orbits: dict[tuple, list] = {}
     for vec, w in profile.atoms:
-        for p in itertools.permutations(tuple(s.actions for s in vec)):
-            other = table.get(tuple(p))
-            if other is None or abs(other - w) > tol:
-                return False
-    return True
+        orbits.setdefault(tuple(sorted(s.actions for s in vec)), []).append(w)
+    tol = arith(profile.mode).tol
+    return all(
+        len(ws) == _multinomial(Counter(key).values()) and max(ws) - min(ws) <= tol
+        for key, ws in orbits.items()
+    )
 
 
 @dataclass(frozen=True)
@@ -448,15 +467,13 @@ class _AnonymousCostTable:
         self.memo: dict[tuple, tuple[Scalar, ...]] = {}
 
     def costs(self, others: Sequence[RestrictedStrategy]) -> tuple[Scalar, ...]:
-        """The candidates' costs, in order, against the others."""
-        key = tuple(sorted(s.actions for s in others))
+        """The candidates' costs, in order, against the others, given in
+        enumeration order (`RestrictedStrategy.sort_key`)."""
+        key = tuple(s.actions for s in others)
         hit = self.memo.get(key)
         if hit is None:
-            # equal-width tables: ordering by actions is ordering by sort_key()
-            by_actions = {s.actions: s for s in others}
-            ordered = tuple(by_actions[a] for a in key)
             hit = self.memo[key] = exact_joint_propagate(
-                self.game, (self.candidates[0], *ordered), self.m0n,
+                self.game, (self.candidates[0], *others), self.m0n,
                 candidates=self.candidates, memo=self.steps, joint_cap=self.joint_cap,
             ).costs
         return hit
@@ -470,14 +487,9 @@ def profile_cost_exact(
     m0n: ProbabilityVector,
     *,
     joint_cap: int = DEFAULT_JOINT_CAP,
-    atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> Scalar:
     """Expected cost of `player` when it applies modification u to its draw."""
-    explicit = _explicit(profile, atom_cap, player)
-    draws = [
-        (u.apply(vec[player]), tuple(s for j, s in enumerate(vec) if j != player), w)
-        for vec, w in explicit.atoms
-    ]
+    draws = [(u.apply(own), others, w) for own, others, w in _anonymous_draws(profile, player)]
     table = _AnonymousCostTable(game, m0n, _distinct_sorted(s for s, _, _ in draws), joint_cap)
     total = zero(game.arithmetic)
     for own, others, w in draws:
@@ -733,7 +745,6 @@ def deviation_gain(
     cfg: Optional[SimulationConfig] = None,
     *,
     joint_cap: int = DEFAULT_JOINT_CAP,
-    atom_cap: int = DEFAULT_ATOM_CAP,
     strategy_cap: int = DEFAULT_STRATEGY_CAP,
 ) -> DeviationGainResult:
     """Largest total gain any strategy modification offers to one player.
@@ -743,9 +754,7 @@ def deviation_gain(
     contribution any deviation psi achieves on the event {recommended phi}).
     """
     if method == "exact":
-        return _deviation_gain_exact(
-            game, profile, player, m0n, joint_cap, atom_cap, strategy_cap
-        )
+        return _deviation_gain_exact(game, profile, player, m0n, joint_cap, strategy_cap)
     if method == "mc":
         if cfg is None:
             raise ValueError("Monte Carlo method needs a SimulationConfig")
@@ -754,23 +763,17 @@ def deviation_gain(
 
 
 def _deviation_gain_exact(
-    game, profile, player, m0n, joint_cap, atom_cap, strategy_cap
+    game, profile, player, m0n, joint_cap, strategy_cap
 ) -> DeviationGainResult:
-    explicit = _explicit(profile, atom_cap, player)
+    draws = _anonymous_draws(profile, player)
     candidates = enumerate_strategies(game, strategy_cap)
-    cand_index = {s.actions: i for i, s in enumerate(candidates)}
     table = _AnonymousCostTable(game, m0n, candidates, joint_cap)
-    by_rec: dict[int, list] = {}
-    for vec, w in explicit.atoms:
-        others = tuple(s for j, s in enumerate(vec) if j != player)
-        by_rec.setdefault(cand_index[vec[player].actions], []).append((others, w))
-    values_by_rec = []
-    for rec_i in sorted(by_rec):
-        values = [zero(game.arithmetic)] * len(candidates)
-        for others, w in by_rec[rec_i]:
-            values = [v + w * c for v, c in zip(values, table.costs(others))]
-        values_by_rec.append((rec_i, values))
-    rows = gap_rows(candidates, values_by_rec)
+    zeros = [zero(game.arithmetic)] * len(candidates)
+    by_rec: dict[int, list] = {}  # recommendation -> every candidate's value on it
+    for own, others, w in draws:
+        rec_i = table.index[own.actions]
+        by_rec[rec_i] = [v + w * c for v, c in zip(by_rec.get(rec_i, zeros), table.costs(others))]
+    rows = gap_rows(candidates, sorted(by_rec.items()))
     epsilon = sum((r.gap for r in rows), zero(game.arithmetic))
     return DeviationGainResult(epsilon, rows, "exact")
 
@@ -889,10 +892,9 @@ def solve_symmetric_ce(
         w = solution[name]
         if w == 0:
             continue
-        arrangements = sorted(set(itertools.permutations(m_key)))
+        arrangements = _arrangements(m_key)
         share = w / len(arrangements)
-        for arr in arrangements:
-            atoms.append((tuple(strategies[j] for j in arr), share))
+        atoms.extend((tuple(strategies[j] for j in arr), share) for arr in arrangements)
     return ExplicitProfile(n_players, tuple(atoms))
 
 
@@ -921,7 +923,6 @@ def exchangeability_check(
     t: int,
     *,
     joint_cap: int = DEFAULT_JOINT_CAP,
-    atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> ExchangeabilityReport:
     """Conditional law of player 0 given the empirical measure equals it.
 
@@ -929,24 +930,22 @@ def exchangeability_check(
     """
     if not is_symmetric(profile):
         raise ValueError("profile is not symmetric")
-    explicit = _explicit(profile, atom_cap)
-    n = explicit.n_players
     if not 0 <= t <= game.horizon:
         raise ValueError(f"time {t} outside 0..{game.horizon}")
     ar = arith(game.arithmetic)
     d = len(game.states)
     by_counts: dict[tuple[int, ...], list] = {}  # counts of all N -> mass per x0
     steps = _ChainSteps(game)
-    for vec, w in explicit.atoms:
-        law = exact_joint_propagate(game, vec, m0n, memo=steps, joint_cap=joint_cap).laws[t]
-        for key, p in law.items():
+    for own, others, w in _anonymous_draws(profile, 0):
+        walk = exact_joint_propagate(game, (own, *others), m0n, memo=steps, joint_cap=joint_cap)
+        for key, p in walk.laws[t].items():
             cond = by_counts.setdefault(_inclusive(key), [zero(ar.mode)] * d)
             cond[key[0]] += w * p
     rows = []
     for counts in sorted(by_counts):
         cond = by_counts[counts]
         mass = sum(cond)
-        empirical = tuple(ar.ratio(c, n) for c in counts)
+        empirical = tuple(ar.ratio(c, profile.n_players) for c in counts)
         worst = max(abs(c / mass - e) for c, e in zip(cond, empirical))
         rows.append(ExchangeabilityRow(empirical, mass, worst))
     ok = all(row.worst_gap <= ar.tol for row in rows)

@@ -26,11 +26,18 @@
     the shared `mfg.gap_rows`;
   * `fraction_transport`: the transportation simplex in `Fraction`s with the
     basis rebuilt on every pivot, which `transport.solve_transport` runs on
-    integer numerators with the basis kept between pivots.
+    integer numerators with the basis kept between pivots;
+  * `expand`: a profile as atoms over ordered strategy tuples, sum_k |c_k|^N
+    of them for a factored profile, which the exact audits replace by one
+    player's anonymous draws (own strategy, others-multiset, weight);
+  * `expanded_deviation_gain` and `expanded_exchangeability_check`: the
+    exact audits atom by atom over `expand`, and `brute_is_symmetric`, the
+    symmetry test over all N! permutations of each atom.
 """
 
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -39,7 +46,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from cmfg.lp import EQ, GE, LinearProgram, LinRow
-from cmfg.mfg import CorrelatedFlow, GapRow, deterministic_cost
+from cmfg.mfg import CorrelatedFlow, GapRow, deterministic_cost, gap_rows
 from cmfg.model import (
     DEFAULT_JOINT_CAP,
     DEFAULT_LP_CAP,
@@ -57,6 +64,13 @@ from cmfg.model import (
     enumerate_strategies,
     one,
     zero,
+)
+from cmfg.nplayer import (
+    DeviationGainResult,
+    ExchangeabilityReport,
+    ExchangeabilityRow,
+    ExplicitProfile,
+    exact_joint_propagate,
 )
 from cmfg.rng import stream_value
 from cmfg.transport import TransportResult
@@ -147,6 +161,76 @@ def candidate_costs(game, candidates, others, m0n) -> tuple:
     """Player 0's cost on each candidate against the others, one
     `count_chain_cost` per candidate."""
     return tuple(count_chain_cost(game, (psi, *others), m0n) for psi in candidates)
+
+
+def expand(profile) -> ExplicitProfile:
+    """The profile's atoms over ordered strategy tuples: a factored profile
+    integrates its flow out into one atom per flow and tuple of draws, with
+    the product of the weights; an explicit profile is returned as it is."""
+    if isinstance(profile, ExplicitProfile):
+        return profile
+    atoms = []
+    for wf, cond in zip(profile.flow_weights, profile.conditionals):
+        for combo in itertools.product(cond, repeat=profile.n_players):
+            atoms.append((tuple(s for s, _ in combo), math.prod((w for _, w in combo), start=wf)))
+    return ExplicitProfile(profile.n_players, tuple(atoms))
+
+
+def expanded_deviation_gain(game, profile, player, m0n) -> DeviationGainResult:
+    """The exact deviation audit atom by atom over `expand`: each atom's
+    others costed by `candidate_costs`, memoized per others-multiset."""
+    candidates = enumerate_strategies(game)
+    index = {s.actions: i for i, s in enumerate(candidates)}
+    memo = {}
+    by_rec = {}
+    for vec, w in expand(profile).atoms:
+        others = vec[:player] + vec[player + 1 :]
+        key = tuple(sorted(s.actions for s in others))
+        if key not in memo:
+            memo[key] = candidate_costs(game, candidates, others, m0n)
+        rec = index[vec[player].actions]
+        values = by_rec.get(rec, [zero(game.arithmetic)] * len(candidates))
+        by_rec[rec] = [v + w * c for v, c in zip(values, memo[key])]
+    rows = gap_rows(candidates, sorted(by_rec.items()))
+    return DeviationGainResult(
+        sum((r.gap for r in rows), zero(game.arithmetic)), rows, "exact"
+    )
+
+
+def expanded_exchangeability_check(game, profile, m0n, t) -> ExchangeabilityReport:
+    """`nplayer.exchangeability_check` with one walk per atom of `expand`."""
+    ar = arith(game.arithmetic)
+    n, d = profile.n_players, len(game.states)
+    by_counts = {}
+    for vec, w in expand(profile).atoms:
+        for key, p in exact_joint_propagate(game, vec, m0n).laws[t].items():
+            counts = [sum(by_group) for by_group in zip(*key[1:])]
+            counts[key[0]] += 1
+            cond = by_counts.setdefault(tuple(counts), [zero(ar.mode)] * d)
+            cond[key[0]] += w * p
+    rows = []
+    for counts in sorted(by_counts):
+        cond = by_counts[counts]
+        mass = sum(cond)
+        empirical = tuple(ar.ratio(c, n) for c in counts)
+        rows.append(ExchangeabilityRow(
+            empirical, mass, max(abs(c / mass - e) for c, e in zip(cond, empirical))
+        ))
+    return ExchangeabilityReport(all(r.worst_gap <= ar.tol for r in rows), t, tuple(rows))
+
+
+def brute_is_symmetric(profile) -> bool:
+    """Every permutation of every atom carries the atom's weight, within the
+    mode's tolerance."""
+    if not isinstance(profile, ExplicitProfile):
+        return True
+    table = {tuple(s.actions for s in vec): w for vec, w in profile.atoms}
+    tol = arith(profile.mode).tol
+    return all(
+        p in table and abs(table[p] - w) <= tol
+        for vec, w in profile.atoms
+        for p in itertools.permutations(tuple(s.actions for s in vec))
+    )
 
 
 def ce_constraints(

@@ -13,7 +13,7 @@ from cmfg.limits import lift
 from cmfg.model import EXACT, FLOAT, RestrictedStrategy
 from cmfg.nplayer import ExplicitProfile, FactoredProfile
 
-from oracles import MALFORMED_GAMES, malformed_game, random_game
+from oracles import MALFORMED_GAMES, expand, malformed_game, random_game
 
 
 class TestScalars:
@@ -196,7 +196,7 @@ class TestStrategyAndFlowDocuments:
 
 class TestProfileDocuments:
     def test_explicit_roundtrip(self, game, rho):
-        explicit = lift(rho, 2).expand()
+        explicit = expand(lift(rho, 2))
         doc = io.profile_to_json(explicit, game)
         again = io.profile_from_json(doc, game)
         assert isinstance(again, ExplicitProfile)

@@ -19,6 +19,7 @@ from cmfg.mfg import factor_flow
 from cmfg.model import RestrictedStrategy
 from cmfg.nplayer import SimulationConfig
 from cmfg.transport import flow_space_distance
+from oracles import expand
 
 
 class TestLift:
@@ -35,7 +36,7 @@ class TestLift:
             lift(rho, 1)
 
     def test_player_marginal_is_rho_marginal(self, game, rho):
-        explicit = lift(rho, 2).expand()
+        explicit = expand(lift(rho, 2))
         marg = {}
         for vec, w in explicit.atoms:
             marg[vec[0]] = marg.get(vec[0], F(0)) + w

@@ -3,6 +3,7 @@
 import gc
 import math
 import random
+import time
 import weakref
 from fractions import Fraction as F
 from itertools import product
@@ -45,9 +46,13 @@ from cmfg.nplayer import (
 )
 from cmfg.limits import empirical_rho_n, lift
 from oracles import (
+    brute_is_symmetric,
     candidate_costs,
     ce_constraints,
     deviation_costs_by_candidate,
+    expand,
+    expanded_deviation_gain,
+    expanded_exchangeability_check,
     random_game,
     uniform,
 )
@@ -60,6 +65,43 @@ PHI_O = RestrictedStrategy(((0, 0), (0, 0)))
 
 def dirac_profile(*strategies):
     return ExplicitProfile(len(strategies), ((tuple(strategies), F(1)),))
+
+
+def random_audit_profile(game, seed, n, factored):
+    """A random n-player profile on a pool of one to three strategies: one to
+    four explicit atoms, or one to three flows whose conditionals each hold
+    one to three of the pool's strategies."""
+    r = random.Random(seed)
+    pool = r.sample(enumerate_strategies(game), r.randint(1, 3))
+
+    def weights(k):
+        raw = [r.randint(1, 4) for _ in range(k)]
+        return tuple(F(w, sum(raw)) for w in raw)
+
+    if factored:
+        flat = FlowTrajectory(
+            (ProbabilityVector.uniform(game.states, EXACT),) * (game.horizon + 1)
+        )
+        k = r.randint(1, 3)
+        conds = [r.sample(pool, r.randint(1, len(pool))) for _ in range(k)]
+        return FactoredProfile(n, (flat,) * k, weights(k), tuple(
+            tuple(zip(cond, weights(len(cond)))) for cond in conds
+        ))
+    return ExplicitProfile(n, tuple(
+        (tuple(r.choice(pool) for _ in range(n)), w) for w in weights(r.randint(1, 4))
+    ))
+
+
+def float_copy(profile):
+    """The profile with float weights."""
+    if isinstance(profile, ExplicitProfile):
+        return ExplicitProfile(
+            profile.n_players, tuple((vec, float(w)) for vec, w in profile.atoms)
+        )
+    return FactoredProfile(
+        profile.n_players, profile.flows, tuple(map(float, profile.flow_weights)),
+        tuple(tuple((s, float(w)) for s, w in c) for c in profile.conditionals),
+    )
 
 
 def exclusive(states, skip, d):
@@ -149,7 +191,7 @@ class TestProfiles:
 
     def test_factored_expand_products(self, game, rho):
         prof = lift(rho, 2)
-        explicit = prof.expand()
+        explicit = expand(prof)
         assert explicit.n_players == 2
         assert sum(w for _, w in explicit.atoms) == 1
         # P(both players told phi_plus) = sum_f w_f * cond(phi_plus|f)^2
@@ -163,9 +205,19 @@ class TestProfiles:
         got = dict(explicit.atoms).get((PHI_PLUS, PHI_PLUS), F(0))
         assert got == expected
 
-    def test_expand_cap(self, rho):
-        with pytest.raises(CapacityError):
-            lift(rho, 4).expand(cap=10)
+    def test_lift_at_fifty_players_has_397_draws(self, rho):
+        # per flow and recommendation, the others' count vectors over two
+        # strategies: 4 * 2 * 50 draws, not 4 * 2**50 atoms.  Every flow
+        # holds the draw in which all 50 players get PHI_O, so three of
+        # those merge away
+        for player in (0, 49):
+            draws = nplayer._anonymous_draws(lift(rho, 50), player)
+            assert len(draws) == 8 * 50 - 3
+            assert sum(w for _, _, w in draws) == 1
+
+    def test_draws_refuse_a_player_out_of_range(self, rho):
+        with pytest.raises(ValueError, match="out of range"):
+            nplayer._anonymous_draws(lift(rho, 3), 3)
 
 
 class TestSymmetrize:
@@ -192,6 +244,45 @@ class TestSymmetrize:
 
     def test_factored_profiles_are_symmetric(self, rho):
         assert is_symmetric(lift(rho, 3))
+
+    def test_one_all_equal_atom_at_seven_players_stays_one_atom(self):
+        # the cap counts the atoms the result holds, not atoms times N!
+        s = symmetrize(dirac_profile(*(PHI_O,) * 7))
+        assert s.atoms == (((PHI_O,) * 7, F(1)),)
+
+    def test_cap_counts_the_arrangements(self):
+        p = dirac_profile(PHI_PLUS, *(PHI_O,) * 6)
+        assert len(symmetrize(p, cap=7).atoms) == 7
+        with pytest.raises(CapacityError, match="7 atoms, cap 6"):
+            symmetrize(p, cap=6)
+
+    @given(
+        st.integers(0, 2**32),
+        st.integers(2, 5),
+        st.sampled_from(["raw", "symmetrized", "reweighted", "dropped"]),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_is_symmetric_equals_the_permutation_oracle(self, game, seed, n, edit, floats):
+        profile = random_audit_profile(game, seed, n, factored=False)
+        if edit != "raw":
+            profile = symmetrize(profile)
+        atoms = list(profile.atoms)
+        if edit == "reweighted":
+            atoms[0] = (atoms[0][0], 2 * atoms[0][1])
+        if edit == "dropped" and len(atoms) > 1:
+            atoms.pop(0)
+        total = sum(w for _, w in atoms)
+        profile = ExplicitProfile(n, tuple((vec, w / total) for vec, w in atoms))
+        if floats:
+            profile = float_copy(profile)
+        assert is_symmetric(profile) == brute_is_symmetric(profile)
+
+    def test_one_atom_at_ten_players_takes_under_a_second(self):
+        started = time.perf_counter()
+        assert is_symmetric(dirac_profile(*(PHI_O,) * 10))
+        assert not is_symmetric(dirac_profile(PHI_PLUS, *(PHI_O,) * 9))
+        assert time.perf_counter() - started < 1
 
 
 def lumped(joint_law, vec, player):
@@ -802,7 +893,7 @@ class TestDeviationGain:
             brute_eps += own - min(values)
         assert result.epsilon == brute_eps
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 8])
     def test_lift_of_the_c1_3_32_example_has_exact_gain_5_2048(self, n):
         # each flow recommends one of two strategies, so the others repeat
         # strategies and the engine's per-strategy counts carry this value
@@ -876,7 +967,7 @@ class TestCeConstraints:
 
     def test_lifted_solution_satisfies_all_rows(self, game, rho, uniform_m0):
         lp = ce_constraints(game, 2, uniform_m0)
-        explicit = lift(rho, 2).expand()
+        explicit = expand(lift(rho, 2))
         weights = {
             tuple(strategy_index(game, s) for s in vec): w
             for vec, w in explicit.atoms
@@ -939,3 +1030,64 @@ class TestExchangeability:
         profile = symmetrize(dirac_profile(PHI_PLUS, PHI_O))
         with pytest.raises(ValueError):
             exchangeability_check(game, profile, uniform_m0, 5)
+
+
+class TestAuditsAgainstTheAtomExpansion:
+    """The exact audits read one player's anonymous draws; the oracles walk
+    the atoms of `oracles.expand` one by one.  Random games whose kernels and
+    costs depend on the measure, explicit and factored profiles on one to
+    three strategies, N up to 5, the first and the last player."""
+
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from([(2, 2, 2), (3, 2, 1), (2, 3, 1)]),
+        st.integers(2, 5),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_deviation_gain_equals_the_expanded_audit(self, seed, shape, n, factored, last):
+        game = random_game(seed, *shape)
+        profile = random_audit_profile(game, seed, n, factored)
+        player = n - 1 if last else 0
+        m0 = random_m0(game)
+        want = expanded_deviation_gain(game, profile, player, m0)
+        assert deviation_gain(game, profile, player, m0, "exact") == want
+        cost = profile_cost_exact(game, profile, player, DeviationMap.identity(), m0)
+        assert cost == sum(row.cost for row in want.rows)
+
+        floats = deviation_gain(
+            game.to_float(), float_copy(profile), player, m0.to_float(), "exact"
+        )
+        assert [row.rec_index for row in floats.rows] == [row.rec_index for row in want.rows]
+        for got, row in zip(floats.rows, want.rows):
+            assert abs(got.cost - float(row.cost)) < 1e-12
+            assert abs(got.best_value - float(row.best_value)) < 1e-12
+        assert abs(floats.epsilon - float(want.epsilon)) < 1e-12
+
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from([(2, 2, 2), (3, 2, 1), (2, 3, 1)]),
+        st.integers(2, 5),
+        st.booleans(),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_exchangeability_equals_the_atom_by_atom_check(self, seed, shape, n, factored, t):
+        game = random_game(seed, *shape)
+        profile = random_audit_profile(game, seed, n, factored)
+        if not factored:
+            profile = symmetrize(profile)
+        t = min(t, game.horizon)
+        m0 = random_m0(game)
+        want = expanded_exchangeability_check(game, profile, m0, t)
+        assert exchangeability_check(game, profile, m0, t) == want
+
+        floats = exchangeability_check(game.to_float(), float_copy(profile), m0.to_float(), t)
+        assert floats.ok == want.ok
+        assert [row.empirical for row in floats.rows] == [
+            tuple(map(float, row.empirical)) for row in want.rows
+        ]
+        for got, row in zip(floats.rows, want.rows):
+            assert abs(got.mass - float(row.mass)) < 1e-12
+            assert abs(got.worst_gap - float(row.worst_gap)) < 1e-12
