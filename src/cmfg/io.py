@@ -95,10 +95,6 @@ def csv_cell(value) -> str:
     return str(value)
 
 
-def is_exact_value(value: Scalar) -> bool:
-    return isinstance(value, (Fraction, int))
-
-
 # ---------------------------------------------------------------------------
 # document shapes
 

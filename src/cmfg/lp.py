@@ -174,16 +174,3 @@ def solve_lp(lp: LinearProgram) -> dict[str, Fraction]:
             values[lp.variables[b]] = tab.rows[i + 1][-1]
     return values
 
-
-def check_solution(lp: LinearProgram, values: dict[str, Fraction]) -> bool:
-    """Exact feasibility re-check, independent of the solver internals."""
-    x = [values.get(v, _ZERO) for v in lp.variables]
-    if any(v < 0 for v in x):
-        return False
-    for row in lp.rows:
-        lhs = sum(c * v for c, v in zip(row.coeffs, x) if c)
-        if row.relation == EQ and lhs != row.rhs:
-            return False
-        if row.relation == GE and lhs < row.rhs:
-            return False
-    return True

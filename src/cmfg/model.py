@@ -159,12 +159,6 @@ class ProbabilityVector:
         d = len(space)
         return ProbabilityVector(space, (arith(mode).ratio(1, d),) * d, mode)
 
-    @staticmethod
-    def dirac(space: FiniteSpace, index: int, mode: str) -> "ProbabilityVector":
-        w = [zero(mode)] * len(space)
-        w[index] = one(mode)
-        return ProbabilityVector(space, tuple(w), mode)
-
     def to_float(self) -> "ProbabilityVector":
         return ProbabilityVector(self.space, tuple(float(w) for w in self.weights), FLOAT)
 
@@ -458,6 +452,11 @@ def map_nested(node, fn: Callable, container: type = tuple):
     if isinstance(node, tuple):
         return container(map_nested(v, fn, container) for v in node)
     return fn(node)
+
+
+def scaled(x: Fraction, den: int) -> int:
+    """x * den as an integer, for a multiple den of x's denominator."""
+    return x.numerator * (den // x.denominator)
 
 
 def _has_shape(node, shape: tuple) -> bool:

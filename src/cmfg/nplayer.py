@@ -20,8 +20,9 @@ Exact audits read a profile as one player's anonymous draws (own strategy,
 others-multiset, weight), never as atoms over ordered strategy tuples.
 
 Profiles and initial laws are validated once, when they are built; the
-exact propagation then works on raw weight tuples and reads kernel rows and
-costs through the raw `GameSpec` methods.
+exact propagation then reads kernel rows and costs through the raw
+`GameSpec` methods and carries its weights as integer numerators over one
+denominator per time step, divided once at the end.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .model import (
     DEFAULT_JOINT_CAP,
     DEFAULT_LP_CAP,
     DEFAULT_STRATEGY_CAP,
+    EXACT,
     CapacityError,
     FlowTrajectory,
     GameSpec,
@@ -52,7 +54,8 @@ from .model import (
     arith,
     arith_of,
     enumerate_strategies,
-    one,
+    map_nested,
+    scaled,
     zero,
 )
 
@@ -274,6 +277,12 @@ def exact_joint_propagate(
     propagation.  `memo`, a `_ChainSteps` of the same game, carries kernel
     rows, costs and the others' count laws from one walk to the next.
     Inputs with more than `joint_cap` joint states |X|^N are refused.
+
+    The weights are integer numerators over one denominator per time step
+    (`_ChainSteps.start`) and the costs integers over the last one times
+    qc (N-1), so a walk divides once at the end: one `Fraction` per candidate
+    and per returned law entry, none per successor.  A float game runs the
+    same loop with every scale 1.
     """
     n = len(strategies)
     if n < 2:
@@ -282,6 +291,8 @@ def exact_joint_propagate(
         raise ValueError("exact propagation needs a product initial law")
     if m0n.space.labels != game.states.labels:
         raise ValueError("initial law lives on different states")
+    if m0n.mode != game.arithmetic:
+        raise ValueError(f"mixing arithmetic modes: game {game.arithmetic}, m0n {m0n.mode}")
     d = len(game.states)
     if d ** n > joint_cap:
         raise CapacityError(f"{d ** n} joint states exceed cap {joint_cap}")
@@ -291,7 +302,6 @@ def exact_joint_propagate(
     walked = tuple({s.actions: s for s in (own, *candidates)})  # own first
     groups = tuple({s.actions: s for s in others}.values())
     sizes = Counter(s.actions for s in others)
-    blank = {(0,) * d: one(game.arithmetic)}
     splits: dict[tuple, list] = {}  # (candidate set, t, x) -> [(action, subset)]
 
     def split(cands, t, x):
@@ -303,14 +313,14 @@ def exact_joint_propagate(
             hit = splits[cands, t, x] = [(a, tuple(sub)) for a, sub in by_action.items()]
         return hit
 
-    start = [(y, w) for y, w in enumerate(m0n.weights) if w]
+    start, den, step, cost_den = steps.start(m0n, n)
     law = dict(_product(
         [((x,), w) for x, w in start],
-        [_add_players(blank, sizes[s.actions], start).items() for s in groups],
+        [_add_players({(0,) * d: 1}, sizes[s.actions], start).items() for s in groups],
     ))
     nodes = {tuple(range(len(walked))): law}  # candidate set -> its part of the law
     laws = [law]
-    spent: dict[tuple, Scalar] = {}  # candidate set -> expected cost on its histories
+    spent: dict[tuple, Scalar] = {}  # candidate set -> cost numerator on its histories
     for t in range(game.horizon):
         acts = tuple(s.actions[t] for s in groups)
         nxt: dict[tuple, dict] = {}
@@ -325,23 +335,27 @@ def exact_joint_propagate(
                     into = nxt.get(sub)
                     if into is None:
                         into = nxt[sub] = {}
+                    get = into.get
                     for y, k in row:
                         wk = w * k
                         for oc, q in spread:
                             nk = (y, *oc)
-                            p = wk * q
-                            into[nk] = into[nk] + p if nk in into else p
+                            into[nk] = get(nk, 0) + wk * q
         nodes = nxt
+        spent = {sub: c * step for sub, c in spent.items()}  # onto the next denominator
         mine = [law for cands, law in nodes.items() if cands[0] == 0]
         laws.append(mine[0] if len(mine) == 1 else _summed(mine))
     for cands, law in nodes.items():
         for key, w in law.items():
             c = w * steps.terminal(key)
             spent[cands] = spent[cands] + c if cands in spent else c
-    totals = [zero(game.arithmetic)] * len(walked)
+    totals = [0] * len(walked)
     for cands, c in spent.items():
         for i in cands:
             totals[i] += c
+    ratio, dens = steps.ratio, [den * step ** t for t in range(game.horizon + 1)]
+    totals = [ratio(c, dens[-1] * cost_den) for c in totals]
+    laws = [{k: ratio(w, q) for k, w in law.items()} for law, q in zip(laws, dens)]
     index = {a: i for i, a in enumerate(walked)}
     return CountPropagation(
         groups, tuple(laws), totals[0], tuple(totals[index[s.actions]] for s in candidates)
@@ -353,17 +367,41 @@ class _ChainSteps:
 
     Kernel rows and running costs per (t, inclusive counts, x, a), the
     others' next-count law per (t, chain state, the groups' actions at t),
-    and terminal costs per chain state.  A chain state fixes the inclusive
-    counts and so N, so walks of any N may share one memo.
+    and terminal costs per chain state.  A player sees the measure
+    counts/(n-1), so in an exact game a kernel entry times qk (n-1) and a
+    cost times qc (n-1) are integers, with qk the lcm of the transition
+    tables' denominators and qc that of the cost tables'.  The pieces come
+    so scaled, and the others' count law holds integer products of N-1
+    kernel entries.  In a float game every scale is 1.  A chain state fixes
+    the inclusive counts and so N, so walks of any N may share one memo.
     """
 
     def __init__(self, game: GameSpec):
         self.game = game
         self.ratio = arith(game.arithmetic).ratio
-        self.one = one(game.arithmetic)
+        self.exact = game.arithmetic == EXACT
+        tables = game.tables()
+        self.qk, self.qc = (
+            _denominator_lcm(tables[part]) if self.exact else 1 for part in ("transition", "cost")
+        )
         self.moves: dict[tuple, tuple] = {}
         self.spreads: dict[tuple, tuple] = {}
         self.terminals: dict[tuple, Scalar] = {}
+
+    def start(self, m0n: ProbabilityVector, n: int) -> tuple:
+        """The initial law's nonzero entries [(y, w)] scaled by the lcm L0 of
+        their denominators, and a walk of n players' denominators: L0^n at
+        time 0, times (qk (n-1))^n per step, one factor per player's kernel
+        entry, and times qc (n-1) for the costs."""
+        if not self.exact:
+            return [(y, w) for y, w in enumerate(m0n.weights) if w], 1, 1, 1
+        l0 = _denominator_lcm(m0n.weights)
+        start = [(y, scaled(w, l0)) for y, w in enumerate(m0n.weights) if w]
+        return start, l0 ** n, (self.qk * (n - 1)) ** n, self.qc * (n - 1)
+
+    def _scaled(self, v: Scalar, q: int, counts: tuple[int, ...]) -> Scalar:
+        # v * q * (n-1), an integer in an exact game
+        return scaled(v, q * (sum(counts) - 1)) if self.exact else v
 
     def seen(self, counts: tuple[int, ...], x: int) -> tuple[Scalar, ...]:
         # a player in state x sees the others' measure (counts - e_x) / (n - 1)
@@ -372,14 +410,14 @@ class _ChainSteps:
 
     def move(self, t: int, counts: tuple[int, ...], x: int, a: int) -> tuple:
         """Nonzero kernel entries [(y, k)] and running cost of a player in
-        state x playing a."""
+        state x playing a, scaled by qk (n-1) and qc (n-1)."""
         hit = self.moves.get((t, counts, x, a))
         if hit is None:
             m = self.seen(counts, x)
             row = self.game.raw_kernel(t, x, m, a)
             hit = self.moves[t, counts, x, a] = (
-                [(y, k) for y, k in enumerate(row) if k],
-                self.game.raw_running_cost(t, x, m, a),
+                [(y, self._scaled(k, self.qk, counts)) for y, k in enumerate(row) if k],
+                self._scaled(self.game.raw_running_cost(t, x, m, a), self.qc, counts),
             )
         return hit
 
@@ -392,21 +430,21 @@ class _ChainSteps:
             parts = []
             for act, c in zip(acts, key[1:]):
                 # the group's c[x] players in state x play act[x]
-                law = {(0,) * len(c): self.one}
+                law = {(0,) * len(c): 1}
                 for x, cx in enumerate(c):
                     if cx:
                         law = _add_players(law, cx, self.move(t, counts, x, act[x])[0])
                 parts.append(law.items())
-            hit = self.spreads[t, key, acts] = (counts, _product([((), self.one)], parts))
+            hit = self.spreads[t, key, acts] = (counts, _product([((), 1)], parts))
         return hit
 
     def terminal(self, key: tuple) -> Scalar:
+        """Terminal cost of player 0 in a chain state, scaled by qc (n-1)."""
         hit = self.terminals.get(key)
         if hit is None:
-            x = key[0]
-            hit = self.terminals[key] = self.game.raw_terminal_cost(
-                x, self.seen(_inclusive(key), x)
-            )
+            x, counts = key[0], _inclusive(key)
+            cost = self.game.raw_terminal_cost(x, self.seen(counts, x))
+            hit = self.terminals[key] = self._scaled(cost, self.qc, counts)
         return hit
 
 
@@ -429,6 +467,13 @@ def _product(heads: list, parts) -> list:
     for part in parts:
         heads = [(h + (c,), p * q) for h, p in heads for c, q in part]
     return heads
+
+
+def _denominator_lcm(table) -> int:
+    """The lcm of the denominators of every Fraction in a nested table."""
+    dens: set[int] = set()
+    map_nested(table, lambda v: dens.add(v.denominator))
+    return math.lcm(*dens)
 
 
 def _inclusive(key: tuple) -> tuple[int, ...]:

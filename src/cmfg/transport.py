@@ -23,7 +23,7 @@ from operator import sub
 from typing import Sequence
 
 from .mfg import CorrelatedFlow
-from .model import DEFAULT_OT_CAP, CapacityError, FLOAT
+from .model import DEFAULT_OT_CAP, FLOAT, CapacityError, scaled
 
 _ZERO = Fraction(0)
 
@@ -64,10 +64,10 @@ def solve_transport(
     # flow, so the integer simplex takes the pivots it would on the rationals
     cost_den = math.lcm(*(c.denominator for row in cost for c in row))
     mass_den = math.lcm(*(w.denominator for w in supply + demand))
-    int_cost = [[_scaled(c, cost_den) for c in row] for row in cost]
+    int_cost = [[scaled(c, cost_den) for c in row] for row in cost]
     flow, pot = _simplex(
-        [_scaled(w, mass_den) for w in supply],
-        [_scaled(w, mass_den) for w in demand],
+        [scaled(w, mass_den) for w in supply],
+        [scaled(w, mass_den) for w in demand],
         int_cost,
     )
     total = sum(int_cost[i][j] * f for (i, j), f in flow.items())
@@ -80,11 +80,6 @@ def solve_transport(
     if not verify_transport(supply, demand, cost, result):
         raise AssertionError("transport certificate failed")  # pragma: no cover
     return result
-
-
-def _scaled(x: Fraction, den: int) -> int:
-    """x * den for a multiple den of x's denominator."""
-    return x.numerator * (den // x.denominator)
 
 
 def _simplex(
@@ -220,11 +215,16 @@ def verify_transport(
 
 
 def _flow_key(flow) -> tuple[tuple[Fraction, ...], ...]:
+    # a flow's weights as Fractions, one tuple per time; a key is its own key
+    if isinstance(flow, tuple):
+        return flow
     return tuple(tuple(Fraction(w) for w in pv.weights) for pv in flow.measures)
 
 
 def atom_distance(strategy_a, flow_a, strategy_b, flow_b) -> Fraction:
-    """Ground metric: strategy mismatch indicator plus summed state-law gaps."""
+    """Ground metric: strategy mismatch indicator plus summed state-law gaps.
+    A flow may also come as its `_flow_key`, which `flow_space_distance`
+    computes once per atom."""
     fa, fb = _flow_key(flow_a), _flow_key(flow_b)
     if len(fa) != len(fb) or any(len(x) != len(y) for x, y in zip(fa, fb)):
         raise ValueError("flows live on different spaces")
@@ -249,10 +249,8 @@ def flow_space_distance(
     ta, tb = sum(supply), sum(demand)
     supply = [w / ta for w in supply]
     demand = [w / tb for w in demand]
-    cost = [
-        [atom_distance(sa, fa, sb, fb) for sb, fb, _ in atoms_b]
-        for sa, fa, _ in atoms_a
-    ]
+    keyed_a, keyed_b = ([(s, _flow_key(f)) for s, f, _ in atoms] for atoms in (atoms_a, atoms_b))
+    cost = [[atom_distance(*a, *b) for b in keyed_b] for a in keyed_a]
     value = solve_transport(supply, demand, cost, cap=cap).value
     if rho_a.mode == FLOAT or rho_b.mode == FLOAT:
         return float(value)

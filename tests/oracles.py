@@ -9,6 +9,8 @@
   * `ce_constraints`: the full correlated-equilibrium system over ordered
     strategy assignments, with costs from `candidate_costs`, of which
     `nplayer.solve_symmetric_ce` solves the multiset reduction;
+  * `check_solution`: an exact feasibility re-check of a linear program's
+    solution, independent of `lp.solve_lp`'s tableau;
   * `lp_debug_dump`: a readable listing of a linear program;
   * `random_game`: seeded random valid games whose kernels and costs depend
     on the measure;
@@ -284,6 +286,21 @@ def ce_constraints(
                 rows.append(LinRow(tuple(coeffs), GE, zero_f))
     rows.append(LinRow(tuple(Fraction(1) for _ in names), EQ, Fraction(1)))
     return LinearProgram(names, tuple(rows))
+
+
+def check_solution(lp: LinearProgram, values: dict) -> bool:
+    """Exact feasibility re-check of an LP solution, independent of the
+    solver internals."""
+    x = [values.get(v, Fraction(0)) for v in lp.variables]
+    if any(v < 0 for v in x):
+        return False
+    for row in lp.rows:
+        lhs = sum(c * v for c, v in zip(row.coeffs, x) if c)
+        if row.relation == EQ and lhs != row.rhs:
+            return False
+        if row.relation == GE and lhs < row.rhs:
+            return False
+    return True
 
 
 def lp_debug_dump(lp: LinearProgram) -> str:

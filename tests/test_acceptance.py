@@ -5,7 +5,9 @@ criterion.  Criterion 6 splits into its two clauses: the trend clause holds,
 while the strict-decay clause is unsatisfiable on this game (the lifted
 profile is an exact equilibrium at every N, so every epsilon is exactly
 zero and `0 < 0` fails); that clause is marked xfail(strict=True) so the
-suite stays green while the gap remains on record.
+suite stays green while the gap remains on record.  A third criterion-6
+test walks the exact curve from N=2 to N=8 on this example and on the
+c1 = 3/32 one.
 """
 
 import math
@@ -43,6 +45,7 @@ from cmfg.two_state import (
     HOLD_PLUS_ONCE,
     NEVER_HOLD,
     ExampleParams,
+    build_example,
     verify_example,
 )
 
@@ -171,6 +174,20 @@ def test_criterion_06_epsilon_strict_decay(epsilon_experiment):
     rows, _ = epsilon_experiment
     first, last = rows[0], rows[-1]
     assert float(last.epsilon) + 2 * (last.stderr or 0.0) < float(first.epsilon)
+
+
+def test_criterion_06_exact_epsilon_curve_to_eight_players(params, game, rho, m0):
+    """The exact engine walks the whole curve from N=2 to N=8: epsilon is
+    exactly 0 at every N on the default example, whose lift is an exact
+    equilibrium, and exactly 5/2048 on the c1 = 3/32 example."""
+    cfg = SimulationConfig(master_seed=0, replications=1)
+    hot = build_example(ExampleParams(beta=params.beta, c0=params.c0, c1=F(3, 32)))
+    for (g, r, m), want in (((game, rho, m0), F(0)), (hot, F(5, 2048))):
+        curve = epsilon_curve(g, r, m, range(2, 9), cfg, method="exact")
+        assert [(row.n_players, row.method) for row in curve.rows] == [
+            (n, "exact") for n in range(2, 9)
+        ]
+        assert all(type(row.epsilon) is F and row.epsilon == want for row in curve.rows)
 
 
 def test_criterion_07_empirical_flow_w1_decreases(game, rho, m0):

@@ -57,10 +57,6 @@ class TestScalars:
         assert io.csv_cell(F(1, 2)) == "0.5"
         assert io.csv_cell("label") == "label"
 
-    def test_is_exact_value(self):
-        assert io.is_exact_value(F(1, 2))
-        assert not io.is_exact_value(0.5)
-
 
 class TestAtomicWriters:
     def test_json_roundtrip_and_trailing_newline(self, tmp_path):

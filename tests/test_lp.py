@@ -13,10 +13,9 @@ from cmfg.lp import (
     LinearProgram,
     LinRow,
     UnboundedError,
-    check_solution,
     solve_lp,
 )
-from oracles import lp_debug_dump
+from oracles import check_solution, lp_debug_dump
 
 
 def sparse(names, pairs, relation, rhs):

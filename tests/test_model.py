@@ -81,12 +81,10 @@ class TestProbabilityVector:
         with pytest.raises(ValueError):
             ProbabilityVector(sp, (0.5, 0.5), EXACT)
 
-    def test_uniform_dirac_to_float(self):
+    def test_uniform_to_float(self):
         sp = FiniteSpace(("x", "y", "z"))
         u = ProbabilityVector.uniform(sp, EXACT)
         assert u.weights == (F(1, 3),) * 3
-        d = ProbabilityVector.dirac(sp, 2, EXACT)
-        assert d.weights == (F(0), F(0), F(1))
         assert u.to_float().weights == (1 / 3, 1 / 3, 1 / 3)
 
 
@@ -357,7 +355,7 @@ class TestFlowTrajectory:
     def test_distance_and_indexing(self, game):
         sp = game.states
         u = ProbabilityVector.uniform(sp, EXACT)
-        d = ProbabilityVector.dirac(sp, 0, EXACT)
+        d = ProbabilityVector(sp, (F(1), F(0)), EXACT)
         a = FlowTrajectory((u, u, u))
         b = FlowTrajectory((u, d, u))
         assert len(a) == 3

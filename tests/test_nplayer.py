@@ -14,15 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmfg import nplayer, rng, two_state
-from cmfg.lp import check_solution
 from cmfg.mfg import CorrelatedFlow, DeviationMap
 from cmfg.model import (
     EXACT,
+    AffineCost,
+    AffineSimplexMap,
     CapacityError,
+    FiniteSpace,
     FlowTrajectory,
     GameSpec,
     ProbabilityVector,
     RestrictedStrategy,
+    ThresholdTransition,
     categorical_pick,
     enumerate_strategies,
     psi_sample,
@@ -49,6 +52,7 @@ from oracles import (
     brute_is_symmetric,
     candidate_costs,
     ce_constraints,
+    check_solution,
     deviation_costs_by_candidate,
     expand,
     expanded_deviation_gain,
@@ -341,6 +345,10 @@ class TestExactJointPropagation:
         with pytest.raises(ValueError, match="product initial law"):
             exact_joint_propagate(game, (PHI_O, PHI_O), uniform_m0.weights)
 
+    def test_refuses_a_float_initial_law_for_an_exact_game(self, game, uniform_m0):
+        with pytest.raises(ValueError, match="mixing arithmetic modes"):
+            exact_joint_propagate(game, (PHI_O, PHI_O), uniform_m0.to_float())
+
 
 class TestActionTreeAgainstPerCandidateWalks:
     """One walk of the count chain for a set of candidates against one
@@ -378,6 +386,83 @@ class TestActionTreeAgainstPerCandidateWalks:
             game.to_float(), (own, *others), m0.to_float(), candidates=candidates
         )
         assert all(abs(f - float(c)) < 1e-12 for f, c in zip(floats.costs, want))
+
+
+def assert_all_fractions(walk):
+    """Every cost and law value of a walk is a Fraction, not a bare int."""
+    values = [walk.cost, *walk.costs, *(w for law in walk.laws for w in law.values())]
+    assert all(type(v) is F for v in values)
+
+
+def coprime_game():
+    """A hand-built game whose kernel denominators (3 in the base, 7 in the
+    coefficients) and cost denominator (11) are pairwise coprime; with an
+    initial law over 13, no factor of one scale divides another."""
+    states, actions = FiniteSpace(("lo", "hi")), FiniteSpace(("stay", "go"))
+
+    def row(b, c):  # base (b, 3 - b)/3 and coef rows (c, -c)/7, (-c, c)/7
+        return AffineSimplexMap(
+            (F(b, 3), F(3 - b, 3)), ((F(c, 7), F(-c, 7)), (F(-c, 7), F(c, 7)))
+        )
+
+    rows = tuple(
+        tuple(tuple(row(1 + (t + x + a) % 2, 1 + (t * x + a) % 2) for a in range(2))
+              for x in range(2))
+        for t in range(2)
+    )
+    cost = AffineCost(
+        tuple(tuple(tuple(F(1 + t + 2 * x + a, 11) for a in range(2)) for x in range(2))
+              for t in range(2)),
+        tuple(tuple(tuple((F(x - a, 11), F(3 - t - x, 11)) for a in range(2))
+                    for x in range(2)) for t in range(2)),
+        (F(2, 11), F(-1, 11)),
+        ((F(5, 11), F(0)), (F(-3, 11), F(4, 11))),
+    )
+    game = GameSpec(2, states, actions, ThresholdTransition(rows), cost, EXACT)
+    assert validate_game(game).ok
+    return game, ProbabilityVector(states, (F(5, 13), F(8, 13)), EXACT)
+
+
+class TestIntegerWalk:
+    """The walk on integer numerators, one denominator per step, against
+    fresh memos and the `Fraction` walk of `oracles.count_chain_cost`."""
+
+    @given(st.integers(0, 2**32), st.sampled_from([(2, 2, 2), (3, 2, 1), (2, 2, 3)]))
+    @settings(max_examples=20, deadline=None)
+    def test_a_shared_memo_equals_fresh_walks_and_the_oracle(self, seed, shape):
+        game = random_game(seed, *shape)
+        strategies = enumerate_strategies(game)
+        r = random.Random(seed)
+        raw = [r.randint(0, 3) for _ in game.states.labels]
+        raw[r.randrange(len(raw))] += 1
+        m0 = ProbabilityVector(game.states, tuple(F(v, sum(raw)) for v in raw), EXACT)
+        memo = nplayer._ChainSteps(game)
+        for n in r.sample(range(2, 6), 4):  # the memo serves every N, in any order
+            own, pool = r.choice(strategies), r.sample(strategies, 2)
+            others = tuple(r.choice(pool) for _ in range(n - 1))
+            candidates = r.sample(strategies, r.randint(1, 4))
+            shared = exact_joint_propagate(
+                game, (own, *others), m0, candidates=candidates, memo=memo
+            )
+            fresh = exact_joint_propagate(game, (own, *others), m0, candidates=candidates)
+            assert (shared.cost, shared.costs, shared.laws) == (
+                fresh.cost, fresh.costs, fresh.laws
+            )
+            assert shared.costs == candidate_costs(game, candidates, others, m0)
+            assert_all_fractions(shared)
+
+    def test_coprime_denominators_against_the_path_oracle(self):
+        game, m0 = coprime_game()
+        s = enumerate_strategies(game)
+        assert_engine_matches_oracle(game, (s[3], s[12], s[12]), m0)
+        memo = nplayer._ChainSteps(game)
+        assert (memo.qk, memo.qc) == (21, 11)
+        for n in (5, 2, 4, 3):
+            others = (s[6],) * (n // 2) + (s[9],) * (n - 1 - n // 2)
+            walk = exact_joint_propagate(game, (s[0], *others), m0, candidates=s, memo=memo)
+            assert walk.costs == candidate_costs(game, s, others, m0)
+            assert walk.laws == exact_joint_propagate(game, (s[0], *others), m0).laws
+            assert_all_fractions(walk)
 
 
 class TestCostTableWork:
