@@ -12,16 +12,13 @@ from .model import (
     ProbabilityVector,
     RestrictedStrategy,
     dist,
-    empirical_measure,
     enumerate_strategies,
-    mean_of,
     psi_sample,
     validate_game,
 )
 from .mfg import (
     CorrelatedFlow,
     DeviationMap,
-    best_response,
     consistency_check,
     dp_best_response,
     factor_flow,
@@ -60,13 +57,11 @@ __all__ = [
     "ProbabilityVector",
     "RestrictedStrategy",
     "SimulationConfig",
-    "best_response",
     "consistency_check",
     "convergence_report",
     "deviation_gain",
     "dist",
     "dp_best_response",
-    "empirical_measure",
     "empirical_rho_n",
     "enumerate_strategies",
     "epsilon_curve",
@@ -74,7 +69,6 @@ __all__ = [
     "factor_flow",
     "flow_space_distance",
     "lift",
-    "mean_of",
     "mkv_propagate",
     "optimality_gap",
     "psi_sample",

@@ -345,12 +345,10 @@ def _run_mfg_best_response(session: _Session, opts: dict) -> int:
 
 def _run_mfg_propagate(session: _Session, opts: dict) -> int:
     game, rho, m0 = _load_game_flow(session, opts)
-    fact = mfg.factor_flow(rho)
     rows = []
     exact = game.arithmetic == "exact"
-    for k, (flow, cond) in enumerate(zip(fact.flows, fact.conditionals)):
-        result = mfg.mkv_propagate(game, cond, m0)
-        for t, pv in enumerate(result.mixed.measures):
+    for k, cond in enumerate(mfg.factor_flow(rho).conditionals):
+        for t, pv in enumerate(mfg.mkv_propagate(game, cond, m0).measures):
             for x, label in enumerate(game.states.labels):
                 rows.append((k, t, label, pv.weights[x], exact))
     session.write_csv(

@@ -58,7 +58,6 @@ class EpsilonRow:
 @dataclass(frozen=True)
 class EpsilonCurve:
     rows: tuple[EpsilonRow, ...]
-    all_players_checked: bool  # False: player 1 stood in for all, by symmetry
 
     def __post_init__(self):
         ns = [r.n_players for r in self.rows]
@@ -134,8 +133,7 @@ def epsilon_curve(
                 time.perf_counter() - started, "mc",
             )
         rows.append(row)
-    # lifted profiles are exchangeable, so the player-1 gain covers everyone
-    return EpsilonCurve(tuple(rows), all_players_checked=False)
+    return EpsilonCurve(tuple(rows))
 
 
 @dataclass(frozen=True)

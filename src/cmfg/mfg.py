@@ -1,10 +1,12 @@
-"""Mean-field limit model: state laws, costs, best responses and solution checks.
+"""Mean-field limit model: state laws, costs, solution checks, backward
+induction against one flow and forward propagation.
 
 A candidate solution is a correlated flow: a joint distribution over
 (restricted strategy, trajectory of population measures).  Verification has
 two halves: optimality (no strategy modification improves the representative
 player's cost) and consistency (each flow in the support regenerates itself
-when the conditional strategy mix is propagated forward).
+when the conditional strategy mix is propagated forward).  The best response
+to each recommendation is read off the optimality rows (`GapRow`).
 
 Inputs are validated at the edge: each public function checks the modes and
 lengths of its flows once, and the recursions then run on raw weight tuples
@@ -101,12 +103,6 @@ class FlowFactorization:
     flow_weights: tuple[Scalar, ...]
     conditionals: tuple[tuple[tuple[RestrictedStrategy, Scalar], ...], ...]
 
-    def recombine(self) -> CorrelatedFlow:
-        atoms = []
-        for flow, fw, cond in zip(self.flows, self.flow_weights, self.conditionals):
-            for phi, cw in cond:
-                atoms.append((phi, flow, fw * cw))
-        return CorrelatedFlow(tuple(atoms))
 
 
 def factor_flow(rho: CorrelatedFlow) -> FlowFactorization:
@@ -154,10 +150,6 @@ class DeviationMap:
                 return v
         return phi
 
-    def check_support(self, support: Sequence[RestrictedStrategy]) -> None:
-        for k, _ in self.entries:
-            if k not in support:
-                raise ValueError("deviation key outside the profile support")
 
 
 def _require_game_mode(game: GameSpec, mode: str) -> None:
@@ -211,18 +203,6 @@ def deterministic_cost(
     return total
 
 
-def correlated_cost(
-    game: GameSpec, rho: CorrelatedFlow, u: DeviationMap, m0: ProbabilityVector
-) -> Scalar:
-    """J(m0; rho, u) = sum over atoms of weight * cost(u(strategy), flow)."""
-    _require_game_mode(game, rho.mode)
-    u.check_support(rho.support_strategies())
-    total = zero(game.arithmetic)
-    for phi, flow, w in rho.atoms:
-        total += w * deterministic_cost(game, u.apply(phi), flow, m0)
-    return total
-
-
 def conditional_values(
     game: GameSpec,
     rho: CorrelatedFlow,
@@ -237,17 +217,6 @@ def conditional_values(
             zero(game.arithmetic))
         for psi in candidates
     ]
-
-
-def conditional_cost(
-    game: GameSpec,
-    rho: CorrelatedFlow,
-    phi: RestrictedStrategy,
-    psi: RestrictedStrategy,
-    m0: ProbabilityVector,
-) -> Scalar:
-    """Unnormalized cost of playing psi on the event {recommendation = phi}."""
-    return conditional_values(game, rho, phi, (psi,), m0)[0]
 
 
 @dataclass(frozen=True)
@@ -279,21 +248,6 @@ def gap_rows(
             best, values[rec_i] - best, values.count(best),
         ))
     return tuple(rows)
-
-
-def best_response(
-    game: GameSpec,
-    rho: CorrelatedFlow,
-    phi: RestrictedStrategy,
-    m0: ProbabilityVector,
-    cap: int = DEFAULT_STRATEGY_CAP,
-) -> GapRow:
-    """Exhaustive minimization of the conditional cost over every strategy."""
-    if phi not in rho.support_strategies():
-        raise ValueError("recommendation outside the support of the correlated flow")
-    candidates = enumerate_strategies(game, cap)
-    values = conditional_values(game, rho, phi, candidates, m0)
-    return gap_rows(candidates, [(candidates.index(phi), values)])[0]
 
 
 @dataclass(frozen=True)
@@ -427,18 +381,13 @@ def dp_best_response(game: GameSpec, flow: FlowTrajectory) -> DpResult:
     return DpResult(RestrictedStrategy(tuple(table)), tuple(values))
 
 
-@dataclass(frozen=True)
-class MkvResult:
-    mixed: FlowTrajectory
-    per_strategy: tuple[tuple[RestrictedStrategy, FlowTrajectory], ...]
-
-
 def mkv_propagate(
     game: GameSpec,
     conditional: Sequence[tuple[RestrictedStrategy, Scalar]],
     m0: ProbabilityVector,
-) -> MkvResult:
-    """Forward McKean-Vlasov recursion: per-strategy laws evolve against their own mix."""
+) -> FlowTrajectory:
+    """Forward McKean-Vlasov recursion: per-strategy laws evolve against their
+    own mix; returns the mixed flow."""
     _require_game_mode(game, m0.mode)
     if not conditional:
         raise ValueError("empty strategy conditional")
@@ -448,8 +397,6 @@ def mkv_propagate(
 
     dx = len(game.states)
     laws = [m0.weights for _ in strategies]
-    mixed_path = []
-    per_path = [[m0] for _ in strategies]
 
     def mix(rows) -> ProbabilityVector:
         return ProbabilityVector(
@@ -458,20 +405,12 @@ def mkv_propagate(
             game.arithmetic,
         )
 
-    mixed_path.append(mix(laws))
+    mixed_path = [mix(laws)]
     for t in range(game.horizon):
         h_t = mixed_path[t].weights
         laws = [
             game.raw_step(t, cur, phi.actions[t], h_t)
             for phi, cur in zip(strategies, laws)
         ]
-        for path, row in zip(per_path, laws):
-            path.append(ProbabilityVector(game.states, row, game.arithmetic))
         mixed_path.append(mix(laws))
-    return MkvResult(
-        FlowTrajectory(tuple(mixed_path)),
-        tuple(
-            (phi, FlowTrajectory(tuple(path)))
-            for phi, path in zip(strategies, per_path)
-        ),
-    )
+    return FlowTrajectory(tuple(mixed_path))

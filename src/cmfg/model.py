@@ -180,13 +180,6 @@ def dist(m: ProbabilityVector, n: ProbabilityVector) -> Scalar:
     return arith(m.mode).ratio(total, 2)
 
 
-def mean_of(m: ProbabilityVector) -> Scalar:
-    """m(1) - m(-1) for a measure on the two-point space {-1, 1}."""
-    if sorted(m.space.labels) != ["-1", "1"]:
-        raise ValueError("mean_of is defined only on the state space {-1, 1}")
-    return m.weights[m.space.index("1")] - m.weights[m.space.index("-1")]
-
-
 @dataclass(frozen=True)
 class FlowTrajectory:
     """A time-indexed path of measures m(0), ..., m(T)."""
@@ -204,10 +197,6 @@ class FlowTrajectory:
     def mode(self) -> str:
         return self.measures[0].mode
 
-    @property
-    def space(self) -> FiniteSpace:
-        return self.measures[0].space
-
     def __len__(self) -> int:
         return len(self.measures)
 
@@ -216,13 +205,6 @@ class FlowTrajectory:
 
     def to_float(self) -> "FlowTrajectory":
         return FlowTrajectory(tuple(m.to_float() for m in self.measures))
-
-
-def flow_distance(a: FlowTrajectory, b: FlowTrajectory) -> Scalar:
-    """Sum over t of dist(a(t), b(t))."""
-    if len(a) != len(b):
-        raise ValueError("trajectories have different lengths")
-    return sum(dist(x, y) for x, y in zip(a.measures, b.measures))
 
 
 @dataclass(frozen=True)
@@ -241,9 +223,6 @@ class RestrictedStrategy:
             for a in row:
                 if not isinstance(a, int) or a < 0:
                     raise ValueError("actions must be nonnegative indices")
-
-    def action(self, t: int, x: int) -> int:
-        return self.actions[t][x]
 
     def sort_key(self) -> tuple[int, ...]:
         # row-major flattening; tuple order gives the lexicographic order
@@ -291,9 +270,6 @@ class ThresholdTransition:
     """Transition kernel rows indexed by (t, x, a)."""
 
     rows: tuple[tuple[tuple[AffineSimplexMap, ...], ...], ...]
-
-    def row(self, t: int, x: int, a: int) -> AffineSimplexMap:
-        return self.rows[t][x][a]
 
 
 @dataclass(frozen=True)
@@ -524,30 +500,6 @@ def enumerate_strategies(
         RestrictedStrategy(tuple(flat[t * dx:(t + 1) * dx] for t in range(T)))
         for flat in itertools.product(range(da), repeat=T * dx)
     )
-
-
-def strategy_index(game: GameSpec, phi: RestrictedStrategy) -> int:
-    """Position of phi in enumerate_strategies order (mixed-radix value)."""
-    da = len(game.actions)
-    idx = 0
-    for a in phi.sort_key():
-        if a >= da:
-            raise ValueError("action index outside the game's action space")
-        idx = idx * da + a
-    return idx
-
-
-def empirical_measure(
-    space: FiniteSpace, states: Sequence[int], mode: str = EXACT
-) -> ProbabilityVector:
-    """Empirical distribution of a list of state indices."""
-    if not states:
-        raise ValueError("empirical measure of an empty sample")
-    counts = [0] * len(space)
-    for s in states:
-        counts[s] += 1
-    ratio = arith(mode).ratio
-    return ProbabilityVector(space, tuple(ratio(c, len(states)) for c in counts), mode)
 
 
 @dataclass(frozen=True)

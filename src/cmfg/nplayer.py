@@ -129,10 +129,6 @@ class FactoredProfile:
             weights = [w for _, w in cond]
             arith_of(weights).check_mass(weights, "conditional", positive=True)
 
-    @property
-    def mode(self) -> str:
-        return arith_of(self.flow_weights).mode
-
     def support_strategies(self) -> tuple[RestrictedStrategy, ...]:
         return _distinct_sorted(s for cond in self.conditionals for s, _ in cond)
 
@@ -567,7 +563,7 @@ class _MonteCarlo:
         self.eye = np.eye(self.d, dtype=np.int64)
         self.strategies = tuple(strategies)
         self.act = np.array([s.actions for s in self.strategies], dtype=np.int64)
-        self.strategy_index = {s.actions: i for i, s in enumerate(strategies)}
+        self.index = {s.actions: i for i, s in enumerate(strategies)}
 
     def batches(
         self, profile: CorrelatedProfile, m0n: ProbabilityVector, cfg: SimulationConfig
@@ -699,7 +695,7 @@ class _ProfileSampler:
     """Draws strategy assignments from a profile using slots 0..N."""
 
     def __init__(self, profile: CorrelatedProfile, tables: _MonteCarlo):
-        index = tables.strategy_index
+        index = tables.index
         if isinstance(profile, ExplicitProfile):
             self.top = _thresholds(np.array([float(w) for _, w in profile.atoms]))
             self.rows = np.array(
@@ -748,24 +744,30 @@ def mc_profile_cost(
             support.append(img)
     mc = _MonteCarlo(game, support)
     remap = np.array(
-        [mc.strategy_index[u.apply(s).actions] for s in mc.strategies],
+        [mc.index[u.apply(s).actions] for s in mc.strategies],
         dtype=np.int64,
     )
     reps = cfg.replications
     total = 0.0
-    total_sq = 0.0
-    for _, strat_rows, x0, noise in mc.batches(profile, m0n, cfg):
+    costs = np.empty(reps, dtype=np.float64)
+    for start, strat_rows, x0, noise in mc.batches(profile, m0n, cfg):
         strat_rows[:, player] = remap[strat_rows[:, player]]
         cost, _ = mc.run(strat_rows, x0, noise, player)
         total += float(np.sum(cost))
-        total_sq += float(np.sum(cost * cost))
-    mean = total / reps
-    if reps > 1:
-        var = max(total_sq - reps * mean * mean, 0.0) / (reps - 1)
-        stderr = math.sqrt(var / reps)
-    else:
-        stderr = 0.0
-    return mean, stderr
+        costs[start:start + len(cost)] = cost
+    return total / reps, _stderr(costs)
+
+
+def _stderr(samples: np.ndarray) -> float:
+    """Standard error of the mean of the samples, with the variance taken
+    about their mean (two passes), so a large common offset cancels; 0.0 for
+    one sample."""
+    reps = len(samples)
+    if reps < 2:
+        return 0.0
+    mean = float(samples.mean())
+    var = float(np.sum((samples - mean) ** 2)) / (reps - 1)
+    return math.sqrt(var / reps)
 
 
 # ---------------------------------------------------------------------------
@@ -852,13 +854,7 @@ def _deviation_gain_mc(
     gains = np.zeros(reps, dtype=np.float64)
     for row, mask in zip(rows, masks):
         gains[mask] = costs[mask, row.rec_index] - costs[mask, row.best_index]
-    if reps > 1:
-        mean = float(gains.mean())
-        var = float(np.sum((gains - mean) ** 2)) / (reps - 1)
-        stderr = math.sqrt(var / reps)
-    else:
-        stderr = 0.0
-    return DeviationGainResult(epsilon, rows, "mc", stderr=stderr, replications=reps)
+    return DeviationGainResult(epsilon, rows, "mc", stderr=_stderr(gains), replications=reps)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ For parameters satisfying the balance equation
 
 the eight-atom correlated flow built here is consistent, and it is optimal
 exactly when c1 < 5 b1 / (32 (b1 + b2)) and c0 < b1 / (8 (b1 + b2)).
+The correlation shows in the NEVER_HOLD atoms: given that recommendation
+the flow is still random, with weights b2, b2, b4, b4 over 2 (b2 + b4) on
+four flows; when b2 = b4 = 0 nobody is told to stay passive.
 Everything is constructed in exact arithmetic; use GameSpec.to_float for a
 float copy.
 """
@@ -235,35 +238,3 @@ def verify_example(p: ExampleParams) -> ExampleVerdict:
         p, verdict, sol, dp_plus, dp_once, match, p.c0_threshold, p.c1_threshold
     )
 
-
-@dataclass(frozen=True)
-class WitnessReport:
-    degenerate: bool
-    atoms: tuple[tuple[FlowTrajectory, Fraction], ...]
-
-    @property
-    def nontrivial(self) -> bool:
-        return len(self.atoms) >= 2
-
-
-def nontrivial_correlation_witness(p: ExampleParams) -> WitnessReport:
-    """Conditional flow distribution given the passive recommendation.
-
-    A non-Dirac conditional shows the mediator genuinely correlates the
-    passive player's environment with the crowd's direction.
-    """
-    b1, b2, b3, b4 = p.beta
-    margin = 2 * (b2 + b4)
-    if margin == 0:
-        return WitnessReport(True, ())
-    m0, m1p, m2p, m1m, m2m = example_flows(p)
-    atoms = []
-    for flow, w in (
-        (FlowTrajectory((m0, m1p, m2p)), b2),
-        (FlowTrajectory((m0, m1m, m2m)), b2),
-        (FlowTrajectory((m0, m1p, m0)), b4),
-        (FlowTrajectory((m0, m1m, m0)), b4),
-    ):
-        if w > 0:
-            atoms.append((flow, w / margin))
-    return WitnessReport(False, tuple(atoms))

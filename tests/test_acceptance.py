@@ -113,8 +113,7 @@ def test_criterion_04_mkv_fixed_point(game, rho, m0):
     fact = factor_flow(rho)
     assert len(fact.flows) == 4
     for flow, conditional in zip(fact.flows, fact.conditionals):
-        result = mkv_propagate(game, conditional, m0)
-        assert tuple(result.mixed) == tuple(flow)
+        assert tuple(mkv_propagate(game, conditional, m0)) == tuple(flow)
 
 
 def test_criterion_05_two_player_ce_solved_exactly(game, uniform_m0):

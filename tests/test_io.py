@@ -148,7 +148,7 @@ class TestGameTables:
         for t in range(horizon):
             for x in range(d):
                 for a in range(n_actions):
-                    row, frow = g.transition.row(t, x, a), f.transition.row(t, x, a)
+                    row, frow = g.transition.rows[t][x][a], f.transition.rows[t][x][a]
                     assert frow.base == tuple(float(v) for v in row.base)
                     assert frow.coef == tuple(tuple(float(v) for v in r) for r in row.coef)
 

@@ -79,7 +79,6 @@ class TestEpsilonCurve:
         cfg = SimulationConfig(master_seed=0, replications=300)
         curve = epsilon_curve(game, rho, m0, (5,), cfg, "mc")
         assert curve.rows[0].seconds > 0
-        assert not curve.all_players_checked
 
     def test_ns_sorted_and_deduplicated(self, game, rho, m0):
         cfg = SimulationConfig(master_seed=0, replications=50)
@@ -98,7 +97,6 @@ class TestEpsilonCurve:
                     EpsilonRow(5, 0.0, 0.0, 10, 0.1, "mc"),
                     EpsilonRow(2, 0.0, 0.0, 10, 0.1, "mc"),
                 ),
-                all_players_checked=False,
             )
 
 

@@ -1,5 +1,6 @@
 """Mean-field verification: costs, best responses, optimality, consistency."""
 
+import random
 from fractions import Fraction as F
 from itertools import product
 
@@ -11,10 +12,8 @@ from cmfg import two_state
 from cmfg.mfg import (
     CorrelatedFlow,
     DeviationMap,
-    best_response,
-    conditional_cost,
+    conditional_values,
     consistency_check,
-    correlated_cost,
     deterministic_cost,
     dp_best_response,
     factor_flow,
@@ -38,6 +37,16 @@ PHI_PLUS_HAT = RestrictedStrategy(((1, 0), (0, 0)))
 PHI_MINUS = RestrictedStrategy(((0, 1), (0, 1)))
 PHI_O = RestrictedStrategy(((0, 0), (0, 0)))
 
+# (|X|, |A|, T) of the random games
+RANDOM_SHAPES = [(2, 2, 2), (3, 2, 1), (2, 3, 1), (1, 2, 2), (3, 2, 2)]
+
+
+def random_measure(r: random.Random, game) -> ProbabilityVector:
+    """An exact measure on the game's states, zero entries allowed."""
+    raw = [r.randint(0, 3) for _ in game.states.labels]
+    raw[r.randrange(len(raw))] += 1
+    return ProbabilityVector(game.states, tuple(F(v, sum(raw)) for v in raw), EXACT)
+
 
 def path_cost_oracle(game, phi, flow, m0):
     """Expected cost by brute enumeration over all state paths."""
@@ -47,7 +56,7 @@ def path_cost_oracle(game, phi, flow, m0):
         p = m0[path[0]]
         cost = F(0)
         for t in range(game.horizon):
-            a = phi.action(t, path[t])
+            a = phi.actions[t][path[t]]
             cost += game.running_cost(t, path[t], flow[t], a)
             p *= game.kernel(t, path[t], flow[t], a)[path[t + 1]]
         cost += game.terminal_cost(path[game.horizon], flow[game.horizon])
@@ -88,61 +97,51 @@ class TestDeterministicCost:
                 )
 
 
-class TestCorrelatedCost:
-    def test_identity_cost_pinned(self, game, rho, m0):
-        assert correlated_cost(game, rho, DeviationMap.identity(), m0) == F(-21, 2048)
-
-    def test_single_deviation_changes_one_term(self, game, rho, m0):
-        u = DeviationMap.single(PHI_PLUS, PHI_O)
-        base = correlated_cost(game, rho, DeviationMap.identity(), m0)
-        shifted = correlated_cost(game, rho, u, m0)
-        delta = conditional_cost(game, rho, PHI_PLUS, PHI_O, m0) - conditional_cost(
-            game, rho, PHI_PLUS, PHI_PLUS, m0
-        )
-        assert shifted - base == delta
-
-    def test_deviation_outside_support_rejected(self, game, rho, m0):
-        stranger = RestrictedStrategy(((1, 1), (1, 1)))
-        with pytest.raises(ValueError):
-            correlated_cost(game, rho, DeviationMap.single(stranger, PHI_O), m0)
+def row_for(game, rho, phi, m0):
+    """The optimality row of the recommendation phi."""
+    return next(r for r in optimality_gap(game, rho, m0).rows if r.recommendation == phi)
 
 
 class TestBestResponse:
+    """The best responses are the `best`, `best_value` and `tied` fields of
+    the optimality rows."""
+
     def test_recommendations_are_their_own_best_responses(self, game, rho, m0):
-        br = best_response(game, rho, PHI_PLUS, m0)
+        br = row_for(game, rho, PHI_PLUS, m0)
         assert br.best == PHI_PLUS
         assert br.best_value == F(-13, 4096)
-        assert best_response(game, rho, PHI_PLUS_HAT, m0).best_value == F(-1, 512)
-        assert best_response(game, rho, PHI_O, m0).best_value == 0
+        assert row_for(game, rho, PHI_PLUS_HAT, m0).best_value == F(-1, 512)
+        assert row_for(game, rho, PHI_O, m0).best_value == 0
 
     def test_value_is_minimum_over_enumeration(self, game, rho, m0):
-        br = best_response(game, rho, PHI_PLUS, m0)
-        values = [
-            conditional_cost(game, rho, PHI_PLUS, psi, m0)
-            for psi in enumerate_strategies(game)
-        ]
+        br = row_for(game, rho, PHI_PLUS, m0)
+        values = conditional_values(game, rho, PHI_PLUS, enumerate_strategies(game), m0)
         assert br.best_value == min(values)
 
     def test_never_holding_is_uniquely_free_under_flat_flow(self, game, m0):
         # flat flow: crowd terms vanish, so cost = expected holding fees
         uniform_flow = FlowTrajectory((m0, m0, m0))
         flat = CorrelatedFlow(((PHI_O, uniform_flow, F(1)),))
-        br = best_response(game, flat, PHI_O, m0)
+        br = row_for(game, flat, PHI_O, m0)
         assert br.best == PHI_O
         assert br.best_value == 0 and br.tied == 1
 
     def test_boundary_tie_breaks_to_smallest_strategy(self, game):
         p = two_state.ExampleParams(beta=(F(1, 8),) * 4, c0=F(1, 32), c1=F(5, 64))
         game_b, rho_b, m0_b = two_state.build_example(p)
-        br = best_response(game_b, rho_b, PHI_PLUS, m0_b)
+        br = row_for(game_b, rho_b, PHI_PLUS, m0_b)
         assert br.tied >= 2
         # dropping the second hold ties with holding on: smaller table wins
         assert br.best == PHI_PLUS_HAT
-        own = conditional_cost(game_b, rho_b, PHI_PLUS, PHI_PLUS, m0_b)
-        assert br.best_value == own
+        assert br.best_value == br.cost
 
 
 class TestOptimality:
+    def test_obeying_costs_sum_to_correlated_cost(self, game, rho, m0):
+        # J(m0; rho, id): the cost of obeying, summed over recommendations
+        rows = optimality_gap(game, rho, m0).rows
+        assert sum(r.cost for r in rows) == F(-21, 2048)
+
     def test_solution_has_zero_gap(self, game, rho, m0):
         report = optimality_gap(game, rho, m0)
         assert report.ok and report.gap == 0 and not report.has_tie
@@ -219,6 +218,20 @@ class TestDpBestResponse:
             assert value_at_root == enumerated
             assert deterministic_cost(game, dp.strategy, flow, m0) == enumerated
 
+    @given(st.integers(0, 2**32), st.sampled_from(RANDOM_SHAPES))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_enumeration_on_random_flows(self, seed, shape):
+        game = random_game(seed, *shape)
+        r = random.Random(seed)
+        flow = FlowTrajectory(tuple(random_measure(r, game) for _ in range(game.horizon + 1)))
+        m0 = random_measure(r, game)
+        dp = dp_best_response(game, flow)
+        enumerated = min(
+            deterministic_cost(game, phi, flow, m0) for phi in enumerate_strategies(game)
+        )
+        assert sum(m0[x] * v for x, v in enumerate(dp.values[0])) == enumerated
+        assert deterministic_cost(game, dp.strategy, flow, m0) == enumerated
+
     def test_pinned_value_table(self, game, rho):
         flow_plus = next(f for s, f, _ in rho.atoms if s == PHI_PLUS)
         dp = dp_best_response(game, flow_plus)
@@ -236,31 +249,43 @@ class TestMkvPropagate:
         for flow, cond in zip(fact.flows, fact.conditionals):
             result = mkv_propagate(game, cond, m0)
             for t in range(game.horizon + 1):
-                assert result.mixed[t].weights == flow[t].weights
+                assert result[t].weights == flow[t].weights
 
-    def test_mixture_of_per_strategy_laws(self, game, rho, m0):
-        fact = factor_flow(rho)
-        cond = fact.conditionals[0]
-        result = mkv_propagate(game, cond, m0)
-        d = len(game.states)
-        by_phi = dict(result.per_strategy)
+    @given(st.integers(0, 2**32), st.sampled_from(RANDOM_SHAPES), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_mixture_of_state_laws_on_random_games(self, seed, shape, k):
+        # each strategy's law evolves against the returned mixed flow, so the
+        # flow is the conditional's mixture of the state laws against itself
+        game = random_game(seed, *shape)
+        r = random.Random(seed)
+        strategies = enumerate_strategies(game)
+        raw = [(phi, r.randint(1, 5)) for phi in r.sample(strategies, min(k, len(strategies)))]
+        total = sum(w for _, w in raw)
+        cond = tuple((phi, F(w, total)) for phi, w in raw)
+        m0 = random_measure(r, game)
+        flow = mkv_propagate(game, cond, m0)
+        assert len(flow) == game.horizon + 1
+        laws = [(state_law(game, phi, flow, m0), w) for phi, w in cond]
         for t in range(game.horizon + 1):
-            mix = [
-                sum(w * by_phi[phi][t][x] for phi, w in cond) for x in range(d)
-            ]
-            assert tuple(mix) == result.mixed[t].weights
+            assert flow[t].weights == tuple(
+                sum(w * law[t][x] for law, w in laws) for x in range(len(game.states))
+            )
 
 
 class TestFactorization:
-    def test_recombine_roundtrip(self, rho):
-        assert factor_flow(rho).recombine().atoms == rho.atoms
-
     def test_four_flows_with_weights(self, rho):
         fact = factor_flow(rho)
         assert len(fact.flows) == 4
         assert sum(fact.flow_weights) == 1
         for cond in fact.conditionals:
             assert sum(w for _, w in cond) == 1
+        # flow weight times conditional weight gives back every atom
+        atoms = {
+            (phi, flow, fw * cw)
+            for flow, fw, cond in zip(fact.flows, fact.flow_weights, fact.conditionals)
+            for phi, cw in cond
+        }
+        assert atoms == set(rho.atoms)
 
 
 class TestCorrelatedFlowType:
@@ -298,8 +323,7 @@ class TestDeviationMap:
 
 
 class TestGapTableAgainstOracle:
-    """`optimality_gap` and `best_response` build their rows through the shared
-    gap table; the rows must equal the running-minimum oracle's on random
+    """`optimality_gap` builds its rows through the shared gap table; the rows must equal the running-minimum oracle's on random
     games and random correlated flows, in both arithmetic modes."""
 
     @given(
@@ -319,5 +343,3 @@ class TestGapTableAgainstOracle:
         report = optimality_gap(game, rho, m0)
         assert report.rows == want
         assert report.gap == sum(r.gap for r in want)
-        for row in want:
-            assert best_response(game, rho, row.recommendation, m0) == row

@@ -29,7 +29,6 @@ from cmfg.model import (
     categorical_pick,
     enumerate_strategies,
     psi_sample,
-    strategy_index,
     validate_game,
 )
 from cmfg.nplayer import (
@@ -133,7 +132,7 @@ def joint_path_oracle(game, strategies, m0):
             out = []
             for i in range(n):
                 m_i = ProbabilityVector(game.states, exclusive(cur, i, d), EXACT)
-                a_i = strategies[i].action(t, cur[i])
+                a_i = strategies[i].actions[t][cur[i]]
                 out.append((game.running_cost(t, cur[i], m_i, a_i),
                             game.kernel(t, cur[i], m_i, a_i).weights))
             steps[t, cur] = out
@@ -562,7 +561,7 @@ def _scalar_path(g, m0f, vec, uni):
         states = [
             psi_sample(
                 g, t, states[i], _scalar_measure(g, states, i),
-                vec[i].action(t, states[i]), uni(2 * n + 1 + t * n + i),
+                vec[i].actions[t][states[i]], uni(2 * n + 1 + t * n + i),
             )
             for i in range(n)
         ]
@@ -576,7 +575,7 @@ def _scalar_cost(g, vec, path, player):
     for t in range(g.horizon):
         x = path[t][player]
         total += g.running_cost(
-            t, x, _scalar_measure(g, path[t], player), vec[player].action(t, x)
+            t, x, _scalar_measure(g, path[t], player), vec[player].actions[t][x]
         )
     x = path[-1][player]
     return total + g.terminal_cost(x, _scalar_measure(g, path[-1], player))
@@ -743,6 +742,24 @@ class TestMonteCarlo:
             game, profile, 0, DeviationMap.identity(), uniform_m0, cfg
         )
         assert abs(mean - float(exact)) <= 3 * stderr
+
+    @pytest.mark.parametrize("shift", [10**8, 10**9])
+    def test_stderr_ignores_a_constant_cost_shift(self, game, rho, uniform_m0, shift):
+        # every cost moves by the same constant, so the spread stays; the
+        # one-pass form total_sq - reps * mean^2 cancelled it to 0.0 here
+        tables = game.tables()
+        tables["cost"]["terminal_base"] = tuple(
+            v + shift for v in tables["cost"]["terminal_base"]
+        )
+        moved = GameSpec.from_tables(
+            game.horizon, game.states, game.actions, tables, game.arithmetic
+        )
+        cfg = SimulationConfig(master_seed=0, replications=20_000)
+        profile, u = lift(rho, 5), DeviationMap.identity()
+        _, want = mc_profile_cost(game, profile, 0, u, uniform_m0, cfg)
+        _, got = mc_profile_cost(moved, profile, 0, u, uniform_m0, cfg)
+        assert want > 0
+        assert got == pytest.approx(want, rel=1e-9, abs=0)
 
     def test_single_replication_has_zero_stderr(self, game, rho, uniform_m0):
         cfg = SimulationConfig(master_seed=0, replications=1)
@@ -1053,12 +1070,12 @@ class TestCeConstraints:
     def test_lifted_solution_satisfies_all_rows(self, game, rho, uniform_m0):
         lp = ce_constraints(game, 2, uniform_m0)
         explicit = expand(lift(rho, 2))
+        strategies = enumerate_strategies(game)
         weights = {
-            tuple(strategy_index(game, s) for s in vec): w
+            tuple(strategies.index(s) for s in vec): w
             for vec, w in explicit.atoms
         }
         values = {}
-        strategies = enumerate_strategies(game)
         for i in range(len(strategies)):
             for j in range(len(strategies)):
                 values[f"g_{i}_{j}"] = weights.get((i, j), F(0))

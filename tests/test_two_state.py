@@ -4,9 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from cmfg import two_state
 from cmfg.mfg import state_law, verify_solution
-from cmfg.model import EXACT, ProbabilityVector
+from cmfg.model import EXACT
 from cmfg.two_state import (
     HOLD_MINUS,
     HOLD_MINUS_ONCE,
@@ -18,7 +17,6 @@ from cmfg.two_state import (
     build_game,
     closed_form_values,
     example_flows,
-    nontrivial_correlation_witness,
     verify_example,
 )
 
@@ -162,7 +160,7 @@ class TestVerdicts:
             if r.recommendation == HOLD_PLUS and r.gap > 0
         )
         # the profitable deviation stops paying the time-0 holding fee at x=+1
-        assert row.best.action(0, 0) == 0
+        assert row.best.actions[0][0] == 0
         assert row.best.actions[1] == HOLD_PLUS.actions[1]
 
     def test_boundary_reports_tie(self):
@@ -199,27 +197,33 @@ class TestMixtureLawIdentity:
                 assert tuple(mixed) == flow[t].weights
 
 
+def passive_flow_law(p):
+    """The law of the flow given the passive recommendation NEVER_HOLD, read
+    off rho's atoms: more than one flow shows that the mediator correlates
+    the passive player's environment with the crowd's direction."""
+    _, rho, _ = build_example(p)
+    atoms = [(flow, w) for phi, flow, w in rho.atoms if phi == NEVER_HOLD]
+    total = sum(w for _, w in atoms)
+    return [(flow, w / total) for flow, w in atoms]
+
+
 class TestWitness:
     def test_equal_betas_give_four_quarter_atoms(self):
-        report = nontrivial_correlation_witness(DEFAULTS)
-        assert not report.degenerate
-        assert report.nontrivial
-        assert len(report.atoms) == 4
-        assert all(w == F(1, 4) for _, w in report.atoms)
+        law = passive_flow_law(DEFAULTS)
+        assert len({flow for flow, _ in law}) == 4
+        assert all(w == F(1, 4) for _, w in law)
 
     def test_skewed_betas_give_pinned_weights(self):
         p = ExampleParams(
             beta=(F(3, 13), F(1, 4), F(3, 325), F(1, 100)), c0=F(1, 32), c1=F(1, 16)
         )
-        report = nontrivial_correlation_witness(p)
-        weights = sorted((w for _, w in report.atoms), reverse=True)
+        weights = sorted((w for _, w in passive_flow_law(p)), reverse=True)
         assert weights == [F(25, 52), F(25, 52), F(1, 52), F(1, 52)]
 
     def test_zero_betas_degenerate(self):
+        # beta_2 = beta_4 = 0: nobody is told to stay passive
         p = ExampleParams(beta=(F(1, 4), F(0), F(1, 4), F(0)), c0=F(1, 32), c1=F(1, 16))
-        report = nontrivial_correlation_witness(p)
-        assert report.degenerate
-        assert not report.nontrivial
+        assert passive_flow_law(p) == []
 
 
 class TestGameConstruction:
