@@ -104,7 +104,6 @@ class FlowFactorization:
     conditionals: tuple[tuple[tuple[RestrictedStrategy, Scalar], ...], ...]
 
 
-
 def factor_flow(rho: CorrelatedFlow) -> FlowFactorization:
     """Group atoms by flow; conditional weights are renormalized atom weights."""
     flows: list[FlowTrajectory] = []
@@ -149,7 +148,6 @@ class DeviationMap:
             if k == phi:
                 return v
         return phi
-
 
 
 def _require_game_mode(game: GameSpec, mode: str) -> None:

@@ -97,6 +97,23 @@ class TestDeterministicCost:
                 )
 
 
+def correlated_value(game, rho, u, m0):
+    """J(m0; rho, u): each atom's weight times the cost of u(phi) against its flow."""
+    return sum(w * deterministic_cost(game, u.apply(phi), flow, m0) for phi, flow, w in rho.atoms)
+
+
+class TestCorrelatedCost:
+    def test_identity_cost_pinned(self, game, rho, m0):
+        assert correlated_value(game, rho, DeviationMap.identity(), m0) == F(-21, 2048)
+
+    def test_single_deviation_changes_one_term(self, game, rho, m0):
+        u = DeviationMap.single(PHI_PLUS, PHI_O)
+        base = correlated_value(game, rho, DeviationMap.identity(), m0)
+        shifted = correlated_value(game, rho, u, m0)
+        own, dev = conditional_values(game, rho, PHI_PLUS, (PHI_PLUS, PHI_O), m0)
+        assert shifted - base == dev - own != 0
+
+
 def row_for(game, rho, phi, m0):
     """The optimality row of the recommendation phi."""
     return next(r for r in optimality_gap(game, rho, m0).rows if r.recommendation == phi)
@@ -251,6 +268,18 @@ class TestMkvPropagate:
             for t in range(game.horizon + 1):
                 assert result[t].weights == flow[t].weights
 
+    def test_mixture_of_per_strategy_laws(self, game, rho, m0):
+        # on the example, each flow is its conditional's mixture of the
+        # strategies' state laws against that flow
+        fact = factor_flow(rho)
+        d = len(game.states)
+        for cond in fact.conditionals:
+            flow = mkv_propagate(game, cond, m0)
+            laws = [(state_law(game, phi, flow, m0), w) for phi, w in cond]
+            for t in range(game.horizon + 1):
+                mix = tuple(sum(w * law[t][x] for law, w in laws) for x in range(d))
+                assert mix == flow[t].weights
+
     @given(st.integers(0, 2**32), st.sampled_from(RANDOM_SHAPES), st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
     def test_mixture_of_state_laws_on_random_games(self, seed, shape, k):
@@ -279,7 +308,10 @@ class TestFactorization:
         assert sum(fact.flow_weights) == 1
         for cond in fact.conditionals:
             assert sum(w for _, w in cond) == 1
+
+    def test_recombine_roundtrip(self, rho):
         # flow weight times conditional weight gives back every atom
+        fact = factor_flow(rho)
         atoms = {
             (phi, flow, fw * cw)
             for flow, fw, cond in zip(fact.flows, fact.flow_weights, fact.conditionals)

@@ -310,9 +310,30 @@ class TestStrategies:
         keys = [s.sort_key() for s in strategies]
         assert keys == sorted(keys)
 
+    def test_strategy_index_roundtrip(self, game):
+        # a strategy's index is its position in the enumeration, as in the
+        # optimality rows and the CE variable names
+        strategies = enumerate_strategies(game)
+        for i, s in enumerate(strategies):
+            assert strategies.index(s) == i
+        assert enumerate_strategies(game) == strategies
+
     def test_cap_enforced(self, game):
         with pytest.raises(CapacityError):
             enumerate_strategies(game, cap=8)
+
+    def test_action_lookup(self):
+        # the table is indexed [t][x]
+        phi = RestrictedStrategy(((1, 0), (0, 1)))
+        assert phi.actions[0][0] == 1 and phi.actions[0][1] == 0
+        assert phi.actions[1][1] == 1
+        for bad in (((1, -1), (0, 0)), ((1, 0), (0, 1.0))):
+            with pytest.raises(ValueError):
+                RestrictedStrategy(bad)
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(ValueError):
+            RestrictedStrategy(())
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
@@ -320,21 +341,21 @@ class TestStrategies:
 
 
 class TestFlowTrajectory:
-    def test_length_and_indexing(self, game):
+    def test_distance_and_indexing(self, game):
         sp = game.states
         u = ProbabilityVector.uniform(sp, EXACT)
         d = ProbabilityVector(sp, (F(1), F(0)), EXACT)
+        a = FlowTrajectory((u, u, u))
         b = FlowTrajectory((u, d, u))
-        assert len(b) == 3
+        assert len(a) == len(b) == 3
         assert b[1] == d and b[2] == u
+        assert [dist(a[t], b[t]) for t in range(3)] == [0, F(1, 2), 0]
 
     def test_mixed_modes_rejected(self, game):
         u = ProbabilityVector.uniform(game.states, EXACT)
         f = ProbabilityVector.uniform(game.states, FLOAT)
         with pytest.raises(ValueError):
             FlowTrajectory((u, f))
-
-
 
 
 def _masses(k, mode, delta):
