@@ -66,8 +66,14 @@ def _default_threads() -> int:
         return 1
 
 
-def _add_common(p: argparse.ArgumentParser, *, seeded: bool = False) -> None:
+def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--out", default=".", help="output directory")
+
+
+def _add_common(p: argparse.ArgumentParser, *, seeded: bool = False) -> None:
+    """-o, --threads and every cap (and --seed if asked): the options of the
+    commands whose manifests are pinned byte for byte, in their order."""
+    _add_out(p)
     p.add_argument("--threads", type=_threads, default=_default_threads(),
                    help="recorded in the manifest only (CMFG_THREADS fallback)")
     p.add_argument("--joint-cap", type=int, default=DEFAULT_JOINT_CAP)
@@ -91,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a game file against its invariants")
     p.add_argument("game", help="game JSON path")
-    _add_common(p)
+    _add_out(p)
 
     pm = sub.add_parser("mfg", help="mean-field verification commands")
     msub = pm.add_subparsers(dest="subcommand", required=True)
@@ -106,7 +112,9 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--m0", default=None,
                        help="initial law, comma-separated weights; default: "
                        "the flows' shared time-0 measure")
-        _add_common(q)
+        _add_out(q)
+        if name != "propagate":
+            q.add_argument("--strategy-cap", type=int, default=DEFAULT_STRATEGY_CAP)
 
     pe = sub.add_parser("example", help="built-in worked examples")
     esub = pe.add_subparsers(dest="subcommand", required=True)
@@ -117,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="four comma-separated rationals b1,b2,b3,b4")
     q.add_argument("--c0", type=_rational, default=Fraction(1, 32))
     q.add_argument("--c1", type=_rational, default=Fraction(1, 16))
-    _add_common(q)
+    _add_out(q)
 
     pn = sub.add_parser("nplayer", help="finite-N game commands")
     nsub = pn.add_subparsers(dest="subcommand", required=True)
@@ -141,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", required=True)
     p.add_argument("--flow", required=True)
     p.add_argument("-N", "--players", type=int, required=True, dest="n_players")
-    _add_common(p)
+    _add_out(p)
 
     pl = sub.add_parser("limits", help="mean-field limit experiments")
     lsub = pl.add_subparsers(dest="subcommand", required=True)
@@ -221,11 +229,7 @@ class _Session:
 
         manifest = {
             "command": self.spec.command,
-            "options": {
-                k: _option_json(v)
-                for k, v in self.spec.options.items()
-                if not callable(v)
-            },
+            "options": {k: _option_json(v) for k, v in self.spec.options.items()},
             "inputs": self.inputs,
             "outputs": sorted(self.outputs),
             "seed": self.spec.options.get("seed"),
@@ -347,7 +351,8 @@ def _run_mfg_propagate(session: _Session, opts: dict) -> int:
     game, rho, m0 = _load_game_flow(session, opts)
     rows = []
     exact = game.arithmetic == "exact"
-    for k, cond in enumerate(mfg.factor_flow(rho).conditionals):
+    _, _, conditionals = mfg.factor_flow(rho)
+    for k, cond in enumerate(conditionals):
         for t, pv in enumerate(mfg.mkv_propagate(game, cond, m0).measures):
             for x, label in enumerate(game.states.labels):
                 rows.append((k, t, label, pv.weights[x], exact))

@@ -44,7 +44,7 @@ from .model import (
     ProbabilityVector,
     RestrictedStrategy,
     Scalar,
-    check_mode,
+    arith,
     map_nested,
 )
 from .nplayer import CorrelatedProfile, ExplicitProfile, FactoredProfile
@@ -161,15 +161,6 @@ def write_csv_atomic(path: str, header: Sequence[str], rows: Sequence[Sequence])
     _atomic_bytes(path, ("\n".join(lines) + "\n").encode())
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    _atomic_bytes(path, text.encode())
-
-
-def read_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 # ---------------------------------------------------------------------------
 # games
 
@@ -192,7 +183,7 @@ def game_from_json(doc: dict) -> GameSpec:
         FiniteSpace(_table(_field(doc, key), (None,), lambda v: v, f"{key} must be a label list"))
         for key in ("states", "actions")
     )
-    mode = check_mode(doc.get("arithmetic", EXACT))
+    mode = arith(doc.get("arithmetic", EXACT)).mode
     shapes = GameSpec.table_shapes(horizon, len(states), len(actions))
     tables = {
         part: {

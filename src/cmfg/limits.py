@@ -35,10 +35,7 @@ def lift(rho: CorrelatedFlow, n_players: int) -> FactoredProfile:
     """The N-player profile that draws one flow, then i.i.d. recommendations."""
     if n_players < 2:
         raise ValueError("need at least two players")
-    fact = factor_flow(rho)
-    return FactoredProfile(
-        n_players, fact.flows, fact.flow_weights, fact.conditionals
-    )
+    return FactoredProfile(n_players, *factor_flow(rho))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ two halves: optimality (no strategy modification improves the representative
 player's cost) and consistency (each flow in the support regenerates itself
 when the conditional strategy mix is propagated forward).  The best response
 to each recommendation is read off the optimality rows (`GapRow`).
+`factor_flow` splits a flow into the fields of `nplayer.FactoredProfile`.
 
 Inputs are validated at the edge: each public function checks the modes and
 lengths of its flows once, and the recursions then run on raw weight tuples
@@ -21,7 +22,6 @@ from typing import Sequence
 from .model import (
     DEFAULT_STRATEGY_CAP,
     EXACT,
-    FLOAT,
     FlowTrajectory,
     GameSpec,
     ProbabilityVector,
@@ -87,25 +87,11 @@ class CorrelatedFlow:
         # atoms are sorted by strategy first, so this is enumeration order
         return tuple(dict.fromkeys(phi for phi, _, _ in self.atoms))
 
-    def to_float(self) -> "CorrelatedFlow":
-        if self.mode == FLOAT:
-            return self
-        return CorrelatedFlow(
-            tuple((p, f.to_float(), float(w)) for p, f, w in self.atoms)
-        )
 
-
-@dataclass(frozen=True)
-class FlowFactorization:
-    """The (rho_2, rho_1) split: flow marginal plus per-flow strategy conditionals."""
-
-    flows: tuple[FlowTrajectory, ...]
-    flow_weights: tuple[Scalar, ...]
-    conditionals: tuple[tuple[tuple[RestrictedStrategy, Scalar], ...], ...]
-
-
-def factor_flow(rho: CorrelatedFlow) -> FlowFactorization:
-    """Group atoms by flow; conditional weights are renormalized atom weights."""
+def factor_flow(rho: CorrelatedFlow) -> tuple[tuple, tuple, tuple]:
+    """The (rho_2, rho_1) split: the distinct flows, their weights and, per
+    flow, the strategy conditional (atom weights renormalized), in the order
+    of `nplayer.FactoredProfile`'s fields."""
     flows: list[FlowTrajectory] = []
     groups: list[list] = []
     tol = arith(rho.mode).tol
@@ -121,7 +107,7 @@ def factor_flow(rho: CorrelatedFlow) -> FlowFactorization:
     conds = tuple(
         tuple((phi, w / fw) for phi, w in g) for g, fw in zip(groups, weights)
     )
-    return FlowFactorization(tuple(flows), weights, conds)
+    return tuple(flows), weights, conds
 
 
 @dataclass(frozen=True)
@@ -298,10 +284,9 @@ def consistency_check(
 ) -> ConsistencyReport:
     """Each supported flow must equal the mixture of the per-strategy state laws."""
     _require_game_mode(game, rho.mode)
-    fact = factor_flow(rho)
     rows = []
     tol = arith(game.arithmetic).tol
-    for flow, fw, cond in zip(fact.flows, fact.flow_weights, fact.conditionals):
+    for flow, fw, cond in zip(*factor_flow(rho)):
         laws = [(state_law(game, phi, flow, m0), w) for phi, w in cond]
         residual = zero(game.arithmetic)
         for t in range(game.horizon + 1):

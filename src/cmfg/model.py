@@ -9,9 +9,9 @@ arithmetic mode, either ``exact`` (``fractions.Fraction``) or ``float``
 the rules that differ between the two modes.
 
 Inputs are validated at the edge: the dataclasses check shapes, signs, mass
-and modes once, when they are built.  The ``raw_*`` methods of `GameSpec` are
-the unchecked forms on plain weight tuples that the engines use inside their
-loops; `GameSpec.kernel`, `running_cost` and `terminal_cost` wrap them.
+and modes once, when they are built.  The ``raw_*`` methods of `GameSpec`
+are its evaluation API: kernel rows and costs on plain weight tuples, with
+no check, as the engines use them inside their loops.
 """
 
 from __future__ import annotations
@@ -86,10 +86,6 @@ def arith_of(weights: Iterable[Scalar]) -> Arithmetic:
     return _ARITHMETIC[FLOAT if any(isinstance(w, float) for w in weights) else EXACT]
 
 
-def check_mode(mode: str) -> str:
-    return arith(mode).mode
-
-
 def coerce_scalar(value, mode: str) -> Scalar:
     """Coerce a number into the given mode; cross-mode values are rejected."""
     kind = arith(mode).scalar
@@ -104,10 +100,6 @@ def coerce_scalar(value, mode: str) -> Scalar:
 
 def zero(mode: str) -> Scalar:
     return arith(mode).scalar(0)
-
-
-def one(mode: str) -> Scalar:
-    return arith(mode).scalar(1)
 
 
 @dataclass(frozen=True)
@@ -159,9 +151,6 @@ class ProbabilityVector:
         d = len(space)
         return ProbabilityVector(space, (arith(mode).ratio(1, d),) * d, mode)
 
-    def to_float(self) -> "ProbabilityVector":
-        return ProbabilityVector(self.space, tuple(float(w) for w in self.weights), FLOAT)
-
     def __getitem__(self, index: int) -> Scalar:
         return self.weights[index]
 
@@ -202,9 +191,6 @@ class FlowTrajectory:
 
     def __getitem__(self, t: int) -> ProbabilityVector:
         return self.measures[t]
-
-    def to_float(self) -> "FlowTrajectory":
-        return FlowTrajectory(tuple(m.to_float() for m in self.measures))
 
 
 @dataclass(frozen=True)
@@ -298,7 +284,7 @@ class GameSpec:
     arithmetic: str
 
     def __post_init__(self):
-        check_mode(self.arithmetic)
+        arith(self.arithmetic)  # refuses an unknown mode
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         T, d, A = self.horizon, len(self.states), len(self.actions)
@@ -380,23 +366,6 @@ class GameSpec:
                         nxt[y] += px * k
         return tuple(nxt)
 
-    def _require_mode(self, m: ProbabilityVector) -> None:
-        if m.mode != self.arithmetic:
-            raise ValueError(f"mixing arithmetic modes: game {self.arithmetic}, measure {m.mode}")
-
-    def kernel(self, t: int, x: int, m: ProbabilityVector, a: int) -> ProbabilityVector:
-        """Distribution of the next state from (t, x) under action a and measure m."""
-        self._require_mode(m)
-        return ProbabilityVector(self.states, self.raw_kernel(t, x, m.weights, a), self.arithmetic)
-
-    def running_cost(self, t: int, x: int, m: ProbabilityVector, a: int) -> Scalar:
-        self._require_mode(m)
-        return self.raw_running_cost(t, x, m.weights, a)
-
-    def terminal_cost(self, x: int, m: ProbabilityVector) -> Scalar:
-        self._require_mode(m)
-        return self.raw_terminal_cost(x, m.weights)
-
     def float_tables(self) -> dict:
         """`tables()` in floats; a number outside the float range is a
         ValueError that names its table."""
@@ -410,14 +379,6 @@ class GameSpec:
                         f"{group}.{name} holds a number outside the float range"
                     ) from None
         return out
-
-    def to_float(self) -> "GameSpec":
-        """Float64 copy of the game; this is a conversion, not a mode mix."""
-        if self.arithmetic == FLOAT:
-            return self
-        return GameSpec.from_tables(
-            self.horizon, self.states, self.actions, self.float_tables(), FLOAT
-        )
 
 
 def map_nested(node, fn: Callable, container: type = tuple):
@@ -482,20 +443,16 @@ def lipschitz_modulus(game: GameSpec) -> Scalar:
     return 2 * max(coefs, default=zero(game.arithmetic))
 
 
-def strategy_count(game: GameSpec) -> int:
-    return len(game.actions) ** (game.horizon * len(game.states))
-
-
 def enumerate_strategies(
     game: GameSpec, cap: int = DEFAULT_STRATEGY_CAP
 ) -> tuple[RestrictedStrategy, ...]:
     """All restricted strategies in lexicographic order of their flattened tables."""
-    count = strategy_count(game)
+    T, dx, da = game.horizon, len(game.states), len(game.actions)
+    count = da ** (T * dx)
     if count > cap:
         raise CapacityError(
             f"strategy enumeration needs {count} strategies, cap is {cap}"
         )
-    T, dx, da = game.horizon, len(game.states), len(game.actions)
     return tuple(
         RestrictedStrategy(tuple(flat[t * dx:(t + 1) * dx] for t in range(T)))
         for flat in itertools.product(range(da), repeat=T * dx)

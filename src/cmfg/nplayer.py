@@ -229,17 +229,16 @@ class SimulationConfig:
 class CountPropagation:
     """Law of the count chain at times 0..T and player 0's expected costs.
 
-    `groups` are the distinct strategies of players 1..N-1 in order of first
-    appearance.  A chain state is the tuple (x0, c_0, c_1, ...): player 0's
-    state, then for each group g the d-tuple c_g of how many of its players
-    sit in each state.  `laws` and `cost` are those of player 0 on
-    strategies[0]; `costs` holds its cost on each candidate, in order.
+    The groups are the distinct strategies of players 1..N-1 in order of
+    first appearance.  A chain state is the tuple (x0, c_0, c_1, ...):
+    player 0's state, then for each group g the d-tuple c_g of how many of
+    its players sit in each state.  `laws` is the law with player 0 on
+    strategies[0]; `costs` holds its total expected cost on each candidate,
+    in order.
     """
 
-    groups: tuple[RestrictedStrategy, ...]
     laws: tuple[dict[tuple, Scalar], ...]  # times 0..T
-    cost: Scalar  # total expected cost of player 0
-    costs: tuple[Scalar, ...]  # the same on each candidate strategy
+    costs: tuple[Scalar, ...]
 
 
 def exact_joint_propagate(
@@ -353,9 +352,7 @@ def exact_joint_propagate(
     totals = [ratio(c, dens[-1] * cost_den) for c in totals]
     laws = [{k: ratio(w, q) for k, w in law.items()} for law, q in zip(laws, dens)]
     index = {a: i for i, a in enumerate(walked)}
-    return CountPropagation(
-        groups, tuple(laws), totals[0], tuple(totals[index[s.actions]] for s in candidates)
-    )
+    return CountPropagation(tuple(laws), tuple(totals[index[s.actions]] for s in candidates))
 
 
 class _ChainSteps:
@@ -878,6 +875,8 @@ def solve_symmetric_ce(
     all the content because the system is permutation-covariant.  The result
     expands to explicit atoms with weight w(multiset)/#arrangements.
     """
+    if n_players < 2:
+        raise ValueError("need at least two players")
     if arith(game.arithmetic).scalar is not Fraction:
         raise ValueError("the equilibrium LP needs exact arithmetic")
     strategies = enumerate_strategies(game, strategy_cap)

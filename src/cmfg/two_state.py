@@ -15,8 +15,8 @@ exactly when c1 < 5 b1 / (32 (b1 + b2)) and c0 < b1 / (8 (b1 + b2)).
 The correlation shows in the NEVER_HOLD atoms: given that recommendation
 the flow is still random, with weights b2, b2, b4, b4 over 2 (b2 + b4) on
 four flows; when b2 = b4 = 0 nobody is told to stay passive.
-Everything is constructed in exact arithmetic; use GameSpec.to_float for a
-float copy.
+Everything is constructed in exact arithmetic; a float copy is read through
+`io.game_from_json` from a game document whose arithmetic is "float".
 """
 
 from __future__ import annotations

@@ -64,7 +64,6 @@ from cmfg.model import (
     ThresholdTransition,
     arith,
     enumerate_strategies,
-    one,
     zero,
 )
 from cmfg.nplayer import (
@@ -96,7 +95,7 @@ def count_chain_cost(game, strategies, m0n, joint_cap: int = DEFAULT_JOINT_CAP):
     own, others = strategies[0], strategies[1:]
     groups = list(dict.fromkeys(s.actions for s in others))
     sizes = Counter(s.actions for s in others)
-    blank = {(0,) * d: one(game.arithmetic)}
+    blank = {(0,) * d: arith(game.arithmetic).scalar(1)}
 
     def seen(counts, x):
         return tuple(ratio(c - (y == x), n - 1) for y, c in enumerate(counts))

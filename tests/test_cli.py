@@ -3,7 +3,6 @@
 import hashlib
 import json
 import os
-from fractions import Fraction as F
 
 import pytest
 
@@ -14,6 +13,51 @@ from oracles import MALFORMED_GAMES, malformed_game
 
 def run_cli(argv):
     return cli.run(cli.parse_args(argv))
+
+
+EPSILON_ARGV = ["nplayer", "epsilon", "--game", "g.json", "--profile", "p.json"]
+_GAME_FLOW = ["--game", "g.json", "--flow", "r.json"]
+_CAPS = ("--threads", "--joint-cap", "--atom-cap", "--lp-cap", "--strategy-cap", "--ot-cap")
+
+# the commands that read no thread count and at most the strategy cap, each
+# with the options it does not take
+UNCAPPED_COMMANDS = {
+    "validate": (["validate", "g.json"], _CAPS),
+    "mfg verify": (["mfg", "verify", *_GAME_FLOW], _CAPS[:4] + _CAPS[5:]),
+    "mfg best-response": (["mfg", "best-response", *_GAME_FLOW], _CAPS[:4] + _CAPS[5:]),
+    "mfg propagate": (["mfg", "propagate", *_GAME_FLOW], _CAPS),
+    "example section5": (["example", "section5"], _CAPS),
+    "lift": (["lift", *_GAME_FLOW, "-N", "3"], _CAPS),
+}
+
+_CAP_DEFAULTS = {
+    "out": ".", "threads": 1, "joint_cap": 4096, "atom_cap": 4096, "lp_cap": 65536,
+    "strategy_cap": 4096, "ot_cap": 10000,
+}
+
+# argv and parsed options, in order, of the commands whose manifests the
+# benchmark pins
+PINNED_OPTIONS = {
+    "nplayer solve-ce": (
+        ["nplayer", "solve-ce", "--game", "g.json", "-N", "3"],
+        {"game": "g.json", "n_players": 3, "m0": None, "min_cost": False, **_CAP_DEFAULTS},
+    ),
+    "nplayer epsilon": (
+        EPSILON_ARGV,
+        {"game": "g.json", "profile": "p.json", "player": 0, "method": "exact",
+         "reps": 100000, "m0": None, **_CAP_DEFAULTS, "seed": 0},
+    ),
+    "limits epsilon-curve": (
+        ["limits", "epsilon-curve", *_GAME_FLOW, "--Ns", "2,5"],
+        {"game": "g.json", "flow": "r.json", "ns": (2, 5), "reps": 100000,
+         "method": "auto", "m0": None, **_CAP_DEFAULTS, "seed": 0},
+    ),
+    "limits converge": (
+        ["limits", "converge", *_GAME_FLOW, "--Ns", "5"],
+        {"game": "g.json", "flow": "r.json", "ns": (5,), "reps": 200, "m0": None,
+         **_CAP_DEFAULTS, "seed": 0},
+    ),
+}
 
 
 @pytest.fixture()
@@ -56,22 +100,41 @@ class TestParseArgs:
 
     def test_threads_env_fallback(self, monkeypatch):
         monkeypatch.setenv("CMFG_THREADS", "4")
-        spec = cli.parse_args(["validate", "g.json"])
+        spec = cli.parse_args(EPSILON_ARGV)
         assert spec.options["threads"] == 4
 
     def test_bad_threads_env_ignored(self, monkeypatch):
         monkeypatch.setenv("CMFG_THREADS", "lots")
-        spec = cli.parse_args(["validate", "g.json"])
+        spec = cli.parse_args(EPSILON_ARGV)
         assert spec.options["threads"] == 1
 
     @pytest.mark.parametrize("value", ["0", "-3", "two"])
     def test_threads_below_one_exits_2(self, value, capsys):
-        argv = ["nplayer", "epsilon", "--game", "g.json", "--profile", "p.json",
-                "--method", "mc", "--threads", value]
         with pytest.raises(SystemExit) as exc:
-            cli.parse_args(argv)
+            cli.parse_args([*EPSILON_ARGV, "--method", "mc", "--threads", value])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option)
+        for command, (_, options) in UNCAPPED_COMMANDS.items() for option in options
+    ])
+    def test_commands_refuse_the_options_they_do_not_read(self, command, option, capsys):
+        argv, _ = UNCAPPED_COMMANDS[command]
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args([*argv, option, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(PINNED_OPTIONS))
+    def test_pinned_commands_keep_their_options_and_defaults(self, command, monkeypatch):
+        # every option lands in manifest.json in this order, and the
+        # benchmark pins those bytes
+        monkeypatch.delenv("CMFG_THREADS", raising=False)
+        argv, want = PINNED_OPTIONS[command]
+        spec = cli.parse_args(argv)
+        assert spec.command == command
+        assert list(spec.options.items()) == list(want.items())
 
 
 class TestExampleCommand:
@@ -82,7 +145,7 @@ class TestExampleCommand:
         ]
 
     def test_verdict_content(self, example_dir):
-        verdict = io.read_json(str(example_dir / "verdict.json"))
+        verdict = json.loads((example_dir / "verdict.json").read_text())
         assert verdict["verdict"] == "solution"
         assert verdict["closed_forms_match"] is True
         assert verdict["solution"]["is_solution"] is True
@@ -98,7 +161,7 @@ class TestExampleCommand:
             ["example", "section5", "--c0", "1/8", "-o", str(tmp_path)]
         )
         assert code == 1
-        verdict = io.read_json(str(tmp_path / "verdict.json"))
+        verdict = json.loads((tmp_path / "verdict.json").read_text())
         assert verdict["verdict"] == "not_solution"
 
     def test_boundary_exits_0(self, tmp_path):
@@ -106,7 +169,7 @@ class TestExampleCommand:
             ["example", "section5", "--c1", "5/64", "-o", str(tmp_path)]
         )
         assert code == 0
-        verdict = io.read_json(str(tmp_path / "verdict.json"))
+        verdict = json.loads((tmp_path / "verdict.json").read_text())
         assert verdict["verdict"] == "boundary"
 
     def test_beta_flag(self, tmp_path):
@@ -130,7 +193,7 @@ class TestVerificationCommands:
             ["validate", str(example_dir / "game.json"), "-o", str(out)]
         )
         assert code == 0
-        report = io.read_json(str(out / "validation.json"))
+        report = json.loads((out / "validation.json").read_text())
         assert report["ok"] is True
 
     def test_mfg_verify_pass(self, example_dir, tmp_path):
@@ -147,7 +210,7 @@ class TestVerificationCommands:
         assert code == 0
 
     def test_mfg_verify_broken_flow_exits_1(self, example_dir, tmp_path):
-        doc = io.read_json(str(example_dir / "rho.json"))
+        doc = json.loads((example_dir / "rho.json").read_text())
         # move terminal mass of one flow family: consistency must fail
         for atom in doc["atoms"]:
             if atom["flow"][2] == ["37/64", "27/64"]:
@@ -165,7 +228,7 @@ class TestVerificationCommands:
             ]
         )
         assert code == 1
-        verdict = io.read_json(str(out / "verdict.json"))
+        verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["consistency"]["ok"] is False
 
     def test_best_response_table(self, example_dir, tmp_path):
@@ -183,6 +246,16 @@ class TestVerificationCommands:
         lines = (out / "best_response.csv").read_text().splitlines()
         assert lines[0] == "player,recommendation,cost,best_response,gap"
         assert len(lines) == 6  # five distinct recommendations
+
+    @pytest.mark.parametrize("command", ["verify", "best-response"])
+    def test_strategy_cap_exits_3(self, example_dir, tmp_path, capsys, command):
+        code = run_cli([
+            "mfg", command, "--game", str(example_dir / "game.json"),
+            "--flow", str(example_dir / "rho.json"), "--strategy-cap", "15",
+            "-o", str(tmp_path),
+        ])
+        assert code == 3
+        assert "16 strategies, cap is 15" in capsys.readouterr().err
 
     def test_propagate_table(self, example_dir, tmp_path):
         out = tmp_path / "pr"
@@ -226,13 +299,22 @@ class TestNPlayerCommands:
             ]
         )
         assert code == 0
-        eq = io.read_json(str(out / "equilibrium.json"))
+        eq = json.loads((out / "equilibrium.json").read_text())
         assert eq["max_deviation_gain"] == "0"
         profile = io.profile_from_json(
-            io.read_json(str(out / "profile.json")),
-            io.game_from_json(io.read_json(str(example_dir / "game.json"))),
+            json.loads((out / "profile.json").read_text()),
+            io.game_from_json(json.loads((example_dir / "game.json").read_text())),
         )
         assert profile.n_players == 2
+
+    @pytest.mark.parametrize("n", ["-2", "0", "1"])
+    def test_solve_ce_needs_two_players(self, example_dir, tmp_path, capsys, n):
+        code = run_cli([
+            "nplayer", "solve-ce", "--game", str(example_dir / "game.json"),
+            "-N", n, "-o", str(tmp_path),
+        ])
+        assert code == 2
+        assert "need at least two players" in capsys.readouterr().err
 
     def test_solve_ce_capacity_exits_3(self, example_dir, tmp_path):
         code = run_cli(
@@ -267,7 +349,7 @@ class TestNPlayerCommands:
             ]
         )
         assert code == 0
-        eps = io.read_json(str(out / "epsilon.json"))
+        eps = json.loads((out / "epsilon.json").read_text())
         assert eps["epsilon"] == "0"
         assert eps["method"] == "exact"
 
@@ -277,7 +359,7 @@ class TestMalformedDocuments:
 
     @pytest.fixture()
     def short_flow(self, example_dir, tmp_path):
-        doc = io.read_json(str(example_dir / "rho.json"))
+        doc = json.loads((example_dir / "rho.json").read_text())
         for atom in doc["atoms"]:
             atom["strategy"] = atom["strategy"][:1]
         path = tmp_path / "short_rho.json"
@@ -295,7 +377,7 @@ class TestMalformedDocuments:
                 "-N", "3", "-o", str(out),
             ]
         ) == 0
-        doc = io.read_json(str(out / "profile.json"))
+        doc = json.loads((out / "profile.json").read_text())
         for cond in doc["factored"]["conditionals"]:
             for entry in cond:
                 entry["strategy"] = entry["strategy"][:1]
@@ -305,7 +387,7 @@ class TestMalformedDocuments:
 
     @pytest.fixture()
     def cut_flow(self, example_dir, tmp_path):
-        doc = io.read_json(str(example_dir / "rho.json"))
+        doc = json.loads((example_dir / "rho.json").read_text())
         for atom in doc["atoms"]:
             atom["flow"] = atom["flow"][1:]
         path = tmp_path / "cut_rho.json"
@@ -323,7 +405,7 @@ class TestMalformedDocuments:
                 "-N", "3", "-o", str(out),
             ]
         ) == 0
-        doc = io.read_json(str(out / "profile.json"))
+        doc = json.loads((out / "profile.json").read_text())
         for entry in doc["factored"]["flows"]:
             entry["flow"] = entry["flow"][1:]
         path = tmp_path / "cut_profile.json"
@@ -415,7 +497,7 @@ class TestMalformedDocuments:
 
     @pytest.mark.parametrize("edit", MALFORMED_GAMES)
     def test_malformed_game_exits_2(self, example_dir, tmp_path, capsys, edit):
-        doc = malformed_game(io.read_json(str(example_dir / "game.json")), edit)
+        doc = malformed_game(json.loads((example_dir / "game.json").read_text()), edit)
         path = tmp_path / "bad_game.json"
         path.write_text(json.dumps(doc))
         code = run_cli(["validate", str(path), "-o", str(tmp_path / "o")])
@@ -428,7 +510,7 @@ class TestMalformedDocuments:
             ["lift", "--game", game, "--flow", str(example_dir / "rho.json"),
              "-N", "3", "-o", str(lifted)]
         ) == 0
-        doc = io.read_json(str(lifted / "profile.json"))
+        doc = json.loads((lifted / "profile.json").read_text())
         doc["factored"]["n_players"] = 2.5
         path = tmp_path / "p.json"
         path.write_text(json.dumps(doc))
@@ -458,7 +540,7 @@ class TestMalformedDocuments:
     def test_float_game_with_non_finite_number_exits_2(
         self, example_dir, tmp_path, capsys, value
     ):
-        doc = io.read_json(str(example_dir / "game.json"))
+        doc = json.loads((example_dir / "game.json").read_text())
         doc["arithmetic"] = "float"
         doc["cost"]["terminal_base"][0] = value
         path = tmp_path / "float_game.json"
@@ -479,7 +561,7 @@ class TestMalformedDocuments:
     ):
         # exact mode takes 10**400, but the Monte Carlo engine runs on floats;
         # the same terminal cost in both states keeps rho a solution
-        doc = io.read_json(str(example_dir / "game.json"))
+        doc = json.loads((example_dir / "game.json").read_text())
         doc["cost"]["terminal_base"] = [str(10**400)] * 2
         huge_game = tmp_path / "huge_game.json"
         huge_game.write_text(json.dumps(doc))
@@ -522,7 +604,7 @@ class TestMalformedDocuments:
         ids=["example-beta", "solve-ce-m0", "validate-terminal-base"],
     )
     def test_zero_denominator_exits_2(self, example_dir, tmp_path, capsys, argv):
-        doc = io.read_json(str(example_dir / "game.json"))
+        doc = json.loads((example_dir / "game.json").read_text())
         doc["cost"]["terminal_base"][0] = "1/0"
         zero_game = tmp_path / "zero_game.json"
         zero_game.write_text(json.dumps(doc))
@@ -605,7 +687,7 @@ class TestDeterminismAndManifest:
                 "-o", str(out),
             ]
         )
-        manifest = io.read_json(str(out / "manifest.json"))
+        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "mfg verify"
         assert set(manifest["inputs"]) == {"game.json", "rho.json"}
         for name, entry in manifest["inputs"].items():

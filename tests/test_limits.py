@@ -16,7 +16,6 @@ from cmfg.limits import (
     lift,
 )
 from cmfg.mfg import factor_flow
-from cmfg.model import RestrictedStrategy
 from cmfg.nplayer import SimulationConfig
 from cmfg.transport import flow_space_distance
 from oracles import expand
@@ -25,11 +24,11 @@ from oracles import expand
 class TestLift:
     def test_fields_come_from_factorization(self, rho):
         prof = lift(rho, 5)
-        fact = factor_flow(rho)
+        flows, flow_weights, conditionals = factor_flow(rho)
         assert prof.n_players == 5
-        assert prof.flows == fact.flows
-        assert prof.flow_weights == fact.flow_weights
-        assert prof.conditionals == fact.conditionals
+        assert prof.flows == flows
+        assert prof.flow_weights == flow_weights
+        assert prof.conditionals == conditionals
 
     def test_single_player_rejected(self, rho):
         with pytest.raises(ValueError):

@@ -31,6 +31,7 @@ from cmfg.model import (
 )
 
 from oracles import optimality_rows, random_correlated_flow, random_game
+from test_nplayer import float_via_io
 
 PHI_PLUS = RestrictedStrategy(((1, 0), (1, 0)))
 PHI_PLUS_HAT = RestrictedStrategy(((1, 0), (0, 0)))
@@ -57,9 +58,9 @@ def path_cost_oracle(game, phi, flow, m0):
         cost = F(0)
         for t in range(game.horizon):
             a = phi.actions[t][path[t]]
-            cost += game.running_cost(t, path[t], flow[t], a)
-            p *= game.kernel(t, path[t], flow[t], a)[path[t + 1]]
-        cost += game.terminal_cost(path[game.horizon], flow[game.horizon])
+            cost += game.raw_running_cost(t, path[t], flow[t].weights, a)
+            p *= game.raw_kernel(t, path[t], flow[t].weights, a)[path[t + 1]]
+        cost += game.raw_terminal_cost(path[game.horizon], flow[game.horizon].weights)
         total += p * cost
     return total
 
@@ -262,8 +263,8 @@ class TestDpBestResponse:
 
 class TestMkvPropagate:
     def test_fixed_point_on_all_flows(self, game, rho, m0):
-        fact = factor_flow(rho)
-        for flow, cond in zip(fact.flows, fact.conditionals):
+        flows, _, conditionals = factor_flow(rho)
+        for flow, cond in zip(flows, conditionals):
             result = mkv_propagate(game, cond, m0)
             for t in range(game.horizon + 1):
                 assert result[t].weights == flow[t].weights
@@ -271,9 +272,9 @@ class TestMkvPropagate:
     def test_mixture_of_per_strategy_laws(self, game, rho, m0):
         # on the example, each flow is its conditional's mixture of the
         # strategies' state laws against that flow
-        fact = factor_flow(rho)
+        _, _, conditionals = factor_flow(rho)
         d = len(game.states)
-        for cond in fact.conditionals:
+        for cond in conditionals:
             flow = mkv_propagate(game, cond, m0)
             laws = [(state_law(game, phi, flow, m0), w) for phi, w in cond]
             for t in range(game.horizon + 1):
@@ -303,18 +304,17 @@ class TestMkvPropagate:
 
 class TestFactorization:
     def test_four_flows_with_weights(self, rho):
-        fact = factor_flow(rho)
-        assert len(fact.flows) == 4
-        assert sum(fact.flow_weights) == 1
-        for cond in fact.conditionals:
+        flows, flow_weights, conditionals = factor_flow(rho)
+        assert len(flows) == 4
+        assert sum(flow_weights) == 1
+        for cond in conditionals:
             assert sum(w for _, w in cond) == 1
 
     def test_recombine_roundtrip(self, rho):
         # flow weight times conditional weight gives back every atom
-        fact = factor_flow(rho)
         atoms = {
             (phi, flow, fw * cw)
-            for flow, fw, cond in zip(fact.flows, fact.flow_weights, fact.conditionals)
+            for flow, fw, cond in zip(*factor_flow(rho))
             for phi, cw in cond
         }
         assert atoms == set(rho.atoms)
@@ -370,7 +370,7 @@ class TestGapTableAgainstOracle:
         rho = random_correlated_flow(seed, game, n_atoms)
         m0 = rho.atoms[0][1][0]
         if as_float:
-            game, rho, m0 = game.to_float(), rho.to_float(), m0.to_float()
+            game, rho, m0 = float_via_io(game), float_via_io(game, rho), float_via_io(game, m0)
         want = optimality_rows(game, rho, m0)
         report = optimality_gap(game, rho, m0)
         assert report.rows == want

@@ -23,9 +23,11 @@ from cmfg.model import (
     enumerate_strategies,
     lipschitz_modulus,
     psi_sample,
-    strategy_count,
     validate_game,
 )
+
+from oracles import random_game
+from test_nplayer import float_via_io
 
 
 # exact probability vectors: nonneg integers normalized by their sum
@@ -77,11 +79,12 @@ class TestProbabilityVector:
         with pytest.raises(ValueError):
             ProbabilityVector(sp, (0.5, 0.5), EXACT)
 
-    def test_uniform_to_float(self):
-        sp = FiniteSpace(("x", "y", "z"))
-        u = ProbabilityVector.uniform(sp, EXACT)
+    def test_uniform_and_its_float_copy(self):
+        game = random_game(0, 3, 2, 1)
+        u = ProbabilityVector.uniform(game.states, EXACT)
         assert u.weights == (F(1, 3),) * 3
-        assert u.to_float().weights == (1 / 3, 1 / 3, 1 / 3)
+        assert float_via_io(game, u).weights == (1 / 3, 1 / 3, 1 / 3)
+        assert float_via_io(game, u) == ProbabilityVector.uniform(game.states, FLOAT)
 
 
 class TestDist:
@@ -158,8 +161,8 @@ def psi_preimage_measures(game, t, x, m, a):
     Cuts [0,1] at every kernel cumsum, checks psi is constant on each cell
     (midpoint and right endpoint agree), and adds up cell lengths per state.
     """
-    row = game.kernel(t, x, m, a)
-    cums = (sum(row.weights[: k + 1]) for k in range(len(row.weights)))
+    row = game.raw_kernel(t, x, m.weights, a)
+    cums = (sum(row[: k + 1]) for k in range(len(row)))
     cuts = sorted({F(0), F(1), *cums})
     cuts = [c for c in cuts if 0 <= c <= 1]
     measures = [F(0)] * len(game.states)
@@ -179,7 +182,7 @@ class TestPsiKernelCoupling:
     @given(simplex_fractions(2), st.integers(0, 1), st.integers(0, 1), st.integers(0, 1))
     def test_preimage_measures_equal_kernel(self, game, wm, t, x, a):
         m = ProbabilityVector(game.states, wm, EXACT)
-        assert psi_preimage_measures(game, t, x, m, a) == game.kernel(t, x, m, a).weights
+        assert psi_preimage_measures(game, t, x, m, a) == game.raw_kernel(t, x, wm, a)
 
     def test_z_outside_unit_interval_rejected(self, game, m0):
         with pytest.raises(ValueError):
@@ -210,40 +213,40 @@ class TestAffineSimplexMap:
 
 class TestGameSpec:
     def test_kernel_rows(self, game):
-        u = ProbabilityVector.uniform(game.states, EXACT)
+        u = ProbabilityVector.uniform(game.states, EXACT).weights
         hold = game.actions.index("1")
         free = game.actions.index("0")
         plus = game.states.index("1")
         minus = game.states.index("-1")
-        assert game.kernel(0, plus, u, hold).weights == (F(3, 4), F(1, 4))
-        assert game.kernel(1, plus, u, free).weights == (F(1, 2), F(1, 2))
-        assert game.kernel(0, minus, u, hold).weights == (F(1, 4), F(3, 4))
+        assert game.raw_kernel(0, plus, u, hold) == (F(3, 4), F(1, 4))
+        assert game.raw_kernel(1, plus, u, free) == (F(1, 2), F(1, 2))
+        assert game.raw_kernel(0, minus, u, hold) == (F(1, 4), F(3, 4))
 
     def test_costs(self, game):
         sp = game.states
-        m = ProbabilityVector(sp, (F(5, 8), F(3, 8)), EXACT)
+        m = (F(5, 8), F(3, 8))
         hold = game.actions.index("1")
         free = game.actions.index("0")
         plus, minus = sp.index("1"), sp.index("-1")
-        assert game.running_cost(0, plus, m, hold) == F(1, 32)
-        assert game.running_cost(0, plus, m, free) == 0
+        assert game.raw_running_cost(0, plus, m, hold) == F(1, 32)
+        assert game.raw_running_cost(0, plus, m, free) == 0
         # t >= 1 adds the crowd-seeking term -x * mean(m)
-        assert game.running_cost(1, plus, m, hold) == F(1, 16) - F(1, 4)
-        assert game.running_cost(1, minus, m, free) == F(1, 4)
-        assert game.terminal_cost(plus, m) == -F(1, 4)
-        assert game.terminal_cost(minus, m) == F(1, 4)
+        assert game.raw_running_cost(1, plus, m, hold) == F(1, 16) - F(1, 4)
+        assert game.raw_running_cost(1, minus, m, free) == F(1, 4)
+        assert game.raw_terminal_cost(plus, m) == -F(1, 4)
+        assert game.raw_terminal_cost(minus, m) == F(1, 4)
 
-    def test_to_float_roundtrip(self, game):
-        fg = game.to_float()
+    def test_float_copy_through_io(self, game):
+        # the float copy read through io holds float_tables()'s numbers
+        fg = float_via_io(game)
         assert fg.arithmetic == FLOAT
-        u = ProbabilityVector.uniform(fg.states, FLOAT)
-        row = fg.kernel(0, 0, u, 1)
-        assert row.weights == (0.75, 0.25)
+        assert fg.tables() == game.float_tables()
+        assert fg.raw_kernel(0, 0, (0.5, 0.5), 1) == (0.75, 0.25)
 
-    def test_to_float_names_a_table_beyond_the_float_range(self, game):
+    def test_float_tables_name_a_table_beyond_the_float_range(self, game):
         huge = replace(game, cost=replace(game.cost, terminal_base=(F(10**400), F(0))))
         with pytest.raises(ValueError, match="cost.terminal_base"):
-            huge.to_float()
+            huge.float_tables()
 
     @pytest.mark.parametrize(
         "edit",
@@ -303,7 +306,6 @@ class TestGameSpec:
 
 class TestStrategies:
     def test_count_and_enumeration(self, game):
-        assert strategy_count(game) == 16
         strategies = enumerate_strategies(game)
         assert len(strategies) == 16
         assert len(set(strategies)) == 16
@@ -381,10 +383,10 @@ MASS_SITES = {
     ),
     "FactoredProfile.flows": lambda game, mode, delta: nplayer.FactoredProfile(
         2, (_flat_flow(game, mode),) * 2, _masses(2, mode, delta),
-        (((_HOLD, model.one(mode)),),) * 2,
+        (((_HOLD, *_masses(1, mode, 0)),),) * 2,
     ),
     "FactoredProfile.conditionals": lambda game, mode, delta: nplayer.FactoredProfile(
-        2, (_flat_flow(game, mode),), (model.one(mode),),
+        2, (_flat_flow(game, mode),), _masses(1, mode, 0),
         (tuple(zip((_HOLD, _IDLE), _masses(2, mode, delta))),),
     ),
     "CorrelatedFlow": lambda game, mode, delta: mfg.CorrelatedFlow(
@@ -392,7 +394,7 @@ MASS_SITES = {
               for phi, w in zip((_HOLD, _IDLE), _masses(2, mode, delta)))
     ),
     "mkv_propagate": lambda game, mode, delta: mfg.mkv_propagate(
-        game if mode == EXACT else game.to_float(),
+        game if mode == EXACT else float_via_io(game),
         tuple(zip((_HOLD, _IDLE), _masses(2, mode, delta))),
         ProbabilityVector.uniform(game.states, mode),
     ),

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfg import nplayer, rng, two_state
+from cmfg import io, nplayer, rng, two_state
 from cmfg.mfg import CorrelatedFlow, DeviationMap
 from cmfg.model import (
     EXACT,
+    FLOAT,
     AffineCost,
     AffineSimplexMap,
     CapacityError,
@@ -107,6 +108,18 @@ def float_copy(profile):
     )
 
 
+def float_via_io(game, obj=None):
+    """The float copy of `obj`, a correlated flow or a measure on the exact
+    `game`, or of the game itself when obj is None, read back through io in
+    float mode: each number x becomes float(x), as the reader parses "p/q"."""
+    fgame = io.game_from_json({**io.game_to_json(game), "arithmetic": FLOAT})
+    if obj is None:
+        return fgame
+    if isinstance(obj, CorrelatedFlow):
+        return io.flow_from_json(io.flow_to_json(obj, game), fgame)
+    return io.measure_from_text(",".join(map(io.scalar_json, obj.weights)), fgame)
+
+
 def exclusive(states, skip, d):
     counts = [0] * d
     for j, x in enumerate(states):
@@ -131,20 +144,17 @@ def joint_path_oracle(game, strategies, m0):
         if (t, cur) not in steps:
             out = []
             for i in range(n):
-                m_i = ProbabilityVector(game.states, exclusive(cur, i, d), EXACT)
+                m_i = exclusive(cur, i, d)
                 a_i = strategies[i].actions[t][cur[i]]
-                out.append((game.running_cost(t, cur[i], m_i, a_i),
-                            game.kernel(t, cur[i], m_i, a_i).weights))
+                out.append((game.raw_running_cost(t, cur[i], m_i, a_i),
+                            game.raw_kernel(t, cur[i], m_i, a_i)))
             steps[t, cur] = out
         return steps[t, cur]
 
     def final(last):
         if last not in finals:
             finals[last] = [
-                game.terminal_cost(
-                    last[i], ProbabilityVector(game.states, exclusive(last, i, d), EXACT)
-                )
-                for i in range(n)
+                game.raw_terminal_cost(last[i], exclusive(last, i, d)) for i in range(n)
             ]
         return finals[last]
 
@@ -200,9 +210,8 @@ class TestProfiles:
         # P(both players told phi_plus) = sum_f w_f * cond(phi_plus|f)^2
         from cmfg.mfg import factor_flow
 
-        fact = factor_flow(rho)
         expected = F(0)
-        for flow, fw, cond in zip(fact.flows, fact.flow_weights, fact.conditionals):
+        for flow, fw, cond in zip(*factor_flow(rho)):
             lam = dict((s.actions, w) for s, w in cond)
             expected += fw * lam.get(PHI_PLUS.actions, F(0)) ** 2
         got = dict(explicit.atoms).get((PHI_PLUS, PHI_PLUS), F(0))
@@ -312,17 +321,14 @@ def assert_engine_matches_oracle(game, vec, m0):
     for i in range(len(vec)):
         front = (vec[i], *(s for j, s in enumerate(vec) if j != i))
         got = exact_joint_propagate(game, front, m0)
-        assert [s.actions for s in got.groups] == list(
-            dict.fromkeys(s.actions for s in front[1:])
-        )
         assert list(got.laws) == [lumped(law, vec, i) for law in laws]
-        assert got.cost == costs[i]
+        assert got.costs == (costs[i],)
 
-        floats = exact_joint_propagate(game.to_float(), front, m0.to_float())
+        floats = exact_joint_propagate(float_via_io(game), front, float_via_io(game, m0))
         for exact_law, float_law in zip(got.laws, floats.laws):
             for key in exact_law.keys() | float_law.keys():
                 assert abs(float(exact_law.get(key, 0)) - float_law.get(key, 0.0)) < 1e-12
-        assert abs(float(got.cost) - floats.cost) < 1e-12
+        assert abs(float(got.costs[0]) - floats.costs[0]) < 1e-12
 
 
 class TestExactJointPropagation:
@@ -346,7 +352,7 @@ class TestExactJointPropagation:
 
     def test_refuses_a_float_initial_law_for_an_exact_game(self, game, uniform_m0):
         with pytest.raises(ValueError, match="mixing arithmetic modes"):
-            exact_joint_propagate(game, (PHI_O, PHI_O), uniform_m0.to_float())
+            exact_joint_propagate(game, (PHI_O, PHI_O), float_via_io(game, uniform_m0))
 
 
 class TestActionTreeAgainstPerCandidateWalks:
@@ -378,18 +384,18 @@ class TestActionTreeAgainstPerCandidateWalks:
         want = candidate_costs(game, candidates, others, m0)
         assert got.costs == want
         single = exact_joint_propagate(game, (own, *others), m0)
-        assert got.cost == single.cost == single.costs[0]
+        assert single.costs == candidate_costs(game, (own,), others, m0)
         assert got.laws == single.laws
 
         floats = exact_joint_propagate(
-            game.to_float(), (own, *others), m0.to_float(), candidates=candidates
+            float_via_io(game), (own, *others), float_via_io(game, m0), candidates=candidates
         )
         assert all(abs(f - float(c)) < 1e-12 for f, c in zip(floats.costs, want))
 
 
 def assert_all_fractions(walk):
     """Every cost and law value of a walk is a Fraction, not a bare int."""
-    values = [walk.cost, *walk.costs, *(w for law in walk.laws for w in law.values())]
+    values = [*walk.costs, *(w for law in walk.laws for w in law.values())]
     assert all(type(v) is F for v in values)
 
 
@@ -444,9 +450,7 @@ class TestIntegerWalk:
                 game, (own, *others), m0, candidates=candidates, memo=memo
             )
             fresh = exact_joint_propagate(game, (own, *others), m0, candidates=candidates)
-            assert (shared.cost, shared.costs, shared.laws) == (
-                fresh.cost, fresh.costs, fresh.laws
-            )
+            assert (shared.costs, shared.laws) == (fresh.costs, fresh.laws)
             assert shared.costs == candidate_costs(game, candidates, others, m0)
             assert_all_fractions(shared)
 
@@ -574,11 +578,11 @@ def _scalar_cost(g, vec, path, player):
     total = 0.0
     for t in range(g.horizon):
         x = path[t][player]
-        total += g.running_cost(
-            t, x, _scalar_measure(g, path[t], player), vec[player].actions[t][x]
+        total += g.raw_running_cost(
+            t, x, _scalar_measure(g, path[t], player).weights, vec[player].actions[t][x]
         )
     x = path[-1][player]
-    return total + g.terminal_cost(x, _scalar_measure(g, path[-1], player))
+    return total + g.raw_terminal_cost(x, _scalar_measure(g, path[-1], player).weights)
 
 
 def _scalar_uniforms(cfg, rep):
@@ -587,8 +591,8 @@ def _scalar_uniforms(cfg, rep):
 
 def scalar_mc_reference(game, profile, player, u, m0, cfg):
     """Rebuild the simulator one replication at a time from the stream layout."""
-    g = game.to_float()
-    m0f = m0.to_float()
+    g = float_via_io(game)
+    m0f = float_via_io(game, m0)
     costs = []
     for rep in range(cfg.replications):
         uni = _scalar_uniforms(cfg, rep)
@@ -611,8 +615,8 @@ def scalar_mc_reference(game, profile, player, u, m0, cfg):
 def scalar_deviation_reference(game, profile, player, m0, cfg):
     """(rec_index, best_index, cost, best_value, gap) per recommendation, with
     every candidate simulated on the same uniforms, one replication at a time."""
-    g = game.to_float()
-    m0f = m0.to_float()
+    g = float_via_io(game)
+    m0f = float_via_io(game, m0)
     candidates = enumerate_strategies(game)
     index = {s.actions: i for i, s in enumerate(candidates)}
     reps = cfg.replications
@@ -638,8 +642,8 @@ def scalar_deviation_reference(game, profile, player, m0, cfg):
 
 def scalar_empirical_reference(game, profile, m0, cfg):
     """Atoms (player 1's recommendation, others' empirical flow, weight)."""
-    g = game.to_float()
-    m0f = m0.to_float()
+    g = float_via_io(game)
+    m0f = float_via_io(game, m0)
     n = profile.n_players
     buckets = {}
     for rep in range(cfg.replications):
@@ -1083,7 +1087,7 @@ class TestCeConstraints:
 
     def test_float_game_rejected(self, game, uniform_m0):
         with pytest.raises(ValueError):
-            ce_constraints(game.to_float(), 2, uniform_m0)
+            ce_constraints(float_via_io(game), 2, uniform_m0)
 
     def test_lp_cap(self, game, uniform_m0):
         with pytest.raises(CapacityError):
@@ -1110,6 +1114,14 @@ class TestSolveSymmetricCe:
 
         assert total(best) <= total(plain)
         assert total(best) == F(-27, 128)
+
+    @pytest.mark.parametrize("n", [-2, 0, 1])
+    def test_fewer_than_two_players_refused_before_the_lp(self, game, uniform_m0, monkeypatch, n):
+        calls = []
+        monkeypatch.setattr(nplayer, "solve_lp", lambda lp: calls.append(lp))
+        with pytest.raises(ValueError, match="need at least two players"):
+            solve_symmetric_ce(game, n, uniform_m0)
+        assert calls == []
 
 
 class TestExchangeability:
@@ -1159,7 +1171,7 @@ class TestAuditsAgainstTheAtomExpansion:
         assert cost == sum(row.cost for row in want.rows)
 
         floats = deviation_gain(
-            game.to_float(), float_copy(profile), player, m0.to_float(), "exact"
+            float_via_io(game), float_copy(profile), player, float_via_io(game, m0), "exact"
         )
         assert [row.rec_index for row in floats.rows] == [row.rec_index for row in want.rows]
         for got, row in zip(floats.rows, want.rows):
@@ -1185,7 +1197,9 @@ class TestAuditsAgainstTheAtomExpansion:
         want = expanded_exchangeability_check(game, profile, m0, t)
         assert exchangeability_check(game, profile, m0, t) == want
 
-        floats = exchangeability_check(game.to_float(), float_copy(profile), m0.to_float(), t)
+        floats = exchangeability_check(
+            float_via_io(game), float_copy(profile), float_via_io(game, m0), t
+        )
         assert floats.ok == want.ok
         assert [row.empirical for row in floats.rows] == [
             tuple(map(float, row.empirical)) for row in want.rows

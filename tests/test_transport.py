@@ -9,16 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import fraction_transport
 from scipy.optimize import linprog
+from test_nplayer import float_via_io
 
-from cmfg import two_state
 from cmfg.limits import empirical_rho_n, lift
-from cmfg.model import (
-    EXACT,
-    CapacityError,
-    FiniteSpace,
-    FlowTrajectory,
-    ProbabilityVector,
-)
+from cmfg.model import CapacityError
 from cmfg.mfg import CorrelatedFlow
 from cmfg.nplayer import SimulationConfig
 from cmfg.transport import (
@@ -229,18 +223,16 @@ def test_distance_to_dirac_is_forced_plan(rho, dirac_rho):
 def test_triangle_inequality_on_conditionals(rho):
     from cmfg.mfg import factor_flow
 
-    fact = factor_flow(rho)
+    flows, _, conditionals = factor_flow(rho)
     a, b, c = (
         CorrelatedFlow(tuple((phi, flow, w) for phi, w in cond))
-        for flow, cond in zip(fact.flows[:3], fact.conditionals[:3])
+        for flow, cond in zip(flows[:3], conditionals[:3])
     )
     assert flow_space_distance(a, c) <= flow_space_distance(a, b) + flow_space_distance(b, c)
 
 
-def test_float_mode_result_is_float(rho, dirac_rho):
-    rho_f = CorrelatedFlow(
-        tuple((s, f.to_float(), float(w)) for s, f, w in dirac_rho.atoms)
-    )
+def test_float_mode_result_is_float(game, rho, dirac_rho):
+    rho_f = float_via_io(game, dirac_rho)
     exact = flow_space_distance(rho, dirac_rho)
     d = flow_space_distance(rho, rho_f)
     assert isinstance(d, float)

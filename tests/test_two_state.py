@@ -186,8 +186,8 @@ class TestMixtureLawIdentity:
         from cmfg.mfg import factor_flow
 
         game, rho, m0 = build_example(DEFAULTS)
-        fact = factor_flow(rho)
-        for flow, cond in zip(fact.flows, fact.conditionals):
+        flows, _, conditionals = factor_flow(rho)
+        for flow, cond in zip(flows, conditionals):
             for t in range(game.horizon + 1):
                 mixed = [F(0), F(0)]
                 for phi, w in cond:
