@@ -1,15 +1,18 @@
 """Exact-rational linear programming via the two-phase simplex method.
 
 Variables are implicitly nonnegative.  Rows are ">=" or "==" constraints
-whose coefficients (Fraction or int) are taken as given and written into the
-tableau once; only the right-hand side becomes a Fraction.  Bland's rule
-(smallest index enters, smallest basic index leaves on ratio ties)
-guarantees termination despite the heavy degeneracy of feasibility systems
-whose right-hand sides are mostly zero.
+whose coefficients (Fraction or int) are taken as given.  Each row enters
+the tableau once, scaled to integers by the lcm of its denominators, and
+the simplex pivots fraction-free on Python ints; each value becomes a
+Fraction once, at the end.  Bland's rule (smallest index enters, smallest
+basic index leaves on ratio ties) guarantees termination despite the heavy
+degeneracy of feasibility systems whose right-hand sides are mostly zero.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -17,8 +20,8 @@ from typing import Optional, Sequence
 GE = ">="
 EQ = "=="
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_numerator = operator.attrgetter("numerator")
+_denominator = operator.attrgetter("denominator")
 
 
 class InfeasibleError(Exception):
@@ -58,23 +61,31 @@ class LinearProgram:
 
 
 class _Tableau:
-    """Dense simplex tableau; row 0 is the objective row."""
+    """Dense simplex tableau on ints; row 0 is the objective row.
+
+    Every row is known up to a positive factor.  A constraint row's values
+    are its entries divided by its basic entry, which stays positive; the
+    objective row's entries have the signs of the reduced costs and its
+    last entry is zero exactly at a zero objective value.
+    """
 
     def __init__(self, nrows: int, ncols: int):
-        self.rows = [[_ZERO] * ncols for _ in range(nrows)]
+        self.rows = [[0] * ncols for _ in range(nrows)]
         self.basis: list[int] = [-1] * (nrows - 1)
 
     def pivot(self, r: int, c: int) -> None:
         row = self.rows[r]
-        inv = _ONE / row[c]
-        if inv != 1:
-            self.rows[r] = row = [v * inv for v in row]
+        p = row[c]
+        if p < 0:  # the new basic entry must be positive
+            self.rows[r] = row = [-v for v in row]
+            p = -p
         for i, other in enumerate(self.rows):
             if i == r:
                 continue
             f = other[c]
             if f:
-                self.rows[i] = [a - f * b for a, b in zip(other, row)]
+                # p times the row's old basic entry is the new one
+                self.rows[i] = _primitive([p * a - f * b for a, b in zip(other, row)])
         self.basis[r - 1] = c
 
     def solve(self, allowed: Sequence[bool]) -> None:
@@ -89,19 +100,44 @@ class _Tableau:
                     break
             if enter < 0:
                 return
-            leave = -1
-            best: Optional[Fraction] = None
+            leave, top, bottom = -1, 0, 1  # the best ratio rhs / a so far
             for i in range(1, len(self.rows)):
-                a = self.rows[i][enter]
+                row = self.rows[i]
+                a = row[enter]
                 if a > 0:
-                    ratio = self.rows[i][-1] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i - 1] < self.basis[leave - 1]
+                    # row[-1] / a against top / bottom, both denominators positive
+                    this, best = row[-1] * bottom, top * a
+                    if leave < 0 or this < best or (
+                        this == best and self.basis[i - 1] < self.basis[leave - 1]
                     ):
-                        best, leave = ratio, i
+                        leave, top, bottom = i, row[-1], a
             if leave < 0:
                 raise UnboundedError("objective unbounded below")
             self.pivot(leave, enter)
+
+    def eliminate(self, i: int) -> None:
+        """Make the objective's entry in row i's basic column zero."""
+        row, b = self.rows[i], self.basis[i - 1]
+        f, p = self.rows[0][b], row[b]
+        if f:
+            self.rows[0] = _primitive([p * a - f * v for a, v in zip(self.rows[0], row)])
+
+
+def _primitive(row: list[int]) -> list[int]:
+    # the same row divided by the gcd of its entries
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def _integers(values: Sequence, negate: bool) -> tuple[int, list[int]]:
+    """The lcm q of the values' denominators, and q times each value (its
+    negative if asked) as an int."""
+    q = math.lcm(*set(map(_denominator, values)))
+    if q == 1:
+        ints = map(_numerator, values)
+    else:
+        ints = (v.numerator * (q // v.denominator) for v in values)
+    return q, list(map(operator.neg, ints) if negate else ints)
 
 
 def solve_lp(lp: LinearProgram) -> dict[str, Fraction]:
@@ -109,7 +145,10 @@ def solve_lp(lp: LinearProgram) -> dict[str, Fraction]:
     n = len(lp.variables)
     # each row flips to rhs >= 0; a ">=" row with b <= 0 becomes
     # "-a x + s = -b" with a free basic slack, other ">=" rows keep a surplus,
-    # and every row without a basic slack receives an artificial variable
+    # and every row without a basic slack receives an artificial variable.
+    # Row i is scaled to integers by the lcm q_i of its denominators, and its
+    # slack or artificial column stands for q_i times that variable, so its
+    # entry there is +-1
     flips = [r.rhs <= 0 if r.relation == GE else r.rhs < 0 for r in lp.rows]
     nslack = sum(r.relation == GE for r in lp.rows)
     nart = sum(r.relation == EQ or not f for r, f in zip(lp.rows, flips))
@@ -118,31 +157,32 @@ def solve_lp(lp: LinearProgram) -> dict[str, Fraction]:
 
     si = n
     ai = n + nslack
+    art_scales = []
     for i, (row, flip) in enumerate(zip(lp.rows, flips)):
-        r = tab.rows[i + 1]
-        for j, c in enumerate(row.coeffs):
-            if c:
-                r[j] = -c if flip else c
-        r[-1] = Fraction(-row.rhs if flip else row.rhs)
+        q, scaled = _integers((*row.coeffs, row.rhs), flip)
+        r = tab.rows[i + 1] = scaled[:n] + [0] * (nslack + nart) + scaled[n:]
         if row.relation == GE:
-            r[si] = _ONE if flip else -_ONE
+            r[si] = 1 if flip else -1
             if flip:
                 tab.basis[i] = si
             si += 1
         if tab.basis[i] < 0:
-            r[ai] = _ONE
+            r[ai] = 1
             tab.basis[i] = ai
+            art_scales.append(q)
             ai += 1
 
     allowed = [True] * (ncols - 1)
     if nart:
-        # phase 1: minimize the sum of artificials
+        # phase 1: minimize the sum of artificials; artificial i costs
+        # 1/q_i per unit of its column, lcm(q)/q_i after scaling by lcm(q)
         obj = tab.rows[0]
-        for c in range(n + nslack, n + nslack + nart):
-            obj[c] = _ONE
-        for i, row in enumerate(tab.rows[1:], start=1):
+        big = math.lcm(*art_scales)
+        for c, q in enumerate(art_scales, start=n + nslack):
+            obj[c] = big // q
+        for i in range(1, len(tab.rows)):
             if tab.basis[i - 1] >= n + nslack:  # make the objective row canonical
-                tab.rows[0] = obj = [a - b for a, b in zip(obj, row)]
+                tab.eliminate(i)
         tab.solve(allowed)
         if tab.rows[0][-1] != 0:
             raise InfeasibleError("phase-1 optimum is nonzero")
@@ -157,20 +197,16 @@ def solve_lp(lp: LinearProgram) -> dict[str, Fraction]:
         for c in range(n + nslack, ncols - 1):
             allowed[c] = False
 
-    tab.rows[0] = [_ZERO] * ncols
+    tab.rows[0] = [0] * ncols
     if lp.objective is not None and any(lp.objective):
-        obj = tab.rows[0]
-        obj[:n] = lp.objective
+        tab.rows[0][:n] = _integers(lp.objective, False)[1]
         for i in range(1, len(tab.rows)):
-            b = tab.basis[i - 1]
-            f = tab.rows[0][b]
-            if f:
-                tab.rows[0] = [a - f * v for a, v in zip(tab.rows[0], tab.rows[i])]
+            tab.eliminate(i)
         tab.solve(allowed)
 
-    values = {v: _ZERO for v in lp.variables}
+    values = dict.fromkeys(lp.variables, Fraction(0))
     for i, b in enumerate(tab.basis):
         if 0 <= b < n:
-            values[lp.variables[b]] = tab.rows[i + 1][-1]
+            row = tab.rows[i + 1]
+            values[lp.variables[b]] = Fraction(row[-1], row[b])
     return values
-

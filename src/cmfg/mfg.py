@@ -59,20 +59,23 @@ class CorrelatedFlow:
         mode = self.atoms[0][1].mode
         tol = arith(mode).tol
         merged: list[list] = []
+        seen: set[tuple] = set()  # exact mode: every (strategy, flow) so far
         for phi, flow, w in self.atoms:
             if flow.mode != mode:
                 raise ValueError("atoms mix arithmetic modes")
             if w <= 0:
                 raise ValueError(f"atom weight {w} is not positive")
-            hit = None
-            for entry in merged:
-                if entry[0] == phi and _flows_close(entry[1], flow, tol):
-                    hit = entry
-                    break
-            if hit is not None:
-                if mode == EXACT:
+            if mode == EXACT:
+                key = (phi.actions, _flow_key(flow))
+                if key in seen:
                     raise ValueError("duplicate (strategy, flow) atom")
-                hit[2] += w  # float mode: near-identical flows merge
+                seen.add(key)
+                merged.append([phi, flow, w])
+                continue
+            for entry in merged:  # float mode: near-identical flows merge
+                if entry[0] == phi and _flows_close(entry[1], flow, tol):
+                    entry[2] += w
+                    break
             else:
                 merged.append([phi, flow, w])
         merged.sort(key=lambda e: (e[0].sort_key(), _flow_key(e[1])))

@@ -874,6 +874,12 @@ def solve_symmetric_ce(
     system: variables are strategy multisets; the player-1 constraints carry
     all the content because the system is permutation-covariant.  The result
     expands to explicit atoms with weight w(multiset)/#arrangements.
+
+    The system is built on ints: with every cost over one denominator D,
+    the incentive row of (rec, psi) has coefficient count(rec) (C[psi] -
+    C[rec]) on a multiset, for C the numerators, which is N D times rec's
+    share count(rec)/N of the cost gap; the total-cost objective is D times
+    the cost.  Positive scaling keeps every vertex and every pivot.
     """
     if n_players < 2:
         raise ValueError("need at least two players")
@@ -887,37 +893,35 @@ def solve_symmetric_ce(
     if len(multisets) > lp_cap:
         raise CapacityError(f"{len(multisets)} LP variables exceed cap {lp_cap}")
     index_of = {m: k for k, m in enumerate(multisets)}
-    table = _AnonymousCostTable(game, m0n, strategies, joint_cap)
+    numerators = _cost_numerators(game, m0n, strategies, n_players - 1, joint_cap)
 
-    def costs(m_key: tuple[int, ...], rec: int) -> tuple[Fraction, ...]:
+    def costs(m_key: tuple[int, ...], rec: int) -> tuple[int, ...]:
         # every strategy's cost against the multiset m_key less one rec
         others = list(m_key)
         others.remove(rec)
-        return table.costs(tuple(strategies[j] for j in others))
+        return numerators[tuple(others)]
 
-    zero_f = Fraction(0)
     rows = []
     for rec in range(n_r):
-        # every multiset containing rec: (its variable, rec's share, the
+        # every multiset containing rec: (its variable, rec's count, the
         # costs against the others-multiset)
         contributions = [
-            (k, Fraction(m_key.count(rec), n_players), costs(m_key, rec))
+            (k, m_key.count(rec), costs(m_key, rec))
             for m_key, k in index_of.items() if rec in m_key
         ]
         for psi in range(n_r):
             if psi == rec:
                 continue
-            coeffs = [zero_f] * len(multisets)
-            for k, share, c in contributions:
-                coeffs[k] = share * (c[psi] - c[rec])
-            rows.append(LinRow(tuple(coeffs), GE, zero_f))
-    rows.append(LinRow(tuple(Fraction(1) for _ in multisets), EQ, Fraction(1)))
+            coeffs = [0] * len(multisets)
+            for k, count, c in contributions:
+                coeffs[k] = count * (c[psi] - c[rec])
+            rows.append(LinRow(tuple(coeffs), GE, 0))
+    rows.append(LinRow((1,) * len(multisets), EQ, 1))
     names = tuple("w_" + "_".join(map(str, m)) for m in multisets)
     objective = None
     if minimize_total_cost:
         objective = tuple(
-            sum((m_key.count(rec) * costs(m_key, rec)[rec]
-                 for rec in sorted(set(m_key))), zero_f)
+            sum(m_key.count(rec) * costs(m_key, rec)[rec] for rec in set(m_key))
             for m_key in multisets
         )
     lp = LinearProgram(names, tuple(rows), objective)
@@ -936,6 +940,22 @@ def solve_symmetric_ce(
         share = w / len(arrangements)
         atoms.extend((tuple(strategies[j] for j in arr), share) for arr in arrangements)
     return ExplicitProfile(n_players, tuple(atoms))
+
+
+def _cost_numerators(game, m0n, strategies, n_others, joint_cap) -> dict:
+    """Player 0's costs of every strategy against every multiset of n_others
+    other strategies (index tuples in enumeration order), as integer
+    numerators over one denominator, the lcm of the costs' denominators."""
+    table = _AnonymousCostTable(game, m0n, strategies, joint_cap)
+    costs = {
+        others: table.costs(tuple(strategies[j] for j in others))
+        for others in itertools.combinations_with_replacement(range(len(strategies)), n_others)
+    }
+    den = math.lcm(*(c.denominator for cs in costs.values() for c in cs))
+    return {
+        others: tuple(c.numerator * (den // c.denominator) for c in cs)
+        for others, cs in costs.items()
+    }
 
 
 # ---------------------------------------------------------------------------

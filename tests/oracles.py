@@ -11,6 +11,9 @@
     `nplayer.solve_symmetric_ce` solves the multiset reduction;
   * `check_solution`: an exact feasibility re-check of a linear program's
     solution, independent of `lp.solve_lp`'s tableau;
+  * `fraction_lp`: the two-phase simplex on a dense `Fraction` tableau with
+    every row normalized to a basic entry of 1, which `lp.solve_lp` runs on
+    integer rows known up to a positive factor, pivot for pivot;
   * `lp_debug_dump`: a readable listing of a linear program;
   * `random_game`: seeded random valid games whose kernels and costs depend
     on the measure;
@@ -47,7 +50,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from cmfg.lp import EQ, GE, LinearProgram, LinRow
+from cmfg.lp import EQ, GE, InfeasibleError, LinearProgram, LinRow, UnboundedError
 from cmfg.mfg import CorrelatedFlow, GapRow, deterministic_cost, gap_rows
 from cmfg.model import (
     DEFAULT_JOINT_CAP,
@@ -577,3 +580,128 @@ def _fraction_pivot(
             flow[a] += theta
     del flow[leaving]
     flow[entering] = theta
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class _FractionTableau:
+    """Dense simplex tableau; row 0 is the objective row."""
+
+    def __init__(self, nrows: int, ncols: int):
+        self.rows = [[_ZERO] * ncols for _ in range(nrows)]
+        self.basis: list[int] = [-1] * (nrows - 1)
+
+    def pivot(self, r: int, c: int) -> None:
+        row = self.rows[r]
+        inv = _ONE / row[c]
+        if inv != 1:
+            self.rows[r] = row = [v * inv for v in row]
+        for i, other in enumerate(self.rows):
+            if i == r:
+                continue
+            f = other[c]
+            if f:
+                self.rows[i] = [a - f * b for a, b in zip(other, row)]
+        self.basis[r - 1] = c
+
+    def solve(self, allowed: Sequence[bool]) -> None:
+        """Minimize the row-0 objective with Bland's rule over allowed columns."""
+        ncols = len(self.rows[0]) - 1  # last column is rhs
+        while True:
+            obj = self.rows[0]
+            enter = -1
+            for c in range(ncols):
+                if allowed[c] and obj[c] < 0:
+                    enter = c
+                    break
+            if enter < 0:
+                return
+            leave = -1
+            best: Optional[Fraction] = None
+            for i in range(1, len(self.rows)):
+                a = self.rows[i][enter]
+                if a > 0:
+                    ratio = self.rows[i][-1] / a
+                    if best is None or ratio < best or (
+                        ratio == best and self.basis[i - 1] < self.basis[leave - 1]
+                    ):
+                        best, leave = ratio, i
+            if leave < 0:
+                raise UnboundedError("objective unbounded below")
+            self.pivot(leave, enter)
+
+
+def fraction_lp(lp: LinearProgram) -> dict[str, Fraction]:
+    """`lp.solve_lp` on a dense `Fraction` tableau, pivot for pivot: the same
+    column layout, phase-1 and phase-2 objectives and Bland's rule, with
+    every row kept normalized to a basic entry of 1."""
+    n = len(lp.variables)
+    # each row flips to rhs >= 0; a ">=" row with b <= 0 becomes
+    # "-a x + s = -b" with a free basic slack, other ">=" rows keep a surplus,
+    # and every row without a basic slack receives an artificial variable
+    flips = [r.rhs <= 0 if r.relation == GE else r.rhs < 0 for r in lp.rows]
+    nslack = sum(r.relation == GE for r in lp.rows)
+    nart = sum(r.relation == EQ or not f for r, f in zip(lp.rows, flips))
+    ncols = n + nslack + nart + 1
+    tab = _FractionTableau(len(lp.rows) + 1, ncols)
+
+    si = n
+    ai = n + nslack
+    for i, (row, flip) in enumerate(zip(lp.rows, flips)):
+        r = tab.rows[i + 1]
+        for j, c in enumerate(row.coeffs):
+            if c:
+                r[j] = -c if flip else c
+        r[-1] = Fraction(-row.rhs if flip else row.rhs)
+        if row.relation == GE:
+            r[si] = _ONE if flip else -_ONE
+            if flip:
+                tab.basis[i] = si
+            si += 1
+        if tab.basis[i] < 0:
+            r[ai] = _ONE
+            tab.basis[i] = ai
+            ai += 1
+
+    allowed = [True] * (ncols - 1)
+    if nart:
+        # phase 1: minimize the sum of artificials
+        obj = tab.rows[0]
+        for c in range(n + nslack, n + nslack + nart):
+            obj[c] = _ONE
+        for i, row in enumerate(tab.rows[1:], start=1):
+            if tab.basis[i - 1] >= n + nslack:  # make the objective row canonical
+                tab.rows[0] = obj = [a - b for a, b in zip(obj, row)]
+        tab.solve(allowed)
+        if tab.rows[0][-1] != 0:
+            raise InfeasibleError("phase-1 optimum is nonzero")
+        # pivot surviving artificials out of the basis (or drop redundant rows)
+        for i in range(1, len(tab.rows)):
+            if tab.basis[i - 1] >= n + nslack:
+                piv = next(
+                    (c for c in range(n + nslack) if tab.rows[i][c] != 0), None
+                )
+                if piv is not None:
+                    tab.pivot(i, piv)
+        for c in range(n + nslack, ncols - 1):
+            allowed[c] = False
+
+    tab.rows[0] = [_ZERO] * ncols
+    if lp.objective is not None and any(lp.objective):
+        obj = tab.rows[0]
+        obj[:n] = lp.objective
+        for i in range(1, len(tab.rows)):
+            b = tab.basis[i - 1]
+            f = tab.rows[0][b]
+            if f:
+                tab.rows[0] = [a - f * v for a, v in zip(tab.rows[0], tab.rows[i])]
+        tab.solve(allowed)
+
+    values = {v: _ZERO for v in lp.variables}
+    for i, b in enumerate(tab.basis):
+        if 0 <= b < n:
+            values[lp.variables[b]] = tab.rows[i + 1][-1]
+    return values
+

@@ -4,8 +4,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import oracles
+from cmfg import lp as lp_module
 from cmfg.lp import (
     EQ,
     GE,
@@ -15,7 +19,7 @@ from cmfg.lp import (
     UnboundedError,
     solve_lp,
 )
-from oracles import check_solution, lp_debug_dump
+from oracles import check_solution, fraction_lp, lp_debug_dump
 
 
 def sparse(names, pairs, relation, rhs):
@@ -215,3 +219,92 @@ def test_against_float_solver():
             assert check_solution(lp, sol)
             kinds.update((r, (rhs > 0) - (rhs < 0)) for r, rhs in zip(rel, b))
     assert kinds == {(r, s) for r in (GE, EQ) for s in (-1, 0, 1)}
+
+
+def recorded(solver, tableau, lp):
+    """The solver's values (or exception class) and its (row, column) pivots."""
+    pivots = []
+    pivot = tableau.pivot
+
+    def spy(self, r, c):
+        pivots.append((r, c))
+        pivot(self, r, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tableau, "pivot", spy)
+        try:
+            return solver(lp), pivots
+        except (InfeasibleError, UnboundedError) as exc:
+            return type(exc), pivots
+
+
+# ints and Fractions, zero often, negative as often as positive
+coefficient = st.one_of(
+    st.just(0),
+    st.integers(-4, 4),
+    st.builds(F, st.integers(-6, 6), st.integers(1, 5)),
+)
+
+
+@st.composite
+def random_lps(draw):
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 8))
+    rows = [
+        LinRow(
+            tuple(draw(st.lists(coefficient, min_size=n, max_size=n))),
+            draw(st.sampled_from((GE, EQ))),
+            draw(coefficient),
+        )
+        for _ in range(m)
+    ]
+    if draw(st.booleans()):  # a duplicated row, somewhere
+        rows.insert(draw(st.integers(0, m)), rows[draw(st.integers(0, m - 1))])
+    objective = draw(st.one_of(st.none(), st.lists(coefficient, min_size=n, max_size=n)))
+    names = tuple(f"v{j}" for j in range(n))
+    return LinearProgram(names, tuple(rows), None if objective is None else tuple(objective))
+
+
+class TestAgainstTheFractionTableau:
+    @settings(max_examples=400, deadline=None)
+    @given(random_lps())
+    def test_same_values_and_same_pivots(self, lp):
+        got, pivots = recorded(solve_lp, lp_module._Tableau, lp)
+        want, want_pivots = recorded(fraction_lp, oracles._FractionTableau, lp)
+        assert got == want
+        assert pivots == want_pivots
+        if isinstance(got, dict):
+            assert all(type(v) is F for v in got.values())
+            assert check_solution(lp, got)
+
+    def test_artificial_leaves_on_a_negative_entry(self):
+        """-x - y - z = 0 pins every variable to 0.  Its artificial ends
+        phase 1 basic at level 0 and leaves the basis on the entry -1, which
+        must become a positive basic entry: phase 2 is bounded."""
+        lp = LinearProgram(
+            ("x", "y", "z"),
+            (LinRow((-1, -1, -1), EQ, 0), LinRow((2, 0, 0), GE, 0)),
+            (0, -3, 0),
+        )
+        got, pivots = recorded(solve_lp, lp_module._Tableau, lp)
+        assert got == {"x": 0, "y": 0, "z": 0}
+        assert pivots[0] == (1, 0)
+        assert (got, pivots) == recorded(fraction_lp, oracles._FractionTableau, lp)
+
+    def test_tableau_holds_ints(self):
+        lp = LinearProgram(
+            ("x", "y"),
+            (LinRow((F(2, 3), F(-1, 4)), GE, F(1, 6)), LinRow((1, 1), EQ, F(5, 2))),
+            (F(1, 3), F(-1, 7)),
+        )
+        seen = []
+        pivot = lp_module._Tableau.pivot
+
+        def spy(self, r, c):
+            pivot(self, r, c)
+            seen.extend(type(v) for row in self.rows for v in row)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp_module._Tableau, "pivot", spy)
+            assert solve_lp(lp) == fraction_lp(lp)
+        assert seen and set(seen) == {int}

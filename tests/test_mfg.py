@@ -330,6 +330,39 @@ class TestCorrelatedFlowType:
         with pytest.raises(ValueError):
             CorrelatedFlow(((phi, flow, w / 2), (phi, flow, w / 2), *rho.atoms[1:]))
 
+    @given(st.integers(0, 2**32), st.integers(1, 6), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_duplicate_anywhere_rejected_and_order_canonical(self, seed, n_atoms, data):
+        game = random_game(seed, 2, 2, 2)
+        rho = random_correlated_flow(seed, game, n_atoms)
+        atoms = list(rho.atoms)
+        assert atoms == sorted(
+            atoms, key=lambda a: (a[0].sort_key(), tuple(m.weights for m in a[1].measures))
+        )
+        shuffled = data.draw(st.permutations(atoms))
+        assert CorrelatedFlow(tuple(shuffled)).atoms == rho.atoms
+        # an equal copy of one atom's strategy and flow, at any position
+        phi, flow, w = data.draw(st.sampled_from(atoms))
+        copy = FlowTrajectory(tuple(
+            ProbabilityVector(m.space, tuple(F(v) for v in m.weights), EXACT)
+            for m in flow.measures
+        ))
+        halved = [(p, f, v / 2 if (p, f) == (phi, flow) else v) for p, f, v in shuffled]
+        halved.insert(data.draw(st.integers(0, len(atoms))), (phi, copy, w / 2))
+        with pytest.raises(ValueError, match="duplicate \\(strategy, flow\\) atom"):
+            CorrelatedFlow(tuple(halved))
+
+    def test_float_atoms_within_tolerance_merge(self, game, rho):
+        frho = float_via_io(game, rho)
+        phi, flow, w = frho.atoms[-1]
+        near = FlowTrajectory(tuple(
+            ProbabilityVector(m.space, (m.weights[0] + 1e-12, m.weights[1] - 1e-12), m.mode)
+            for m in flow.measures
+        ))
+        merged = CorrelatedFlow((*frho.atoms[:-1], (phi, flow, w / 4), (phi, near, 3 * w / 4)))
+        assert merged.atoms[:-1] == frho.atoms[:-1]
+        assert merged.atoms[-1][:2] == (phi, flow) and merged.atoms[-1][2] == w
+
     def test_weight_sum_enforced(self, rho):
         phi, flow, _ = rho.atoms[0]
         with pytest.raises(ValueError):

@@ -6,14 +6,14 @@ import random
 import time
 import weakref
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfg import io, nplayer, rng, two_state
+from cmfg import io, lp, nplayer, rng, two_state
 from cmfg.mfg import CorrelatedFlow, DeviationMap
 from cmfg.model import (
     EXACT,
@@ -57,6 +57,7 @@ from oracles import (
     expand,
     expanded_deviation_gain,
     expanded_exchangeability_check,
+    fraction_lp,
     random_game,
     uniform,
 )
@@ -1122,6 +1123,105 @@ class TestSolveSymmetricCe:
         with pytest.raises(ValueError, match="need at least two players"):
             solve_symmetric_ce(game, n, uniform_m0)
         assert calls == []
+
+
+class _Captured(Exception):
+    """Raised in place of solving, with the LP that was to be solved."""
+
+
+def ce_lp(monkeypatch, game, n, m0n, **kwargs):
+    """The LP that `solve_symmetric_ce` hands to `solve_lp`."""
+
+    def capture(system):
+        raise _Captured(system)
+
+    with monkeypatch.context() as m:
+        m.setattr(nplayer, "solve_lp", capture)
+        with pytest.raises(_Captured) as info:
+            solve_symmetric_ce(game, n, m0n, **kwargs)
+    return info.value.args[0]
+
+
+def ce_pivots(monkeypatch, game, n, m0n, **kwargs) -> int:
+    """How many pivots `solve_symmetric_ce`'s LP takes."""
+    pivots = []
+    pivot = lp._Tableau.pivot
+
+    def counted(self, r, c):
+        pivots.append((r, c))
+        pivot(self, r, c)
+
+    with monkeypatch.context() as m:
+        m.setattr(lp._Tableau, "pivot", counted)
+        solve_symmetric_ce(game, n, m0n, **kwargs)
+    return len(pivots)
+
+
+class TestIntegerCeSystem:
+    """The CE system is built and solved on ints: positive rescalings of the
+    `Fraction` system, with the same pivots and the same atoms."""
+
+    @pytest.mark.parametrize("seed, n", [(0, 2), (3, 2), (1, 3)])
+    def test_rows_are_the_fraction_rows_times_n_d(self, monkeypatch, seed, n):
+        game = random_game(seed, 2, 2, 2)
+        m0n = ProbabilityVector.uniform(game.states, EXACT)
+        system = ce_lp(monkeypatch, game, n, m0n, minimize_total_cost=True)
+        strategies = enumerate_strategies(game)
+        table = nplayer._AnonymousCostTable(game, m0n, strategies)
+        cost = {
+            others: table.costs(tuple(strategies[j] for j in others))
+            for others in combinations_with_replacement(range(len(strategies)), n - 1)
+        }
+        den = math.lcm(*(c.denominator for cs in cost.values() for c in cs))
+        multisets = list(combinations_with_replacement(range(len(strategies)), n))
+
+        def costs(m_key, rec):
+            others = list(m_key)
+            others.remove(rec)
+            return cost[tuple(others)]
+
+        want = [
+            [
+                F(m_key.count(rec), n) * (costs(m_key, rec)[psi] - costs(m_key, rec)[rec])
+                if rec in m_key else 0
+                for m_key in multisets
+            ]
+            for rec in range(len(strategies))
+            for psi in range(len(strategies))
+            if psi != rec
+        ]
+        *incentives, mass = system.rows
+        assert [[F(c, n * den) for c in row.coeffs] for row in incentives] == want
+        assert all((row.relation, row.rhs) == (lp.GE, 0) for row in incentives)
+        assert (mass.coeffs, mass.relation, mass.rhs) == ((1,) * len(multisets), lp.EQ, 1)
+        assert [F(c, den) for c in system.objective] == [
+            sum(m_key.count(rec) * costs(m_key, rec)[rec] for rec in set(m_key))
+            for m_key in multisets
+        ]
+        assert {type(c) for row in system.rows for c in row.coeffs} == {int}
+        assert {type(c) for c in system.objective} == {int}
+
+    @pytest.mark.parametrize("n, minimize", [(2, False), (2, True), (3, False)])
+    def test_atoms_equal_those_of_the_fraction_tableau(
+        self, monkeypatch, game, uniform_m0, n, minimize
+    ):
+        want = solve_symmetric_ce(game, n, uniform_m0, minimize_total_cost=minimize)
+        monkeypatch.setattr(nplayer, "solve_lp", fraction_lp)
+        assert solve_symmetric_ce(game, n, uniform_m0, minimize_total_cost=minimize) == want
+
+    @pytest.mark.parametrize(
+        "seed, minimize, pivots", [(0, False, 70), (0, True, 113), (3, False, 176), (3, True, 370)]
+    )
+    def test_pivots_on_random_games(self, monkeypatch, seed, minimize, pivots):
+        game = random_game(seed, 2, 2, 2)
+        m0n = ProbabilityVector.uniform(game.states, EXACT)
+        assert ce_pivots(monkeypatch, game, 2, m0n, minimize_total_cost=minimize) == pivots
+
+    @pytest.mark.parametrize("minimize, pivots", [(False, 1), (True, 50)])
+    def test_pivots_on_the_example_at_three_players(
+        self, monkeypatch, game, uniform_m0, minimize, pivots
+    ):
+        assert ce_pivots(monkeypatch, game, 3, uniform_m0, minimize_total_cost=minimize) == pivots
 
 
 class TestExchangeability:
