@@ -7,11 +7,15 @@ The ground space is (strategy, flow trajectory) pairs with
 and the optimal coupling is found with a transportation-tree simplex.  The
 simplex pivots on Python integers: the costs are put on one common
 denominator and the masses on another, once, and the value, plan and duals
-are divided back into `Fraction`s at the end.  Positive scaling keeps every
-sign and tie, so Bland's arc ordering (row-major, first negative reduced cost
-enters, smallest tied arc leaves) takes the pivots it would take on the
-rationals, and rules out cycling.  Every result is re-certified in
-`Fraction`s by `verify_transport` before it is returned.
+are divided back into `Fraction`s at the end.  `flow_space_distance` builds
+the costs as integers from the start: every flow weight of both correlated
+flows goes on one common denominator D, and each cost is an integer over 2D.
+Positive scaling keeps every sign and tie, so Bland's arc ordering
+(row-major, first negative reduced cost enters, smallest tied arc leaves)
+takes the pivots it would take on the rationals, and rules out cycling.
+Every result is re-certified by `verify_transport` before it is returned:
+the marginals and the value in `Fraction`s, the duals' feasibility and
+complementary slackness on integers over one denominator.
 """
 
 from __future__ import annotations
@@ -44,6 +48,20 @@ def solve_transport(
     cap: int = DEFAULT_OT_CAP,
 ) -> TransportResult:
     """Minimum-cost coupling of two equal-mass nonnegative vectors."""
+    cost = [[Fraction(c) for c in row] for row in cost]
+    cost_den = math.lcm(*(c.denominator for row in cost for c in row))
+    int_cost = [[scaled(c, cost_den) for c in row] for row in cost]
+    return _solve(supply, demand, int_cost, cost_den, cap)
+
+
+def _solve(
+    supply: Sequence[Fraction],
+    demand: Sequence[Fraction],
+    int_cost: list[list[int]],
+    cost_den: int,
+    cap: int,
+) -> TransportResult:
+    """`solve_transport` for the costs int_cost[i][j] / cost_den, certified."""
     supply = [Fraction(s) for s in supply]
     demand = [Fraction(d) for d in demand]
     m, n = len(supply), len(demand)
@@ -55,16 +73,13 @@ def solve_transport(
         raise ValueError("negative mass")
     if sum(supply) != sum(demand):
         raise ValueError("unbalanced marginals")
-    cost = [[Fraction(c) for c in row] for row in cost]
-    if len(cost) != m or any(len(row) != n for row in cost):
+    if len(int_cost) != m or any(len(row) != n for row in int_cost):
         raise ValueError("cost matrix shape mismatch")
 
-    # one common denominator for the costs and another for the masses:
-    # positive scaling keeps the sign of every reduced cost and every tie in
-    # flow, so the integer simplex takes the pivots it would on the rationals
-    cost_den = math.lcm(*(c.denominator for row in cost for c in row))
+    # the costs share one denominator and the masses another: positive
+    # scaling keeps the sign of every reduced cost and every tie in flow, so
+    # the integer simplex takes the pivots it would on the rationals
     mass_den = math.lcm(*(w.denominator for w in supply + demand))
-    int_cost = [[scaled(c, cost_den) for c in row] for row in cost]
     flow, pot = _simplex(
         [scaled(w, mass_den) for w in supply],
         [scaled(w, mass_den) for w in demand],
@@ -77,7 +92,7 @@ def solve_transport(
         tuple(Fraction(p, cost_den) for p in pot[:m]),
         tuple(Fraction(p, cost_den) for p in pot[m:]),
     )
-    if not verify_transport(supply, demand, cost, result):
+    if not verify_transport(supply, demand, int_cost, result, cost_den=cost_den):
         raise AssertionError("transport certificate failed")  # pragma: no cover
     return result
 
@@ -191,8 +206,13 @@ def verify_transport(
     demand: Sequence[Fraction],
     cost: Sequence[Sequence[Fraction]],
     result: TransportResult,
+    *,
+    cost_den: int = 1,
 ) -> bool:
-    """Exact primal-dual optimality certificate."""
+    """Exact primal-dual optimality certificate for the costs
+    cost[i][j] / cost_den.  The plan's marginals and value are checked in
+    `Fraction`s; dual feasibility and complementary slackness on integers
+    over the lcm of the costs' denominator and the duals' denominators."""
     m, n = len(supply), len(demand)
     row_sum = [_ZERO] * m
     col_sum = [_ZERO] * n
@@ -205,33 +225,23 @@ def verify_transport(
         total += cost[i][j] * f
     if row_sum != list(supply) or col_sum != list(demand):
         return False
-    if total != result.value:
+    if total != result.value * cost_den:
         return False
     u, v = result.row_duals, result.col_duals
-    if any(cost[i][j] - u[i] - v[j] < 0 for i in range(m) for j in range(n)):
+    den = cost_den * math.lcm(*(c.denominator for row in cost for c in row))
+    lcd = math.lcm(den, *(w.denominator for w in u + v))
+    # cost[i][j] / cost_den = cost[i][j] * k / lcd, an integer over lcd
+    k = lcd // cost_den
+    int_cost = [[scaled(c, k) for c in row] for row in cost]
+    u, v = [scaled(w, lcd) for w in u], [scaled(w, lcd) for w in v]
+    if any(min(map(sub, row, v), default=ui) < ui for row, ui in zip(int_cost, u)):
         return False
     # strong duality on the coupling's support
-    return all(cost[i][j] == u[i] + v[j] for i, j, f in result.plan if f > 0)
+    return all(int_cost[i][j] == u[i] + v[j] for i, j, f in result.plan if f > 0)
 
 
-def _flow_key(flow) -> tuple[tuple[Fraction, ...], ...]:
-    # a flow's weights as Fractions, one tuple per time; a key is its own key
-    if isinstance(flow, tuple):
-        return flow
-    return tuple(tuple(Fraction(w) for w in pv.weights) for pv in flow.measures)
-
-
-def atom_distance(strategy_a, flow_a, strategy_b, flow_b) -> Fraction:
-    """Ground metric: strategy mismatch indicator plus summed state-law gaps.
-    A flow may also come as its `_flow_key`, which `flow_space_distance`
-    computes once per atom."""
-    fa, fb = _flow_key(flow_a), _flow_key(flow_b)
-    if len(fa) != len(fb) or any(len(x) != len(y) for x, y in zip(fa, fb)):
-        raise ValueError("flows live on different spaces")
-    d = _ZERO if strategy_a.actions == strategy_b.actions else Fraction(1)
-    for wa, wb in zip(fa, fb):
-        d += sum(abs(x - y) for x, y in zip(wa, wb)) / 2
-    return d
+def _frame(flow) -> tuple:
+    return len(flow.measures), flow.measures[0].space.labels
 
 
 def flow_space_distance(
@@ -241,17 +251,34 @@ def flow_space_distance(
 
     Float weights are promoted to exact rationals (and renormalized to unit
     mass) so the optimum carries an exact certificate either way; the value
-    comes back as a float when either input is float-mode.
+    comes back as a float when either input is float-mode.  Every flow
+    weight of both is put once on one common denominator D, so each ground
+    cost is an integer over 2D: 2D for a strategy mismatch plus the summed
+    |a - b| of the two flows' numerators over all times and states.
     """
-    atoms_a, atoms_b = rho_a.atoms, rho_b.atoms
-    supply = [Fraction(w) for _, _, w in atoms_a]
-    demand = [Fraction(w) for _, _, w in atoms_b]
+    atoms = rho_a.atoms + rho_b.atoms
+    frame = _frame(atoms[0][1])
+    if any(_frame(flow) != frame for _, flow, _ in atoms):
+        raise ValueError("flows live on different spaces")
+    supply = [Fraction(w) for _, _, w in rho_a.atoms]
+    demand = [Fraction(w) for _, _, w in rho_b.atoms]
     ta, tb = sum(supply), sum(demand)
     supply = [w / ta for w in supply]
     demand = [w / tb for w in demand]
-    keyed_a, keyed_b = ([(s, _flow_key(f)) for s, f, _ in atoms] for atoms in (atoms_a, atoms_b))
-    cost = [[atom_distance(*a, *b) for b in keyed_b] for a in keyed_a]
-    value = solve_transport(supply, demand, cost, cap=cap).value
+    flows = [[Fraction(x) for pv in flow.measures for x in pv.weights] for _, flow, _ in atoms]
+    den = math.lcm(*(x.denominator for flow in flows for x in flow))
+    ids: dict = {}
+    keyed = [
+        (ids.setdefault(phi.actions, len(ids)), [scaled(x, den) for x in flow])
+        for (phi, _, _), flow in zip(atoms, flows)
+    ]
+    keyed_a, keyed_b = keyed[: len(supply)], keyed[len(supply):]
+    two_den = 2 * den
+    cost = [
+        [(two_den if sa != sb else 0) + sum(map(abs, map(sub, fa, fb))) for sb, fb in keyed_b]
+        for sa, fa in keyed_a
+    ]
+    value = _solve(supply, demand, cost, two_den, cap).value
     if rho_a.mode == FLOAT or rho_b.mode == FLOAT:
         return float(value)
     return value

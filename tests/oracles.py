@@ -24,7 +24,8 @@
     `nplayer._MonteCarlo.deviation_costs` replaces by one walk of the
     deviator's action tree;
   * `random_correlated_flow`: a seeded correlated flow on a game, with random
-    strategies, flows and weights (not a solution);
+    strategies, flows and weights (not a solution), the flow weights
+    optionally all counts over one given denominator;
   * `optimality_rows`: the mean-field optimality rows from a running minimum
     over the candidates, one recommendation at a time, which
     `mfg.optimality_gap` replaces by one value vector per recommendation and
@@ -32,6 +33,9 @@
   * `fraction_transport`: the transportation simplex in `Fraction`s with the
     basis rebuilt on every pivot, which `transport.solve_transport` runs on
     integer numerators with the basis kept between pivots;
+  * `atom_distance`: the flow-space ground metric in `Fraction`s, one pair of
+    (strategy, flow) atoms at a time, of which `transport.flow_space_distance`
+    builds the whole cost matrix as integers over one denominator;
   * `expand`: a profile as atoms over ordered strategy tuples, sum_k |c_k|^N
     of them for a factored profile, which the exact audits replace by one
     player's anonymous draws (own strategy, others-multiset, weight);
@@ -380,16 +384,23 @@ def deviation_costs_by_candidate(mc, strat_rows, x0, noise, player):
     return costs
 
 
-def random_correlated_flow(seed: int, game: GameSpec, n_atoms: int) -> CorrelatedFlow:
+def random_correlated_flow(
+    seed: int, game: GameSpec, n_atoms: int, den: Optional[int] = None
+) -> CorrelatedFlow:
     """Up to n_atoms (strategy, flow) atoms with random rational flows and
-    weights; three strategies at most, so recommendations carry several flows."""
+    weights; three strategies at most, so recommendations carry several flows.
+    With `den`, every flow weight is a count over den."""
     r = random.Random(seed)
     strategies = enumerate_strategies(game)
     d = len(game.states)
 
     def measure():
-        raw = [r.randint(0, 3) for _ in range(d)]
-        raw[r.randrange(d)] += 1
+        if den is None:
+            raw = [r.randint(0, 3) for _ in range(d)]
+            raw[r.randrange(d)] += 1
+        else:
+            cuts = sorted(r.randint(0, den) for _ in range(d - 1))
+            raw = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
         return ProbabilityVector(game.states, tuple(Fraction(v, sum(raw)) for v in raw), EXACT)
 
     pool = r.sample(strategies, min(3, len(strategies)))
@@ -399,6 +410,15 @@ def random_correlated_flow(seed: int, game: GameSpec, n_atoms: int) -> Correlate
         atoms[(r.choice(pool), flow)] = r.randint(1, 5)
     total = sum(atoms.values())
     return CorrelatedFlow(tuple((phi, flow, Fraction(w, total)) for (phi, flow), w in atoms.items()))
+
+
+def atom_distance(strategy_a, flow_a, strategy_b, flow_b) -> Fraction:
+    """Ground metric: strategy mismatch indicator plus summed state-law gaps,
+    with float weights promoted to exact rationals."""
+    d = Fraction(strategy_a.actions != strategy_b.actions)
+    for ma, mb in zip(flow_a.measures, flow_b.measures):
+        d += sum(abs(Fraction(x) - Fraction(y)) for x, y in zip(ma.weights, mb.weights)) / 2
+    return d
 
 
 def optimality_rows(game, rho, m0, cap: int = DEFAULT_STRATEGY_CAP) -> tuple:

@@ -1,5 +1,6 @@
 """Exact optimal transport on finite atom sets and the flow-space W1 metric."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -7,16 +8,23 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import fraction_transport
+from oracles import atom_distance, fraction_transport, random_correlated_flow, random_game
 from scipy.optimize import linprog
 from test_nplayer import float_via_io
 
 from cmfg.limits import empirical_rho_n, lift
-from cmfg.model import CapacityError
+from cmfg.model import (
+    EXACT,
+    CapacityError,
+    FiniteSpace,
+    FlowTrajectory,
+    ProbabilityVector,
+    RestrictedStrategy,
+)
 from cmfg.mfg import CorrelatedFlow
 from cmfg.nplayer import SimulationConfig
 from cmfg.transport import (
-    atom_distance,
+    TransportResult,
     flow_space_distance,
     solve_transport,
     verify_transport,
@@ -92,6 +100,55 @@ def test_certificate_refuses_tampered_results(tamper):
     assert not verify_transport(*CERTIFIED, tamper(res))
 
 
+# row 0 carries no mass, so its one zero reduced cost sits on the degenerate
+# tree arc (0, 0), which the plan leaves out; the costs' denominator is 2
+DEGENERATE = (
+    (F(0), F(1, 3), F(2, 3)),
+    (F(1, 2), F(1, 2)),
+    ((F(1), F(4)), (F(1), F(4)), (F(2), F(1, 2))),
+)
+
+
+def on_one_denominator(cost):
+    """The costs as integer numerators over their common denominator."""
+    den = math.lcm(*(c.denominator for row in cost for c in row))
+    return [[int(c * den) for c in row] for row in cost], den
+
+
+def test_certificate_refuses_a_dual_off_by_a_third_of_the_cost_denominator():
+    supply, demand, cost = DEGENERATE
+    int_cost, den = on_one_denominator(cost)
+    res = solve_transport(*DEGENERATE)
+    assert res.row_duals[0] == 0 and all(i != 0 for i, _, _ in res.plan)
+    # the shift lies below the costs' denominator, so only the common
+    # denominator of the costs and the duals sees it
+    off = replace(res, row_duals=(res.row_duals[0] + F(1, 3 * den),) + res.row_duals[1:])
+    negative = [
+        (i, j)
+        for i, (row, u) in enumerate(zip(cost, off.row_duals))
+        for j, (c, v) in enumerate(zip(row, off.col_duals))
+        if c - u - v < 0
+    ]
+    assert negative == [(0, 0)]
+    assert verify_transport(*DEGENERATE, res)
+    assert verify_transport(supply, demand, int_cost, res, cost_den=den)
+    assert not verify_transport(*DEGENERATE, off)
+    assert not verify_transport(supply, demand, int_cost, off, cost_den=den)
+
+
+def test_certificate_accepts_duals_on_a_coarser_denominator():
+    # costs over 3 and integer duals: tight on the diagonal plan, 2/3 slack
+    # on the other two cells
+    supply = demand = (F(1, 2), F(1, 2))
+    cost = ((F(1), F(5, 3)), (F(5, 3), F(1)))
+    res = TransportResult(F(1), ((0, 0, F(1, 2)), (1, 1, F(1, 2))), (F(0), F(0)), (F(1), F(1)))
+    assert res.value == solve_transport(supply, demand, cost).value
+    int_cost, den = on_one_denominator(cost)
+    assert den == 3
+    assert verify_transport(supply, demand, cost, res)
+    assert verify_transport(supply, demand, int_cost, res, cost_den=den)
+
+
 @st.composite
 def transport_instances(draw):
     """Balanced instances with zero masses, coprime cost denominators and
@@ -128,6 +185,8 @@ def test_matches_fraction_oracle(instance):
 
 
 def test_matches_fraction_oracle_on_empirical_flow(game, rho, m0):
+    # a sampled empirical flow of the lift against rho, the transport that
+    # `limits converge` solves, with costs from the oracle
     cfg = SimulationConfig(master_seed=3, replications=60)
     emp = empirical_rho_n(game, lift(rho, 5), m0, cfg).flow
     supply = [F(w) for _, _, w in emp.atoms]
@@ -183,16 +242,25 @@ def dirac_rho(game, rho):
 
 
 def test_atom_distance_components(rho):
-    (pa, fa, _), (pb, fb, _) = rho.atoms[0], rho.atoms[1]
-    d_same = atom_distance(pa, fa, pa, fa)
-    assert d_same == 0
-    d = atom_distance(pa, fa, pb, fb)
-    mismatch = 1 if pa != pb else 0
+    """Between two one-atom flows the distance is the ground cost of their
+    atoms: the strategy mismatch plus the summed half-L1 gaps of the laws."""
+    pa, fa, _ = rho.atoms[0]
+    pb, fb = rho.atoms[4][0], rho.atoms[1][1]
     law_gap = sum(
         sum(abs(x - y) for x, y in zip(ma.weights, mb.weights)) / 2
         for ma, mb in zip(fa.measures, fb.measures)
     )
-    assert d == mismatch + law_gap
+    assert pa != pb and law_gap > 0
+    for (p, f), (q, g), want in [
+        ((pa, fa), (pa, fa), 0),
+        ((pa, fa), (pb, fa), 1),
+        ((pa, fa), (pa, fb), law_gap),
+        ((pa, fa), (pb, fb), 1 + law_gap),
+    ]:
+        assert atom_distance(p, f, q, g) == want
+        assert flow_space_distance(
+            CorrelatedFlow(((p, f, F(1)),)), CorrelatedFlow(((q, g, F(1)),))
+        ) == want
 
 
 def test_flow_space_metric_axioms(rho, dirac_rho):
@@ -201,20 +269,11 @@ def test_flow_space_metric_axioms(rho, dirac_rho):
     assert d_ab == flow_space_distance(dirac_rho, rho) > 0
 
 
-def hand_atom_distance(pa, fa, pb, fb):
-    mismatch = 0 if pa == pb else 1
-    law_gap = sum(
-        sum(abs(F(x) - F(y)) for x, y in zip(ma.weights, mb.weights)) / 2
-        for ma, mb in zip(fa.measures, fb.measures)
-    )
-    return mismatch + law_gap
-
-
 def test_distance_to_dirac_is_forced_plan(rho, dirac_rho):
     # against a single atom every unit of mass has a fixed destination
     tphi, tflow, _ = dirac_rho.atoms[0]
     expected = sum(
-        w * hand_atom_distance(phi, flow, tphi, tflow) for phi, flow, w in rho.atoms
+        w * atom_distance(phi, flow, tphi, tflow) for phi, flow, w in rho.atoms
     )
     assert expected > 0
     assert flow_space_distance(rho, dirac_rho) == expected
@@ -237,3 +296,63 @@ def test_float_mode_result_is_float(game, rho, dirac_rho):
     d = flow_space_distance(rho, rho_f)
     assert isinstance(d, float)
     assert abs(d - float(exact)) < 1e-12
+
+
+def oracle_distance(rho_a, rho_b):
+    """W1 by `oracles.fraction_transport` over the `oracles.atom_distance`
+    costs, the atom weights promoted and renormalized to unit mass."""
+    supply, demand = (
+        [w / sum(ws) for w in ws]
+        for ws in ([F(w) for _, _, w in rho.atoms] for rho in (rho_a, rho_b))
+    )
+    cost = [
+        [atom_distance(pa, fa, pb, fb) for pb, fb, _ in rho_b.atoms]
+        for pa, fa, _ in rho_a.atoms
+    ]
+    return fraction_transport(supply, demand, cost).value
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 2)),
+    sizes=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    dens=st.tuples(*[st.sampled_from((None, 4, 6, 7, 9))] * 2),
+    float_side=st.sampled_from((None, 0, 1)),
+)
+@example(seed=0, shape=(2, 2, 2), sizes=(5, 4), dens=(7, 9), float_side=None)  # coprime
+@example(seed=1, shape=(3, 2, 2), sizes=(6, 6), dens=(4, 9), float_side=1)
+@settings(max_examples=150, deadline=None)
+def test_flow_space_distance_matches_the_fraction_oracle(seed, shape, sizes, dens, float_side):
+    """Random correlated flows on random games, weights on coprime or shared
+    denominators, one side possibly a float copy read back through io."""
+    game = random_game(seed, *shape)
+    pair = [
+        random_correlated_flow(seed + k + 1, game, n, den)
+        for k, (n, den) in enumerate(zip(sizes, dens))
+    ]
+    if float_side is not None:
+        pair[float_side] = float_via_io(game, pair[float_side])
+    want = oracle_distance(*pair)
+    got = flow_space_distance(*pair)
+    if float_side is None:
+        assert isinstance(got, F) and got == want
+    else:
+        assert isinstance(got, float) and got == float(want)
+
+
+def one_atom_flow(labels, horizon):
+    space = FiniteSpace(labels)
+    flow = FlowTrajectory((ProbabilityVector.uniform(space, EXACT),) * (horizon + 1))
+    return CorrelatedFlow(((RestrictedStrategy(((0,) * len(labels),) * horizon), flow, F(1)),))
+
+
+@pytest.mark.parametrize(
+    "labels, horizon",
+    [(("x0", "x1", "x2"), 2), (("x0", "x1"), 3), (("y0", "y1"), 2)],
+    ids=["unequal-state-count", "unequal-horizon", "relabelled-states"],
+)
+def test_flows_on_different_spaces_rejected(labels, horizon):
+    base, other = one_atom_flow(("x0", "x1"), 2), one_atom_flow(labels, horizon)
+    for pair in ((base, other), (other, base)):
+        with pytest.raises(ValueError, match="flows live on different spaces"):
+            flow_space_distance(*pair)
