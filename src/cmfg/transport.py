@@ -9,10 +9,11 @@ simplex pivots on Python integers: the costs are put on one common
 denominator and the masses on another, once, and the value, plan and duals
 are divided back into `Fraction`s at the end.  `flow_space_distance` builds
 the costs as integers from the start: every flow weight of both correlated
-flows goes on one common denominator D, and each cost is an integer over 2D.
-Positive scaling keeps every sign and tie, so Bland's arc ordering
-(row-major, first negative reduced cost enters, smallest tied arc leaves)
-takes the pivots it would take on the rationals, and rules out cycling.
+flows goes on one common denominator D, and each cost (`atom_distance`) is an
+integer over 2D.  Positive scaling keeps every sign and tie, so Bland's arc
+ordering (row-major, first negative reduced cost enters, smallest tied arc
+leaves) takes the pivots it would take on the rationals, and rules out
+cycling.
 Every result is re-certified by `verify_transport` before it is returned:
 the marginals and the value in `Fraction`s, the duals' feasibility and
 complementary slackness on integers over one denominator.
@@ -48,20 +49,6 @@ def solve_transport(
     cap: int = DEFAULT_OT_CAP,
 ) -> TransportResult:
     """Minimum-cost coupling of two equal-mass nonnegative vectors."""
-    cost = [[Fraction(c) for c in row] for row in cost]
-    cost_den = math.lcm(*(c.denominator for row in cost for c in row))
-    int_cost = [[scaled(c, cost_den) for c in row] for row in cost]
-    return _solve(supply, demand, int_cost, cost_den, cap)
-
-
-def _solve(
-    supply: Sequence[Fraction],
-    demand: Sequence[Fraction],
-    int_cost: list[list[int]],
-    cost_den: int,
-    cap: int,
-) -> TransportResult:
-    """`solve_transport` for the costs int_cost[i][j] / cost_den, certified."""
     supply = [Fraction(s) for s in supply]
     demand = [Fraction(d) for d in demand]
     m, n = len(supply), len(demand)
@@ -73,13 +60,16 @@ def _solve(
         raise ValueError("negative mass")
     if sum(supply) != sum(demand):
         raise ValueError("unbalanced marginals")
-    if len(int_cost) != m or any(len(row) != n for row in int_cost):
+    cost = [[Fraction(c) for c in row] for row in cost]
+    if len(cost) != m or any(len(row) != n for row in cost):
         raise ValueError("cost matrix shape mismatch")
 
-    # the costs share one denominator and the masses another: positive
-    # scaling keeps the sign of every reduced cost and every tie in flow, so
-    # the integer simplex takes the pivots it would on the rationals
+    # one common denominator for the costs and another for the masses:
+    # positive scaling keeps the sign of every reduced cost and every tie in
+    # flow, so the integer simplex takes the pivots it would on the rationals
+    cost_den = math.lcm(*(c.denominator for row in cost for c in row))
     mass_den = math.lcm(*(w.denominator for w in supply + demand))
+    int_cost = [[scaled(c, cost_den) for c in row] for row in cost]
     flow, pot = _simplex(
         [scaled(w, mass_den) for w in supply],
         [scaled(w, mass_den) for w in demand],
@@ -92,7 +82,7 @@ def _solve(
         tuple(Fraction(p, cost_den) for p in pot[:m]),
         tuple(Fraction(p, cost_den) for p in pot[m:]),
     )
-    if not verify_transport(supply, demand, int_cost, result, cost_den=cost_den):
+    if not verify_transport(supply, demand, cost, result):
         raise AssertionError("transport certificate failed")  # pragma: no cover
     return result
 
@@ -206,13 +196,11 @@ def verify_transport(
     demand: Sequence[Fraction],
     cost: Sequence[Sequence[Fraction]],
     result: TransportResult,
-    *,
-    cost_den: int = 1,
 ) -> bool:
-    """Exact primal-dual optimality certificate for the costs
-    cost[i][j] / cost_den.  The plan's marginals and value are checked in
-    `Fraction`s; dual feasibility and complementary slackness on integers
-    over the lcm of the costs' denominator and the duals' denominators."""
+    """Exact primal-dual optimality certificate.  The plan's marginals and
+    value are checked in `Fraction`s; dual feasibility and complementary
+    slackness on integers over the lcm of the costs' and the duals'
+    denominators."""
     m, n = len(supply), len(demand)
     row_sum = [_ZERO] * m
     col_sum = [_ZERO] * n
@@ -225,14 +213,14 @@ def verify_transport(
         total += cost[i][j] * f
     if row_sum != list(supply) or col_sum != list(demand):
         return False
-    if total != result.value * cost_den:
+    if total != result.value:
         return False
     u, v = result.row_duals, result.col_duals
-    den = cost_den * math.lcm(*(c.denominator for row in cost for c in row))
+    if len(u) != m or len(v) != n:
+        return False
+    den = math.lcm(*(c.denominator for row in cost for c in row))
     lcd = math.lcm(den, *(w.denominator for w in u + v))
-    # cost[i][j] / cost_den = cost[i][j] * k / lcd, an integer over lcd
-    k = lcd // cost_den
-    int_cost = [[scaled(c, k) for c in row] for row in cost]
+    int_cost = [[scaled(c, lcd) for c in row] for row in cost]
     u, v = [scaled(w, lcd) for w in u], [scaled(w, lcd) for w in v]
     if any(min(map(sub, row, v), default=ui) < ui for row, ui in zip(int_cost, u)):
         return False
@@ -244,6 +232,17 @@ def _frame(flow) -> tuple:
     return len(flow.measures), flow.measures[0].space.labels
 
 
+def atom_distance(atom_a, atom_b, two_den: int) -> int:
+    """Ground cost between two atoms, as an integer over two_den.
+
+    An atom comes as (strategy id, flow weights): the weights of all times
+    and states in one row, as integers over two_den / 2.  The cost is
+    two_den for a strategy mismatch plus the summed |a - b| of the weights.
+    """
+    (sa, fa), (sb, fb) = atom_a, atom_b
+    return (two_den if sa != sb else 0) + sum(map(abs, map(sub, fa, fb)))
+
+
 def flow_space_distance(
     rho_a: CorrelatedFlow, rho_b: CorrelatedFlow, *, cap: int = DEFAULT_OT_CAP
 ):
@@ -253,8 +252,8 @@ def flow_space_distance(
     mass) so the optimum carries an exact certificate either way; the value
     comes back as a float when either input is float-mode.  Every flow
     weight of both is put once on one common denominator D, so each ground
-    cost is an integer over 2D: 2D for a strategy mismatch plus the summed
-    |a - b| of the two flows' numerators over all times and states.
+    cost is an integer `atom_distance` over 2D; the transport on those
+    integers costs 2D times the distance and makes the same pivots.
     """
     atoms = rho_a.atoms + rho_b.atoms
     frame = _frame(atoms[0][1])
@@ -274,11 +273,8 @@ def flow_space_distance(
     ]
     keyed_a, keyed_b = keyed[: len(supply)], keyed[len(supply):]
     two_den = 2 * den
-    cost = [
-        [(two_den if sa != sb else 0) + sum(map(abs, map(sub, fa, fb))) for sb, fb in keyed_b]
-        for sa, fa in keyed_a
-    ]
-    value = _solve(supply, demand, cost, two_den, cap).value
+    cost = [[atom_distance(a, b, two_den) for b in keyed_b] for a in keyed_a]
+    value = solve_transport(supply, demand, cost, cap=cap).value / two_den
     if rho_a.mode == FLOAT or rho_b.mode == FLOAT:
         return float(value)
     return value

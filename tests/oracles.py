@@ -34,8 +34,9 @@
     basis rebuilt on every pivot, which `transport.solve_transport` runs on
     integer numerators with the basis kept between pivots;
   * `atom_distance`: the flow-space ground metric in `Fraction`s, one pair of
-    (strategy, flow) atoms at a time, of which `transport.flow_space_distance`
-    builds the whole cost matrix as integers over one denominator;
+    (strategy, flow) atoms at a time, which `transport.atom_distance` computes
+    as an integer over twice the common denominator of all the flow weights
+    that `transport.flow_space_distance` puts on it once;
   * `expand`: a profile as atoms over ordered strategy tuples, sum_k |c_k|^N
     of them for a factored profile, which the exact audits replace by one
     player's anonymous draws (own strategy, others-multiset, weight);

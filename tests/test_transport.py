@@ -29,6 +29,7 @@ from cmfg.transport import (
     solve_transport,
     verify_transport,
 )
+from cmfg.transport import atom_distance as int_atom_distance
 
 
 def test_tiny_instance_by_hand():
@@ -91,8 +92,9 @@ def _moved(plan, mass):
         lambda r: replace(r, col_duals=r.col_duals[:-1] + (r.col_duals[-1] - F(1, 7),)),
         lambda r: replace(r, plan=_moved(r.plan, F(1, 12))),
         lambda r: replace(r, value=r.value + F(1, 100)),
+        lambda r: replace(r, col_duals=r.col_duals[:-1]),
     ],
-    ids=["row-dual-off", "col-dual-off", "mass-moved", "wrong-value"],
+    ids=["row-dual-off", "col-dual-off", "mass-moved", "wrong-value", "col-dual-missing"],
 )
 def test_certificate_refuses_tampered_results(tamper):
     res = solve_transport(*CERTIFIED)
@@ -109,15 +111,13 @@ DEGENERATE = (
 )
 
 
-def on_one_denominator(cost):
-    """The costs as integer numerators over their common denominator."""
-    den = math.lcm(*(c.denominator for row in cost for c in row))
-    return [[int(c * den) for c in row] for row in cost], den
+def cost_denominator(cost):
+    return math.lcm(*(c.denominator for row in cost for c in row))
 
 
 def test_certificate_refuses_a_dual_off_by_a_third_of_the_cost_denominator():
     supply, demand, cost = DEGENERATE
-    int_cost, den = on_one_denominator(cost)
+    den = cost_denominator(cost)
     res = solve_transport(*DEGENERATE)
     assert res.row_duals[0] == 0 and all(i != 0 for i, _, _ in res.plan)
     # the shift lies below the costs' denominator, so only the common
@@ -131,9 +131,22 @@ def test_certificate_refuses_a_dual_off_by_a_third_of_the_cost_denominator():
     ]
     assert negative == [(0, 0)]
     assert verify_transport(*DEGENERATE, res)
-    assert verify_transport(supply, demand, int_cost, res, cost_den=den)
     assert not verify_transport(*DEGENERATE, off)
-    assert not verify_transport(supply, demand, int_cost, off, cost_den=den)
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (1, 2, 0)], ids=["first", "last"])
+def test_certificate_refuses_a_result_without_the_zero_mass_rows_dual(order):
+    # the plan never touches the zero-mass row, so only the duals' count
+    # shows that its dual is missing; placed last, every other dual still
+    # lines up with its own row
+    supply, demand, cost = DEGENERATE
+    instance = ([supply[i] for i in order], demand, [cost[i] for i in order])
+    res = solve_transport(*instance)
+    k = order.index(0)
+    cut = replace(res, row_duals=res.row_duals[:k] + res.row_duals[k + 1:])
+    assert all(i != k for i, _, _ in res.plan)
+    assert verify_transport(*instance, res)
+    assert not verify_transport(*instance, cut)
 
 
 def test_certificate_accepts_duals_on_a_coarser_denominator():
@@ -143,10 +156,8 @@ def test_certificate_accepts_duals_on_a_coarser_denominator():
     cost = ((F(1), F(5, 3)), (F(5, 3), F(1)))
     res = TransportResult(F(1), ((0, 0, F(1, 2)), (1, 1, F(1, 2))), (F(0), F(0)), (F(1), F(1)))
     assert res.value == solve_transport(supply, demand, cost).value
-    int_cost, den = on_one_denominator(cost)
-    assert den == 3
+    assert cost_denominator(cost) == 3
     assert verify_transport(supply, demand, cost, res)
-    assert verify_transport(supply, demand, int_cost, res, cost_den=den)
 
 
 @st.composite
@@ -243,7 +254,9 @@ def dirac_rho(game, rho):
 
 def test_atom_distance_components(rho):
     """Between two one-atom flows the distance is the ground cost of their
-    atoms: the strategy mismatch plus the summed half-L1 gaps of the laws."""
+    atoms: the strategy mismatch plus the summed half-L1 gaps of the laws.
+    The integer ground cost, over twice the flows' common denominator, is
+    the same number."""
     pa, fa, _ = rho.atoms[0]
     pb, fb = rho.atoms[4][0], rho.atoms[1][1]
     law_gap = sum(
@@ -251,6 +264,11 @@ def test_atom_distance_components(rho):
         for ma, mb in zip(fa.measures, fb.measures)
     )
     assert pa != pb and law_gap > 0
+    den = math.lcm(*(x.denominator for f in (fa, fb) for pv in f.measures for x in pv.weights))
+    assert den > 1
+
+    def keyed(phi, flow):
+        return phi.actions, [int(x * den) for pv in flow.measures for x in pv.weights]
     for (p, f), (q, g), want in [
         ((pa, fa), (pa, fa), 0),
         ((pa, fa), (pb, fa), 1),
@@ -258,6 +276,7 @@ def test_atom_distance_components(rho):
         ((pa, fa), (pb, fb), 1 + law_gap),
     ]:
         assert atom_distance(p, f, q, g) == want
+        assert F(int_atom_distance(keyed(p, f), keyed(q, g), 2 * den), 2 * den) == want
         assert flow_space_distance(
             CorrelatedFlow(((p, f, F(1)),)), CorrelatedFlow(((q, g, F(1)),))
         ) == want
