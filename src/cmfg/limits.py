@@ -112,24 +112,14 @@ def epsilon_curve(
         else:
             use = method
         started = time.perf_counter()
-        if use == "exact":
-            gain = deviation_gain(
-                game, profile, 0, m0, "exact",
-                joint_cap=joint_cap, strategy_cap=strategy_cap,
-            )
-            row = EpsilonRow(
-                n, gain.epsilon, None, None, time.perf_counter() - started, "exact"
-            )
-        else:
-            sub = SimulationConfig(_sub_seed(cfg.master_seed, n), cfg.replications)
-            gain = deviation_gain(
-                game, profile, 0, m0, "mc", sub, strategy_cap=strategy_cap
-            )
-            row = EpsilonRow(
-                n, gain.epsilon, gain.stderr, gain.replications,
-                time.perf_counter() - started, "mc",
-            )
-        rows.append(row)
+        sub = SimulationConfig(_sub_seed(cfg.master_seed, n), cfg.replications)
+        gain = deviation_gain(
+            game, profile, 0, m0, use, sub, joint_cap=joint_cap, strategy_cap=strategy_cap
+        )
+        rows.append(EpsilonRow(
+            n, gain.epsilon, gain.stderr, gain.replications,
+            time.perf_counter() - started, gain.method,
+        ))
     return EpsilonCurve(tuple(rows))
 
 

@@ -1,27 +1,26 @@
-"""Exact-rational linear programming via the two-phase simplex method.
+"""Exact linear programming on integer data via the two-phase simplex method.
 
 Variables are implicitly nonnegative.  Rows are ">=" or "==" constraints
-whose coefficients (Fraction or int) are taken as given.  Each row enters
-the tableau once, scaled to integers by the lcm of its denominators, and
-the simplex pivots fraction-free on Python ints; each value becomes a
-Fraction once, at the end.  Bland's rule (smallest index enters, smallest
-basic index leaves on ratio ties) guarantees termination despite the heavy
+whose coefficients and right-hand sides are Python ints, as is the
+objective; a caller with rational data multiplies each row by a positive
+common denominator first, which keeps the constraint.  A row or objective
+with any other entry (a Fraction, a float, a numpy integer) is refused with
+ValueError when it is built.  Each row enters the tableau once, as it is,
+and the simplex pivots fraction-free on ints; each value becomes a Fraction
+once, at the end.  Bland's rule (smallest index enters, smallest basic
+index leaves on ratio ties) guarantees termination despite the heavy
 degeneracy of feasibility systems whose right-hand sides are mostly zero.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 GE = ">="
 EQ = "=="
-
-_numerator = operator.attrgetter("numerator")
-_denominator = operator.attrgetter("denominator")
 
 
 class InfeasibleError(Exception):
@@ -32,32 +31,42 @@ class UnboundedError(Exception):
     """The objective is unbounded below on the feasible set."""
 
 
+def _require_ints(values: Sequence[int], what: str) -> None:
+    # one C-level pass over the types; a numpy integer, which would wrap
+    # around in the pivots, is refused as well as a Fraction or a float
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(f"{what} must hold Python ints only")
+
+
 @dataclass(frozen=True)
 class LinRow:
-    """One constraint, stored as given: coefficients (Fraction or int) and rhs."""
+    """One constraint, stored as given: int coefficients, relation, int rhs."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
     relation: str
-    rhs: Fraction
+    rhs: int
 
     def __post_init__(self):
         if self.relation not in (GE, EQ):
             raise ValueError(f"relation must be {GE!r} or {EQ!r}")
+        _require_ints((*self.coeffs, self.rhs), "a row")
 
 
 @dataclass(frozen=True)
 class LinearProgram:
     variables: tuple[str, ...]
     rows: tuple[LinRow, ...]
-    objective: Optional[tuple[Fraction, ...]] = None  # minimized; None = feasibility
+    objective: Optional[tuple[int, ...]] = None  # minimized; None = feasibility
 
     def __post_init__(self):
         n = len(self.variables)
         for i, row in enumerate(self.rows):
             if len(row.coeffs) != n:
                 raise ValueError(f"row {i} has {len(row.coeffs)} coefficients, want {n}")
-        if self.objective is not None and len(self.objective) != n:
-            raise ValueError("objective length does not match variable count")
+        if self.objective is not None:
+            if len(self.objective) != n:
+                raise ValueError("objective length does not match variable count")
+            _require_ints(self.objective, "the objective")
 
 
 class _Tableau:
@@ -69,9 +78,9 @@ class _Tableau:
     last entry is zero exactly at a zero objective value.
     """
 
-    def __init__(self, nrows: int, ncols: int):
-        self.rows = [[0] * ncols for _ in range(nrows)]
-        self.basis: list[int] = [-1] * (nrows - 1)
+    def __init__(self, rows: list[list[int]], basis: list[int]):
+        self.rows = rows
+        self.basis = basis
 
     def pivot(self, r: int, c: int) -> None:
         row = self.rows[r]
@@ -129,57 +138,41 @@ def _primitive(row: list[int]) -> list[int]:
     return [v // g for v in row] if g > 1 else row
 
 
-def _integers(values: Sequence, negate: bool) -> tuple[int, list[int]]:
-    """The lcm q of the values' denominators, and q times each value (its
-    negative if asked) as an int."""
-    q = math.lcm(*set(map(_denominator, values)))
-    if q == 1:
-        ints = map(_numerator, values)
-    else:
-        ints = (v.numerator * (q // v.denominator) for v in values)
-    return q, list(map(operator.neg, ints) if negate else ints)
-
-
 def solve_lp(lp: LinearProgram) -> dict[str, Fraction]:
     """A vertex solution: feasible for None objective, optimal otherwise."""
     n = len(lp.variables)
     # each row flips to rhs >= 0; a ">=" row with b <= 0 becomes
     # "-a x + s = -b" with a free basic slack, other ">=" rows keep a surplus,
-    # and every row without a basic slack receives an artificial variable.
-    # Row i is scaled to integers by the lcm q_i of its denominators, and its
-    # slack or artificial column stands for q_i times that variable, so its
-    # entry there is +-1
+    # and every row without a basic slack receives an artificial variable
     flips = [r.rhs <= 0 if r.relation == GE else r.rhs < 0 for r in lp.rows]
     nslack = sum(r.relation == GE for r in lp.rows)
     nart = sum(r.relation == EQ or not f for r, f in zip(lp.rows, flips))
     ncols = n + nslack + nart + 1
-    tab = _Tableau(len(lp.rows) + 1, ncols)
+    rows, basis = [[0] * ncols], [-1] * len(lp.rows)
 
     si = n
     ai = n + nslack
-    art_scales = []
+    pad = [0] * (nslack + nart)
     for i, (row, flip) in enumerate(zip(lp.rows, flips)):
-        q, scaled = _integers((*row.coeffs, row.rhs), flip)
-        r = tab.rows[i + 1] = scaled[:n] + [0] * (nslack + nart) + scaled[n:]
+        r = [*row.coeffs, *pad, row.rhs]
+        if flip:
+            r = [-v for v in r]
+        rows.append(r)
         if row.relation == GE:
             r[si] = 1 if flip else -1
             if flip:
-                tab.basis[i] = si
+                basis[i] = si
             si += 1
-        if tab.basis[i] < 0:
+        if basis[i] < 0:
             r[ai] = 1
-            tab.basis[i] = ai
-            art_scales.append(q)
+            basis[i] = ai
             ai += 1
+    tab = _Tableau(rows, basis)
 
     allowed = [True] * (ncols - 1)
     if nart:
-        # phase 1: minimize the sum of artificials; artificial i costs
-        # 1/q_i per unit of its column, lcm(q)/q_i after scaling by lcm(q)
-        obj = tab.rows[0]
-        big = math.lcm(*art_scales)
-        for c, q in enumerate(art_scales, start=n + nslack):
-            obj[c] = big // q
+        # phase 1: minimize the sum of artificials
+        tab.rows[0][n + nslack:-1] = [1] * nart
         for i in range(1, len(tab.rows)):
             if tab.basis[i - 1] >= n + nslack:  # make the objective row canonical
                 tab.eliminate(i)
@@ -199,7 +192,7 @@ def solve_lp(lp: LinearProgram) -> dict[str, Fraction]:
 
     tab.rows[0] = [0] * ncols
     if lp.objective is not None and any(lp.objective):
-        tab.rows[0][:n] = _integers(lp.objective, False)[1]
+        tab.rows[0][:n] = lp.objective
         for i in range(1, len(tab.rows)):
             tab.eliminate(i)
         tab.solve(allowed)

@@ -38,6 +38,10 @@ def _flow_key(flow: FlowTrajectory) -> tuple:
     return tuple(m.weights for m in flow.measures)
 
 
+def _frame(flow: FlowTrajectory) -> tuple:
+    return len(flow.measures), flow.measures[0].space.labels
+
+
 def _flows_close(a: FlowTrajectory, b: FlowTrajectory, tol: Scalar) -> bool:
     # with tol 0 (exact mode) only equal flows are close
     return _flow_key(a) == _flow_key(b) or bool(tol) and all(
@@ -57,12 +61,15 @@ class CorrelatedFlow:
         if not self.atoms:
             raise ValueError("correlated flow needs at least one atom")
         mode = self.atoms[0][1].mode
+        frame = _frame(self.atoms[0][1])
         tol = arith(mode).tol
         merged: list[list] = []
         seen: set[tuple] = set()  # exact mode: every (strategy, flow) so far
         for phi, flow, w in self.atoms:
             if flow.mode != mode:
                 raise ValueError("atoms mix arithmetic modes")
+            if _frame(flow) != frame:
+                raise ValueError("atoms' flows live on different spaces")
             if w <= 0:
                 raise ValueError(f"atom weight {w} is not positive")
             if mode == EXACT:
@@ -150,6 +157,26 @@ def _require_flow(game: GameSpec, flow: FlowTrajectory) -> None:
     _require_game_mode(game, flow.mode)
 
 
+def _walk(game: GameSpec, actions: tuple, flow: tuple, law: tuple) -> tuple[list, Scalar]:
+    """The state laws at t = 0..T, from law at 0, of a player who takes the
+    actions against the flow's weights, and its expected total cost; the
+    data are raw tuples, checked by the caller."""
+    laws = [law]
+    total = zero(game.arithmetic)
+    for t in range(game.horizon):
+        m, acts = flow[t], actions[t]
+        for x, p in enumerate(law):
+            if p:
+                total += p * game.raw_running_cost(t, x, m, acts[x])
+        law = game.raw_step(t, law, acts, m)
+        laws.append(law)
+    m = flow[game.horizon]
+    for x, p in enumerate(law):
+        if p:
+            total += p * game.raw_terminal_cost(x, m)
+    return laws, total
+
+
 def state_law(
     game: GameSpec,
     phi: RestrictedStrategy,
@@ -159,11 +186,10 @@ def state_law(
     """Law of the representative state when the strategy and the flow are frozen."""
     _require_flow(game, flow)
     _require_game_mode(game, m0.mode)
-    laws = [m0]
-    for t in range(game.horizon):
-        cur = game.raw_step(t, laws[t].weights, phi.actions[t], flow[t].weights)
-        laws.append(ProbabilityVector(game.states, cur, game.arithmetic))
-    return FlowTrajectory(tuple(laws))
+    laws, _ = _walk(game, phi.actions, _flow_key(flow), m0.weights)
+    return FlowTrajectory(
+        (m0, *(ProbabilityVector(game.states, w, game.arithmetic) for w in laws[1:]))
+    )
 
 
 def deterministic_cost(
@@ -175,35 +201,7 @@ def deterministic_cost(
     """Expected total cost of playing phi against a frozen flow."""
     _require_flow(game, flow)
     _require_game_mode(game, m0.mode)
-    law = m0.weights
-    total = zero(game.arithmetic)
-    for t in range(game.horizon):
-        m, acts = flow[t].weights, phi.actions[t]
-        for x, p in enumerate(law):
-            if p:
-                total += p * game.raw_running_cost(t, x, m, acts[x])
-        law = game.raw_step(t, law, acts, m)
-    m = flow[game.horizon].weights
-    for x, p in enumerate(law):
-        if p:
-            total += p * game.raw_terminal_cost(x, m)
-    return total
-
-
-def conditional_values(
-    game: GameSpec,
-    rho: CorrelatedFlow,
-    phi: RestrictedStrategy,
-    candidates: Sequence[RestrictedStrategy],
-    m0: ProbabilityVector,
-) -> list[Scalar]:
-    """Unnormalized cost of playing each candidate on the event {recommendation = phi}."""
-    flows = [(flow, w) for p, flow, w in rho.atoms if p == phi]
-    return [
-        sum((w * deterministic_cost(game, psi, flow, m0) for flow, w in flows),
-            zero(game.arithmetic))
-        for psi in candidates
-    ]
+    return _walk(game, phi.actions, _flow_key(flow), m0.weights)[1]
 
 
 @dataclass(frozen=True)
@@ -254,14 +252,27 @@ def optimality_gap(
     m0: ProbabilityVector,
     cap: int = DEFAULT_STRATEGY_CAP,
 ) -> OptimalityReport:
-    """Total improvement available over all recommendations; zero means optimal."""
+    """Total improvement available over all recommendations; zero means
+    optimal.  Each candidate is costed once against each distinct flow."""
     _require_game_mode(game, rho.mode)
+    _require_game_mode(game, m0.mode)
     candidates = enumerate_strategies(game, cap)
+    nil = zero(game.arithmetic)
+    costs: dict[tuple, list[Scalar]] = {}  # flow weights -> cost of each candidate
+    by_rec: dict[RestrictedStrategy, list] = {}  # phi -> [(its flow's costs, weight)]
+    for phi, flow, w in rho.atoms:
+        key = _flow_key(flow)
+        if key not in costs:
+            _require_flow(game, flow)
+            costs[key] = [_walk(game, psi.actions, key, m0.weights)[1] for psi in candidates]
+        by_rec.setdefault(phi, []).append((costs[key], w))
     rows = gap_rows(candidates, [
-        (candidates.index(phi), conditional_values(game, rho, phi, candidates, m0))
-        for phi in rho.support_strategies()
+        (candidates.index(phi), [
+            sum((w * c[i] for c, w in flows), nil) for i in range(len(candidates))
+        ])
+        for phi, flows in by_rec.items()
     ])
-    gap = sum((r.gap for r in rows), zero(game.arithmetic))
+    gap = sum((r.gap for r in rows), nil)
     return OptimalityReport(gap <= arith(game.arithmetic).tol, gap, rows)
 
 

@@ -952,10 +952,7 @@ def _cost_numerators(game, m0n, strategies, n_others, joint_cap) -> dict:
         for others in itertools.combinations_with_replacement(range(len(strategies)), n_others)
     }
     den = math.lcm(*(c.denominator for cs in costs.values() for c in cs))
-    return {
-        others: tuple(c.numerator * (den // c.denominator) for c in cs)
-        for others, cs in costs.items()
-    }
+    return {others: tuple(scaled(c, den) for c in cs) for others, cs in costs.items()}
 
 
 # ---------------------------------------------------------------------------

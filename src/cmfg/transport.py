@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import sub
 from typing import Sequence
 
-from .mfg import CorrelatedFlow
+from .mfg import CorrelatedFlow, _frame
 from .model import DEFAULT_OT_CAP, FLOAT, CapacityError, scaled
 
 _ZERO = Fraction(0)
@@ -228,10 +228,6 @@ def verify_transport(
     return all(int_cost[i][j] == u[i] + v[j] for i, j, f in result.plan if f > 0)
 
 
-def _frame(flow) -> tuple:
-    return len(flow.measures), flow.measures[0].space.labels
-
-
 def atom_distance(atom_a, atom_b, two_den: int) -> int:
     """Ground cost between two atoms, as an integer over two_den.
 
@@ -255,10 +251,10 @@ def flow_space_distance(
     cost is an integer `atom_distance` over 2D; the transport on those
     integers costs 2D times the distance and makes the same pivots.
     """
-    atoms = rho_a.atoms + rho_b.atoms
-    frame = _frame(atoms[0][1])
-    if any(_frame(flow) != frame for _, flow, _ in atoms):
+    # each correlated flow's atoms share one frame, so their first atoms tell
+    if _frame(rho_a.atoms[0][1]) != _frame(rho_b.atoms[0][1]):
         raise ValueError("flows live on different spaces")
+    atoms = rho_a.atoms + rho_b.atoms
     supply = [Fraction(w) for _, _, w in rho_a.atoms]
     demand = [Fraction(w) for _, _, w in rho_b.atoms]
     ta, tb = sum(supply), sum(demand)

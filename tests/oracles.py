@@ -255,7 +255,9 @@ def ce_constraints(
 
     One variable per ordered strategy assignment; one row per (player,
     recommendation, deviation) triple plus the unit-mass equality.  The
-    gamma >= 0 part is implicit: LP variables are nonnegative.
+    gamma >= 0 part is implicit: LP variables are nonnegative.  Each
+    incentive row is its cost gaps times the lcm of their denominators, so
+    the rows hold ints, as `lp.LinRow` requires.
     """
     if game.arithmetic != EXACT:
         raise ValueError("the equilibrium LP needs exact arithmetic")
@@ -277,7 +279,6 @@ def ce_constraints(
         return memo[key]
 
     rows = []
-    zero_f = Fraction(0)
     for i in range(n_players):
         for rec in range(n_r):
             for psi in range(n_r):
@@ -286,12 +287,13 @@ def ce_constraints(
                 coeffs = []
                 for vec in assignments:
                     if vec[i] != rec:
-                        coeffs.append(zero_f)
+                        coeffs.append(Fraction(0))
                         continue
                     others = vec[:i] + vec[i + 1 :]
                     coeffs.append(d_cost(psi, others) - d_cost(rec, others))
-                rows.append(LinRow(tuple(coeffs), GE, zero_f))
-    rows.append(LinRow(tuple(Fraction(1) for _ in names), EQ, Fraction(1)))
+                q = math.lcm(*(c.denominator for c in coeffs))
+                rows.append(LinRow(tuple(int(c * q) for c in coeffs), GE, 0))
+    rows.append(LinRow((1,) * len(names), EQ, 1))
     return LinearProgram(names, tuple(rows))
 
 

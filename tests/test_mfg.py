@@ -12,7 +12,6 @@ from cmfg import two_state
 from cmfg.mfg import (
     CorrelatedFlow,
     DeviationMap,
-    conditional_values,
     consistency_check,
     deterministic_cost,
     dp_best_response,
@@ -24,6 +23,7 @@ from cmfg.mfg import (
 )
 from cmfg.model import (
     EXACT,
+    FiniteSpace,
     FlowTrajectory,
     ProbabilityVector,
     RestrictedStrategy,
@@ -111,13 +111,20 @@ class TestCorrelatedCost:
         u = DeviationMap.single(PHI_PLUS, PHI_O)
         base = correlated_value(game, rho, DeviationMap.identity(), m0)
         shifted = correlated_value(game, rho, u, m0)
-        own, dev = conditional_values(game, rho, PHI_PLUS, (PHI_PLUS, PHI_O), m0)
+        own = row_for(game, rho, PHI_PLUS, m0).cost
+        dev = sum(
+            w * deterministic_cost(game, PHI_O, flow, m0)
+            for phi, flow, w in rho.atoms if phi == PHI_PLUS
+        )
         assert shifted - base == dev - own != 0
 
 
 def row_for(game, rho, phi, m0):
-    """The optimality row of the recommendation phi."""
-    return next(r for r in optimality_gap(game, rho, m0).rows if r.recommendation == phi)
+    """The optimality row of the recommendation phi, which must equal the
+    running-minimum oracle's."""
+    row = next(r for r in optimality_gap(game, rho, m0).rows if r.recommendation == phi)
+    assert row == next(r for r in optimality_rows(game, rho, m0) if r.recommendation == phi)
+    return row
 
 
 class TestBestResponse:
@@ -133,7 +140,11 @@ class TestBestResponse:
 
     def test_value_is_minimum_over_enumeration(self, game, rho, m0):
         br = row_for(game, rho, PHI_PLUS, m0)
-        values = conditional_values(game, rho, PHI_PLUS, enumerate_strategies(game), m0)
+        flows = [(flow, w) for phi, flow, w in rho.atoms if phi == PHI_PLUS]
+        values = [
+            sum(w * deterministic_cost(game, psi, flow, m0) for flow, w in flows)
+            for psi in enumerate_strategies(game)
+        ]
         assert br.best_value == min(values)
 
     def test_never_holding_is_uniquely_free_under_flat_flow(self, game, m0):
@@ -362,6 +373,21 @@ class TestCorrelatedFlowType:
         merged = CorrelatedFlow((*frho.atoms[:-1], (phi, flow, w / 4), (phi, near, 3 * w / 4)))
         assert merged.atoms[:-1] == frho.atoms[:-1]
         assert merged.atoms[-1][:2] == (phi, flow) and merged.atoms[-1][2] == w
+
+    @pytest.mark.parametrize(
+        "labels, horizon",
+        [(("x0", "x1", "x2"), 2), (("x0", "x1"), 3), (("y0", "y1"), 2)],
+        ids=["unequal-state-count", "unequal-horizon", "relabelled-states"],
+    )
+    def test_mixed_frames_rejected(self, rho, labels, horizon):
+        phi, flow, w = rho.atoms[0]
+        space = FiniteSpace(labels)
+        other = FlowTrajectory((ProbabilityVector.uniform(space, EXACT),) * (horizon + 1))
+        strategy = RestrictedStrategy(((0,) * len(labels),) * horizon)
+        for atoms in (((phi, flow, w / 2), (strategy, other, w / 2)),
+                      ((strategy, other, w / 2), (phi, flow, w / 2))):
+            with pytest.raises(ValueError, match="different spaces"):
+                CorrelatedFlow((*atoms, *rho.atoms[1:]))
 
     def test_weight_sum_enforced(self, rho):
         phi, flow, _ = rho.atoms[0]

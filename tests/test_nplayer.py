@@ -1143,17 +1143,27 @@ def ce_lp(monkeypatch, game, n, m0n, **kwargs):
 
 
 def ce_pivots(monkeypatch, game, n, m0n, **kwargs) -> int:
-    """How many pivots `solve_symmetric_ce`'s LP takes."""
-    pivots = []
+    """How many pivots `solve_symmetric_ce`'s LP takes, asserting that every
+    entry of the LP it captures (row, rhs, objective) is an int."""
+    pivots, systems = [], []
     pivot = lp._Tableau.pivot
 
     def counted(self, r, c):
         pivots.append((r, c))
         pivot(self, r, c)
 
+    def captured(system):
+        systems.append(system)
+        return lp.solve_lp(system)
+
     with monkeypatch.context() as m:
         m.setattr(lp._Tableau, "pivot", counted)
+        m.setattr(nplayer, "solve_lp", captured)
         solve_symmetric_ce(game, n, m0n, **kwargs)
+    (system,) = systems
+    entries = [v for row in system.rows for v in (*row.coeffs, row.rhs)]
+    entries += system.objective or ()
+    assert {type(v) for v in entries} == {int}
     return len(pivots)
 
 
