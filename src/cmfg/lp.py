@@ -1,11 +1,12 @@
 """Exact linear programming on integer data via the two-phase simplex method.
 
-Variables are implicitly nonnegative.  Rows are ">=" or "==" constraints
-whose coefficients and right-hand sides are Python ints, as is the
-objective; a caller with rational data multiplies each row by a positive
-common denominator first, which keeps the constraint.  A row or objective
-with any other entry (a Fraction, a float, a numpy integer) is refused with
-ValueError when it is built.  Each row enters the tableau once, as it is,
+Variables have distinct names and are implicitly nonnegative.  Rows are
+">=" or "==" constraints whose coefficients and right-hand sides are Python
+ints, as is the objective; a caller with rational data multiplies each row
+by a positive common denominator first, which keeps the constraint.  A row
+or objective with any other entry (a Fraction, a float, a bool, a numpy
+integer) is refused with ValueError when it is built, as are duplicate
+variable names.  Each row enters the tableau once, as it is,
 and the simplex pivots fraction-free on ints; each value becomes a Fraction
 once, at the end.  Bland's rule (smallest index enters, smallest basic
 index leaves on ratio ties) guarantees termination despite the heavy
@@ -19,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .model import require_ints
+
 GE = ">="
 EQ = "=="
 
@@ -29,13 +32,6 @@ class InfeasibleError(Exception):
 
 class UnboundedError(Exception):
     """The objective is unbounded below on the feasible set."""
-
-
-def _require_ints(values: Sequence[int], what: str) -> None:
-    # one C-level pass over the types; a numpy integer, which would wrap
-    # around in the pivots, is refused as well as a Fraction or a float
-    if not set(map(type, values)) <= {int}:
-        raise ValueError(f"{what} must hold Python ints only")
 
 
 @dataclass(frozen=True)
@@ -49,7 +45,7 @@ class LinRow:
     def __post_init__(self):
         if self.relation not in (GE, EQ):
             raise ValueError(f"relation must be {GE!r} or {EQ!r}")
-        _require_ints((*self.coeffs, self.rhs), "a row")
+        require_ints((*self.coeffs, self.rhs), "a row")
 
 
 @dataclass(frozen=True)
@@ -60,13 +56,15 @@ class LinearProgram:
 
     def __post_init__(self):
         n = len(self.variables)
+        if len(set(self.variables)) != n:
+            raise ValueError("variable names must be distinct")
         for i, row in enumerate(self.rows):
             if len(row.coeffs) != n:
                 raise ValueError(f"row {i} has {len(row.coeffs)} coefficients, want {n}")
         if self.objective is not None:
             if len(self.objective) != n:
                 raise ValueError("objective length does not match variable count")
-            _require_ints(self.objective, "the objective")
+            require_ints(self.objective, "the objective")
 
 
 class _Tableau:

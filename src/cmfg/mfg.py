@@ -28,7 +28,6 @@ from .model import (
     RestrictedStrategy,
     Scalar,
     arith,
-    dist,
     enumerate_strategies,
     zero,
 )
@@ -154,6 +153,8 @@ def _require_game_mode(game: GameSpec, mode: str) -> None:
 def _require_flow(game: GameSpec, flow: FlowTrajectory) -> None:
     if len(flow) != game.horizon + 1:
         raise ValueError(f"flow must have {game.horizon + 1} measures, got {len(flow)}")
+    if flow.measures[0].space.labels != game.states.labels:
+        raise ValueError("flow and game live on different spaces")
     _require_game_mode(game, flow.mode)
 
 
@@ -298,23 +299,22 @@ def consistency_check(
 ) -> ConsistencyReport:
     """Each supported flow must equal the mixture of the per-strategy state laws."""
     _require_game_mode(game, rho.mode)
+    _require_game_mode(game, m0.mode)
     rows = []
-    tol = arith(game.arithmetic).tol
+    rules = arith(game.arithmetic)
     for flow, fw, cond in zip(*factor_flow(rho)):
-        laws = [(state_law(game, phi, flow, m0), w) for phi, w in cond]
+        _require_flow(game, flow)
+        key = _flow_key(flow)
+        laws = [(_walk(game, phi.actions, key, m0.weights)[0], w) for phi, w in cond]
         residual = zero(game.arithmetic)
-        for t in range(game.horizon + 1):
-            mixed = [
-                sum(law[t][x] * w for law, w in laws)
-                for x in range(len(game.states))
-            ]
-            r = dist(
-                ProbabilityVector(game.states, tuple(mixed), game.arithmetic), flow[t]
-            )
+        for t, target in enumerate(key):
+            mixed = [sum(law[t][x] * w for law, w in laws) for x in range(len(target))]
+            # half the L1 gap between the mixed law and the flow at t
+            r = rules.ratio(sum(abs(a - b) for a, b in zip(mixed, target)), 2)
             if r > residual:
                 residual = r
         rows.append(ConsistencyRow(flow, fw, residual))
-    return ConsistencyReport(all(r.residual <= tol for r in rows), tuple(rows))
+    return ConsistencyReport(all(r.residual <= rules.tol for r in rows), tuple(rows))
 
 
 @dataclass(frozen=True)

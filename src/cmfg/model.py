@@ -396,6 +396,14 @@ def scaled(x: Fraction, den: int) -> int:
     return x.numerator * (den // x.denominator)
 
 
+def require_ints(values: Sequence[int], what: str) -> None:
+    """Refuse values that are not all Python ints, in one C-level pass over
+    the types: a numpy integer, which would wrap around in exact pivots, is
+    refused as well as a bool, a Fraction or a float."""
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(f"{what} must hold Python ints only")
+
+
 def _has_shape(node, shape: tuple) -> bool:
     """Whether node nests tuples of the lengths in shape, with no tuple below."""
     if not shape:

@@ -4,19 +4,20 @@ The ground space is (strategy, flow trajectory) pairs with
 
     d((phi, m), (phi', m')) = 1_{phi != phi'} + sum_t dist(m_t, m'_t)
 
-and the optimal coupling is found with a transportation-tree simplex.  The
-simplex pivots on Python integers: the costs are put on one common
-denominator and the masses on another, once, and the value, plan and duals
-are divided back into `Fraction`s at the end.  `flow_space_distance` builds
-the costs as integers from the start: every flow weight of both correlated
-flows goes on one common denominator D, and each cost (`atom_distance`) is an
-integer over 2D.  Positive scaling keeps every sign and tie, so Bland's arc
-ordering (row-major, first negative reduced cost enters, smallest tied arc
-leaves) takes the pivots it would take on the rationals, and rules out
-cycling.
+and the optimal coupling is found with a transportation-tree simplex on
+Python integers.  `solve_transport` takes integer masses and integer costs
+as they are (any other entry is refused with ValueError), and its value,
+plan and duals are integers too.  `flow_space_distance` is the one place
+that knows denominators: it puts the renormalized masses of both correlated
+flows on one common denominator, and every flow weight of both on another,
+D, so each ground cost (`atom_distance`) is an integer over 2D; the integer
+value is divided back into a `Fraction` at the end.  Positive scaling keeps
+every sign and tie, so Bland's arc ordering (row-major, first negative
+reduced cost enters, smallest tied arc leaves) takes the pivots it would
+take on the rationals, and rules out cycling.
 Every result is re-certified by `verify_transport` before it is returned:
-the marginals and the value in `Fraction`s, the duals' feasibility and
-complementary slackness on integers over one denominator.
+the marginals, the value, the duals' feasibility and complementary
+slackness, all on the integers.
 """
 
 from __future__ import annotations
@@ -28,59 +29,47 @@ from operator import sub
 from typing import Sequence
 
 from .mfg import CorrelatedFlow, _frame
-from .model import DEFAULT_OT_CAP, FLOAT, CapacityError, scaled
-
-_ZERO = Fraction(0)
+from .model import DEFAULT_OT_CAP, FLOAT, CapacityError, require_ints, scaled
 
 
 @dataclass(frozen=True)
 class TransportResult:
-    value: Fraction
-    plan: tuple[tuple[int, int, Fraction], ...]  # (source, sink, mass), mass > 0
-    row_duals: tuple[Fraction, ...]
-    col_duals: tuple[Fraction, ...]
+    value: int
+    plan: tuple[tuple[int, int, int], ...]  # (source, sink, mass), mass > 0
+    row_duals: tuple[int, ...]
+    col_duals: tuple[int, ...]
 
 
 def solve_transport(
-    supply: Sequence[Fraction],
-    demand: Sequence[Fraction],
-    cost: Sequence[Sequence[Fraction]],
+    supply: Sequence[int],
+    demand: Sequence[int],
+    cost: Sequence[Sequence[int]],
     *,
     cap: int = DEFAULT_OT_CAP,
 ) -> TransportResult:
-    """Minimum-cost coupling of two equal-mass nonnegative vectors."""
-    supply = [Fraction(s) for s in supply]
-    demand = [Fraction(d) for d in demand]
+    """Minimum-cost coupling of two nonnegative integer mass vectors with
+    equal totals, under integer costs; every entry must be a Python int."""
     m, n = len(supply), len(demand)
     if m == 0 or n == 0:
         raise ValueError("empty marginal")
     if m + n > cap:
         raise CapacityError(f"{m + n} transport atoms exceed cap {cap}")
-    if any(s < 0 for s in supply) or any(d < 0 for d in demand):
+    require_ints((*supply, *demand), "the masses")
+    if min(supply) < 0 or min(demand) < 0:
         raise ValueError("negative mass")
     if sum(supply) != sum(demand):
         raise ValueError("unbalanced marginals")
-    cost = [[Fraction(c) for c in row] for row in cost]
     if len(cost) != m or any(len(row) != n for row in cost):
         raise ValueError("cost matrix shape mismatch")
+    for row in cost:
+        require_ints(row, "a cost row")
 
-    # one common denominator for the costs and another for the masses:
-    # positive scaling keeps the sign of every reduced cost and every tie in
-    # flow, so the integer simplex takes the pivots it would on the rationals
-    cost_den = math.lcm(*(c.denominator for row in cost for c in row))
-    mass_den = math.lcm(*(w.denominator for w in supply + demand))
-    int_cost = [[scaled(c, cost_den) for c in row] for row in cost]
-    flow, pot = _simplex(
-        [scaled(w, mass_den) for w in supply],
-        [scaled(w, mass_den) for w in demand],
-        int_cost,
-    )
-    total = sum(int_cost[i][j] * f for (i, j), f in flow.items())
+    flow, pot = _simplex(supply, demand, cost)
     result = TransportResult(
-        Fraction(total, cost_den * mass_den),
-        tuple((i, j, Fraction(f, mass_den)) for (i, j), f in sorted(flow.items()) if f),
-        tuple(Fraction(p, cost_den) for p in pot[:m]),
-        tuple(Fraction(p, cost_den) for p in pot[m:]),
+        sum(cost[i][j] * f for (i, j), f in flow.items()),
+        tuple((i, j, f) for (i, j), f in sorted(flow.items()) if f),
+        tuple(pot[:m]),
+        tuple(pot[m:]),
     )
     if not verify_transport(supply, demand, cost, result):
         raise AssertionError("transport certificate failed")  # pragma: no cover
@@ -88,7 +77,7 @@ def solve_transport(
 
 
 def _simplex(
-    supply: list[int], demand: list[int], cost: list[list[int]]
+    supply: Sequence[int], demand: Sequence[int], cost: Sequence[Sequence[int]]
 ) -> tuple[dict[tuple[int, int], int], list[int]]:
     """Transportation simplex on integers: the basis flows and the potentials.
 
@@ -192,40 +181,33 @@ def _hang(adj, cost, m, top, parent, depth, pot, below=-1) -> None:
 
 
 def verify_transport(
-    supply: Sequence[Fraction],
-    demand: Sequence[Fraction],
-    cost: Sequence[Sequence[Fraction]],
+    supply: Sequence[int],
+    demand: Sequence[int],
+    cost: Sequence[Sequence[int]],
     result: TransportResult,
 ) -> bool:
-    """Exact primal-dual optimality certificate.  The plan's marginals and
-    value are checked in `Fraction`s; dual feasibility and complementary
-    slackness on integers over the lcm of the costs' and the duals'
-    denominators."""
+    """Exact primal-dual optimality certificate on the integers: every plan
+    cell lies in the matrix with nonnegative mass, the plan meets the
+    marginals and the value, and the duals (one per row and one per column)
+    are feasible and tight on every cell the plan uses."""
     m, n = len(supply), len(demand)
-    row_sum = [_ZERO] * m
-    col_sum = [_ZERO] * n
-    total = _ZERO
+    u, v = result.row_duals, result.col_duals
+    if len(u) != m or len(v) != n:
+        return False
+    row_sum, col_sum = [0] * m, [0] * n
+    total = 0
     for i, j, f in result.plan:
-        if f < 0:
+        if not (0 <= i < m and 0 <= j < n) or f < 0:
             return False
         row_sum[i] += f
         col_sum[j] += f
         total += cost[i][j] * f
-    if row_sum != list(supply) or col_sum != list(demand):
+    if row_sum != list(supply) or col_sum != list(demand) or total != result.value:
         return False
-    if total != result.value:
-        return False
-    u, v = result.row_duals, result.col_duals
-    if len(u) != m or len(v) != n:
-        return False
-    den = math.lcm(*(c.denominator for row in cost for c in row))
-    lcd = math.lcm(den, *(w.denominator for w in u + v))
-    int_cost = [[scaled(c, lcd) for c in row] for row in cost]
-    u, v = [scaled(w, lcd) for w in u], [scaled(w, lcd) for w in v]
-    if any(min(map(sub, row, v), default=ui) < ui for row, ui in zip(int_cost, u)):
+    if any(min(map(sub, row, v), default=ui) < ui for row, ui in zip(cost, u)):
         return False
     # strong duality on the coupling's support
-    return all(int_cost[i][j] == u[i] + v[j] for i, j, f in result.plan if f > 0)
+    return all(cost[i][j] == u[i] + v[j] for i, j, f in result.plan if f > 0)
 
 
 def atom_distance(atom_a, atom_b, two_den: int) -> int:
@@ -246,20 +228,23 @@ def flow_space_distance(
 
     Float weights are promoted to exact rationals (and renormalized to unit
     mass) so the optimum carries an exact certificate either way; the value
-    comes back as a float when either input is float-mode.  Every flow
-    weight of both is put once on one common denominator D, so each ground
-    cost is an integer `atom_distance` over 2D; the transport on those
-    integers costs 2D times the distance and makes the same pivots.
+    comes back as a float when either input is float-mode.  The masses of
+    both go on one common denominator, and every flow weight of both on
+    another, D, so each ground cost is an integer `atom_distance` over 2D;
+    the transport on those integers costs 2D times the mass denominator
+    times the distance, and makes the same pivots.
     """
     # each correlated flow's atoms share one frame, so their first atoms tell
     if _frame(rho_a.atoms[0][1]) != _frame(rho_b.atoms[0][1]):
         raise ValueError("flows live on different spaces")
     atoms = rho_a.atoms + rho_b.atoms
+    m = len(rho_a.atoms)
     supply = [Fraction(w) for _, _, w in rho_a.atoms]
     demand = [Fraction(w) for _, _, w in rho_b.atoms]
     ta, tb = sum(supply), sum(demand)
-    supply = [w / ta for w in supply]
-    demand = [w / tb for w in demand]
+    masses = [w / ta for w in supply] + [w / tb for w in demand]
+    mass_den = math.lcm(*(w.denominator for w in masses))
+    masses = [scaled(w, mass_den) for w in masses]
     flows = [[Fraction(x) for pv in flow.measures for x in pv.weights] for _, flow, _ in atoms]
     den = math.lcm(*(x.denominator for flow in flows for x in flow))
     ids: dict = {}
@@ -267,10 +252,11 @@ def flow_space_distance(
         (ids.setdefault(phi.actions, len(ids)), [scaled(x, den) for x in flow])
         for (phi, _, _), flow in zip(atoms, flows)
     ]
-    keyed_a, keyed_b = keyed[: len(supply)], keyed[len(supply):]
+    keyed_a, keyed_b = keyed[:m], keyed[m:]
     two_den = 2 * den
     cost = [[atom_distance(a, b, two_den) for b in keyed_b] for a in keyed_a]
-    value = solve_transport(supply, demand, cost, cap=cap).value / two_den
+    result = solve_transport(masses[:m], masses[m:], cost, cap=cap)
+    value = Fraction(result.value, two_den * mass_den)
     if rho_a.mode == FLOAT or rho_b.mode == FLOAT:
         return float(value)
     return value

@@ -32,7 +32,8 @@
     the shared `mfg.gap_rows`;
   * `fraction_transport`: the transportation simplex in `Fraction`s with the
     basis rebuilt on every pivot, which `transport.solve_transport` runs on
-    integer numerators with the basis kept between pivots;
+    integer data (the masses and the costs each times a common denominator)
+    with the basis kept between pivots;
   * `atom_distance`: the flow-space ground metric in `Fraction`s, one pair of
     (strategy, flow) atoms at a time, which `transport.atom_distance` computes
     as an integer over twice the common denominator of all the flow weights

@@ -154,6 +154,12 @@ def test_row_length_mismatch_rejected():
         LinearProgram(variables=("x",), rows=(LinRow((1, 2), GE, 0),))
 
 
+def test_duplicate_variable_names_rejected():
+    # solve_lp keys its values by name, so a second "x" would lose its value
+    with pytest.raises(ValueError, match="distinct"):
+        LinearProgram(variables=("x", "x"), rows=(LinRow((1, 1), EQ, 1),))
+
+
 def test_bad_relation_rejected():
     with pytest.raises(ValueError):
         LinRow((1,), "<=", 0)

@@ -217,6 +217,18 @@ class TestConsistency:
         assert not report.ok
         assert report.max_residual > 0
 
+    def test_flows_on_relabelled_states_rejected(self, game, rho, m0):
+        space = FiniteSpace(("y0", "y1"))
+        relabelled = CorrelatedFlow(tuple(
+            (phi, FlowTrajectory(tuple(
+                ProbabilityVector(space, m.weights, EXACT) for m in flow.measures
+            )), w)
+            for phi, flow, w in rho.atoms
+        ))
+        for check in (consistency_check, optimality_gap, verify_solution):
+            with pytest.raises(ValueError, match="different spaces"):
+                check(game, relabelled, m0)
+
 
 class TestVerifySolution:
     def test_accepts_the_example(self, game, rho, m0):

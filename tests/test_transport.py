@@ -5,6 +5,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,50 +33,99 @@ from cmfg.transport import (
 from cmfg.transport import atom_distance as int_atom_distance
 
 
+def times(x, k) -> int:
+    """x * k, which must be an integer."""
+    y = F(x) * k
+    assert y.denominator == 1
+    return y.numerator
+
+
+def on_integers(supply, demand, cost):
+    """A rational instance with the masses times their lcm and the costs
+    times theirs, and those two denominators."""
+    mass_den = math.lcm(*(F(w).denominator for w in (*supply, *demand)))
+    cost_den = math.lcm(*(F(c).denominator for row in cost for c in row))
+    return (
+        [times(w, mass_den) for w in supply],
+        [times(w, mass_den) for w in demand],
+        [[times(c, cost_den) for c in row] for row in cost],
+    ), mass_den, cost_den
+
+
+def oracle_on_integers(supply, demand, cost, mass_den, cost_den):
+    """`oracles.fraction_transport` on a rational instance, carried over to
+    its integer form: plan masses times the mass denominator, duals times
+    the cost denominator, value times both."""
+    res = fraction_transport(supply, demand, cost)
+    return TransportResult(
+        times(res.value, mass_den * cost_den),
+        tuple((i, j, times(f, mass_den)) for i, j, f in res.plan),
+        tuple(times(u, cost_den) for u in res.row_duals),
+        tuple(times(v, cost_den) for v in res.col_duals),
+    )
+
+
 def test_tiny_instance_by_hand():
-    # moving 1/2 across unit distance and keeping 1/2 in place costs 1/2
-    supply = (F(1, 2), F(1, 2))
-    demand = (F(1), F(0))
-    cost = ((F(0), F(2)), (F(1), F(3)))
+    # moving 1 across unit distance and keeping 1 in place costs 1
+    supply = (1, 1)
+    demand = (2, 0)
+    cost = ((0, 2), (1, 3))
     res = solve_transport(supply, demand, cost)
-    assert res.value == F(1, 2)
-    assert dict(((i, j), m) for i, j, m in res.plan) == {
-        (0, 0): F(1, 2),
-        (1, 0): F(1, 2),
-    }
+    assert res.value == 1
+    assert dict(((i, j), m) for i, j, m in res.plan) == {(0, 0): 1, (1, 0): 1}
+    numbers = (res.value, *res.row_duals, *res.col_duals, *(f for _, _, f in res.plan))
+    assert {type(x) for x in numbers} == {int}
 
 
 def test_identity_is_free():
-    supply = demand = (F(1, 4), F(1, 4), F(1, 2))
-    cost = tuple(
-        tuple(F(0) if i == j else F(1) for j in range(3)) for i in range(3)
-    )
+    supply = demand = (1, 1, 2)
+    cost = tuple(tuple(0 if i == j else 1 for j in range(3)) for i in range(3))
     assert solve_transport(supply, demand, cost).value == 0
 
 
 def test_unbalanced_rejected():
-    with pytest.raises(ValueError):
-        solve_transport((F(1),), (F(1, 2), F(1, 4)), ((F(0), F(1)),))
+    with pytest.raises(ValueError, match="unbalanced"):
+        solve_transport((4,), (2, 1), ((0, 1),))
 
 
 def test_negative_mass_rejected():
-    with pytest.raises(ValueError):
-        solve_transport((F(3, 2), F(-1, 2)), (F(1),), ((F(0),), (F(0),)))
+    with pytest.raises(ValueError, match="negative"):
+        solve_transport((3, -1), (2,), ((0,), (0,)))
 
 
 def test_cap_enforced():
-    supply = (F(1, 2), F(1, 2))
-    demand = (F(1), F(0))
-    cost = ((F(0), F(1)), (F(1), F(0)))
     with pytest.raises(CapacityError):
-        solve_transport(supply, demand, cost, cap=1)
+        solve_transport((1, 1), (2, 0), ((0, 1), (1, 0)), cap=1)
 
 
-CERTIFIED = ((F(1, 3), F(2, 3)), (F(1, 2), F(1, 2)), ((F(1), F(4)), (F(2), F(1, 2))))
+@pytest.mark.parametrize(
+    "where, entry",
+    [
+        ("supply", F(1)), ("supply", 1.0), ("supply", True), ("supply", np.int64(1)),
+        ("demand", F(1)), ("cost", F(1, 2)), ("cost", 0.5), ("cost", False),
+        ("cost", np.int64(1)),
+    ],
+    ids=["fraction-supply", "float-supply", "bool-supply", "numpy-int-supply",
+         "fraction-demand", "fraction-cost", "float-cost", "bool-cost", "numpy-int-cost"],
+)
+def test_non_int_data_refused(where, entry):
+    instance = {"supply": [1, 1], "demand": [1, 1], "cost": [[0, 1], [1, 0]]}
+    if where == "cost":
+        instance["cost"][1][0] = entry
+    else:
+        instance[where][0] = entry
+    with pytest.raises(ValueError, match="ints only"):
+        solve_transport(**instance)
+
+
+# the masses (1/3, 2/3) and (1/2, 1/2) times 6, the costs
+# ((1, 4), (2, 1/2)) times 2
+CERTIFIED = ((2, 4), (3, 3), ((2, 8), (4, 1)))
 
 
 def test_duals_certify_optimality():
     res = solve_transport(*CERTIFIED)
+    assert res.value == 11
     assert verify_transport(*CERTIFIED, res)
 
 
@@ -88,13 +138,17 @@ def _moved(plan, mass):
 @pytest.mark.parametrize(
     "tamper",
     [
-        lambda r: replace(r, row_duals=(r.row_duals[0] + F(1, 7),) + r.row_duals[1:]),
-        lambda r: replace(r, col_duals=r.col_duals[:-1] + (r.col_duals[-1] - F(1, 7),)),
-        lambda r: replace(r, plan=_moved(r.plan, F(1, 12))),
-        lambda r: replace(r, value=r.value + F(1, 100)),
+        lambda r: replace(r, row_duals=(r.row_duals[0] + 1,) + r.row_duals[1:]),
+        lambda r: replace(r, col_duals=r.col_duals[:-1] + (r.col_duals[-1] - 1,)),
+        lambda r: replace(r, plan=_moved(r.plan, 1)),
+        lambda r: replace(r, value=r.value + 1),
         lambda r: replace(r, col_duals=r.col_duals[:-1]),
+        # rows 0 and 1 renumbered -2 and -1, which Python's indexing reads back
+        lambda r: replace(r, plan=tuple((i - 2, j, f) for i, j, f in r.plan)),
+        lambda r: replace(r, plan=((2, *r.plan[0][1:]), *r.plan[1:])),
     ],
-    ids=["row-dual-off", "col-dual-off", "mass-moved", "wrong-value", "col-dual-missing"],
+    ids=["row-dual-off", "col-dual-off", "mass-moved", "wrong-value", "col-dual-missing",
+         "row-index-negative", "row-index-out-of-range"],
 )
 def test_certificate_refuses_tampered_results(tamper):
     res = solve_transport(*CERTIFIED)
@@ -102,27 +156,18 @@ def test_certificate_refuses_tampered_results(tamper):
     assert not verify_transport(*CERTIFIED, tamper(res))
 
 
-# row 0 carries no mass, so its one zero reduced cost sits on the degenerate
-# tree arc (0, 0), which the plan leaves out; the costs' denominator is 2
-DEGENERATE = (
-    (F(0), F(1, 3), F(2, 3)),
-    (F(1, 2), F(1, 2)),
-    ((F(1), F(4)), (F(1), F(4)), (F(2), F(1, 2))),
-)
+# the masses (0, 1/3, 2/3) and (1/2, 1/2) times 6, the costs
+# ((1, 4), (1, 4), (2, 1/2)) times 2; row 0 carries no mass, so its one zero
+# reduced cost sits on the degenerate tree arc (0, 0), which the plan leaves out
+DEGENERATE = ((0, 2, 4), (3, 3), ((2, 8), (2, 8), (4, 1)))
 
 
-def cost_denominator(cost):
-    return math.lcm(*(c.denominator for row in cost for c in row))
-
-
-def test_certificate_refuses_a_dual_off_by_a_third_of_the_cost_denominator():
+def test_certificate_refuses_a_dual_off_by_one_on_the_degenerate_tree_arc():
     supply, demand, cost = DEGENERATE
-    den = cost_denominator(cost)
     res = solve_transport(*DEGENERATE)
     assert res.row_duals[0] == 0 and all(i != 0 for i, _, _ in res.plan)
-    # the shift lies below the costs' denominator, so only the common
-    # denominator of the costs and the duals sees it
-    off = replace(res, row_duals=(res.row_duals[0] + F(1, 3 * den),) + res.row_duals[1:])
+    assert cost[0][0] == res.row_duals[0] + res.col_duals[0]
+    off = replace(res, row_duals=(res.row_duals[0] + 1,) + res.row_duals[1:])
     negative = [
         (i, j)
         for i, (row, u) in enumerate(zip(cost, off.row_duals))
@@ -149,15 +194,16 @@ def test_certificate_refuses_a_result_without_the_zero_mass_rows_dual(order):
     assert not verify_transport(*instance, cut)
 
 
-def test_certificate_accepts_duals_on_a_coarser_denominator():
-    # costs over 3 and integer duals: tight on the diagonal plan, 2/3 slack
-    # on the other two cells
-    supply = demand = (F(1, 2), F(1, 2))
-    cost = ((F(1), F(5, 3)), (F(5, 3), F(1)))
-    res = TransportResult(F(1), ((0, 0, F(1, 2)), (1, 1, F(1, 2))), (F(0), F(0)), (F(1), F(1)))
-    assert res.value == solve_transport(supply, demand, cost).value
-    assert cost_denominator(cost) == 3
-    assert verify_transport(supply, demand, cost, res)
+def test_certificate_accepts_a_second_optimal_dual_pair():
+    # the diagonal plan is optimal; the solver's tree duals are tight on its
+    # degenerate arc (1, 0), the other pair is tight on the diagonal only
+    supply = demand = (1, 1)
+    cost = ((3, 5), (5, 3))
+    res = solve_transport(supply, demand, cost)
+    assert res.plan == ((0, 0, 1), (1, 1, 1)) and res.value == 6
+    other = replace(res, row_duals=(0, 0), col_duals=(3, 3))
+    assert other != res
+    assert verify_transport(supply, demand, cost, other)
 
 
 @st.composite
@@ -192,7 +238,8 @@ def transport_instances(draw):
 @example(([F(1, 3), F(2, 3)], [F(1, 2), F(1, 2)], [[F(1)] * 2] * 2))  # all costs tied
 @settings(max_examples=200, deadline=None)
 def test_matches_fraction_oracle(instance):
-    assert solve_transport(*instance) == fraction_transport(*instance)
+    ints, mass_den, cost_den = on_integers(*instance)
+    assert solve_transport(*ints) == oracle_on_integers(*instance, mass_den, cost_den)
 
 
 def test_matches_fraction_oracle_on_empirical_flow(game, rho, m0):
@@ -207,9 +254,10 @@ def test_matches_fraction_oracle_on_empirical_flow(game, rho, m0):
         for sa, fa, _ in emp.atoms
     ]
     assert len(supply) > len(demand) > 1
-    res = solve_transport(supply, demand, cost)
-    assert res == fraction_transport(supply, demand, cost)
-    assert res.value == flow_space_distance(emp, rho)
+    ints, mass_den, cost_den = on_integers(supply, demand, cost)
+    res = solve_transport(*ints)
+    assert res == oracle_on_integers(supply, demand, cost, mass_den, cost_den)
+    assert F(res.value, mass_den * cost_den) == flow_space_distance(emp, rho)
 
 
 def test_against_float_solver():
@@ -225,7 +273,8 @@ def test_against_float_solver():
         cost = tuple(
             tuple(F(rng.randint(0, 20), 4) for _ in range(n)) for _ in range(m)
         )
-        res = solve_transport(supply, demand, cost)
+        ints, mass_den, cost_den = on_integers(supply, demand, cost)
+        value = F(solve_transport(*ints).value, mass_den * cost_den)
         # LP over vectorized plan: marginals as equality constraints
         a_eq, b_eq = [], []
         for i in range(m):
@@ -243,7 +292,7 @@ def test_against_float_solver():
         c = [float(cost[i][j]) for i in range(m) for j in range(n)]
         ref = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * (m * n), method="highs")
         assert ref.status == 0
-        assert abs(float(res.value) - ref.fun) < 1e-9
+        assert abs(float(value) - ref.fun) < 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -329,6 +378,24 @@ def oracle_distance(rho_a, rho_b):
         for pa, fa, _ in rho_a.atoms
     ]
     return fraction_transport(supply, demand, cost).value
+
+
+@pytest.mark.parametrize("seed, d", [(0, 2), (1, 3), (2, 3)])
+@pytest.mark.parametrize("n_players", [3, 5])
+def test_empirical_flow_of_a_random_game(seed, d, n_players):
+    """The sampled law of a lift on a random game: every flow entry is a
+    count over N-1, the weights sum to 1, and its W1 to the lifted flow is
+    the oracle's."""
+    game = random_game(seed, d, 2, 2)
+    rho = random_correlated_flow(seed + 1, game, 4)
+    m0 = ProbabilityVector.uniform(game.states, EXACT)
+    cfg = SimulationConfig(master_seed=seed, replications=40)
+    emp = empirical_rho_n(game, lift(rho, n_players), m0, cfg).flow
+    assert sum(w for _, _, w in emp.atoms) == 1
+    for _, flow, _ in emp.atoms:
+        for pv in flow.measures:
+            assert all(F(x * (n_players - 1)).denominator == 1 for x in pv.weights)
+    assert flow_space_distance(emp, rho) == oracle_distance(emp, rho)
 
 
 @given(
