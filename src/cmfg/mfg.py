@@ -71,22 +71,24 @@ class CorrelatedFlow:
                 raise ValueError("atoms' flows live on different spaces")
             if w <= 0:
                 raise ValueError(f"atom weight {w} is not positive")
+            flow_key = _flow_key(flow)
             if mode == EXACT:
-                key = (phi.actions, _flow_key(flow))
+                key = (phi.actions, flow_key)
                 if key in seen:
                     raise ValueError("duplicate (strategy, flow) atom")
                 seen.add(key)
-                merged.append([phi, flow, w])
+                merged.append([phi, flow, w, flow_key])
                 continue
             for entry in merged:  # float mode: near-identical flows merge
                 if entry[0] == phi and _flows_close(entry[1], flow, tol):
                     entry[2] += w
                     break
             else:
-                merged.append([phi, flow, w])
-        merged.sort(key=lambda e: (e[0].sort_key(), _flow_key(e[1])))
+                merged.append([phi, flow, w, flow_key])
+        # each entry sorts on the key of its first flow, computed once
+        merged.sort(key=lambda e: (e[0].sort_key(), e[3]))
         arith(mode).check_mass([e[2] for e in merged], "atom")
-        object.__setattr__(self, "atoms", tuple((p, f, w) for p, f, w in merged))
+        object.__setattr__(self, "atoms", tuple((p, f, w) for p, f, w, _ in merged))
 
     @property
     def mode(self) -> str:

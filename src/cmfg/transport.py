@@ -7,14 +7,19 @@ The ground space is (strategy, flow trajectory) pairs with
 and the optimal coupling is found with a transportation-tree simplex on
 Python integers.  `solve_transport` takes integer masses and integer costs
 as they are (any other entry is refused with ValueError), and its value,
-plan and duals are integers too.  `flow_space_distance` is the one place
-that knows denominators: it puts the renormalized masses of both correlated
+plan and duals are integers too.  The simplex starts from the least-cost
+tree: the cells taken in (cost, i, j) order, each cell of an open row and
+an open column given all the mass it can take and closing its row or its
+column, m+n-1 cells in all.  `flow_space_distance` is the one place that
+knows denominators: it puts the renormalized masses of both correlated
 flows on one common denominator, and every flow weight of both on another,
-D, so each ground cost (`atom_distance`) is an integer over 2D; the integer
-value is divided back into a `Fraction` at the end.  Positive scaling keeps
-every sign and tie, so Bland's arc ordering (row-major, first negative
-reduced cost enters, smallest tied arc leaves) takes the pivots it would
-take on the rationals, and rules out cycling.
+D, so the ground costs from one atom to all the atoms of the other flow
+(`atom_distance`, one cost row) are integers over 2D; the integer value is
+divided back into a `Fraction` at the end.  Positive scaling keeps every
+sign and tie, so the start's cell order and Bland's arc ordering
+(row-major, first negative reduced cost enters, smallest tied arc leaves)
+take the pivots they would take on the rationals, and Bland rules out
+cycling.
 Every result is re-certified by `verify_transport` before it is returned:
 the marginals, the value, the duals' feasibility and complementary
 slackness, all on the integers.
@@ -86,24 +91,30 @@ def _simplex(
     kept as node adjacency and updated by the entering and leaving arcs.
     """
     m, n = len(supply), len(demand)
-    # northwest-corner start: always m+n-1 arcs, zeros kept for the tree
+    # least-cost start: the cells of open lines in (cost, i, j) order, each
+    # given min(s_i, d_j), down to the cell of the last open row and column;
+    # always m+n-1 arcs, zeros kept for the tree
     flow: dict[tuple[int, int], int] = {}
     adj: list[list[int]] = [[] for _ in range(m + n)]
     s, d = list(supply), list(demand)
-    i = j = 0
-    while True:
+    rows, cols = set(range(m)), set(range(n))  # the open lines
+    for _, i, j in sorted((c, i, j) for i, row in enumerate(cost) for j, c in enumerate(row)):
+        if i not in rows or j not in cols:
+            continue
         t = min(s[i], d[j])
         flow[(i, j)] = t
         adj[i].append(m + j)
         adj[m + j].append(i)
         s[i] -= t
         d[j] -= t
-        if i == m - 1 and j == n - 1:
+        if len(rows) == len(cols) == 1:
             break
-        if s[i] == 0 and i < m - 1:
-            i += 1
+        # the row closes if its supply is used up and another row is open,
+        # or if its column is the only one open; the column otherwise
+        if s[i] == 0 and len(rows) > 1 or len(cols) == 1:
+            rows.remove(i)
         else:
-            j += 1
+            cols.remove(j)
 
     parent = [-1] * (m + n)
     depth = [0] * (m + n)
@@ -210,15 +221,15 @@ def verify_transport(
     return all(cost[i][j] == u[i] + v[j] for i, j, f in result.plan if f > 0)
 
 
-def atom_distance(atom_a, atom_b, two_den: int) -> int:
-    """Ground cost between two atoms, as an integer over two_den.
+def atom_distance(atom, others, two_den: int) -> list[int]:
+    """Ground costs from one atom to each of `others`, as integers over two_den.
 
     An atom comes as (strategy id, flow weights): the weights of all times
-    and states in one row, as integers over two_den / 2.  The cost is
-    two_den for a strategy mismatch plus the summed |a - b| of the weights.
+    and states in one row, as integers over two_den / 2.  A cost is two_den
+    for a strategy mismatch plus the summed |a - b| of the weights.
     """
-    (sa, fa), (sb, fb) = atom_a, atom_b
-    return (two_den if sa != sb else 0) + sum(map(abs, map(sub, fa, fb)))
+    sa, fa = atom
+    return [(two_den if sa != sb else 0) + sum(map(abs, map(sub, fa, fb))) for sb, fb in others]
 
 
 def flow_space_distance(
@@ -230,9 +241,9 @@ def flow_space_distance(
     mass) so the optimum carries an exact certificate either way; the value
     comes back as a float when either input is float-mode.  The masses of
     both go on one common denominator, and every flow weight of both on
-    another, D, so each ground cost is an integer `atom_distance` over 2D;
-    the transport on those integers costs 2D times the mass denominator
-    times the distance, and makes the same pivots.
+    another, D, so each row of ground costs is an `atom_distance` row of
+    integers over 2D; the transport on those integers costs 2D times the
+    mass denominator times the distance, and makes the same pivots.
     """
     # each correlated flow's atoms share one frame, so their first atoms tell
     if _frame(rho_a.atoms[0][1]) != _frame(rho_b.atoms[0][1]):
@@ -254,7 +265,7 @@ def flow_space_distance(
     ]
     keyed_a, keyed_b = keyed[:m], keyed[m:]
     two_den = 2 * den
-    cost = [[atom_distance(a, b, two_den) for b in keyed_b] for a in keyed_a]
+    cost = [atom_distance(a, keyed_b, two_den) for a in keyed_a]
     result = solve_transport(masses[:m], masses[m:], cost, cap=cap)
     value = Fraction(result.value, two_den * mass_den)
     if rho_a.mode == FLOAT or rho_b.mode == FLOAT:

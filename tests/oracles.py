@@ -30,14 +30,15 @@
     over the candidates, one recommendation at a time, which
     `mfg.optimality_gap` replaces by one value vector per recommendation and
     the shared `mfg.gap_rows`;
-  * `fraction_transport`: the transportation simplex in `Fraction`s with the
-    basis rebuilt on every pivot, which `transport.solve_transport` runs on
-    integer data (the masses and the costs each times a common denominator)
-    with the basis kept between pivots;
+  * `fraction_transport`: the transportation simplex in `Fraction`s from the
+    same least-cost start, with the basis rebuilt on every pivot, which
+    `transport.solve_transport` runs on integer data (the masses and the
+    costs each times a common denominator) with the basis kept between
+    pivots;
   * `atom_distance`: the flow-space ground metric in `Fraction`s, one pair of
     (strategy, flow) atoms at a time, which `transport.atom_distance` computes
-    as an integer over twice the common denominator of all the flow weights
-    that `transport.flow_space_distance` puts on it once;
+    one cost row at a time, as integers over twice the common denominator of
+    all the flow weights that `transport.flow_space_distance` puts on it once;
   * `expand`: a profile as atoms over ordered strategy tuples, sum_k |c_k|^N
     of them for a factored profile, which the exact audits replace by one
     player's anonymous draws (own strategy, others-multiset, weight);
@@ -483,28 +484,34 @@ MALFORMED_GAMES = (
 
 def fraction_transport(supply, demand, cost) -> TransportResult:
     """The transportation simplex of `transport.solve_transport` in
-    `Fraction`s, pivot for pivot: the northwest-corner start, Bland's pivots
+    `Fraction`s, pivot for pivot: the least-cost start, Bland's pivots
     (row-major first negative reduced cost enters, smallest tied arc leaves),
     and the tree duals and cycle rebuilt from the basis on every pivot."""
     supply = [Fraction(s) for s in supply]
     demand = [Fraction(d) for d in demand]
     cost = [[Fraction(c) for c in row] for row in cost]
     m, n = len(supply), len(demand)
-    # northwest-corner start: always m+n-1 arcs, zeros kept for the tree
+    # least-cost start: the cells in (cost, i, j) order, skipping those of a
+    # closed row or column, each given min(s_i, d_j); the row closes when its
+    # supply is used up and another row is open, or when its column is the
+    # only one open, the column otherwise; the cell that leaves one row and one column
+    # open is the last.  Always m+n-1 arcs, zeros kept for the tree
     flow: dict[tuple[int, int], Fraction] = {}
     s, d = list(supply), list(demand)
-    i = j = 0
-    while True:
+    rows, cols = set(range(m)), set(range(n))
+    for _, i, j in sorted((c, i, j) for i in range(m) for j, c in enumerate(cost[i])):
+        if i not in rows or j not in cols:
+            continue
         t = min(s[i], d[j])
         flow[(i, j)] = t
         s[i] -= t
         d[j] -= t
-        if i == m - 1 and j == n - 1:
+        if len(rows) == len(cols) == 1:
             break
-        if s[i] == 0 and i < m - 1:
-            i += 1
+        if s[i] == 0 and len(rows) > 1 or len(cols) == 1:
+            rows.remove(i)
         else:
-            j += 1
+            cols.remove(j)
 
     while True:
         u, v = _fraction_duals(flow, cost, m, n)

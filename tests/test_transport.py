@@ -13,7 +13,8 @@ from oracles import atom_distance, fraction_transport, random_correlated_flow, r
 from scipy.optimize import linprog
 from test_nplayer import float_via_io
 
-from cmfg.limits import empirical_rho_n, lift
+from cmfg import transport
+from cmfg.limits import convergence_report, empirical_rho_n, lift
 from cmfg.model import (
     EXACT,
     CapacityError,
@@ -225,9 +226,16 @@ def transport_instances(draw):
 
 
 @given(transport_instances())
-@example(  # zero masses: the northwest-corner start is degenerate
+@example(  # zero masses: the least-cost start gives three cells no mass
     ([F(1, 2), F(0), F(1, 2)], [F(0), F(1, 2), F(1, 2)],
      [[F(1), F(0), F(2)], [F(0), F(1), F(1)], [F(2), F(1), F(0)]])
+)
+@example(  # the start's first cell uses up its row and its column together
+    ([F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)], [[F(0), F(5)], [F(5), F(0)]])
+)
+@example(  # a zero-mass row holds the cheapest cell, taken first with no mass
+    ([F(0), F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)],
+     [[F(0), F(3)], [F(1), F(2)], [F(2), F(1)]])
 )
 @example(([F(1)], [F(1, 3), F(0), F(2, 3)], [[F(1, 2), F(1, 3), F(1, 5)]]))  # m = 1
 @example(([F(1, 4), F(3, 4)], [F(1)], [[F(2, 7)], [F(3, 11)]]))  # n = 1
@@ -258,6 +266,27 @@ def test_matches_fraction_oracle_on_empirical_flow(game, rho, m0):
     res = solve_transport(*ints)
     assert res == oracle_on_integers(supply, demand, cost, mass_den, cost_den)
     assert F(res.value, mass_den * cost_den) == flow_space_distance(emp, rho)
+
+
+@pytest.mark.parametrize(
+    "n, pivots, w1", [(5, 58, F(1971, 3200)), (20, 110, F(987, 3200)), (50, 115, F(29179, 156800))]
+)
+def test_pivots_on_the_converge_sample(monkeypatch, game, rho, m0, n, pivots, w1):
+    """The transport pivots of `limits converge` on the example at 200
+    replications and program seed 0: `_hang` hangs the start's tree once and
+    each pivot's subtree once."""
+    hangs = 0
+    hang = transport._hang
+
+    def counted(*args):
+        nonlocal hangs
+        hangs += 1
+        hang(*args)
+
+    monkeypatch.setattr(transport, "_hang", counted)
+    (row,) = convergence_report(game, rho, m0, (n,), SimulationConfig(0, 200))
+    assert row.w1 == w1
+    assert hangs - 1 == pivots
 
 
 def test_against_float_solver():
@@ -304,8 +333,8 @@ def dirac_rho(game, rho):
 def test_atom_distance_components(rho):
     """Between two one-atom flows the distance is the ground cost of their
     atoms: the strategy mismatch plus the summed half-L1 gaps of the laws.
-    The integer ground cost, over twice the flows' common denominator, is
-    the same number."""
+    The integer cost row from one atom to several, over twice the flows'
+    common denominator, holds the same numbers in the same order."""
     pa, fa, _ = rho.atoms[0]
     pb, fb = rho.atoms[4][0], rho.atoms[1][1]
     law_gap = sum(
@@ -318,16 +347,16 @@ def test_atom_distance_components(rho):
 
     def keyed(phi, flow):
         return phi.actions, [int(x * den) for pv in flow.measures for x in pv.weights]
-    for (p, f), (q, g), want in [
-        ((pa, fa), (pa, fa), 0),
-        ((pa, fa), (pb, fa), 1),
-        ((pa, fa), (pa, fb), law_gap),
-        ((pa, fa), (pb, fb), 1 + law_gap),
-    ]:
-        assert atom_distance(p, f, q, g) == want
-        assert F(int_atom_distance(keyed(p, f), keyed(q, g), 2 * den), 2 * den) == want
+    targets = [(pa, fa), (pb, fa), (pa, fb), (pb, fb)]
+    wants = [0, 1, law_gap, 1 + law_gap]
+    row = int_atom_distance(keyed(pa, fa), [keyed(q, g) for q, g in targets], 2 * den)
+    assert {type(c) for c in row} == {int}
+    assert [F(c, 2 * den) for c in row] == wants
+    assert int_atom_distance(keyed(pa, fa), [], 2 * den) == []
+    for (q, g), want in zip(targets, wants):
+        assert atom_distance(pa, fa, q, g) == want
         assert flow_space_distance(
-            CorrelatedFlow(((p, f, F(1)),)), CorrelatedFlow(((q, g, F(1)),))
+            CorrelatedFlow(((pa, fa, F(1)),)), CorrelatedFlow(((q, g, F(1)),))
         ) == want
 
 
