@@ -477,7 +477,7 @@ def _run_limits_epsilon_curve(session: _Session, opts: dict) -> int:
             "" if r.replications is None else r.replications,
             r.seconds,
         )
-        for r in curve.rows
+        for r in curve
     ]
     session.write_csv(
         "epsilon_curve.csv", ("N", "epsilon", "stderr", "method", "reps", "seconds"), rows

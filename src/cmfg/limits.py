@@ -5,7 +5,9 @@ the marginal, then hand out strategies i.i.d. from the conditional).  The
 epsilon curve quantifies how far the lifted profile is from an exact
 equilibrium as N grows; the convergence report runs the reverse experiment,
 measuring how fast the empirical law of (recommendation, empirical flow)
-regenerates rho.
+regenerates rho.  Both curves return a tuple of rows, one per distinct N in
+increasing order.  Empirical flow entries are counts over N-1 by
+construction, with one measure built per distinct count row.
 """
 
 from __future__ import annotations
@@ -52,20 +54,6 @@ class EpsilonRow:
         return self.stderr is None
 
 
-@dataclass(frozen=True)
-class EpsilonCurve:
-    rows: tuple[EpsilonRow, ...]
-
-    def __post_init__(self):
-        ns = [r.n_players for r in self.rows]
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("rows must be strictly increasing in N")
-        for r in self.rows:
-            slack = 0 if r.stderr is None else 2 * r.stderr
-            if r.epsilon < -slack:
-                raise ValueError(f"negative epsilon {r.epsilon} at N={r.n_players}")
-
-
 # a fixed heuristic price for the exact route under --method auto (atoms times
 # squared joint size), kept as it is so that auto keeps its pinned choices
 _EXACT_WORK_CAP = 32768
@@ -87,7 +75,7 @@ def epsilon_curve(
     joint_cap: int = DEFAULT_JOINT_CAP,
     atom_cap: int = DEFAULT_ATOM_CAP,
     strategy_cap: int = DEFAULT_STRATEGY_CAP,
-) -> EpsilonCurve:
+) -> tuple[EpsilonRow, ...]:
     """Deviation gain of the lifted profile at each population size.
 
     With method "auto", the exact engine when the joint-state space, the
@@ -120,26 +108,19 @@ def epsilon_curve(
             n, gain.epsilon, gain.stderr, gain.replications,
             time.perf_counter() - started, gain.method,
         ))
-    return EpsilonCurve(tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
 class EmpiricalCorrelatedFlow:
-    """Sampled law of (player 1's recommendation, exclusive empirical flow)."""
+    """Sampled law of (player 1's recommendation, exclusive empirical flow).
 
-    flow: CorrelatedFlow  # exact atoms; empirical weights multiplicity/samples
+    Every flow entry is a count over N-1 by construction, and every weight a
+    multiplicity over `samples`."""
+
+    flow: CorrelatedFlow
     samples: int
     n_players: int
-
-    def __post_init__(self):
-        if self.flow.mode != EXACT:
-            raise ValueError("empirical atoms must be exact rationals")
-        denom = self.n_players - 1
-        for _, traj, _ in self.flow.atoms:
-            for pv in traj.measures:
-                for w in pv.weights:
-                    if (Fraction(w) * denom).denominator != 1:
-                        raise ValueError("flow entry denominator does not divide N-1")
 
 
 def empirical_rho_n(
@@ -152,7 +133,11 @@ def empirical_rho_n(
 
     Each replication contributes one atom (recommendation of player 1, the
     empirical flow of the other N-1 players at times 0..T); identical
-    observations merge with summed weights, all exact.
+    observations merge with summed weights, all exact.  One measure is built
+    per distinct count row and shared by every path that holds it.  The atoms
+    go to `CorrelatedFlow` sorted on their integer keys, which is the order it
+    keeps: the strategy table is in enumeration order, and every flow entry
+    is a count over the same N-1.
     """
     n = profile.n_players
     mc = _MonteCarlo(game, profile.support_strategies())
@@ -162,21 +147,19 @@ def empirical_rho_n(
         for rec_row, path in zip(strat_rows[:, 0].tolist(), seen.tolist()):
             key = (rec_row, tuple(map(tuple, path)))
             buckets[key] = buckets.get(key, 0) + 1
-    reps = cfg.replications
-    space = game.states
-    denom = n - 1
-    atoms = []
-    for (rec_row, count_rows), mult in buckets.items():
-        flow = FlowTrajectory(
-            tuple(
-                ProbabilityVector(
-                    space, tuple(Fraction(c, denom) for c in row), EXACT
-                )
-                for row in count_rows
-            )
+    measures = {
+        row: ProbabilityVector(game.states, tuple(Fraction(c, n - 1) for c in row), EXACT)
+        for row in {row for _, count_rows in buckets for row in count_rows}
+    }
+    atoms = tuple(
+        (
+            mc.strategies[rec_row],
+            FlowTrajectory(tuple(measures[row] for row in count_rows)),
+            Fraction(mult, cfg.replications),
         )
-        atoms.append((mc.strategies[rec_row], flow, Fraction(mult, reps)))
-    return EmpiricalCorrelatedFlow(CorrelatedFlow(tuple(atoms)), reps, n)
+        for (rec_row, count_rows), mult in sorted(buckets.items())
+    )
+    return EmpiricalCorrelatedFlow(CorrelatedFlow(atoms), cfg.replications, n)
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,7 @@ def epsilon_experiment(game, rho, m0):
     started = time.perf_counter()
     exact_part = epsilon_curve(game, rho, m0, (2,), cfg, method="exact")
     mc_part = epsilon_curve(game, rho, m0, (5, 10, 25, 50), cfg, method="mc")
-    rows = exact_part.rows + mc_part.rows
+    rows = exact_part + mc_part
     return rows, time.perf_counter() - started
 
 
@@ -183,10 +183,10 @@ def test_criterion_06_exact_epsilon_curve_to_eight_players(params, game, rho, m0
     hot = build_example(ExampleParams(beta=params.beta, c0=params.c0, c1=F(3, 32)))
     for (g, r, m), want in (((game, rho, m0), F(0)), (hot, F(5, 2048))):
         curve = epsilon_curve(g, r, m, range(2, 9), cfg, method="exact")
-        assert [(row.n_players, row.method) for row in curve.rows] == [
+        assert [(row.n_players, row.method) for row in curve] == [
             (n, "exact") for n in range(2, 9)
         ]
-        assert all(type(row.epsilon) is F and row.epsilon == want for row in curve.rows)
+        assert all(type(row.epsilon) is F and row.epsilon == want for row in curve)
 
 
 def test_criterion_07_empirical_flow_w1_decreases(game, rho, m0):

@@ -7,8 +7,6 @@ import pytest
 from cmfg import two_state
 from cmfg.limits import (
     ConvergenceRow,
-    EmpiricalCorrelatedFlow,
-    EpsilonCurve,
     EpsilonRow,
     convergence_report,
     empirical_rho_n,
@@ -19,6 +17,7 @@ from cmfg.mfg import factor_flow
 from cmfg.nplayer import SimulationConfig
 from cmfg.transport import flow_space_distance
 from oracles import expand
+from test_nplayer import float_via_io
 
 
 class TestLift:
@@ -56,47 +55,39 @@ class TestEpsilonRow:
 class TestEpsilonCurve:
     def test_exact_two_player_point(self, game, rho, m0):
         cfg = SimulationConfig(master_seed=0, replications=100)
-        curve = epsilon_curve(game, rho, m0, (2,), cfg, "exact")
-        (row,) = curve.rows
+        (row,) = epsilon_curve(game, rho, m0, (2,), cfg, "exact")
         assert row.epsilon == 0
         assert row.method == "exact" and row.stderr is None
 
     def test_auto_prefers_exact_for_tiny_n(self, game, rho, m0):
         cfg = SimulationConfig(master_seed=0, replications=200)
         curve = epsilon_curve(game, rho, m0, (2, 3), cfg, "auto")
-        assert [r.method for r in curve.rows] == ["exact", "exact"]
-        assert all(r.epsilon == 0 for r in curve.rows)
+        assert [r.method for r in curve] == ["exact", "exact"]
+        assert all(r.epsilon == 0 for r in curve)
 
     def test_auto_switches_to_mc_for_large_n(self, game, rho, m0):
         cfg = SimulationConfig(master_seed=0, replications=500)
         curve = epsilon_curve(game, rho, m0, (2, 20), cfg, "auto")
-        assert [r.method for r in curve.rows] == ["exact", "mc"]
-        mc_row = curve.rows[1]
+        assert [r.method for r in curve] == ["exact", "mc"]
+        assert all(r.epsilon >= 0 for r in curve)
+        mc_row = curve[1]
         assert mc_row.replications == 500 and mc_row.stderr is not None
 
     def test_mc_rows_record_seconds(self, game, rho, m0):
         cfg = SimulationConfig(master_seed=0, replications=300)
-        curve = epsilon_curve(game, rho, m0, (5,), cfg, "mc")
-        assert curve.rows[0].seconds > 0
+        (row,) = epsilon_curve(game, rho, m0, (5,), cfg, "mc")
+        assert row.epsilon >= 0
+        assert row.seconds > 0
 
     def test_ns_sorted_and_deduplicated(self, game, rho, m0):
         cfg = SimulationConfig(master_seed=0, replications=50)
         curve = epsilon_curve(game, rho, m0, (3, 2, 3), cfg, "exact")
-        assert [r.n_players for r in curve.rows] == [2, 3]
+        assert [r.n_players for r in curve] == [2, 3]
 
     def test_single_player_rejected(self, game, rho, m0):
         cfg = SimulationConfig(master_seed=0, replications=10)
         with pytest.raises(ValueError):
             epsilon_curve(game, rho, m0, (1, 2), cfg, "mc")
-
-    def test_curve_validation(self):
-        with pytest.raises(ValueError):
-            EpsilonCurve(
-                rows=(
-                    EpsilonRow(5, 0.0, 0.0, 10, 0.1, "mc"),
-                    EpsilonRow(2, 0.0, 0.0, 10, 0.1, "mc"),
-                ),
-            )
 
 
 class TestEmpiricalRho:
@@ -132,16 +123,6 @@ class TestEmpiricalRho:
         assert dists[1] < dists[0]
 
 
-class TestEmpiricalFlowType:
-    def test_denominator_validation(self, game, rho, m0):
-        cfg = SimulationConfig(master_seed=0, replications=50)
-        emp = empirical_rho_n(game, lift(rho, 3), m0, cfg)
-        with pytest.raises(ValueError):
-            EmpiricalCorrelatedFlow(
-                flow=emp.flow, samples=emp.samples, n_players=4
-            )
-
-
 class TestConvergenceReport:
     def test_rows_and_metric(self, game, rho, m0):
         cfg = SimulationConfig(master_seed=0, replications=150)
@@ -150,6 +131,16 @@ class TestConvergenceReport:
         assert all(isinstance(r, ConvergenceRow) for r in rows)
         assert all(r.replications == 150 for r in rows)
         assert rows[1].w1 < rows[0].w1
+
+    def test_float_rho_against_exact_empirical_flows(self, game, rho, m0):
+        # the empirical flows are exact whatever the game's mode; against a
+        # float rho the W1 is the float of the exact game's W1
+        cfg = SimulationConfig(master_seed=0, replications=200)
+        rows = convergence_report(
+            float_via_io(game), float_via_io(game, rho), float_via_io(game, m0), (5, 20), cfg
+        )
+        assert [r.w1 for r in rows] == [float(F(1971, 3200)), float(F(987, 3200))]
+        assert all(type(r.w1) is float for r in rows)
 
     def test_requires_a_solution(self, game, m0):
         p = two_state.ExampleParams(beta=(F(1, 8),) * 4, c0=F(1, 8), c1=F(1, 16))
