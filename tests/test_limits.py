@@ -107,6 +107,26 @@ class TestEmpiricalRho:
                 for w in pv.weights:
                     assert (F(w) * 3).denominator == 1
 
+    def test_count_rows_share_one_measure_in_integer_key_order(self, game, rho, m0):
+        # equal count rows are one shared measure, and the atoms' order is
+        # that of their integer keys (strategy index, count rows)
+        cfg = SimulationConfig(master_seed=0, replications=300)
+        profile = lift(rho, 4)
+        emp = empirical_rho_n(game, profile, m0, cfg)
+        measures = [pv for _, flow, _ in emp.flow.atoms for pv in flow.measures]
+        by_weights = {}
+        for pv in measures:
+            assert by_weights.setdefault(pv.weights, pv) is pv
+        assert len(by_weights) < len(measures)
+        index = {phi: i for i, phi in enumerate(profile.support_strategies())}
+
+        def int_key(atom):
+            phi, flow, _ = atom
+            return index[phi], tuple(tuple(int(w * 3) for w in pv.weights) for pv in flow.measures)
+
+        assert emp.flow.atoms == tuple(sorted(emp.flow.atoms, key=int_key))
+        assert len(emp.flow.atoms) > 1
+
     def test_two_player_flows_are_dirac_paths(self, game, rho, m0):
         cfg = SimulationConfig(master_seed=2, replications=100)
         emp = empirical_rho_n(game, lift(rho, 2), m0, cfg)
