@@ -58,14 +58,6 @@ def _threads(text: str) -> int:
     return int(text)
 
 
-def _default_threads() -> int:
-    env = os.environ.get("CMFG_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--out", default=".", help="output directory")
 
@@ -74,8 +66,8 @@ def _add_common(p: argparse.ArgumentParser, *, seeded: bool = False) -> None:
     """-o, --threads and every cap (and --seed if asked): the options of the
     commands whose manifests are pinned byte for byte, in their order."""
     _add_out(p)
-    p.add_argument("--threads", type=_threads, default=_default_threads(),
-                   help="recorded in the manifest only (CMFG_THREADS fallback)")
+    p.add_argument("--threads", type=_threads, default=1,
+                   help="recorded in the manifest only")
     p.add_argument("--joint-cap", type=int, default=DEFAULT_JOINT_CAP)
     p.add_argument("--atom-cap", type=int, default=DEFAULT_ATOM_CAP,
                    help="bounds only the --method auto choice of limits epsilon-curve")
@@ -119,10 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("example", help="built-in worked examples")
     esub = pe.add_subparsers(dest="subcommand", required=True)
     q = esub.add_parser("section5", help="two-state crowd-seeking example")
-    q.add_argument("--alpha", type=_rational, default=None,
-                   help="sets beta = (a/4, a/4, (1-a)/4, (1-a)/4)")
-    q.add_argument("--beta", default=None,
-                   help="four comma-separated rationals b1,b2,b3,b4")
+    weights = q.add_mutually_exclusive_group()
+    weights.add_argument("--alpha", type=_rational, default=None,
+                         help="sets beta = (a/4, a/4, (1-a)/4, (1-a)/4)")
+    weights.add_argument("--beta", default=None,
+                         help="four comma-separated rationals b1,b2,b3,b4")
     q.add_argument("--c0", type=_rational, default=Fraction(1, 32))
     q.add_argument("--c1", type=_rational, default=Fraction(1, 16))
     _add_out(q)

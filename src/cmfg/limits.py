@@ -135,9 +135,9 @@ def empirical_rho_n(
     empirical flow of the other N-1 players at times 0..T); identical
     observations merge with summed weights, all exact.  One measure is built
     per distinct count row and shared by every path that holds it.  The atoms
-    go to `CorrelatedFlow` sorted on their integer keys, which is the order it
-    keeps: the strategy table is in enumeration order, and every flow entry
-    is a count over the same N-1.
+    go to `CorrelatedFlow` sorted on their integer keys, already its order on
+    (strategy table, flow weights), so its sort finds them in order: strategy
+    rows are in enumeration order, every flow entry a count over the same N-1.
     """
     n = profile.n_players
     mc = _MonteCarlo(game, profile.support_strategies())

@@ -21,7 +21,6 @@ from typing import Sequence
 
 from .model import (
     DEFAULT_STRATEGY_CAP,
-    EXACT,
     FlowTrajectory,
     GameSpec,
     ProbabilityVector,
@@ -29,6 +28,7 @@ from .model import (
     Scalar,
     arith,
     enumerate_strategies,
+    require_initial_law,
     zero,
 )
 
@@ -52,7 +52,8 @@ def _flows_close(a: FlowTrajectory, b: FlowTrajectory, tol: Scalar) -> bool:
 
 @dataclass(frozen=True)
 class CorrelatedFlow:
-    """Distribution over (strategy, flow) pairs; atoms are kept in canonical order."""
+    """Distribution over (strategy, flow) pairs; atoms are kept in canonical
+    order, on (strategy table, flow weights), whatever the input order."""
 
     atoms: tuple[tuple[RestrictedStrategy, FlowTrajectory, Scalar], ...]
 
@@ -61,9 +62,6 @@ class CorrelatedFlow:
             raise ValueError("correlated flow needs at least one atom")
         mode = self.atoms[0][1].mode
         frame = _frame(self.atoms[0][1])
-        tol = arith(mode).tol
-        merged: list[list] = []
-        seen: set[tuple] = set()  # exact mode: every (strategy, flow) so far
         for phi, flow, w in self.atoms:
             if flow.mode != mode:
                 raise ValueError("atoms mix arithmetic modes")
@@ -71,24 +69,23 @@ class CorrelatedFlow:
                 raise ValueError("atoms' flows live on different spaces")
             if w <= 0:
                 raise ValueError(f"atom weight {w} is not positive")
-            flow_key = _flow_key(flow)
-            if mode == EXACT:
-                key = (phi.actions, flow_key)
-                if key in seen:
+        tol = arith(mode).tol
+        merged: list[list] = []
+        for phi, flow, w in sorted(self.atoms, key=lambda a: (a[0].actions, _flow_key(a[1]))):
+            last = merged[-1] if merged else None
+            if last and last[0] == phi and (
+                last[1] == flow or tol and _flows_close(last[1], flow, tol)
+            ):
+                # a close neighbour merges into the first flow in canonical
+                # order; in exact mode (tol 0) only an equal one is close,
+                # and it is a duplicate
+                if not tol:
                     raise ValueError("duplicate (strategy, flow) atom")
-                seen.add(key)
-                merged.append([phi, flow, w, flow_key])
-                continue
-            for entry in merged:  # float mode: near-identical flows merge
-                if entry[0] == phi and _flows_close(entry[1], flow, tol):
-                    entry[2] += w
-                    break
+                last[2] += w
             else:
-                merged.append([phi, flow, w, flow_key])
-        # each entry sorts on the key of its first flow, computed once
-        merged.sort(key=lambda e: (e[0].sort_key(), e[3]))
-        arith(mode).check_mass([e[2] for e in merged], "atom")
-        object.__setattr__(self, "atoms", tuple((p, f, w) for p, f, w, _ in merged))
+                merged.append([phi, flow, w])
+        arith(mode).check_mass([w for _, _, w in merged], "atom")
+        object.__setattr__(self, "atoms", tuple(map(tuple, merged)))
 
     @property
     def mode(self) -> str:
@@ -188,7 +185,7 @@ def state_law(
 ) -> FlowTrajectory:
     """Law of the representative state when the strategy and the flow are frozen."""
     _require_flow(game, flow)
-    _require_game_mode(game, m0.mode)
+    require_initial_law(game, m0)
     laws, _ = _walk(game, phi.actions, _flow_key(flow), m0.weights)
     return FlowTrajectory(
         (m0, *(ProbabilityVector(game.states, w, game.arithmetic) for w in laws[1:]))
@@ -203,7 +200,7 @@ def deterministic_cost(
 ) -> Scalar:
     """Expected total cost of playing phi against a frozen flow."""
     _require_flow(game, flow)
-    _require_game_mode(game, m0.mode)
+    require_initial_law(game, m0)
     return _walk(game, phi.actions, _flow_key(flow), m0.weights)[1]
 
 
@@ -258,7 +255,7 @@ def optimality_gap(
     """Total improvement available over all recommendations; zero means
     optimal.  Each candidate is costed once against each distinct flow."""
     _require_game_mode(game, rho.mode)
-    _require_game_mode(game, m0.mode)
+    require_initial_law(game, m0)
     candidates = enumerate_strategies(game, cap)
     nil = zero(game.arithmetic)
     costs: dict[tuple, list[Scalar]] = {}  # flow weights -> cost of each candidate
@@ -301,7 +298,7 @@ def consistency_check(
 ) -> ConsistencyReport:
     """Each supported flow must equal the mixture of the per-strategy state laws."""
     _require_game_mode(game, rho.mode)
-    _require_game_mode(game, m0.mode)
+    require_initial_law(game, m0)
     rows = []
     rules = arith(game.arithmetic)
     for flow, fw, cond in zip(*factor_flow(rho)):
@@ -387,7 +384,7 @@ def mkv_propagate(
 ) -> FlowTrajectory:
     """Forward McKean-Vlasov recursion: per-strategy laws evolve against their
     own mix; returns the mixed flow."""
-    _require_game_mode(game, m0.mode)
+    require_initial_law(game, m0)
     if not conditional:
         raise ValueError("empty strategy conditional")
     strategies = [phi for phi, _ in conditional]

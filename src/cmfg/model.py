@@ -195,7 +195,10 @@ class FlowTrajectory:
 
 @dataclass(frozen=True)
 class RestrictedStrategy:
-    """Feedback rule (t, x) -> action index, the table of a Markov open-loop strategy."""
+    """Feedback rule (t, x) -> action index, the table of a Markov open-loop strategy.
+
+    `actions` identifies and orders strategies: for tables of one shape, its
+    tuple order is that of the flattened tables, as in `enumerate_strategies`."""
 
     actions: tuple[tuple[int, ...], ...]
 
@@ -209,10 +212,6 @@ class RestrictedStrategy:
             for a in row:
                 if not isinstance(a, int) or a < 0:
                     raise ValueError("actions must be nonnegative indices")
-
-    def sort_key(self) -> tuple[int, ...]:
-        # row-major flattening; tuple order gives the lexicographic order
-        return tuple(a for row in self.actions for a in row)
 
 
 @dataclass(frozen=True)
@@ -379,6 +378,17 @@ class GameSpec:
                         f"{group}.{name} holds a number outside the float range"
                     ) from None
         return out
+
+
+def require_initial_law(game: GameSpec, m0) -> None:
+    """Refuse an initial law that is not a product `ProbabilityVector` on the
+    game's state labels, in the game's mode."""
+    if not isinstance(m0, ProbabilityVector):
+        raise ValueError("need a product initial law, a ProbabilityVector on the states")
+    if m0.space.labels != game.states.labels:
+        raise ValueError("initial law lives on different states")
+    if m0.mode != game.arithmetic:
+        raise ValueError(f"mixing arithmetic modes: game {game.arithmetic}, m0 {m0.mode}")
 
 
 def map_nested(node, fn: Callable, container: type = tuple):

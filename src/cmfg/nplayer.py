@@ -55,6 +55,7 @@ from .model import (
     arith_of,
     enumerate_strategies,
     map_nested,
+    require_initial_law,
     scaled,
     zero,
 )
@@ -69,7 +70,7 @@ _COST_MATRIX_BYTES_CAP = 1 << 29  # 512 MiB of per-replication candidate costs
 
 def _distinct_sorted(strategies: Iterable[RestrictedStrategy]) -> tuple[RestrictedStrategy, ...]:
     """The distinct strategies, in enumeration order."""
-    return tuple(sorted(set(strategies), key=RestrictedStrategy.sort_key))
+    return tuple(sorted(set(strategies), key=lambda s: s.actions))
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,10 @@ class ExplicitProfile:
                 merged[key][1] = merged[key][1] + w
             else:
                 merged[key] = [tuple(vec), w]
-        atoms = sorted(merged.values(), key=lambda e: tuple(s.sort_key() for s in e[0]))
+        atoms = tuple(tuple(merged[key]) for key in sorted(merged))
         weights = [w for _, w in atoms]
         arith_of(weights).check_mass(weights, "profile", positive=True)
-        object.__setattr__(self, "atoms", tuple((v, w) for v, w in atoms))
+        object.__setattr__(self, "atoms", atoms)
 
     @property
     def mode(self) -> str:
@@ -174,7 +175,7 @@ def _anonymous_draws(profile: CorrelatedProfile, player: int) -> list[tuple]:
                 raw.extend((own, tuple(cond[i][0] for i in picks), w * wo) for own, wo in cond)
     merged: dict[tuple, Scalar] = {}
     for own, others, w in raw:
-        key = (own, tuple(sorted(others, key=RestrictedStrategy.sort_key)))
+        key = (own, tuple(sorted(others, key=lambda s: s.actions)))
         merged[key] = merged[key] + w if key in merged else w
     return [(own, others, w) for (own, others), w in merged.items()]
 
@@ -282,12 +283,7 @@ def exact_joint_propagate(
     n = len(strategies)
     if n < 2:
         raise ValueError("need at least two players")
-    if not isinstance(m0n, ProbabilityVector):
-        raise ValueError("exact propagation needs a product initial law")
-    if m0n.space.labels != game.states.labels:
-        raise ValueError("initial law lives on different states")
-    if m0n.mode != game.arithmetic:
-        raise ValueError(f"mixing arithmetic modes: game {game.arithmetic}, m0n {m0n.mode}")
+    require_initial_law(game, m0n)
     d = len(game.states)
     if d ** n > joint_cap:
         raise CapacityError(f"{d ** n} joint states exceed cap {joint_cap}")
@@ -506,7 +502,7 @@ class _AnonymousCostTable:
 
     def costs(self, others: Sequence[RestrictedStrategy]) -> tuple[Scalar, ...]:
         """The candidates' costs, in order, against the others, given in
-        enumeration order (`RestrictedStrategy.sort_key`)."""
+        enumeration order (sorted on `RestrictedStrategy.actions`)."""
         key = tuple(s.actions for s in others)
         hit = self.memo.get(key)
         if hit is None:
@@ -552,6 +548,7 @@ class _MonteCarlo:
     """
 
     def __init__(self, game: GameSpec, strategies: Sequence[RestrictedStrategy]):
+        self.game = game
         self.horizon, self.d, self.n_actions = game.horizon, len(game.states), len(game.actions)
         tables = game.float_tables()
         kernel, cost = tables["transition"], tables["cost"]
@@ -568,8 +565,7 @@ class _MonteCarlo:
         """Per chunk of replications, (start, strategy rows, initial states,
         noise) of shapes (count, N), (count, N) and (count, T, N), drawn from
         the slot layout documented in `rng`."""
-        if not isinstance(m0n, ProbabilityVector):
-            raise ValueError("Monte Carlo paths need a product initial law")
+        require_initial_law(self.game, m0n)
         n, T = profile.n_players, self.horizon
         sampler = _ProfileSampler(profile, self)
         w0 = np.array([float(v) for v in m0n.weights])

@@ -431,7 +431,7 @@ def optimality_rows(game, rho, m0, cap: int = DEFAULT_STRATEGY_CAP) -> tuple:
     atom sum, and the best response as the first strict running minimum over
     every candidate, counting the candidates that tie with it."""
     candidates = enumerate_strategies(game, cap)
-    support = sorted({phi for phi, _, _ in rho.atoms}, key=lambda s: s.sort_key())
+    support = sorted({phi for phi, _, _ in rho.atoms}, key=lambda s: s.actions)
     rows = []
     for phi in support:
         flows = [(flow, w) for p, flow, w in rho.atoms if p == phi]

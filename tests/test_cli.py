@@ -98,16 +98,6 @@ class TestParseArgs:
             cli.parse_args(["validate", "g.json", "--frobnicate"])
         assert exc.value.code == 2
 
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("CMFG_THREADS", "4")
-        spec = cli.parse_args(EPSILON_ARGV)
-        assert spec.options["threads"] == 4
-
-    def test_bad_threads_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("CMFG_THREADS", "lots")
-        spec = cli.parse_args(EPSILON_ARGV)
-        assert spec.options["threads"] == 1
-
     @pytest.mark.parametrize("value", ["0", "-3", "two"])
     def test_threads_below_one_exits_2(self, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -127,10 +117,9 @@ class TestParseArgs:
         assert f"unrecognized arguments: {option} 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", sorted(PINNED_OPTIONS))
-    def test_pinned_commands_keep_their_options_and_defaults(self, command, monkeypatch):
+    def test_pinned_commands_keep_their_options_and_defaults(self, command):
         # every option lands in manifest.json in this order, and the
         # benchmark pins those bytes
-        monkeypatch.delenv("CMFG_THREADS", raising=False)
         argv, want = PINNED_OPTIONS[command]
         spec = cli.parse_args(argv)
         assert spec.command == command
@@ -183,6 +172,16 @@ class TestExampleCommand:
             ["example", "section5", "--beta", "1/4,1/8,1/16,1/16", "-o", str(tmp_path)]
         )
         assert code == 2
+
+    def test_alpha_with_beta_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([
+                "example", "section5", "--alpha", "1/2", "--beta", "1/8,1/8,1/8,1/8",
+                "-o", str(tmp_path),
+            ])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestVerificationCommands:

@@ -360,7 +360,7 @@ class TestCorrelatedFlowType:
         rho = random_correlated_flow(seed, game, n_atoms)
         atoms = list(rho.atoms)
         assert atoms == sorted(
-            atoms, key=lambda a: (a[0].sort_key(), tuple(m.weights for m in a[1].measures))
+            atoms, key=lambda a: (a[0].actions, tuple(m.weights for m in a[1].measures))
         )
         shuffled = data.draw(st.permutations(atoms))
         assert CorrelatedFlow(tuple(shuffled)).atoms == rho.atoms
@@ -386,6 +386,21 @@ class TestCorrelatedFlowType:
         assert merged.atoms[:-1] == frho.atoms[:-1]
         assert merged.atoms[-1][:2] == (phi, flow) and merged.atoms[-1][2] == w
 
+    def test_float_merge_keeps_the_first_flow_in_canonical_order(self, game, rho):
+        frho = float_via_io(game, rho)
+        phi, flow, w = frho.atoms[-1]
+        # sorts before flow, so it represents the merged atom in either order
+        near = FlowTrajectory(tuple(
+            ProbabilityVector(m.space, (m.weights[0] - 1e-12, m.weights[1] + 1e-12), m.mode)
+            for m in flow.measures
+        ))
+        pair = ((phi, flow, w / 4), (phi, near, 3 * w / 4))
+        forward = CorrelatedFlow((*frho.atoms[:-1], *pair))
+        backward = CorrelatedFlow((pair[1], *frho.atoms[:-1], pair[0]))
+        assert forward.atoms == backward.atoms
+        assert forward.atoms[:-1] == frho.atoms[:-1]
+        assert forward.atoms[-1][:2] == (phi, near) and forward.atoms[-1][2] == w
+
     @pytest.mark.parametrize(
         "labels, horizon",
         [(("x0", "x1", "x2"), 2), (("x0", "x1"), 3), (("y0", "y1"), 2)],
@@ -409,7 +424,7 @@ class TestCorrelatedFlowType:
     def test_support_strategies_sorted_unique(self, rho):
         support = rho.support_strategies()
         assert len(support) == 5
-        keys = [s.sort_key() for s in support]
+        keys = [s.actions for s in support]
         assert keys == sorted(keys)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfg import mfg, model, nplayer
+from cmfg import limits, mfg, model, nplayer
 from cmfg.model import (
     EXACT,
     FLOAT,
@@ -309,8 +309,10 @@ class TestStrategies:
         strategies = enumerate_strategies(game)
         assert len(strategies) == 16
         assert len(set(strategies)) == 16
-        keys = [s.sort_key() for s in strategies]
+        keys = [s.actions for s in strategies]
         assert keys == sorted(keys)
+        # tables of one shape order as their row-major flattenings do
+        assert [sum(k, ()) for k in keys] == sorted(sum(k, ()) for k in keys)
 
     def test_strategy_index_roundtrip(self, game):
         # a strategy's index is its position in the enumeration, as in the
@@ -415,3 +417,64 @@ def test_unit_mass_rule_is_shared(game, site, mode, delta, accepted):
     else:
         with pytest.raises(ValueError, match="sum to"):
             build(game, mode, delta)
+
+
+# every public entry that takes an initial law, called on the example with a
+# cheap configuration (N=2, a few replications)
+_CFG = nplayer.SimulationConfig(master_seed=0, replications=8)
+INITIAL_LAW_SITES = {
+    "mfg.state_law": lambda g, rho, m0: mfg.state_law(g, *rho.atoms[0][:2], m0),
+    "mfg.deterministic_cost": lambda g, rho, m0: mfg.deterministic_cost(
+        g, *rho.atoms[0][:2], m0),
+    "mfg.optimality_gap": lambda g, rho, m0: mfg.optimality_gap(g, rho, m0),
+    "mfg.consistency_check": lambda g, rho, m0: mfg.consistency_check(g, rho, m0),
+    "mfg.verify_solution": lambda g, rho, m0: mfg.verify_solution(g, rho, m0),
+    "mfg.mkv_propagate": lambda g, rho, m0: mfg.mkv_propagate(
+        g, mfg.factor_flow(rho)[2][0], m0),
+    "nplayer.exact_joint_propagate": lambda g, rho, m0: nplayer.exact_joint_propagate(
+        g, (rho.atoms[0][0],) * 2, m0),
+    "nplayer.profile_cost_exact": lambda g, rho, m0: nplayer.profile_cost_exact(
+        g, limits.lift(rho, 2), 0, mfg.DeviationMap.identity(), m0),
+    "nplayer.mc_profile_cost": lambda g, rho, m0: nplayer.mc_profile_cost(
+        g, limits.lift(rho, 2), 0, mfg.DeviationMap.identity(), m0, _CFG),
+    "nplayer.deviation_gain-exact": lambda g, rho, m0: nplayer.deviation_gain(
+        g, limits.lift(rho, 2), 0, m0, "exact"),
+    "nplayer.deviation_gain-mc": lambda g, rho, m0: nplayer.deviation_gain(
+        g, limits.lift(rho, 2), 0, m0, "mc", _CFG),
+    "nplayer.solve_symmetric_ce": lambda g, rho, m0: nplayer.solve_symmetric_ce(g, 2, m0),
+    "nplayer.exchangeability_check": lambda g, rho, m0: nplayer.exchangeability_check(
+        g, limits.lift(rho, 2), m0, 0),
+    "limits.epsilon_curve-exact": lambda g, rho, m0: limits.epsilon_curve(
+        g, rho, m0, (2,), _CFG, "exact"),
+    "limits.epsilon_curve-mc": lambda g, rho, m0: limits.epsilon_curve(
+        g, rho, m0, (2,), _CFG, "mc"),
+    "limits.empirical_rho_n": lambda g, rho, m0: limits.empirical_rho_n(
+        g, limits.lift(rho, 2), m0, _CFG),
+    "limits.convergence_report": lambda g, rho, m0: limits.convergence_report(
+        g, rho, m0, (2,), _CFG),
+}
+
+BAD_INITIAL_LAWS = {
+    "raw-weights": (lambda g, m0: m0.weights, "product initial law"),
+    "relabelled-states": (
+        lambda g, m0: ProbabilityVector(FiniteSpace(("y0", "y1")), m0.weights, EXACT),
+        "initial law lives on different states",
+    ),
+    "three-states": (
+        lambda g, m0: ProbabilityVector.uniform(
+            FiniteSpace((*g.states.labels, "x2")), EXACT),
+        "initial law lives on different states",
+    ),
+    "other-mode": (
+        lambda g, m0: ProbabilityVector.uniform(g.states, FLOAT), "mixing arithmetic modes"
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INITIAL_LAW_SITES))
+@pytest.mark.parametrize("bad", sorted(BAD_INITIAL_LAWS))
+def test_initial_law_rule_is_shared(game, rho, m0, site, bad):
+    make, error = BAD_INITIAL_LAWS[bad]
+    INITIAL_LAW_SITES[site](game, rho, m0)  # the example's own law is accepted
+    with pytest.raises(ValueError, match=error):
+        INITIAL_LAW_SITES[site](game, rho, make(game, m0))

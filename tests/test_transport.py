@@ -207,6 +207,17 @@ def test_certificate_accepts_a_second_optimal_dual_pair():
     assert verify_transport(supply, demand, cost, other)
 
 
+def test_certificate_accepts_an_explicit_zero_mass_cell():
+    # the diagonal plan with its off-diagonal cell (0, 1) listed at mass 0:
+    # the cell's reduced cost 5 - 0 - 3 is positive, and complementary
+    # slackness binds only the cells that carry mass
+    supply = demand = (1, 1)
+    cost = ((3, 5), (5, 3))
+    res = TransportResult(6, ((0, 0, 1), (0, 1, 0), (1, 1, 1)), (0, 0), (3, 3))
+    assert cost[0][1] - res.row_duals[0] - res.col_duals[1] > 0
+    assert verify_transport(supply, demand, cost, res)
+
+
 @st.composite
 def transport_instances(draw):
     """Balanced instances with zero masses, coprime cost denominators and
