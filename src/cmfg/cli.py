@@ -239,7 +239,7 @@ class _Session:
 def _load_game_flow(session: _Session, opts: dict):
     game = io.game_from_json(session.read_json(opts["game"]))
     rho = io.flow_from_json(session.read_json(opts["flow"]), game)
-    if opts.get("m0"):
+    if opts.get("m0") is not None:
         m0 = io.measure_from_text(opts["m0"], game)
     else:
         m0 = io.common_initial_measure(rho)
@@ -249,7 +249,7 @@ def _load_game_flow(session: _Session, opts: dict):
 def _uniform_m0(game, text: Optional[str]):
     from .model import ProbabilityVector
 
-    if text:
+    if text is not None:
         return io.measure_from_text(text, game)
     return ProbabilityVector.uniform(game.states, game.arithmetic)
 
@@ -356,7 +356,7 @@ def _run_mfg_propagate(session: _Session, opts: dict) -> int:
 
 
 def _example_params(opts: dict) -> two_state.ExampleParams:
-    if opts.get("beta"):
+    if opts.get("beta") is not None:
         parts = io.list_from_text(opts["beta"], _rational)
         if len(parts) != 4:
             raise ValueError("--beta needs exactly four rationals")

@@ -612,6 +612,35 @@ class TestMalformedDocuments:
         assert code == 2
         assert "zero denominator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mfg", "verify", "--game", "GAME", "--flow", "FLOW", "--m0", ""],
+            ["mfg", "best-response", "--game", "GAME", "--flow", "FLOW", "--m0", ""],
+            ["mfg", "propagate", "--game", "GAME", "--flow", "FLOW", "--m0", ""],
+            ["nplayer", "solve-ce", "--game", "GAME", "-N", "2", "--m0", ""],
+            ["nplayer", "epsilon", "--game", "GAME", "--profile", "PROFILE", "--m0", ""],
+            ["limits", "epsilon-curve", "--game", "GAME", "--flow", "FLOW", "--Ns", "2",
+             "--m0", ""],
+            ["limits", "converge", "--game", "GAME", "--flow", "FLOW", "--Ns", "2",
+             "--m0", ""],
+            ["example", "section5", "--beta", ""],
+        ],
+        ids=["verify-m0", "best-response-m0", "propagate-m0", "solve-ce-m0",
+             "epsilon-m0", "epsilon-curve-m0", "converge-m0", "example-beta"],
+    )
+    def test_empty_weights_exit_2(self, example_dir, tmp_path, capsys, argv):
+        # an empty --m0 or --beta is malformed, not a request for the default
+        game, flow = str(example_dir / "game.json"), str(example_dir / "rho.json")
+        lifted = tmp_path / "lift"
+        assert run_cli(["lift", "--game", game, "--flow", flow, "-N", "2",
+                        "-o", str(lifted)]) == 0
+        paths = {"GAME": game, "FLOW": flow, "PROFILE": str(lifted / "profile.json")}
+        out = tmp_path / "o"
+        code = run_cli([paths.get(a, a) for a in argv] + ["-o", str(out)])
+        self.assert_invalid_input(code, capsys)
+        assert not (out / "manifest.json").exists()
+
 
 class TestLimitsCommands:
     def test_epsilon_curve_csv_contract(self, example_dir, tmp_path):

@@ -714,6 +714,20 @@ class TestMonteCarlo:
         want = scalar_mc_reference(game, profile, 0, u, uniform_m0, cfg)
         assert got[0] == want[0]
 
+    def test_chained_deviation_map_matches_scalar_reference(self, game, uniform_m0):
+        # u sends A to B and B on to C: B is an image but never a
+        # recommendation, so its own image is never played
+        a, b, c = PHI_O, PHI_PLUS, PHI_MINUS
+        u = DeviationMap(((a, b), (b, c), (c, a)))
+        profile = ExplicitProfile(
+            3, (((a, c, a), F(1, 2)), ((c, c, a), F(1, 4)), ((a, a, c), F(1, 4)))
+        )
+        cfg = SimulationConfig(master_seed=3, replications=64)
+        for player in range(3):
+            got = mc_profile_cost(game, profile, player, u, uniform_m0, cfg)
+            want = scalar_mc_reference(game, profile, player, u, uniform_m0, cfg)
+            assert got[0] == want[0]
+
     def test_bit_identical_to_scalar_reference_factored(self, game, rho, uniform_m0):
         profile = lift(rho, 4)
         cfg = SimulationConfig(master_seed=5, replications=64)
@@ -856,9 +870,9 @@ def random_m0(game):
 
 
 class TestActionTreeAgainstCandidateLoop:
-    """The action-tree audit against one `run` per candidate, on random games
-    whose kernel rows have zero entries, over three chunks (the last one
-    partial): equal per-replication costs and equal results, not close."""
+    """The action-tree audit against one path walk per candidate, on random
+    games whose kernel rows have zero entries, over three chunks (the last
+    one partial): equal per-replication costs and equal results, not close."""
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
