@@ -539,13 +539,12 @@ class _MonteCarlo:
     """The vectorized Monte Carlo engine for one table of strategies.
 
     Holds float64 views of the game and a row-index table for strategies;
-    `batches` draws each chunk's random inputs, `deviation_costs` walks one
-    player's action tree to cost every strategy of the table at once (the
-    only place player costs are summed), and `run` walks the one realized
-    path to count the states that player sees.  Both share the step `_node`,
-    which evaluates kernel rows once per (replication, state, action), since
-    a player sees the others only through its own state and the state
-    counts.  Every Monte Carlo caller goes through these methods.
+    `batches` draws each chunk's random inputs, `run` simulates them with one
+    player on its strategy row, and `deviation_costs` walks that player's
+    action tree to cost every strategy of the table at once.  Both share the
+    step `_node`, which evaluates kernel rows once per (replication, state,
+    action), since a player sees the others only through its own state and
+    the state counts.  Every Monte Carlo caller goes through these methods.
     """
 
     def __init__(self, game: GameSpec, strategies: Sequence[RestrictedStrategy]):
@@ -596,20 +595,28 @@ class _MonteCarlo:
 
     def run(
         self, strat_rows: np.ndarray, x0: np.ndarray, noise: np.ndarray, player: int
-    ) -> np.ndarray:
-        """Walk t = 0..T once from per-player strategy rows and noises: the
-        exclusive counts of the other N-1 players that `player` sees, shape
-        (reps, T+1, d)."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Walk t = 0..T once from per-player strategy rows and noises.
+
+        Returns the realized total cost of `player` and the exclusive counts
+        of the other N-1 players that it sees, shape (reps, T+1, d).
+        """
         rep = np.arange(len(x0))
         seen = np.empty((len(x0), self.horizon + 1, self.d), dtype=np.int64)
+        cost = np.zeros(len(x0), dtype=np.float64)
         states = x0
         for t in range(self.horizon + 1):
-            counts, _, th = self._node(t, states)
-            seen[:, t] = counts - self.eye[states[:, player]]
+            counts, m, th = self._node(t, states)
+            xi = states[:, player]
+            seen[:, t] = counts - self.eye[xi]
             if th is None:
-                return seen
+                break
             acts = self.act[strat_rows, t, states]
+            ai = acts[:, player]
+            cost += _affine_eval(self.rb[t, xi, ai], self.rc[t, xi, ai], m[rep, xi])
             states = _count_below(th[rep[:, None], states, acts], noise[:, t])
+        cost += _affine_eval(self.tb[xi], self.tc[xi], m[rep, xi])
+        return cost, seen
 
     def deviation_costs(
         self, strat_rows: np.ndarray, x0: np.ndarray, noise: np.ndarray, player: int
@@ -719,8 +726,7 @@ def mc_profile_cost(
     cfg: SimulationConfig,
 ) -> tuple[float, float]:
     """Monte Carlo estimate and standard error of one player's expected cost
-    when it plays u(recommendation): per replication, the action tree's cost
-    of that image."""
+    when it plays u(recommendation) and the others their recommendations."""
     if not 0 <= player < profile.n_players:
         raise ValueError(f"player index {player} out of range")
     support = profile.support_strategies()
@@ -732,8 +738,8 @@ def mc_profile_cost(
     total = 0.0
     costs = np.empty(reps, dtype=np.float64)
     for start, strat_rows, x0, noise in mc.batches(profile, m0n, cfg):
-        tree = mc.deviation_costs(strat_rows, x0, noise, player)
-        cost = tree[np.arange(len(x0)), remap[strat_rows[:, player]]]
+        strat_rows[:, player] = remap[strat_rows[:, player]]
+        cost, _ = mc.run(strat_rows, x0, noise, player)
         total += float(np.sum(cost))
         costs[start:start + len(cost)] = cost
     return total / reps, _stderr(costs)

@@ -20,7 +20,7 @@
   * `malformed_game`: a game document with one shape fault of the kinds in
     `MALFORMED_GAMES`, each of which `io.game_from_json` must refuse;
   * `deviation_costs_by_candidate`: the Monte Carlo deviation audit with one
-    path walk per candidate strategy, costed along the path, which
+    simulation per candidate strategy, which
     `nplayer._MonteCarlo.deviation_costs` replaces by one walk of the
     deviator's action tree;
   * `random_correlated_flow`: a seeded correlated flow on a game, with random
@@ -81,8 +81,6 @@ from cmfg.nplayer import (
     ExchangeabilityReport,
     ExchangeabilityRow,
     ExplicitProfile,
-    _affine_eval,
-    _count_below,
     exact_joint_propagate,
 )
 from cmfg.rng import stream_value
@@ -381,24 +379,13 @@ def random_game(seed: int, d: int, n_actions: int, horizon: int) -> GameSpec:
 
 
 def deviation_costs_by_candidate(mc, strat_rows, x0, noise, player):
-    """`_MonteCarlo.deviation_costs` with one path walk per candidate strategy
-    on the same chunk of random inputs, summing the player's running and
-    terminal costs along each path in time order."""
-    rep = np.arange(len(x0))
+    """`_MonteCarlo.deviation_costs` with one `run` per candidate strategy on
+    the same chunk of random inputs."""
     costs = np.empty((len(x0), len(mc.strategies)), dtype=np.float64)
     rows = strat_rows.copy()
     for c in range(len(mc.strategies)):
         rows[:, player] = c
-        cost, states = np.zeros(len(x0)), x0
-        for t in range(mc.horizon):
-            _, m, th = mc._node(t, states)
-            x, acts = states[:, player], mc.act[rows, t, states]
-            a = acts[:, player]
-            cost += _affine_eval(mc.rb[t, x, a], mc.rc[t, x, a], m[rep, x])
-            states = _count_below(th[rep[:, None], states, acts], noise[:, t])
-        _, m, _ = mc._node(mc.horizon, states)
-        x = states[:, player]
-        costs[:, c] = cost + _affine_eval(mc.tb[x], mc.tc[x], m[rep, x])
+        costs[:, c] = mc.run(rows, x0, noise, player)[0]
     return costs
 
 

@@ -870,9 +870,9 @@ def random_m0(game):
 
 
 class TestActionTreeAgainstCandidateLoop:
-    """The action-tree audit against one path walk per candidate, on random
-    games whose kernel rows have zero entries, over three chunks (the last
-    one partial): equal per-replication costs and equal results, not close."""
+    """The action-tree audit against one `run` per candidate, on random games
+    whose kernel rows have zero entries, over three chunks (the last one
+    partial): equal per-replication costs and equal results, not close."""
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
