@@ -544,7 +544,9 @@ class _MonteCarlo:
     action tree to cost every strategy of the table at once.  Both share the
     step `_node`, which evaluates kernel rows once per (replication, state,
     action), since a player sees the others only through its own state and
-    the state counts.  Every Monte Carlo caller goes through these methods.
+    the state counts.  The tree carries the others' counts down to a node's
+    children and costs its leaves at the last internal level.  Every Monte
+    Carlo caller goes through these methods.
     """
 
     def __init__(self, game: GameSpec, strategies: Sequence[RestrictedStrategy]):
@@ -578,16 +580,21 @@ class _MonteCarlo:
             x0 = _pick(w0, uni[:, n + 1 : 2 * n + 1])
             yield start, strat_rows, x0, uni[:, 2 * n + 1 :].reshape(count, T, n)
 
-    def _node(self, t: int, states: np.ndarray):
-        """The step at time t from the states (reps, N): state counts (reps,
-        d), the measures (reps, d, d) whose row x a player in state x sees and,
-        before the horizon, the `_thresholds` (reps, d, A, d-1) of the kernel
-        row at every (replication, state, action)."""
-        reps, n = states.shape
+    def _count(self, states: np.ndarray) -> np.ndarray:
+        """State counts (reps, d) of the states (reps, N)."""
+        reps = len(states)
         bins = self.d * np.arange(reps)[:, None]  # one bin per (replication, state)
         counts = np.bincount((bins + states).ravel(), minlength=reps * self.d)
-        counts = counts.reshape(reps, self.d)
-        m = (counts[:, None, :] - self.eye) / (n - 1)
+        return counts.reshape(reps, self.d)
+
+    def _node(self, t: int, states: np.ndarray, counts: Optional[np.ndarray] = None):
+        """The step at time t from the states (reps, N), counted unless given:
+        state counts (reps, d), the measures (reps, d, d) whose row x a player
+        in state x sees and, before the horizon, the `_thresholds` (reps, d,
+        A, d-1) of the kernel row at every (replication, state, action)."""
+        if counts is None:
+            counts = self._count(states)
+        m = (counts[:, None, :] - self.eye) / (states.shape[1] - 1)
         if t == self.horizon:
             return counts, m, None
         w = _affine_eval(self.kb[t], self.kc[t], m[:, :, None, None, :])
@@ -629,30 +636,36 @@ class _MonteCarlo:
         reps, A = len(x0), self.n_actions
         visited = [np.empty((reps, A ** t), dtype=np.int64) for t in range(self.horizon)]
         leaves = np.empty((reps, A ** self.horizon), dtype=np.float64)
-        self._visit(0, 0, x0, np.zeros(reps), (strat_rows, noise, player, visited, leaves))
+        self._visit(0, 0, x0, None, np.zeros(reps), (strat_rows, noise, player, visited, leaves))
         leaf = np.zeros((reps, len(self.act)), dtype=np.int64)
         rows = np.arange(len(self.act))
         for t, xs in enumerate(visited):
             leaf = leaf * A + self.act[rows, t, np.take_along_axis(xs, leaf, axis=1)]
         return np.take_along_axis(leaves, leaf, axis=1)
 
-    def _visit(self, t, node, states, cost, walk):
-        """Node `node` (the player's actions so far, base |A|) at time t: one
-        step and N-player draw, then per action only the player's own draw."""
+    def _visit(self, t, node, states, counts, cost, walk):
+        """Node `node` (the player's actions so far, base |A|) at time t < T,
+        `counts` those of `states` or None: one step and N-player draw, then
+        per action only the player's own draw.  The children share the others'
+        next counts; at t = T-1 they are leaves, costed here on those over N-1."""
         strat_rows, noise, player, visited, leaves = walk
         rep = np.arange(len(states))
-        _, m, th = self._node(t, states)
+        _, m, th = self._node(t, states, counts)
         x = states[:, player]
-        if th is None:
-            leaves[:, node] = cost + _affine_eval(self.tb[x], self.tc[x], m[rep, x])
-            return
         visited[t][:, node] = x
         acts = self.act[strat_rows, t, states]
         nxt = _count_below(th[rep[:, None], states, acts], noise[:, t])
+        seen = self._count(nxt) - self.eye[nxt[:, player]]
+        end = seen / (states.shape[1] - 1) if t + 1 == self.horizon else None
         for a in range(self.n_actions):
-            nxt[:, player] = _count_below(th[rep, x, a], noise[:, t, player])
-            step = _affine_eval(self.rb[t, x, a], self.rc[t, x, a], m[rep, x])
-            self._visit(t + 1, node * self.n_actions + a, nxt, cost + step, walk)
+            y = _count_below(th[rep, x, a], noise[:, t, player])
+            child = node * self.n_actions + a
+            step = cost + _affine_eval(self.rb[t, x, a], self.rc[t, x, a], m[rep, x])
+            if end is not None:
+                leaves[:, child] = step + _affine_eval(self.tb[y], self.tc[y], end)
+            else:
+                nxt[:, player] = y
+                self._visit(t + 1, child, nxt, seen + self.eye[y], step, walk)
 
 
 def _thresholds(weights: np.ndarray) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Every uniform is a pure function of (master seed, replication index, slot
 index): the replication seed is the SplitMix64 output at the replication
-counter, and each slot reuses the same generator one level down.  This makes
-results independent of execution order and chunking, so parallel runs and
-common-random-number comparisons are reproducible by construction.
+counter, and each slot reuses the same generator one level down.  Results are
+independent of execution order, chunking and `uniform_block`'s in-place row
+blocks, so parallel and common-random-number runs reproduce by construction.
 
 Slot layout per replication with N players over horizon T.  Its one user is
 the batch generator of the Monte Carlo engine (`nplayer._MonteCarlo.batches`),
@@ -41,17 +41,32 @@ def stream_value(seed: int, rep: int, slot: int) -> int:
     return mix64((rep_seed + (slot + 1) * _GOLDEN) & _MASK)
 
 
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_M1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_M2)
-    return z ^ (z >> np.uint64(31))
+_BLOCK = 1 << 15  # uint64s per block: a 256 KiB scratch pair stays in cache
+
+
+def _mixed_blocks(base: np.ndarray, offsets: np.ndarray):
+    """Per block of rows, (rows, z) with z[r, c] = mix64(base[rows][r] +
+    offsets[c]), the rounds run in place on one scratch pair of about
+    `_BLOCK` uint64s that every block reuses."""
+    step = max(1, _BLOCK // max(1, len(offsets)))
+    z = np.empty((min(step, len(base)), len(offsets)), dtype=np.uint64)
+    t = np.empty_like(z)
+    for r in range(0, len(base), step):
+        rows = slice(r, r + step)
+        zb, tb = z[: len(base) - r], t[: len(base) - r]
+        np.add(base[rows, None], offsets, out=zb)
+        for shift, mult in ((30, _M1), (27, _M2)):
+            zb ^= np.right_shift(zb, np.uint64(shift), out=tb)
+            zb *= np.uint64(mult)
+        zb ^= np.right_shift(zb, np.uint64(31), out=tb)
+        yield rows, zb
 
 
 def rep_seeds(seed: int, rep_start: int, rep_count: int) -> np.ndarray:
     reps = np.arange(rep_start + 1, rep_start + rep_count + 1, dtype=np.uint64)
-    return _mix_array(np.uint64(seed & _MASK) + reps * np.uint64(_GOLDEN))
+    base = np.array([seed & _MASK], dtype=np.uint64)
+    ((_, z),) = _mixed_blocks(base, reps * np.uint64(_GOLDEN))  # one row, one block
+    return z[0]
 
 
 def uniform_block(
@@ -60,8 +75,13 @@ def uniform_block(
     """Matrix of uniforms in [0, 1) with 53 random bits, rows = replications,
     columns = the given slots: entry (r, s) is
     ``(stream_value(seed, rep_start + r, slots[s]) >> 11) * 2**-53``.
+    The output, the one allocation of its size, is filled in place block by
+    block; a uniform depends only on its counters, so any blocking agrees.
     """
     rs = rep_seeds(seed, rep_start, rep_count)
     slot_off = (np.asarray(slots, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
-    raw = _mix_array(rs[:, None] + slot_off[None, :])
-    return (raw >> np.uint64(11)).astype(np.float64) * _SCALE
+    out = np.empty((rep_count, len(slot_off)), dtype=np.float64)
+    for rows, z in _mixed_blocks(rs, slot_off):
+        z >>= np.uint64(11)
+        np.multiply(z, _SCALE, out=out[rows])
+    return out

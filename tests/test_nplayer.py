@@ -879,20 +879,37 @@ class TestActionTreeAgainstCandidateLoop:
         monkeypatch.setattr(nplayer, "_CHUNK", 16)
 
     @pytest.mark.parametrize(
-        "shape", [(3, 2, 2), (2, 3, 3), (2, 2, 3), (3, 3, 2)],
+        "shape", [(3, 2, 2), (2, 3, 3), (2, 2, 3), (3, 3, 2), (2, 2, 1), (3, 2, 1)],
         ids=lambda s: "d{}-A{}-T{}".format(*s),
     )
     @pytest.mark.parametrize("kind", [0, 1], ids=["explicit", "factored"])
     @pytest.mark.parametrize("last", [False, True], ids=["first-player", "last-player"])
     def test_costs_and_result_equal(self, monkeypatch, shape, kind, last):
         game = random_game(sum(shape), *shape)
+        profile = random_profiles(game, sum(shape))[kind]
+        player = profile.n_players - 1 if last else 0
+        self.check(monkeypatch, game, profile, player, sum(shape) + kind)
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 2, 2), (3, 2, 1)], ids=lambda s: "d{}-A{}-T{}".format(*s)
+    )
+    @pytest.mark.parametrize("player", [0, 1])
+    def test_two_players(self, monkeypatch, shape, player):
+        """N - 1 = 1: each player sees the other alone."""
+        game = random_game(sum(shape), *shape)
+        r = random.Random(sum(shape))
+        s = enumerate_strategies(game)
+        profile = ExplicitProfile(
+            2, tuple(((r.choice(s), r.choice(s)), F(1, 3)) for _ in range(3))
+        )
+        self.check(monkeypatch, game, profile, player, sum(shape))
+
+    def check(self, monkeypatch, game, profile, player, seed):
         assert validate_game(game).ok
         assert any(w == 0 for by_x in game.transition.rows for by_a in by_x
                    for row in by_a for w in row.base)
         m0 = random_m0(game)
-        profile = random_profiles(game, sum(shape))[kind]
-        player = profile.n_players - 1 if last else 0
-        cfg = SimulationConfig(master_seed=sum(shape) + kind, replications=40)
+        cfg = SimulationConfig(master_seed=seed, replications=40)
         mc = _MonteCarlo(game, enumerate_strategies(game))
         chunks = 0
         for _, strat_rows, x0, noise in mc.batches(profile, m0, cfg):

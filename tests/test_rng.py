@@ -1,6 +1,9 @@
 """Counter-based random streams: reference vectors, vector/scalar agreement."""
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -53,6 +56,56 @@ def test_uniform_block_chunk_invariant():
         [rng.uniform_block(9, 0, 7, slots), rng.uniform_block(9, 7, 13, slots)]
     )
     assert np.array_equal(whole, parts)
+
+
+class TestBlocks:
+    """`uniform_block` fills its output in row blocks of `rng._BLOCK` uint64s;
+    with a 7-uint64 block every entry must still be the scalar stream's."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(rng, "_BLOCK", 7)
+
+    @pytest.mark.parametrize(
+        "n_slots, rep_count",
+        [(3, 12), (9, 5), (2, 10), (4, 0), (4, 1)],
+        ids=["many-blocks", "row-wider-than-block", "partial-last-block",
+             "no-replication", "one-replication"],
+    )
+    def test_matches_scalar(self, n_slots, rep_count):
+        slots = np.arange(2, 2 + n_slots, dtype=np.uint64)
+        block = rng.uniform_block(31, 4, rep_count, slots)
+        assert block.shape == (rep_count, n_slots) and block.dtype == np.float64
+        for r in range(rep_count):
+            for s in range(n_slots):
+                assert block[r, s] == uniform(31, 4 + r, 2 + s)
+
+    def test_chunk_invariant_across_a_block_boundary(self):
+        slots = np.arange(3, dtype=np.uint64)  # two rows per block
+        whole = rng.uniform_block(9, 0, 20, slots)
+        parts = np.vstack(
+            [rng.uniform_block(9, 0, 7, slots), rng.uniform_block(9, 7, 13, slots)]
+        )
+        assert np.array_equal(whole, parts)
+
+    def test_rep_seeds_wider_than_a_block(self):
+        seeds = rng.rep_seeds(11, 3, 20)
+        assert seeds.tolist() == [
+            rng.mix64((11 + (3 + k + 1) * GOLDEN) & MASK) for k in range(20)
+        ]
+
+
+def test_uniform_block_memory_is_its_output():
+    """The uniforms are filled in place through bounded scratch: the traced
+    peak stays within a quarter of the output's size beyond it."""
+    slots = np.arange(201, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        block = rng.uniform_block(0, 0, 4096, slots)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * block.nbytes
 
 
 def test_rep_seeds_distinct():
