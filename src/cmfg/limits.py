@@ -147,6 +147,7 @@ def empirical_rho_n(
         for rec_row, path in zip(strat_rows[:, 0].tolist(), seen.tolist()):
             key = (rec_row, tuple(map(tuple, path)))
             buckets[key] = buckets.get(key, 0) + 1
+        del strat_rows, x0, noise, seen
     measures = {
         row: ProbabilityVector(game.states, tuple(Fraction(c, n - 1) for c in row), EXACT)
         for row in {row for _, count_rows in buckets for row in count_rows}

@@ -30,9 +30,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -228,18 +229,24 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class CountPropagation:
-    """Law of the count chain at times 0..T and player 0's expected costs.
+    """Player 0's expected costs and the law of the count chain at times 0..T.
 
     The groups are the distinct strategies of players 1..N-1 in order of
     first appearance.  A chain state is the tuple (x0, c_0, c_1, ...):
     player 0's state, then for each group g the d-tuple c_g of how many of
-    its players sit in each state.  `laws` is the law with player 0 on
-    strategies[0]; `costs` holds its total expected cost on each candidate,
-    in order.
+    its players sit in each state.  `costs` holds player 0's total expected
+    cost on each candidate, in order.  `laws` is the law with player 0 on
+    strategies[0], built and divided on first read.  The walk costs its last
+    step on expected terminal costs and keeps no law at T, so that law is
+    one push of the law at T-1 under strategies[0]'s actions.
     """
 
-    laws: tuple[dict[tuple, Scalar], ...]  # times 0..T
     costs: tuple[Scalar, ...]
+    build_laws: Callable[[], tuple] = field(repr=False, compare=False)
+
+    @cached_property
+    def laws(self) -> tuple[dict[tuple, Scalar], ...]:  # times 0..T
+        return self.build_laws()
 
 
 def exact_joint_propagate(
@@ -270,15 +277,19 @@ def exact_joint_propagate(
     candidate of its set plays at (t, x), into the set of those that play
     it, and a candidate's cost is the sum of the running and terminal costs
     over the sets it belongs to.  With one candidate the walk is the plain
-    propagation.  `memo`, a `_ChainSteps` of the same game, carries kernel
-    rows, costs and the others' count laws from one walk to the next.
-    Inputs with more than `joint_cap` joint states |X|^N are refused.
+    propagation.  The last step, from T-1, builds no law at T: each (set,
+    chain state, action) adds its weight times the running cost and times
+    the expected terminal cost one step on (`_ChainSteps.expected`), as the
+    Monte Carlo tree costs its leaves at the last internal level.  `memo`, a
+    `_ChainSteps` of the same game, carries kernel rows, costs, the others'
+    count laws and those expectations from one walk to the next.  Inputs
+    with more than `joint_cap` joint states |X|^N are refused.
 
     The weights are integer numerators over one denominator per time step
     (`_ChainSteps.start`) and the costs integers over the last one times
-    qc (N-1), so a walk divides once at the end: one `Fraction` per candidate
-    and per returned law entry, none per successor.  A float game runs the
-    same loop with every scale 1.
+    qc (N-1), so a walk divides once at the end: one `Fraction` per
+    candidate and none per successor.  The laws are pushed to T and divided
+    only when read.  A float game runs the same loop with every scale 1.
     """
     n = len(strategies)
     if n < 2:
@@ -310,9 +321,13 @@ def exact_joint_propagate(
         [_add_players({(0,) * d: 1}, sizes[s.actions], start).items() for s in groups],
     ))
     nodes = {tuple(range(len(walked))): law}  # candidate set -> its part of the law
-    laws = [law]
-    spent: dict[tuple, Scalar] = {}  # candidate set -> cost numerator on its histories
+    laws = []  # player 0's own law at times 0..T-1
+    spent: dict[tuple, Scalar] = {}  # candidate set -> running cost numerator on its histories
+    ends: dict[tuple, Scalar] = {}  # candidate set -> terminal cost numerator on its histories
+    last = game.horizon - 1
     for t in range(game.horizon):
+        mine = [law for cands, law in nodes.items() if cands[0] == 0]
+        laws.append(mine[0] if len(mine) == 1 else _summed(mine))
         acts = tuple(s.actions[t] for s in groups)
         nxt: dict[tuple, dict] = {}
         for cands, law in nodes.items():
@@ -323,6 +338,10 @@ def exact_joint_propagate(
                     row, running = steps.move(t, counts, x, a)
                     c = w * running
                     spent[sub] = spent[sub] + c if sub in spent else c
+                    if t == last:
+                        c = w * steps.expected(key, acts, a)
+                        ends[sub] = ends[sub] + c if sub in ends else c
+                        continue
                     into = nxt.get(sub)
                     if into is None:
                         into = nxt[sub] = {}
@@ -334,21 +353,27 @@ def exact_joint_propagate(
                             into[nk] = get(nk, 0) + wk * q
         nodes = nxt
         spent = {sub: c * step for sub, c in spent.items()}  # onto the next denominator
-        mine = [law for cands, law in nodes.items() if cands[0] == 0]
-        laws.append(mine[0] if len(mine) == 1 else _summed(mine))
-    for cands, law in nodes.items():
-        for key, w in law.items():
-            c = w * steps.terminal(key)
-            spent[cands] = spent[cands] + c if cands in spent else c
     totals = [0] * len(walked)
-    for cands, c in spent.items():
-        for i in cands:
-            totals[i] += c
+    for part in (spent, ends):
+        for cands, c in part.items():
+            for i in cands:
+                totals[i] += c
     ratio, dens = steps.ratio, [den * step ** t for t in range(game.horizon + 1)]
     totals = [ratio(c, dens[-1] * cost_den) for c in totals]
-    laws = [{k: ratio(w, q) for k, w in law.items()} for law, q in zip(laws, dens)]
     index = {a: i for i, a in enumerate(walked)}
-    return CountPropagation(tuple(laws), tuple(totals[index[s.actions]] for s in candidates))
+
+    def build_laws():
+        # the law at T: one push of player 0's law at T-1 under its own actions
+        acts, final = tuple(s.actions[last] for s in groups), {}
+        for key, w in laws[-1].items():
+            counts, spread = steps.others(last, key, acts)
+            for y, k in steps.move(last, counts, key[0], own.actions[last][key[0]])[0]:
+                for oc, q in spread:
+                    nk = (y, *oc)
+                    final[nk] = final.get(nk, 0) + w * k * q
+        return tuple({k: ratio(w, q) for k, w in law.items()} for law, q in zip((*laws, final), dens))
+
+    return CountPropagation(tuple(totals[index[s.actions]] for s in candidates), build_laws)
 
 
 class _ChainSteps:
@@ -356,7 +381,9 @@ class _ChainSteps:
 
     Kernel rows and running costs per (t, inclusive counts, x, a), the
     others' next-count law per (t, chain state, the groups' actions at t),
-    and terminal costs per chain state.  A player sees the measure
+    terminal costs per chain state, and player 0's expected terminal cost
+    after the last step per (chain state at T-1, the groups' actions, a),
+    built from the other three.  A player sees the measure
     counts/(n-1), so in an exact game a kernel entry times qk (n-1) and a
     cost times qc (n-1) are integers, with qk the lcm of the transition
     tables' denominators and qc that of the cost tables'.  The pieces come
@@ -376,6 +403,7 @@ class _ChainSteps:
         self.moves: dict[tuple, tuple] = {}
         self.spreads: dict[tuple, tuple] = {}
         self.terminals: dict[tuple, Scalar] = {}
+        self.ends: dict[tuple, Scalar] = {}
 
     def start(self, m0n: ProbabilityVector, n: int) -> tuple:
         """The initial law's nonzero entries [(y, w)] scaled by the lcm L0 of
@@ -435,6 +463,24 @@ class _ChainSteps:
             cost = self.game.raw_terminal_cost(x, self.seen(counts, x))
             hit = self.terminals[key] = self._scaled(cost, self.qc, counts)
         return hit
+
+    def expected(self, key: tuple, acts: tuple, a: int) -> Scalar:
+        """Player 0's expected terminal cost after the last step from chain
+        state key at T-1, playing a with group g on acts[g]: the sum over y
+        and the others' next counts oc of k_y q_oc terminal((y, *oc)), scaled
+        by the step's (qk (n-1))^n times qc (n-1)."""
+        hit = self.ends.get((key, acts, a))
+        if hit is None:
+            hit = self.ends[key, acts, a] = self._expectation(key, acts, a)
+        return hit
+
+    def _expectation(self, key: tuple, acts: tuple, a: int) -> Scalar:
+        t, terminal = self.game.horizon - 1, self.terminal
+        counts, spread = self.others(t, key, acts)
+        return sum(
+            k * sum(q * terminal((y, *oc)) for oc, q in spread)
+            for y, k in self.move(t, counts, key[0], a)[0]
+        )
 
 
 def _add_players(law: dict, count: int, entries) -> dict:
@@ -566,7 +612,9 @@ class _MonteCarlo:
     ):
         """Per chunk of replications, (start, strategy rows, initial states,
         noise) of shapes (count, N), (count, N) and (count, T, N), drawn from
-        the slot layout documented in `rng`."""
+        the slot layout documented in `rng`.  The noise is a copy, so the
+        chunk's uniform block is freed before the walk; a caller drops its
+        chunk before asking for the next, which is drawn only then."""
         require_initial_law(self.game, m0n)
         n, T = profile.n_players, self.horizon
         sampler = _ProfileSampler(profile, self)
@@ -578,7 +626,10 @@ class _MonteCarlo:
             uni = rng.uniform_block(cfg.master_seed, start, count, slots)
             strat_rows = sampler.draw(uni[:, : n + 1])
             x0 = _pick(w0, uni[:, n + 1 : 2 * n + 1])
-            yield start, strat_rows, x0, uni[:, 2 * n + 1 :].reshape(count, T, n)
+            noise = uni[:, 2 * n + 1 :].reshape(count, T, n).copy()
+            del uni
+            yield start, strat_rows, x0, noise
+            del strat_rows, x0, noise
 
     def _count(self, states: np.ndarray) -> np.ndarray:
         """State counts (reps, d) of the states (reps, N)."""
@@ -755,6 +806,7 @@ def mc_profile_cost(
         cost, _ = mc.run(strat_rows, x0, noise, player)
         total += float(np.sum(cost))
         costs[start:start + len(cost)] = cost
+        del strat_rows, x0, noise
     return total / reps, _stderr(costs)
 
 
@@ -844,6 +896,7 @@ def _deviation_gain_mc(
         stop = start + len(strat_rows)
         rec_rows[start:stop] = strat_rows[:, player]
         costs[start:stop] = mc.deviation_costs(strat_rows, x0, noise, player)
+        del strat_rows, x0, noise
     recs = sorted(set(rec_rows.tolist()))
     masks = [rec_rows == rec_i for rec_i in recs]
     rows = gap_rows(candidates, [

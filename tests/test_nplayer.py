@@ -4,6 +4,7 @@ import gc
 import math
 import random
 import time
+import tracemalloc
 import weakref
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, product
@@ -496,6 +497,24 @@ class TestCostTableWork:
         assert walks == [3] * 136
         assert len(rows) == len(set(rows)) == 24
 
+    def test_ce_takes_each_last_step_expectation_once(self, monkeypatch):
+        """Across the same 136 walks, the expected terminal cost after the
+        last step is computed once per (chain state at T-1, the groups'
+        actions, player 0's action): the memo serves every walk and every
+        candidate set."""
+        params = two_state.ExampleParams.from_alpha(F(1, 2), F(1, 32), F(3, 32))
+        game, _, _ = two_state.build_example(params)
+        keys = []
+        expectation = nplayer._ChainSteps._expectation
+
+        def counted(self, key, acts, a):
+            keys.append((key, acts, a))
+            return expectation(self, key, acts, a)
+
+        monkeypatch.setattr(nplayer._ChainSteps, "_expectation", counted)
+        solve_symmetric_ce(game, 3, ProbabilityVector.uniform(game.states, EXACT))
+        assert len(keys) == len(set(keys)) == 304  # 2,112 with one memo per walk
+
 
 class TestProfileCostExact:
     def test_pinned_two_player_table(self, game, uniform_m0):
@@ -960,6 +979,24 @@ class TestChunkMemory:
                 assert (len(refs), alive) == (5, 0), name
         finally:
             gc.enable()
+
+    def test_the_walk_holds_one_chunk_of_noise(self):
+        """The Monte Carlo audit of the c1 = 3/32 lift at N=200, 10^4
+        replications: a chunk's uniform block (4,096 x 801 float64s, 25 MiB)
+        is freed before the tree walk, which keeps only the T N noise
+        columns, and before the next block is drawn.  A block held through
+        the walk and into the next draw peaks near 77 MiB."""
+        params = two_state.ExampleParams.from_alpha(F(1, 2), F(1, 32), F(3, 32))
+        game, rho, m0 = two_state.build_example(params)
+        profile = lift(rho, 200)
+        cfg = SimulationConfig(master_seed=0, replications=10_000)
+        tracemalloc.start()
+        try:
+            deviation_gain(game, profile, 0, m0, "mc", cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 68 * 2**20
 
 
 class TestExactPropagationOnMixingGame:
