@@ -403,7 +403,7 @@ class _ChainSteps:
         self.moves: dict[tuple, tuple] = {}
         self.spreads: dict[tuple, tuple] = {}
         self.terminals: dict[tuple, Scalar] = {}
-        self.ends: dict[tuple, Scalar] = {}
+        self.expectations: dict[tuple, Scalar] = {}
 
     def start(self, m0n: ProbabilityVector, n: int) -> tuple:
         """The initial law's nonzero entries [(y, w)] scaled by the lcm L0 of
@@ -469,9 +469,9 @@ class _ChainSteps:
         state key at T-1, playing a with group g on acts[g]: the sum over y
         and the others' next counts oc of k_y q_oc terminal((y, *oc)), scaled
         by the step's (qk (n-1))^n times qc (n-1)."""
-        hit = self.ends.get((key, acts, a))
+        hit = self.expectations.get((key, acts, a))
         if hit is None:
-            hit = self.ends[key, acts, a] = self._expectation(key, acts, a)
+            hit = self.expectations[key, acts, a] = self._expectation(key, acts, a)
         return hit
 
     def _expectation(self, key: tuple, acts: tuple, a: int) -> Scalar:
