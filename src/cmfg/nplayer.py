@@ -6,7 +6,8 @@ N-1 states.  This module provides
   * exact propagation of the count chain (one player's state and the
     others' state counts per strategy), which every exact caller uses; one
     walk of the deviator's action tree on it costs every candidate strategy
-    against one multiset of the others' strategies,
+    against one multiset of the others' strategies, and one push of one
+    player's own strategy gives the chain's laws,
   * a vectorized Monte Carlo simulator with counter-based random streams,
   * deviation gains (the epsilon in epsilon-correlated equilibrium),
     decomposed per recommendation, exactly (one walk per multiset of the
@@ -30,10 +31,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -227,28 +227,6 @@ class SimulationConfig:
 # exact propagation of the count chain
 
 
-@dataclass(frozen=True)
-class CountPropagation:
-    """Player 0's expected costs and the law of the count chain at times 0..T.
-
-    The groups are the distinct strategies of players 1..N-1 in order of
-    first appearance.  A chain state is the tuple (x0, c_0, c_1, ...):
-    player 0's state, then for each group g the d-tuple c_g of how many of
-    its players sit in each state.  `costs` holds player 0's total expected
-    cost on each candidate, in order.  `laws` is the law with player 0 on
-    strategies[0], built and divided on first read.  The walk costs its last
-    step on expected terminal costs and keeps no law at T, so that law is
-    one push of the law at T-1 under strategies[0]'s actions.
-    """
-
-    costs: tuple[Scalar, ...]
-    build_laws: Callable[[], tuple] = field(repr=False, compare=False)
-
-    @cached_property
-    def laws(self) -> tuple[dict[tuple, Scalar], ...]:  # times 0..T
-        return self.build_laws()
-
-
 def exact_joint_propagate(
     game: GameSpec,
     strategies: Sequence[RestrictedStrategy],
@@ -257,9 +235,9 @@ def exact_joint_propagate(
     candidates: Optional[Sequence[RestrictedStrategy]] = None,
     memo: Optional[_ChainSteps] = None,
     joint_cap: int = DEFAULT_JOINT_CAP,
-) -> CountPropagation:
-    """Exact law of the count chain and player 0's expected total cost under
-    every candidate strategy (default: strategies[0] alone), in one walk.
+) -> tuple[Scalar, ...]:
+    """Player 0's expected total cost under every candidate strategy
+    (default: strategies[0] alone), in order, in one walk of the count chain.
 
     Each player moves with the kernel evaluated at the empirical measure of
     the other N-1 players, independently given the current states, and a
@@ -271,39 +249,29 @@ def exact_joint_propagate(
     the row of each action that player 0 may play.
 
     The walk is the deviator's action tree: it splits the law by the set of
-    candidates that agree with player 0's history ((x_0, a_0), ...,
+    distinct candidates that agree with player 0's history ((x_0, a_0), ...,
     (x_{t-1}, a_{t-1})), that is with a_s = psi(s, x_s) at every s.  From
     state x at time t the law moves on under each action that some
     candidate of its set plays at (t, x), into the set of those that play
     it, and a candidate's cost is the sum of the running and terminal costs
-    over the sets it belongs to.  With one candidate the walk is the plain
-    propagation.  The last step, from T-1, builds no law at T: each (set,
-    chain state, action) adds its weight times the running cost and times
-    the expected terminal cost one step on (`_ChainSteps.expected`), as the
-    Monte Carlo tree costs its leaves at the last internal level.  `memo`, a
-    `_ChainSteps` of the same game, carries kernel rows, costs, the others'
-    count laws and those expectations from one walk to the next.  Inputs
-    with more than `joint_cap` joint states |X|^N are refused.
+    over the sets it belongs to.  The last step, from T-1, builds no law at
+    T: each (set, chain state, action) adds its weight times the running
+    cost and times the expected terminal cost one step on
+    (`_ChainSteps.expected`), as the Monte Carlo tree costs its leaves at
+    the last internal level.  `memo`, a `_ChainSteps` of the same game,
+    carries kernel rows, costs, the others' count laws and those
+    expectations from one walk to the next.  Inputs with more than
+    `joint_cap` joint states |X|^N are refused.
 
     The weights are integer numerators over one denominator per time step
     (`_ChainSteps.start`) and the costs integers over the last one times
     qc (N-1), so a walk divides once at the end: one `Fraction` per
-    candidate and none per successor.  The laws are pushed to T and divided
-    only when read.  A float game runs the same loop with every scale 1.
+    candidate and none per successor.  A float game runs the same loop with
+    every scale 1.  The chain's laws come from `count_chain_laws`.
     """
-    n = len(strategies)
-    if n < 2:
-        raise ValueError("need at least two players")
-    require_initial_law(game, m0n)
-    d = len(game.states)
-    if d ** n > joint_cap:
-        raise CapacityError(f"{d ** n} joint states exceed cap {joint_cap}")
-    steps = _ChainSteps(game) if memo is None else memo
-    own, others = strategies[0], strategies[1:]
-    candidates = (own,) if candidates is None else tuple(candidates)
-    walked = tuple({s.actions: s for s in (own, *candidates)})  # own first
-    groups = tuple({s.actions: s for s in others}.values())
-    sizes = Counter(s.actions for s in others)
+    steps = _admitted(game, strategies, m0n, memo, joint_cap)
+    candidates = strategies[:1] if candidates is None else candidates
+    walked = tuple(dict.fromkeys(s.actions for s in candidates))
     splits: dict[tuple, list] = {}  # (candidate set, t, x) -> [(action, subset)]
 
     def split(cands, t, x):
@@ -315,20 +283,13 @@ def exact_joint_propagate(
             hit = splits[cands, t, x] = [(a, tuple(sub)) for a, sub in by_action.items()]
         return hit
 
-    start, den, step, cost_den = steps.start(m0n, n)
-    law = dict(_product(
-        [((x,), w) for x, w in start],
-        [_add_players({(0,) * d: 1}, sizes[s.actions], start).items() for s in groups],
-    ))
+    law, groups, den, step, cost_den = steps.start(m0n, strategies[1:])
     nodes = {tuple(range(len(walked))): law}  # candidate set -> its part of the law
-    laws = []  # player 0's own law at times 0..T-1
     spent: dict[tuple, Scalar] = {}  # candidate set -> running cost numerator on its histories
     ends: dict[tuple, Scalar] = {}  # candidate set -> terminal cost numerator on its histories
     last = game.horizon - 1
     for t in range(game.horizon):
-        mine = [law for cands, law in nodes.items() if cands[0] == 0]
-        laws.append(mine[0] if len(mine) == 1 else _summed(mine))
-        acts = tuple(s.actions[t] for s in groups)
+        acts = tuple(g[t] for g in groups)
         nxt: dict[tuple, dict] = {}
         for cands, law in nodes.items():
             for key, w in law.items():
@@ -342,15 +303,7 @@ def exact_joint_propagate(
                         c = w * steps.expected(key, acts, a)
                         ends[sub] = ends[sub] + c if sub in ends else c
                         continue
-                    into = nxt.get(sub)
-                    if into is None:
-                        into = nxt[sub] = {}
-                    get = into.get
-                    for y, k in row:
-                        wk = w * k
-                        for oc, q in spread:
-                            nk = (y, *oc)
-                            into[nk] = get(nk, 0) + wk * q
+                    _push(nxt.setdefault(sub, {}), w, row, spread)
         nodes = nxt
         spent = {sub: c * step for sub, c in spent.items()}  # onto the next denominator
     totals = [0] * len(walked)
@@ -358,22 +311,64 @@ def exact_joint_propagate(
         for cands, c in part.items():
             for i in cands:
                 totals[i] += c
+    scale = den * step ** game.horizon * cost_den
+    costs = {a: steps.ratio(c, scale) for a, c in zip(walked, totals)}
+    return tuple(costs[s.actions] for s in candidates)
+
+
+def count_chain_laws(
+    game: GameSpec,
+    strategies: Sequence[RestrictedStrategy],
+    m0n: ProbabilityVector,
+    *,
+    memo: Optional[_ChainSteps] = None,
+    joint_cap: int = DEFAULT_JOINT_CAP,
+) -> tuple[dict[tuple, Scalar], ...]:
+    """The law of the count chain at times 0..T, player 0 on strategies[0].
+
+    The groups are the distinct strategies of players 1..N-1 in order of
+    first appearance.  A chain state is the tuple (x0, c_0, c_1, ...):
+    player 0's state, then for each group g the d-tuple c_g of how many of
+    its players sit in each state.  The push takes the checks, `memo` and
+    integer weights of `exact_joint_propagate`, divided once per entry.
+    """
+    steps = _admitted(game, strategies, m0n, memo, joint_cap)
+    own = strategies[0].actions
+    law, groups, den, step, _ = steps.start(m0n, strategies[1:])
+    laws = [law]
+    for t in range(game.horizon):
+        acts = tuple(g[t] for g in groups)
+        nxt: dict[tuple, Scalar] = {}
+        for key, w in law.items():
+            counts, spread = steps.others(t, key, acts)
+            _push(nxt, w, steps.move(t, counts, key[0], own[t][key[0]])[0], spread)
+        laws.append(law := nxt)
     ratio, dens = steps.ratio, [den * step ** t for t in range(game.horizon + 1)]
-    totals = [ratio(c, dens[-1] * cost_den) for c in totals]
-    index = {a: i for i, a in enumerate(walked)}
+    return tuple({k: ratio(w, q) for k, w in law.items()} for law, q in zip(laws, dens))
 
-    def build_laws():
-        # the law at T: one push of player 0's law at T-1 under its own actions
-        acts, final = tuple(s.actions[last] for s in groups), {}
-        for key, w in laws[-1].items():
-            counts, spread = steps.others(last, key, acts)
-            for y, k in steps.move(last, counts, key[0], own.actions[last][key[0]])[0]:
-                for oc, q in spread:
-                    nk = (y, *oc)
-                    final[nk] = final.get(nk, 0) + w * k * q
-        return tuple({k: ratio(w, q) for k, w in law.items()} for law, q in zip((*laws, final), dens))
 
-    return CountPropagation(tuple(totals[index[s.actions]] for s in candidates), build_laws)
+def _admitted(game, strategies, m0n, memo, joint_cap) -> _ChainSteps:
+    """The memo a walk of the count chain runs on, once its inputs pass:
+    two players or more, a product initial law, |X|^N <= `joint_cap`."""
+    n = len(strategies)
+    if n < 2:
+        raise ValueError("need at least two players")
+    require_initial_law(game, m0n)
+    d = len(game.states)
+    if d ** n > joint_cap:
+        raise CapacityError(f"{d ** n} joint states exceed cap {joint_cap}")
+    return _ChainSteps(game) if memo is None else memo
+
+
+def _push(into: dict, w: Scalar, row, spread) -> None:
+    """Add to `into` the chain states (y, *oc) one step on from a state of
+    weight w: player 0's row [(y, k)] times the others' spread [(oc, q)]."""
+    get = into.get
+    for y, k in row:
+        wk = w * k
+        for oc, q in spread:
+            nk = (y, *oc)
+            into[nk] = get(nk, 0) + wk * q
 
 
 class _ChainSteps:
@@ -405,16 +400,25 @@ class _ChainSteps:
         self.terminals: dict[tuple, Scalar] = {}
         self.expectations: dict[tuple, Scalar] = {}
 
-    def start(self, m0n: ProbabilityVector, n: int) -> tuple:
-        """The initial law's nonzero entries [(y, w)] scaled by the lcm L0 of
-        their denominators, and a walk of n players' denominators: L0^n at
-        time 0, times (qk (n-1))^n per step, one factor per player's kernel
-        entry, and times qc (n-1) for the costs."""
-        if not self.exact:
-            return [(y, w) for y, w in enumerate(m0n.weights) if w], 1, 1, 1
-        l0 = _denominator_lcm(m0n.weights)
-        start = [(y, scaled(w, l0)) for y, w in enumerate(m0n.weights) if w]
-        return start, l0 ** n, (self.qk * (n - 1)) ** n, self.qc * (n - 1)
+    def start(self, m0n: ProbabilityVector, others: Sequence[RestrictedStrategy]) -> tuple:
+        """The initial chain law against `others`, the groups' action tables
+        and the denominators of a walk of n = len(others) + 1 players: L0^n
+        at time 0, for L0 the lcm of the initial law's denominators, times
+        (qk (n-1))^n per step, one factor per player's kernel entry, and
+        times qc (n-1) for the costs."""
+        n = len(others) + 1
+        if self.exact:
+            l0 = _denominator_lcm(m0n.weights)
+            first = [(y, scaled(w, l0)) for y, w in enumerate(m0n.weights) if w]
+            dens = l0 ** n, (self.qk * (n - 1)) ** n, self.qc * (n - 1)
+        else:
+            first, dens = [(y, w) for y, w in enumerate(m0n.weights) if w], (1, 1, 1)
+        sizes, empty = Counter(s.actions for s in others), (0,) * len(m0n.weights)
+        law = dict(_product(
+            [((x,), w) for x, w in first],
+            [_add_players({empty: 1}, c, first).items() for c in sizes.values()],
+        ))
+        return law, tuple(sizes), *dens
 
     def _scaled(self, v: Scalar, q: int, counts: tuple[int, ...]) -> Scalar:
         # v * q * (n-1), an integer in an exact game
@@ -518,15 +522,6 @@ def _inclusive(key: tuple) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _summed(laws: list) -> dict:
-    """Pointwise sum of laws over chain states."""
-    out: dict = {}
-    for law in laws:
-        for key, w in law.items():
-            out[key] = out[key] + w if key in out else w
-    return out
-
-
 class _AnonymousCostTable:
     """Player 0's costs on a fixed tuple of candidate strategies, memoized
     per multiset of the others' strategies.
@@ -555,7 +550,7 @@ class _AnonymousCostTable:
             hit = self.memo[key] = exact_joint_propagate(
                 self.game, (self.candidates[0], *others), self.m0n,
                 candidates=self.candidates, memo=self.steps, joint_cap=self.joint_cap,
-            ).costs
+            )
         return hit
 
 
@@ -1050,8 +1045,8 @@ def exchangeability_check(
     by_counts: dict[tuple[int, ...], list] = {}  # counts of all N -> mass per x0
     steps = _ChainSteps(game)
     for own, others, w in _anonymous_draws(profile, 0):
-        walk = exact_joint_propagate(game, (own, *others), m0n, memo=steps, joint_cap=joint_cap)
-        for key, p in walk.laws[t].items():
+        laws = count_chain_laws(game, (own, *others), m0n, memo=steps, joint_cap=joint_cap)
+        for key, p in laws[t].items():
             cond = by_counts.setdefault(_inclusive(key), [zero(ar.mode)] * d)
             cond[key[0]] += w * p
     rows = []

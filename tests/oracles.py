@@ -81,7 +81,7 @@ from cmfg.nplayer import (
     ExchangeabilityReport,
     ExchangeabilityRow,
     ExplicitProfile,
-    exact_joint_propagate,
+    count_chain_laws,
 )
 from cmfg.rng import stream_value
 from cmfg.transport import TransportResult
@@ -214,7 +214,7 @@ def expanded_exchangeability_check(game, profile, m0n, t) -> ExchangeabilityRepo
     n, d = profile.n_players, len(game.states)
     by_counts = {}
     for vec, w in expand(profile).atoms:
-        for key, p in exact_joint_propagate(game, vec, m0n).laws[t].items():
+        for key, p in count_chain_laws(game, vec, m0n)[t].items():
             counts = [sum(by_group) for by_group in zip(*key[1:])]
             counts[key[0]] += 1
             cond = by_counts.setdefault(tuple(counts), [zero(ar.mode)] * d)

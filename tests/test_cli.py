@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -167,11 +168,17 @@ class TestExampleCommand:
         )
         assert code == 0
 
-    def test_invalid_beta_exits_2(self, tmp_path):
-        code = run_cli(
-            ["example", "section5", "--beta", "1/4,1/8,1/16,1/16", "-o", str(tmp_path)]
-        )
+    @pytest.mark.parametrize(
+        "beta, message",
+        [("1/4,1/8,1/16,1/16", None), ("1/8,1/8,1/4", "exactly four rationals")],
+        ids=["not-in-range", "three-rationals"],
+    )
+    def test_invalid_beta_exits_2(self, tmp_path, capsys, beta, message):
+        out = tmp_path / "bad"
+        code = run_cli(["example", "section5", "--beta", beta, "-o", str(out)])
         assert code == 2
+        assert message is None or message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_alpha_with_beta_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -194,6 +201,30 @@ class TestVerificationCommands:
         assert code == 0
         report = json.loads((out / "validation.json").read_text())
         assert report["ok"] is True
+
+    @pytest.mark.parametrize(
+        "t, x, a, coef, message",
+        [
+            (0, 0, 0, [["1/4", "0"], ["0", "0"]], "coef column y=0 sums to 1/4, not 0"),
+            (1, 1, 0, [["-3/4", "0"], ["3/4", "0"]],
+             "negative value -1/4 at vertex y=0, target i=0"),
+        ],
+        ids=["coef-column-sum", "negative-vertex"],
+    )
+    def test_validate_lists_kernel_violations_and_exits_1(
+        self, example_dir, tmp_path, t, x, a, coef, message
+    ):
+        doc = json.loads((example_dir / "game.json").read_text())
+        doc["transition"]["coef"][t][x][a] = coef
+        bad = tmp_path / "bad_game.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "v"
+        assert run_cli(["validate", str(bad), "-o", str(out)]) == 1
+        report = json.loads((out / "validation.json").read_text())
+        assert report["ok"] is False
+        assert report["violations"] == [
+            {"location": f"transition[t={t}][x={x}][a={a}]", "message": message}
+        ]
 
     def test_mfg_verify_pass(self, example_dir, tmp_path):
         out = tmp_path / "m"
@@ -324,6 +355,33 @@ class TestNPlayerCommands:
             ]
         )
         assert code == 3
+
+    @pytest.fixture()
+    def ce_profile(self, example_dir, tmp_path):
+        out = tmp_path / "ce"
+        game = str(example_dir / "game.json")
+        assert run_cli(["nplayer", "solve-ce", "--game", game, "-N", "2", "-o", str(out)]) == 0
+        return ["--game", game, "--profile", str(out / "profile.json")]
+
+    def test_epsilon_over_the_cost_matrix_cap_exits_3(self, ce_profile, tmp_path, capsys):
+        # 16 candidates x 5e6 replications x 8 bytes is over the 512 MiB cap
+        out = tmp_path / "big"
+        started = time.perf_counter()
+        code = run_cli(["nplayer", "epsilon", *ce_profile, "--method", "mc",
+                        "--reps", "5000000", "-o", str(out)])
+        assert time.perf_counter() - started < 1
+        assert code == 3
+        assert "exceed the cost-matrix cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["mc", "exact"])
+    def test_epsilon_player_out_of_range_exits_2(self, ce_profile, tmp_path, capsys, method):
+        out = tmp_path / "eps"
+        code = run_cli(["nplayer", "epsilon", *ce_profile, "--player", "2",
+                        "--method", method, "-o", str(out)])
+        assert code == 2
+        assert "player index 2 out of range" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_epsilon_exact_on_lifted_profile(self, example_dir, tmp_path):
         prof_dir = tmp_path / "lift"

@@ -86,6 +86,22 @@ class TestAtomicWriters:
         io.write_json_atomic(path, {})
         assert (tmp_path / "f.json").read_text() == "{}\n"
 
+    def test_failed_replace_keeps_the_target_and_leaves_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "f.json"
+        io.write_json_atomic(str(path), {"kept": True})
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(io.os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            io.write_json_atomic(str(path), {"lost": True})
+        assert sorted(os.listdir(tmp_path)) == ["f.json"]
+        assert path.read_bytes() == before
+
 
 class TestGameDocuments:
     def test_roundtrip_exact(self, game):

@@ -433,6 +433,8 @@ INITIAL_LAW_SITES = {
         g, mfg.factor_flow(rho)[2][0], m0),
     "nplayer.exact_joint_propagate": lambda g, rho, m0: nplayer.exact_joint_propagate(
         g, (rho.atoms[0][0],) * 2, m0),
+    "nplayer.count_chain_laws": lambda g, rho, m0: nplayer.count_chain_laws(
+        g, (rho.atoms[0][0],) * 2, m0),
     "nplayer.profile_cost_exact": lambda g, rho, m0: nplayer.profile_cost_exact(
         g, limits.lift(rho, 2), 0, mfg.DeviationMap.identity(), m0),
     "nplayer.mc_profile_cost": lambda g, rho, m0: nplayer.mc_profile_cost(

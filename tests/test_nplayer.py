@@ -39,6 +39,7 @@ from cmfg.nplayer import (
     SimulationConfig,
     _MonteCarlo,
     _pick,
+    count_chain_laws,
     deviation_gain,
     exact_joint_propagate,
     exchangeability_check,
@@ -322,15 +323,16 @@ def assert_engine_matches_oracle(game, vec, m0):
     laws, costs = joint_path_oracle(game, vec, m0)
     for i in range(len(vec)):
         front = (vec[i], *(s for j, s in enumerate(vec) if j != i))
-        got = exact_joint_propagate(game, front, m0)
-        assert list(got.laws) == [lumped(law, vec, i) for law in laws]
-        assert got.costs == (costs[i],)
+        got = count_chain_laws(game, front, m0)
+        assert list(got) == [lumped(law, vec, i) for law in laws]
+        assert exact_joint_propagate(game, front, m0) == (costs[i],)
 
-        floats = exact_joint_propagate(float_via_io(game), front, float_via_io(game, m0))
-        for exact_law, float_law in zip(got.laws, floats.laws):
+        float_game, float_m0 = float_via_io(game), float_via_io(game, m0)
+        for exact_law, float_law in zip(got, count_chain_laws(float_game, front, float_m0)):
             for key in exact_law.keys() | float_law.keys():
                 assert abs(float(exact_law.get(key, 0)) - float_law.get(key, 0.0)) < 1e-12
-        assert abs(float(got.costs[0]) - floats.costs[0]) < 1e-12
+        (float_cost,) = exact_joint_propagate(float_game, front, float_m0)
+        assert abs(float(costs[i]) - float_cost) < 1e-12
 
 
 class TestExactJointPropagation:
@@ -344,17 +346,25 @@ class TestExactJointPropagation:
     def test_repeated_strategies_against_oracle(self, game, uniform_m0):
         assert_engine_matches_oracle(game, (PHI_PLUS, PHI_O, PHI_PLUS, PHI_O), uniform_m0)
 
-    def test_cap(self, game, uniform_m0):
+    @pytest.mark.parametrize("entry", [exact_joint_propagate, count_chain_laws])
+    def test_cap(self, game, uniform_m0, entry):
         with pytest.raises(CapacityError):
-            exact_joint_propagate(game, (PHI_O,) * 13, uniform_m0)
+            entry(game, (PHI_O,) * 13, uniform_m0)
 
-    def test_needs_a_product_initial_law(self, game, uniform_m0):
+    @pytest.mark.parametrize("entry", [exact_joint_propagate, count_chain_laws])
+    def test_needs_two_players(self, game, uniform_m0, entry):
+        with pytest.raises(ValueError, match="at least two players"):
+            entry(game, (PHI_O,), uniform_m0)
+
+    @pytest.mark.parametrize("entry", [exact_joint_propagate, count_chain_laws])
+    def test_needs_a_product_initial_law(self, game, uniform_m0, entry):
         with pytest.raises(ValueError, match="product initial law"):
-            exact_joint_propagate(game, (PHI_O, PHI_O), uniform_m0.weights)
+            entry(game, (PHI_O, PHI_O), uniform_m0.weights)
 
-    def test_refuses_a_float_initial_law_for_an_exact_game(self, game, uniform_m0):
+    @pytest.mark.parametrize("entry", [exact_joint_propagate, count_chain_laws])
+    def test_refuses_a_float_initial_law_for_an_exact_game(self, game, uniform_m0, entry):
         with pytest.raises(ValueError, match="mixing arithmetic modes"):
-            exact_joint_propagate(game, (PHI_O, PHI_O), float_via_io(game, uniform_m0))
+            entry(game, (PHI_O, PHI_O), float_via_io(game, uniform_m0))
 
 
 class TestActionTreeAgainstPerCandidateWalks:
@@ -384,21 +394,22 @@ class TestActionTreeAgainstPerCandidateWalks:
 
         got = exact_joint_propagate(game, (own, *others), m0, candidates=candidates)
         want = candidate_costs(game, candidates, others, m0)
-        assert got.costs == want
+        assert got == want
+        # player 0's own strategy plays no part once candidates are given
+        for front in (candidates[0], candidates[-2]):
+            assert exact_joint_propagate(game, (front, *others), m0, candidates=candidates) == want
         single = exact_joint_propagate(game, (own, *others), m0)
-        assert single.costs == candidate_costs(game, (own,), others, m0)
-        assert got.laws == single.laws
+        assert single == candidate_costs(game, (own,), others, m0)
 
         floats = exact_joint_propagate(
             float_via_io(game), (own, *others), float_via_io(game, m0), candidates=candidates
         )
-        assert all(abs(f - float(c)) < 1e-12 for f, c in zip(floats.costs, want))
+        assert all(abs(f - float(c)) < 1e-12 for f, c in zip(floats, want))
 
 
-def assert_all_fractions(walk):
-    """Every cost and law value of a walk is a Fraction, not a bare int."""
-    values = [*walk.costs, *(w for law in walk.laws for w in law.values())]
-    assert all(type(v) is F for v in values)
+def assert_all_fractions(costs, laws):
+    """Every cost and law value is a Fraction, not a bare int."""
+    assert all(type(v) is F for v in [*costs, *(w for law in laws for w in law.values())])
 
 
 def coprime_game():
@@ -452,9 +463,10 @@ class TestIntegerWalk:
                 game, (own, *others), m0, candidates=candidates, memo=memo
             )
             fresh = exact_joint_propagate(game, (own, *others), m0, candidates=candidates)
-            assert (shared.costs, shared.laws) == (fresh.costs, fresh.laws)
-            assert shared.costs == candidate_costs(game, candidates, others, m0)
-            assert_all_fractions(shared)
+            assert shared == fresh == candidate_costs(game, candidates, others, m0)
+            laws = count_chain_laws(game, (own, *others), m0, memo=memo)
+            assert laws == count_chain_laws(game, (own, *others), m0)
+            assert_all_fractions(shared, laws)
 
     def test_coprime_denominators_against_the_path_oracle(self):
         game, m0 = coprime_game()
@@ -464,10 +476,11 @@ class TestIntegerWalk:
         assert (memo.qk, memo.qc) == (21, 11)
         for n in (5, 2, 4, 3):
             others = (s[6],) * (n // 2) + (s[9],) * (n - 1 - n // 2)
-            walk = exact_joint_propagate(game, (s[0], *others), m0, candidates=s, memo=memo)
-            assert walk.costs == candidate_costs(game, s, others, m0)
-            assert walk.laws == exact_joint_propagate(game, (s[0], *others), m0).laws
-            assert_all_fractions(walk)
+            costs = exact_joint_propagate(game, (s[0], *others), m0, candidates=s, memo=memo)
+            assert costs == candidate_costs(game, s, others, m0)
+            laws = count_chain_laws(game, (s[0], *others), m0, memo=memo)
+            assert laws == count_chain_laws(game, (s[0], *others), m0)
+            assert_all_fractions(costs, laws)
 
 
 class TestCostTableWork:
@@ -719,6 +732,13 @@ MIXING_M0 = (F(1, 2), F(1, 3), F(1, 6))
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("player", [-1, 3])
+    def test_refuses_a_player_out_of_range(self, game, uniform_m0, player):
+        profile = dirac_profile(PHI_PLUS, PHI_O, PHI_MINUS)
+        cfg = SimulationConfig(master_seed=0, replications=8)
+        with pytest.raises(ValueError, match="player index .* out of range"):
+            mc_profile_cost(game, profile, player, DeviationMap.identity(), uniform_m0, cfg)
+
     def test_bit_identical_to_scalar_reference_explicit(self, game, uniform_m0):
         profile = ExplicitProfile(
             3,
