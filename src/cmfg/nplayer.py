@@ -582,12 +582,14 @@ class _MonteCarlo:
     Holds float64 views of the game and a row-index table for strategies;
     `batches` draws each chunk's random inputs, `run` simulates them with one
     player on its strategy row, and `deviation_costs` walks that player's
-    action tree to cost every strategy of the table at once.  Both share the
-    step `_node`, which evaluates kernel rows once per (replication, state,
-    action), since a player sees the others only through its own state and
-    the state counts.  The tree carries the others' counts down to a node's
-    children and costs its leaves at the last internal level.  Every Monte
-    Carlo caller goes through these methods.
+    action tree to cost every strategy of the table at once.  A player sees
+    the others only through its own state and the state counts, so both
+    share the step tables `_step` (pick thresholds and running costs at
+    every state and action, or terminal costs), built once per distinct
+    count row, and draw every player's next state from them by flat
+    gathers.  The tree carries the others' counts down to a node's children
+    and costs its leaves at the last internal level.  Every Monte Carlo
+    caller goes through these methods.
     """
 
     def __init__(self, game: GameSpec, strategies: Sequence[RestrictedStrategy]):
@@ -599,7 +601,9 @@ class _MonteCarlo:
         self.rb, self.rc, self.tb, self.tc = (np.array(v, dtype=np.float64) for v in cost.values())
         self.eye = np.eye(self.d, dtype=np.int64)
         self.strategies = tuple(strategies)
-        self.act = np.array([s.actions for s in self.strategies], dtype=np.int64)
+        # act[t][row * d + x]: the action of strategy row in state x at time t
+        self.act = np.array([[a for s in self.strategies for a in s.actions[t]]
+                             for t in range(self.horizon)], dtype=np.int64)
         self.index = {s.actions: i for i, s in enumerate(strategies)}
 
     def batches(
@@ -633,18 +637,25 @@ class _MonteCarlo:
         counts = np.bincount((bins + states).ravel(), minlength=reps * self.d)
         return counts.reshape(reps, self.d)
 
-    def _node(self, t: int, states: np.ndarray, counts: Optional[np.ndarray] = None):
-        """The step at time t from the states (reps, N), counted unless given:
-        state counts (reps, d), the measures (reps, d, d) whose row x a player
-        in state x sees and, before the horizon, the `_thresholds` (reps, d,
-        A, d-1) of the kernel row at every (replication, state, action)."""
-        if counts is None:
-            counts = self._count(states)
-        m = (counts[:, None, :] - self.eye) / (states.shape[1] - 1)
+    def _step(self, t: int, counts: np.ndarray, n: int):
+        """Each replication's row among the k distinct rows of the counts
+        (reps, d) and, flat over (row, state, action), the pick thresholds
+        (k d A, d-1) and running costs (k d A) of time t < T, on all N
+        players' counts, or, flat over (row, state), the terminal costs
+        (k d) at t = T, on the others' counts."""
+        inv, rows = _distinct_rows(counts, n)
         if t == self.horizon:
-            return counts, m, None
-        w = _affine_eval(self.kb[t], self.kc[t], m[:, :, None, None, :])
-        return counts, m, _thresholds(w)
+            return inv, None, _affine_eval(self.tb, self.tc, rows[:, None, :] / (n - 1)).ravel()
+        m = (rows[:, None, :] - self.eye) / (n - 1)
+        w = _affine_eval(self.kb[t], self.kc[t], m[:, :, None, None, :]).reshape(-1, self.d)
+        return inv, _thresholds(w), _affine_eval(self.rb[t], self.rc[t], m[:, :, None, :]).ravel()
+
+    def _draw(self, t, inv, th, strat_rows, states, z):
+        """Every player's next state at time t from the `_step` tables, by
+        flat gathers of its action and then of its thresholds."""
+        cells = (inv[:, None] * self.d + states) * self.n_actions  # (row, state, action)
+        cells += self.act[t].take(strat_rows * self.d + states)
+        return _count_below(th.take(cells, axis=0), z)
 
     def run(
         self, strat_rows: np.ndarray, x0: np.ndarray, noise: np.ndarray, player: int
@@ -654,21 +665,22 @@ class _MonteCarlo:
         Returns the realized total cost of `player` and the exclusive counts
         of the other N-1 players that it sees, shape (reps, T+1, d).
         """
-        rep = np.arange(len(x0))
-        seen = np.empty((len(x0), self.horizon + 1, self.d), dtype=np.int64)
+        n, T = strat_rows.shape[1], self.horizon
+        seen = np.empty((len(x0), T + 1, self.d), dtype=np.int64)
         cost = np.zeros(len(x0), dtype=np.float64)
         states = x0
-        for t in range(self.horizon + 1):
-            counts, m, th = self._node(t, states)
+        for t in range(T):
+            counts = self._count(states)
             xi = states[:, player]
             seen[:, t] = counts - self.eye[xi]
-            if th is None:
-                break
-            acts = self.act[strat_rows, t, states]
-            ai = acts[:, player]
-            cost += _affine_eval(self.rb[t, xi, ai], self.rc[t, xi, ai], m[rep, xi])
-            states = _count_below(th[rep[:, None], states, acts], noise[:, t])
-        cost += _affine_eval(self.tb[xi], self.tc[xi], m[rep, xi])
+            inv, th, running = self._step(t, counts, n)
+            ai = self.act[t].take(strat_rows[:, player] * self.d + xi)
+            cost += running.take((inv * self.d + xi) * self.n_actions + ai)
+            states = self._draw(t, inv, th, strat_rows, states, noise[:, t])
+        xi = states[:, player]
+        seen[:, T] = self._count(states) - self.eye[xi]
+        inv, _, terminal = self._step(T, seen[:, T], n)
+        cost += terminal.take(inv * self.d + xi)
         return cost, seen
 
     def deviation_costs(
@@ -682,36 +694,53 @@ class _MonteCarlo:
         reps, A = len(x0), self.n_actions
         visited = [np.empty((reps, A ** t), dtype=np.int64) for t in range(self.horizon)]
         leaves = np.empty((reps, A ** self.horizon), dtype=np.float64)
-        self._visit(0, 0, x0, None, np.zeros(reps), (strat_rows, noise, player, visited, leaves))
-        leaf = np.zeros((reps, len(self.act)), dtype=np.int64)
-        rows = np.arange(len(self.act))
+        walk = (strat_rows, noise, player, visited, leaves)
+        self._visit(0, 0, x0, self._count(x0), np.zeros(reps), walk)
+        leaf = np.zeros((reps, len(self.strategies)), dtype=np.int64)
+        rows = np.arange(len(self.strategies)) * self.d
         for t, xs in enumerate(visited):
-            leaf = leaf * A + self.act[rows, t, np.take_along_axis(xs, leaf, axis=1)]
+            leaf = leaf * A + self.act[t].take(rows + np.take_along_axis(xs, leaf, axis=1))
         return np.take_along_axis(leaves, leaf, axis=1)
 
     def _visit(self, t, node, states, counts, cost, walk):
-        """Node `node` (the player's actions so far, base |A|) at time t < T,
-        `counts` those of `states` or None: one step and N-player draw, then
+        """Node `node` (the player's actions so far, base |A|) at time t < T
+        with the state counts of `states`: one step and N-player draw, then
         per action only the player's own draw.  The children share the others'
         next counts; at t = T-1 they are leaves, costed here on those over N-1."""
         strat_rows, noise, player, visited, leaves = walk
-        rep = np.arange(len(states))
-        _, m, th = self._node(t, states, counts)
+        n, A = states.shape[1], self.n_actions
+        inv, th, running = self._step(t, counts, n)
         x = states[:, player]
         visited[t][:, node] = x
-        acts = self.act[strat_rows, t, states]
-        nxt = _count_below(th[rep[:, None], states, acts], noise[:, t])
+        nxt = self._draw(t, inv, th, strat_rows, states, noise[:, t])
         seen = self._count(nxt) - self.eye[nxt[:, player]]
-        end = seen / (states.shape[1] - 1) if t + 1 == self.horizon else None
-        for a in range(self.n_actions):
-            y = _count_below(th[rep, x, a], noise[:, t, player])
-            child = node * self.n_actions + a
-            step = cost + _affine_eval(self.rb[t, x, a], self.rc[t, x, a], m[rep, x])
-            if end is not None:
-                leaves[:, child] = step + _affine_eval(self.tb[y], self.tc[y], end)
+        last = t + 1 == self.horizon
+        if last:
+            end, _, terminal = self._step(self.horizon, seen, n)
+        cells = (inv * self.d + x) * A
+        for a in range(A):
+            y = _count_below(th.take(cells + a, axis=0), noise[:, t, player])
+            child = node * A + a
+            step = cost + running.take(cells + a)
+            if last:
+                leaves[:, child] = step + terminal.take(end * self.d + y)
             else:
                 nxt[:, player] = y
                 self._visit(t + 1, child, nxt, seen + self.eye[y], step, walk)
+
+
+def _distinct_rows(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(each row's index into the distinct rows, the distinct rows) of count
+    rows (reps, d) in 0..n with one common sum, which fixes the last entry:
+    the key is the first d-1 in base n+1 where (n+1)^(d-1) fits an int64."""
+    d = counts.shape[1]
+    if (n + 1) ** (d - 1) >= 2 ** 63:
+        rows, inv = np.unique(counts, axis=0, return_inverse=True)
+        return inv.reshape(-1), rows
+    keys, inv = np.unique(counts[:, :-1] @ (n + 1) ** np.arange(d - 1), return_inverse=True)
+    rows = np.empty((len(keys), d), dtype=counts.dtype)
+    rows[inv] = counts
+    return inv, rows
 
 
 def _thresholds(weights: np.ndarray) -> np.ndarray:
@@ -726,7 +755,11 @@ def _thresholds(weights: np.ndarray) -> np.ndarray:
 
 
 def _count_below(thresholds: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return (thresholds < z[..., None]).sum(axis=-1)
+    # one comparison per threshold column: a sum over a short last axis is slow
+    below = np.zeros(np.broadcast_shapes(thresholds.shape[:-1], z.shape), dtype=np.int64)
+    for j in range(thresholds.shape[-1]):
+        below += thresholds[..., j] < z
+    return below
 
 
 def _pick(weights: np.ndarray, z: np.ndarray) -> np.ndarray:

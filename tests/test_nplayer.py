@@ -645,28 +645,36 @@ def scalar_mc_reference(game, profile, player, u, m0, cfg):
     return mean, stderr
 
 
-def scalar_deviation_reference(game, profile, player, m0, cfg):
-    """(rec_index, best_index, cost, best_value, gap) per recommendation, with
-    every candidate simulated on the same uniforms, one replication at a time."""
+def scalar_deviation_costs(game, profile, player, m0, cfg):
+    """Per replication, the player's recommendation index and its realized
+    cost under every candidate, each simulated on the same uniforms, one
+    replication and one candidate at a time."""
     g = float_via_io(game)
     m0f = float_via_io(game, m0)
     candidates = enumerate_strategies(game)
     index = {s.actions: i for i, s in enumerate(candidates)}
-    reps = cfg.replications
-    costs = [[0.0] * len(candidates) for _ in range(reps)]
+    costs = [[0.0] * len(candidates) for _ in range(cfg.replications)]
     recs = []
-    for rep in range(reps):
+    for rep in range(cfg.replications):
         uni = _scalar_uniforms(cfg, rep)
         vec = _scalar_draw(profile, uni)
         recs.append(index[vec[player].actions])
         for c, psi in enumerate(candidates):
             vec[player] = psi
             costs[rep][c] = _scalar_cost(g, vec, _scalar_path(g, m0f, vec, uni), player)
+    return recs, costs
+
+
+def scalar_deviation_reference(game, profile, player, m0, cfg):
+    """(rec_index, best_index, cost, best_value, gap) per recommendation, from
+    `scalar_deviation_costs`."""
+    recs, costs = scalar_deviation_costs(game, profile, player, m0, cfg)
+    reps, n_cand = len(costs), len(costs[0])
     rows = []
     for rec in sorted(set(recs)):
         sums = [
             sum(costs[r][c] for r in range(reps) if recs[r] == rec) / reps
-            for c in range(len(candidates))
+            for c in range(n_cand)
         ]
         best = min(range(len(sums)), key=sums.__getitem__)
         rows.append((rec, best, sums[rec], sums[best], sums[rec] - sums[best]))
@@ -854,10 +862,23 @@ class TestEngineAgainstScalarOracle:
             (rec, best) for rec, best, *_ in want
         ]
         for row, (_, _, cost, best_value, gap) in zip(got.rows, want):
-            assert abs(row.cost - cost) < 1e-12
-            assert abs(row.best_value - best_value) < 1e-12
-            assert abs(row.gap - gap) < 1e-12
-        assert abs(got.epsilon - sum(w[4] for w in want)) < 1e-12
+            assert (row.cost, row.best_value, row.gap) == (cost, best_value, gap)
+        assert got.epsilon == sum(w[4] for w in want)
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["explicit", "factored"])
+    def test_deviation_costs_equal_the_scalar_paths(self, mixing, kind):
+        """Every replication's cost under every candidate, from the action
+        tree, equals the scalar path's, which shares no code with `run`."""
+        game, m0 = mixing
+        profile = mixing_profiles(game)[kind]
+        cfg = SimulationConfig(master_seed=9, replications=40)
+        mc = _MonteCarlo(game, enumerate_strategies(game))
+        got = np.concatenate([
+            mc.deviation_costs(strat_rows, x0, noise, 1)
+            for _, strat_rows, x0, noise in mc.batches(profile, m0, cfg)
+        ])
+        _, want = scalar_deviation_costs(game, profile, 1, m0, cfg)
+        assert np.array_equal(got, np.array(want))
 
     def test_profile_cost(self, mixing):
         game, m0 = mixing
@@ -894,31 +915,34 @@ def random_profiles(game, seed):
     flat = FlowTrajectory(
         (ProbabilityVector.uniform(game.states, EXACT),) * (game.horizon + 1)
     )
+    k = min(3, len(s))
     factored = FactoredProfile(
         5, (flat, flat), (F(1, 4), F(3, 4)),
         (tuple((x, F(1, 2)) for x in r.sample(s, 2)),
-         tuple((x, F(1, 3)) for x in r.sample(s, 3))),
+         tuple((x, F(1, k)) for x in r.sample(s, k))),
     )
     return explicit, factored
 
 
 def random_m0(game):
     return ProbabilityVector(
-        game.states, {2: (F(1, 3), F(2, 3)), 3: MIXING_M0}[len(game.states)], EXACT
+        game.states, {1: (F(1),), 2: (F(1, 3), F(2, 3)), 3: MIXING_M0}[len(game.states)], EXACT
     )
 
 
 class TestActionTreeAgainstCandidateLoop:
     """The action-tree audit against one `run` per candidate, on random games
-    whose kernel rows have zero entries, over three chunks (the last one
-    partial): equal per-replication costs and equal results, not close."""
+    whose kernel rows have zero entries (one-state games have none), over
+    three chunks (the last one partial): equal per-replication costs and
+    equal results, not close."""
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
         monkeypatch.setattr(nplayer, "_CHUNK", 16)
 
     @pytest.mark.parametrize(
-        "shape", [(3, 2, 2), (2, 3, 3), (2, 2, 3), (3, 3, 2), (2, 2, 1), (3, 2, 1)],
+        "shape",
+        [(3, 2, 2), (2, 3, 3), (2, 2, 3), (3, 3, 2), (2, 2, 1), (3, 2, 1), (1, 2, 2), (1, 2, 1)],
         ids=lambda s: "d{}-A{}-T{}".format(*s),
     )
     @pytest.mark.parametrize("kind", [0, 1], ids=["explicit", "factored"])
@@ -945,8 +969,10 @@ class TestActionTreeAgainstCandidateLoop:
 
     def check(self, monkeypatch, game, profile, player, seed):
         assert validate_game(game).ok
-        assert any(w == 0 for by_x in game.transition.rows for by_a in by_x
-                   for row in by_a for w in row.base)
+        assert len(game.states) == 1 or any(
+            w == 0 for by_x in game.transition.rows for by_a in by_x
+            for row in by_a for w in row.base
+        )
         m0 = random_m0(game)
         cfg = SimulationConfig(master_seed=seed, replications=40)
         mc = _MonteCarlo(game, enumerate_strategies(game))
@@ -961,6 +987,64 @@ class TestActionTreeAgainstCandidateLoop:
         monkeypatch.setattr(_MonteCarlo, "deviation_costs", deviation_costs_by_candidate)
         want = deviation_gain(game, profile, player, m0, "mc", cfg)
         assert got == want
+
+
+@st.composite
+def count_rows(draw):
+    """(n, rows (reps, d) of state counts of n players), drawn with repeats
+    from a pool of up to five rows; n = 600 at d = 8 needs the fallback."""
+    d = draw(st.integers(1, 8))
+    n = draw(st.sampled_from([1, 2, 5, 50, 600]))
+    pool = []
+    for _ in range(draw(st.integers(1, 5))):
+        cuts = sorted(draw(st.lists(st.integers(0, n), min_size=d - 1, max_size=d - 1)))
+        pool.append([b - a for a, b in zip([0, *cuts], [*cuts, n])])
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    return n, np.array([pool[i] for i in picks], dtype=np.int64).reshape(len(picks), d)
+
+
+class TestDistinctRows:
+    @settings(max_examples=200, deadline=None)
+    @given(count_rows())
+    def test_rows_at_the_inverse_give_back_the_counts(self, drawn):
+        n, counts = drawn
+        inv, rows = nplayer._distinct_rows(counts, n)
+        assert inv.shape == (len(counts),)
+        assert np.array_equal(rows[inv], counts)
+        assert len(np.unique(rows, axis=0)) == len(rows)
+
+    def test_a_key_past_int64_takes_the_whole_rows(self, monkeypatch):
+        """(600 + 1)^7 >= 2^63: the rows themselves are the key."""
+        unique, axes = np.unique, []
+
+        def spy(values, *args, **kwargs):
+            axes.append(kwargs.get("axis"))
+            return unique(values, *args, **kwargs)
+
+        monkeypatch.setattr(nplayer.np, "unique", spy)
+        counts = np.array([[600, 0, 0, 0, 0, 0, 0, 0], [0] * 7 + [600],
+                           [600, 0, 0, 0, 0, 0, 0, 0], [300, 0, 0, 300, 0, 0, 0, 0]])
+        inv, rows = nplayer._distinct_rows(counts, 600)
+        assert axes == [0] and len(rows) == 3
+        assert np.array_equal(rows[inv], counts)
+
+    def test_monte_carlo_at_eight_states_and_600_players(self):
+        """A path walk whose count keys take the fallback equals the scalar
+        reference, and the tree equals one `run` per candidate."""
+        game = random_game(8, 8, 2, 1)
+        s = enumerate_strategies(game)
+        flat = FlowTrajectory((ProbabilityVector.uniform(game.states, EXACT),) * 2)
+        profile = FactoredProfile(600, (flat,), (F(1),), (((s[3], F(1, 2)), (s[200], F(1, 2))),))
+        m0 = ProbabilityVector.uniform(game.states, EXACT)
+        cfg = SimulationConfig(master_seed=2, replications=3)
+        u = DeviationMap.single(s[3], s[77])
+        got = mc_profile_cost(game, profile, 5, u, m0, cfg)
+        want = scalar_mc_reference(game, profile, 5, u, m0, cfg)
+        assert got[0] == want[0]
+        mc = _MonteCarlo(game, s)
+        for _, strat_rows, x0, noise in mc.batches(profile, m0, cfg):
+            got = mc.deviation_costs(strat_rows, x0, noise, 5)
+            assert np.array_equal(got, deviation_costs_by_candidate(mc, strat_rows, x0, noise, 5))
 
 
 class TestChunkMemory:
