@@ -32,6 +32,7 @@ from .model import (
     DEFAULT_STRATEGY_CAP,
     EXACT,
     CapacityError,
+    ProbabilityVector,
     validate_game,
 )
 
@@ -52,9 +53,9 @@ def _player_counts(text: str) -> tuple[int, ...]:
     return io.list_from_text(text, int)
 
 
-def _threads(text: str) -> int:
+def _positive(text: str) -> int:
     if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"need at least one thread, got {text}")
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {text}")
     return int(text)
 
 
@@ -66,14 +67,14 @@ def _add_common(p: argparse.ArgumentParser, *, seeded: bool = False) -> None:
     """-o, --threads and every cap (and --seed if asked): the options of the
     commands whose manifests are pinned byte for byte, in their order."""
     _add_out(p)
-    p.add_argument("--threads", type=_threads, default=1,
+    p.add_argument("--threads", type=_positive, default=1,
                    help="recorded in the manifest only")
-    p.add_argument("--joint-cap", type=int, default=DEFAULT_JOINT_CAP)
-    p.add_argument("--atom-cap", type=int, default=DEFAULT_ATOM_CAP,
+    p.add_argument("--joint-cap", type=_positive, default=DEFAULT_JOINT_CAP)
+    p.add_argument("--atom-cap", type=_positive, default=DEFAULT_ATOM_CAP,
                    help="bounds only the --method auto choice of limits epsilon-curve")
-    p.add_argument("--lp-cap", type=int, default=DEFAULT_LP_CAP)
-    p.add_argument("--strategy-cap", type=int, default=DEFAULT_STRATEGY_CAP)
-    p.add_argument("--ot-cap", type=int, default=DEFAULT_OT_CAP)
+    p.add_argument("--lp-cap", type=_positive, default=DEFAULT_LP_CAP)
+    p.add_argument("--strategy-cap", type=_positive, default=DEFAULT_STRATEGY_CAP)
+    p.add_argument("--ot-cap", type=_positive, default=DEFAULT_OT_CAP)
     if seeded:
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
 
@@ -106,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        "the flows' shared time-0 measure")
         _add_out(q)
         if name != "propagate":
-            q.add_argument("--strategy-cap", type=int, default=DEFAULT_STRATEGY_CAP)
+            q.add_argument("--strategy-cap", type=_positive, default=DEFAULT_STRATEGY_CAP)
 
     pe = sub.add_parser("example", help="built-in worked examples")
     esub = pe.add_subparsers(dest="subcommand", required=True)
@@ -247,8 +248,6 @@ def _load_game_flow(session: _Session, opts: dict):
 
 
 def _uniform_m0(game, text: Optional[str]):
-    from .model import ProbabilityVector
-
     if text is not None:
         return io.measure_from_text(text, game)
     return ProbabilityVector.uniform(game.states, game.arithmetic)
@@ -509,13 +508,9 @@ _RUNNERS = {
 
 def run(spec: CommandSpec) -> int:
     """Execute a parsed command; returns the process exit code."""
-    runner = _RUNNERS.get(spec.command)
-    if runner is None:  # pragma: no cover - harness guards this
-        print(f"unknown command {spec.command!r}", file=sys.stderr)
-        return 2
     session = _Session(spec)
     try:
-        code = runner(session, spec.options)
+        code = _RUNNERS[spec.command](session, spec.options)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3

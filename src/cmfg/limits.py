@@ -35,8 +35,6 @@ from .transport import flow_space_distance
 
 def lift(rho: CorrelatedFlow, n_players: int) -> FactoredProfile:
     """The N-player profile that draws one flow, then i.i.d. recommendations."""
-    if n_players < 2:
-        raise ValueError("need at least two players")
     return FactoredProfile(n_players, *factor_flow(rho))
 
 
@@ -89,8 +87,6 @@ def epsilon_curve(
     d = len(game.states)
     rows = []
     for n in sorted(set(int(n) for n in ns)):
-        if n < 2:
-            raise ValueError("need at least two players")
         profile = lift(rho, n)
         if method == "auto":
             joint = d ** n

@@ -91,10 +91,6 @@ class CorrelatedFlow:
     def mode(self) -> str:
         return self.atoms[0][1].mode
 
-    def support_strategies(self) -> tuple[RestrictedStrategy, ...]:
-        # atoms are sorted by strategy first, so this is enumeration order
-        return tuple(dict.fromkeys(phi for phi, _, _ in self.atoms))
-
 
 def factor_flow(rho: CorrelatedFlow) -> tuple[tuple, tuple, tuple]:
     """The (rho_2, rho_1) split: the distinct flows, their weights and, per
@@ -190,18 +186,6 @@ def state_law(
     return FlowTrajectory(
         (m0, *(ProbabilityVector(game.states, w, game.arithmetic) for w in laws[1:]))
     )
-
-
-def deterministic_cost(
-    game: GameSpec,
-    phi: RestrictedStrategy,
-    flow: FlowTrajectory,
-    m0: ProbabilityVector,
-) -> Scalar:
-    """Expected total cost of playing phi against a frozen flow."""
-    _require_flow(game, flow)
-    require_initial_law(game, m0)
-    return _walk(game, phi.actions, _flow_key(flow), m0.weights)[1]
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,8 @@ from .model import (
     zero,
 )
 
-_CHUNK = 4096
+_CHUNK = 4096  # replications per chunk, at most
+_CHUNK_BYTES = 1 << 27  # 128 MiB of uniforms per chunk, at most
 _COST_MATRIX_BYTES_CAP = 1 << 29  # 512 MiB of per-replication candidate costs
 
 
@@ -611,17 +612,19 @@ class _MonteCarlo:
     ):
         """Per chunk of replications, (start, strategy rows, initial states,
         noise) of shapes (count, N), (count, N) and (count, T, N), drawn from
-        the slot layout documented in `rng`.  The noise is a copy, so the
-        chunk's uniform block is freed before the walk; a caller drops its
-        chunk before asking for the next, which is drawn only then."""
+        the slot layout documented in `rng`.  A chunk holds `_CHUNK` rows, or
+        fewer when their uniforms would pass `_CHUNK_BYTES`.  The noise is a
+        copy, so the chunk's uniform block is freed before the walk; a caller
+        drops its chunk before asking for the next, which is drawn only then."""
         require_initial_law(self.game, m0n)
         n, T = profile.n_players, self.horizon
         sampler = _ProfileSampler(profile, self)
         w0 = np.array([float(v) for v in m0n.weights])
         slots = np.arange(2 * n + 1 + T * n, dtype=np.uint64)
         reps = cfg.replications
-        for start in range(0, reps, _CHUNK):
-            count = min(_CHUNK, reps - start)
+        rows = min(_CHUNK, max(1, _CHUNK_BYTES // (8 * len(slots))))
+        for start in range(0, reps, rows):
+            count = min(rows, reps - start)
             uni = rng.uniform_block(cfg.master_seed, start, count, slots)
             strat_rows = sampler.draw(uni[:, : n + 1])
             x0 = _pick(w0, uni[:, n + 1 : 2 * n + 1])
@@ -976,7 +979,6 @@ def solve_symmetric_ce(
     )
     if len(multisets) > lp_cap:
         raise CapacityError(f"{len(multisets)} LP variables exceed cap {lp_cap}")
-    index_of = {m: k for k, m in enumerate(multisets)}
     numerators = _cost_numerators(game, m0n, strategies, n_players - 1, joint_cap)
 
     def costs(m_key: tuple[int, ...], rec: int) -> tuple[int, ...]:
@@ -991,7 +993,7 @@ def solve_symmetric_ce(
         # costs against the others-multiset)
         contributions = [
             (k, m_key.count(rec), costs(m_key, rec))
-            for m_key, k in index_of.items() if rec in m_key
+            for k, m_key in enumerate(multisets) if rec in m_key
         ]
         for psi in range(n_r):
             if psi == rec:

@@ -217,9 +217,8 @@ def verify_example(p: ExampleParams) -> ExampleVerdict:
     game, rho, m0 = build_example(p)
     sol = verify_solution(game, rho, m0)
     _, m1p, m2p, _, _ = example_flows(p)
-    m0pv = ProbabilityVector.uniform(STATES, EXACT)
-    dp_plus = dp_best_response(game, FlowTrajectory((m0pv, m1p, m2p)))
-    dp_once = dp_best_response(game, FlowTrajectory((m0pv, m1p, m0pv)))
+    dp_plus = dp_best_response(game, FlowTrajectory((m0, m1p, m2p)))
+    dp_once = dp_best_response(game, FlowTrajectory((m0, m1p, m0)))
 
     cf_plus, cf_once = closed_form_values(p)
     match = dp_once.values == cf_once and dp_plus.values[1:] == cf_plus[1:]

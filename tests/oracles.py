@@ -26,8 +26,11 @@
   * `random_correlated_flow`: a seeded correlated flow on a game, with random
     strategies, flows and weights (not a solution), the flow weights
     optionally all counts over one given denominator;
+  * `flow_cost`: J(phi, mu), the expected total cost of one strategy against
+    a frozen flow, from `mfg.state_law`'s laws;
   * `optimality_rows`: the mean-field optimality rows from a running minimum
-    over the candidates, one recommendation at a time, which
+    over the candidates, one recommendation at a time, with costs from
+    `flow_cost`, which
     `mfg.optimality_gap` replaces by one value vector per recommendation and
     the shared `mfg.gap_rows`;
   * `fraction_transport`: the transportation simplex in `Fraction`s from the
@@ -58,7 +61,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from cmfg.lp import EQ, GE, InfeasibleError, LinearProgram, LinRow, UnboundedError
-from cmfg.mfg import CorrelatedFlow, GapRow, deterministic_cost, gap_rows
+from cmfg.mfg import CorrelatedFlow, GapRow, gap_rows, state_law
 from cmfg.model import (
     DEFAULT_JOINT_CAP,
     DEFAULT_LP_CAP,
@@ -426,6 +429,24 @@ def atom_distance(strategy_a, flow_a, strategy_b, flow_b) -> Fraction:
     return d
 
 
+def flow_cost(game, phi, flow, m0):
+    """J(phi, mu): the expected total cost of playing phi against the frozen
+    flow from m0, summed over `mfg.state_law`'s laws in the order in which
+    `mfg._walk` sums them, so that float games agree bit for bit."""
+    laws, T = state_law(game, phi, flow, m0), game.horizon
+    total = zero(game.arithmetic)
+    for t in range(T):
+        m = flow[t].weights
+        for x, p in enumerate(laws[t].weights):
+            if p:
+                total += p * game.raw_running_cost(t, x, m, phi.actions[t][x])
+    m = flow[T].weights
+    for x, p in enumerate(laws[T].weights):
+        if p:
+            total += p * game.raw_terminal_cost(x, m)
+    return total
+
+
 def optimality_rows(game, rho, m0, cap: int = DEFAULT_STRATEGY_CAP) -> tuple:
     """Per recommendation in enumeration order: the cost of obeying as its own
     atom sum, and the best response as the first strict running minimum over
@@ -435,11 +456,11 @@ def optimality_rows(game, rho, m0, cap: int = DEFAULT_STRATEGY_CAP) -> tuple:
     rows = []
     for phi in support:
         flows = [(flow, w) for p, flow, w in rho.atoms if p == phi]
-        own = sum(w * deterministic_cost(game, phi, flow, m0) for flow, w in flows)
+        own = sum(w * flow_cost(game, phi, flow, m0) for flow, w in flows)
         best_i = best_val = None
         tied = 0
         for i, psi in enumerate(candidates):
-            val = sum(w * deterministic_cost(game, psi, flow, m0) for flow, w in flows)
+            val = sum(w * flow_cost(game, psi, flow, m0) for flow, w in flows)
             if best_val is None or val < best_val:
                 best_i, best_val, tied = i, val, 1
             elif val == best_val:

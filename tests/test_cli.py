@@ -31,6 +31,16 @@ UNCAPPED_COMMANDS = {
     "lift": (["lift", *_GAME_FLOW, "-N", "3"], _CAPS),
 }
 
+# every command that reads a cap, with the caps it reads
+CAPPED_COMMANDS = {
+    "nplayer solve-ce": (["nplayer", "solve-ce", "--game", "g.json", "-N", "3"], _CAPS[1:]),
+    "nplayer epsilon": (EPSILON_ARGV, _CAPS[1:]),
+    "limits epsilon-curve": (["limits", "epsilon-curve", *_GAME_FLOW, "--Ns", "2"], _CAPS[1:]),
+    "limits converge": (["limits", "converge", *_GAME_FLOW, "--Ns", "5"], _CAPS[1:]),
+    "mfg verify": (["mfg", "verify", *_GAME_FLOW], ("--strategy-cap",)),
+    "mfg best-response": (["mfg", "best-response", *_GAME_FLOW], ("--strategy-cap",)),
+}
+
 _CAP_DEFAULTS = {
     "out": ".", "threads": 1, "joint_cap": 4096, "atom_cap": 4096, "lp_cap": 65536,
     "strategy_cap": 4096, "ot_cap": 10000,
@@ -105,6 +115,25 @@ class TestParseArgs:
             cli.parse_args([*EPSILON_ARGV, "--method", "mc", "--threads", value])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("command, option", [
+        (command, option)
+        for command, (_, options) in CAPPED_COMMANDS.items() for option in options
+    ])
+    def test_caps_below_one_exit_2(self, command, option, value, capsys):
+        # a cap below one would refuse every input with a capacity error
+        argv, _ = CAPPED_COMMANDS[command]
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args([*argv, option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: need a positive integer, got {value}" in err
+
+    def test_unknown_command_exits_2(self, tmp_path, capsys):
+        assert cli.run(cli.CommandSpec("frobnicate", {"out": str(tmp_path)})) == 2
+        assert "invalid input: 'frobnicate'" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("command, option", [
         (command, option)

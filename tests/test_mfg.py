@@ -13,7 +13,6 @@ from cmfg.mfg import (
     CorrelatedFlow,
     DeviationMap,
     consistency_check,
-    deterministic_cost,
     dp_best_response,
     factor_flow,
     mkv_propagate,
@@ -30,7 +29,7 @@ from cmfg.model import (
     enumerate_strategies,
 )
 
-from oracles import optimality_rows, random_correlated_flow, random_game
+from oracles import flow_cost, optimality_rows, random_correlated_flow, random_game
 from test_nplayer import float_via_io
 
 PHI_PLUS = RestrictedStrategy(((1, 0), (1, 0)))
@@ -88,19 +87,19 @@ class TestStateLaw:
 class TestDeterministicCost:
     def test_pinned_value(self, game, rho, m0):
         flow_plus = next(f for s, f, _ in rho.atoms if s == PHI_PLUS)
-        assert deterministic_cost(game, PHI_PLUS, flow_plus, m0) == F(-13, 512)
+        assert flow_cost(game, PHI_PLUS, flow_plus, m0) == F(-13, 512)
 
     def test_matches_path_enumeration_for_all_strategies(self, game, rho, m0):
         for _, flow, _ in rho.atoms[:3]:
             for phi in enumerate_strategies(game):
-                assert deterministic_cost(game, phi, flow, m0) == path_cost_oracle(
+                assert flow_cost(game, phi, flow, m0) == path_cost_oracle(
                     game, phi, flow, m0
                 )
 
 
 def correlated_value(game, rho, u, m0):
     """J(m0; rho, u): each atom's weight times the cost of u(phi) against its flow."""
-    return sum(w * deterministic_cost(game, u.apply(phi), flow, m0) for phi, flow, w in rho.atoms)
+    return sum(w * flow_cost(game, u.apply(phi), flow, m0) for phi, flow, w in rho.atoms)
 
 
 class TestCorrelatedCost:
@@ -113,7 +112,7 @@ class TestCorrelatedCost:
         shifted = correlated_value(game, rho, u, m0)
         own = row_for(game, rho, PHI_PLUS, m0).cost
         dev = sum(
-            w * deterministic_cost(game, PHI_O, flow, m0)
+            w * flow_cost(game, PHI_O, flow, m0)
             for phi, flow, w in rho.atoms if phi == PHI_PLUS
         )
         assert shifted - base == dev - own != 0
@@ -142,7 +141,7 @@ class TestBestResponse:
         br = row_for(game, rho, PHI_PLUS, m0)
         flows = [(flow, w) for phi, flow, w in rho.atoms if phi == PHI_PLUS]
         values = [
-            sum(w * deterministic_cost(game, psi, flow, m0) for flow, w in flows)
+            sum(w * flow_cost(game, psi, flow, m0) for flow, w in flows)
             for psi in enumerate_strategies(game)
         ]
         assert br.best_value == min(values)
@@ -250,14 +249,14 @@ class TestDpBestResponse:
         for _, flow, _ in rho.atoms:
             dp = dp_best_response(game, flow)
             enumerated = min(
-                deterministic_cost(game, phi, flow, m0)
+                flow_cost(game, phi, flow, m0)
                 for phi in enumerate_strategies(game)
             )
             value_at_root = sum(
                 m0[x] * dp.values[0][x] for x in range(len(game.states))
             )
             assert value_at_root == enumerated
-            assert deterministic_cost(game, dp.strategy, flow, m0) == enumerated
+            assert flow_cost(game, dp.strategy, flow, m0) == enumerated
 
     @given(st.integers(0, 2**32), st.sampled_from(RANDOM_SHAPES))
     @settings(max_examples=30, deadline=None)
@@ -268,10 +267,10 @@ class TestDpBestResponse:
         m0 = random_measure(r, game)
         dp = dp_best_response(game, flow)
         enumerated = min(
-            deterministic_cost(game, phi, flow, m0) for phi in enumerate_strategies(game)
+            flow_cost(game, phi, flow, m0) for phi in enumerate_strategies(game)
         )
         assert sum(m0[x] * v for x, v in enumerate(dp.values[0])) == enumerated
-        assert deterministic_cost(game, dp.strategy, flow, m0) == enumerated
+        assert flow_cost(game, dp.strategy, flow, m0) == enumerated
 
     def test_pinned_value_table(self, game, rho):
         flow_plus = next(f for s, f, _ in rho.atoms if s == PHI_PLUS)
@@ -420,12 +419,6 @@ class TestCorrelatedFlowType:
         phi, flow, _ = rho.atoms[0]
         with pytest.raises(ValueError):
             CorrelatedFlow(((phi, flow, F(1, 2)),))
-
-    def test_support_strategies_sorted_unique(self, rho):
-        support = rho.support_strategies()
-        assert len(support) == 5
-        keys = [s.actions for s in support]
-        assert keys == sorted(keys)
 
 
 class TestDeviationMap:

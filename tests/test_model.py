@@ -1,13 +1,17 @@
 """Core model types: spaces, measures, strategies, kernels, sampling."""
 
+import json
+import re
+from contextlib import redirect_stderr
 from dataclasses import replace
 from fractions import Fraction as F
+from io import StringIO
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfg import limits, mfg, model, nplayer
+from cmfg import cli, io, limits, lp, mfg, model, nplayer, transport, two_state
 from cmfg.model import (
     EXACT,
     FLOAT,
@@ -424,8 +428,6 @@ def test_unit_mass_rule_is_shared(game, site, mode, delta, accepted):
 _CFG = nplayer.SimulationConfig(master_seed=0, replications=8)
 INITIAL_LAW_SITES = {
     "mfg.state_law": lambda g, rho, m0: mfg.state_law(g, *rho.atoms[0][:2], m0),
-    "mfg.deterministic_cost": lambda g, rho, m0: mfg.deterministic_cost(
-        g, *rho.atoms[0][:2], m0),
     "mfg.optimality_gap": lambda g, rho, m0: mfg.optimality_gap(g, rho, m0),
     "mfg.consistency_check": lambda g, rho, m0: mfg.consistency_check(g, rho, m0),
     "mfg.verify_solution": lambda g, rho, m0: mfg.verify_solution(g, rho, m0),
@@ -480,3 +482,110 @@ def test_initial_law_rule_is_shared(game, rho, m0, site, bad):
     INITIAL_LAW_SITES[site](game, rho, m0)  # the example's own law is accepted
     with pytest.raises(ValueError, match=error):
         INITIAL_LAW_SITES[site](game, rho, make(game, m0))
+
+
+def _cli(tmp, argv, **docs):
+    """Runs cmfg with each document written to tmp and passed as --<name>;
+    an exit 2 raises a ValueError with what the command printed."""
+    paths = []
+    for name, doc in docs.items():
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths += [f"--{name}", str(path)]
+    err = StringIO()
+    with redirect_stderr(err):
+        code = cli.run(cli.parse_args([*argv, *paths, "-o", str(tmp / "out")]))
+    if code == 2:
+        raise ValueError(err.getvalue())
+    return code
+
+
+# one refusal of each input check, with the message it gives, called on the
+# example (g, rho, m0) and a scratch directory
+REFUSALS = {
+    "CorrelatedFlow-no-atoms": (
+        lambda g, rho, m0, tmp: mfg.CorrelatedFlow(()), "at least one atom"),
+    "CorrelatedFlow-mixed-modes": (
+        lambda g, rho, m0, tmp: mfg.CorrelatedFlow(
+            (float_via_io(g, rho).atoms[0], *rho.atoms[1:])),
+        "atoms mix arithmetic modes"),
+    "CorrelatedFlow-zero-weight": (
+        lambda g, rho, m0, tmp: mfg.CorrelatedFlow(
+            (*rho.atoms, (RestrictedStrategy(((1, 1), (1, 1))), rho.atoms[0][1], F(0)))),
+        "atom weight 0 is not positive"),
+    "mfg.optimality_gap-float-flow": (
+        lambda g, rho, m0, tmp: mfg.optimality_gap(g, float_via_io(g, rho), m0),
+        "mixing arithmetic modes: game exact, data float"),
+    "mfg.mkv_propagate-empty-conditional": (
+        lambda g, rho, m0, tmp: mfg.mkv_propagate(g, (), m0), "empty strategy conditional"),
+    "ExplicitProfile-one-player": (
+        lambda g, rho, m0, tmp: nplayer.ExplicitProfile(1, (((_HOLD,), F(1)),)),
+        "need at least two players"),
+    "ExplicitProfile-no-atoms": (
+        lambda g, rho, m0, tmp: nplayer.ExplicitProfile(2, ()), "at least one atom"),
+    "FactoredProfile-misaligned": (
+        lambda g, rho, m0, tmp: nplayer.FactoredProfile(2, *mfg.factor_flow(rho)[:2], ()),
+        "flows, weights and conditionals must align"),
+    "FactoredProfile-no-flows": (
+        lambda g, rho, m0, tmp: nplayer.FactoredProfile(2, (), (), ()),
+        "needs at least one flow"),
+    "FactoredProfile-empty-conditional": (
+        lambda g, rho, m0, tmp: nplayer.FactoredProfile(
+            2, *mfg.factor_flow(rho)[:2], ((),) + mfg.factor_flow(rho)[2][1:]),
+        "empty strategy conditional"),
+    "SimulationConfig-no-replications": (
+        lambda g, rho, m0, tmp: nplayer.SimulationConfig(0, 0),
+        "need at least one replication"),
+    "cli-epsilon-no-replications": (
+        lambda g, rho, m0, tmp: _cli(
+            tmp, ["nplayer", "epsilon", "--method", "mc", "--reps", "0"],
+            game=io.game_to_json(g), profile=io.profile_to_json(limits.lift(rho, 2), g)),
+        "need at least one replication"),
+    "nplayer.deviation_gain-mc-no-config": (
+        lambda g, rho, m0, tmp: nplayer.deviation_gain(g, limits.lift(rho, 2), 0, m0, "mc"),
+        "Monte Carlo method needs a SimulationConfig"),
+    "nplayer.deviation_gain-unknown-method": (
+        lambda g, rho, m0, tmp: nplayer.deviation_gain(
+            g, limits.lift(rho, 2), 0, m0, "bogus", _CFG),
+        "unknown method 'bogus'"),
+    "limits.epsilon_curve-unknown-method": (
+        # no population size, so nothing else can refuse
+        lambda g, rho, m0, tmp: limits.epsilon_curve(g, rho, m0, (), _CFG, "bogus"),
+        "unknown method 'bogus'"),
+    "nplayer.solve_symmetric_ce-float-game": (
+        lambda g, rho, m0, tmp: nplayer.solve_symmetric_ce(
+            float_via_io(g), 2, float_via_io(g, m0)),
+        "the equilibrium LP needs exact arithmetic"),
+    "cli-solve-ce-float-game": (
+        lambda g, rho, m0, tmp: _cli(
+            tmp, ["nplayer", "solve-ce", "-N", "2"], game=io.game_to_json(float_via_io(g))),
+        "the equilibrium LP needs exact arithmetic"),
+    "LinearProgram-objective-length": (
+        lambda g, rho, m0, tmp: lp.LinearProgram(("a", "b"), (), (1,)),
+        "objective length does not match variable count"),
+    "solve_transport-empty-marginal": (
+        lambda g, rho, m0, tmp: transport.solve_transport((), (1,), ()), "empty marginal"),
+    "solve_transport-cost-shape": (
+        lambda g, rho, m0, tmp: transport.solve_transport((1,), (1,), ((0, 0),)),
+        "cost matrix shape mismatch"),
+    "FiniteSpace-non-string-labels": (
+        lambda g, rho, m0, tmp: FiniteSpace((0, 1)), "labels must be strings"),
+    "FlowTrajectory-empty": (
+        lambda g, rho, m0, tmp: FlowTrajectory(()), "empty trajectory"),
+    "AffineSimplexMap-coef-shape": (
+        lambda g, rho, m0, tmp: AffineSimplexMap((F(1),), ((F(0), F(0)),)),
+        "coef must be a d x d table matching base"),
+    "GameSpec-horizon-0": (
+        lambda g, rho, m0, tmp: replace(g, horizon=0), "horizon must be at least 1"),
+    "ExampleParams-negative-beta": (
+        lambda g, rho, m0, tmp: two_state.ExampleParams(
+            (F(3, 8), F(-1, 8), F(3, 8), F(-1, 8)), F(1, 32), F(1, 16)),
+        "beta_2, beta_4 nonnegative"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(REFUSALS))
+def test_each_input_check_refuses_with_its_message(game, rho, m0, tmp_path, site):
+    call, message = REFUSALS[site]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(game, rho, m0, tmp_path)

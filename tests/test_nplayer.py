@@ -1103,6 +1103,51 @@ class TestChunkMemory:
         assert peak < 68 * 2**20
 
 
+    def test_a_wide_chunk_keeps_its_uniforms_within_the_budget(self, monkeypatch):
+        """At N = 100,000 a replication of the c1 = 3/32 lift draws 400,001
+        uniforms, so a chunk of 4,096 replications would need 12.2 GiB: the
+        chunk is cut to the rows whose uniforms fit in 128 MiB."""
+
+        def refuse(seed, rep_start, rep_count, slots):
+            raise _Captured(rep_count, len(slots))
+
+        monkeypatch.setattr(rng, "uniform_block", refuse)
+        params = two_state.ExampleParams.from_alpha(F(1, 2), F(1, 32), F(3, 32))
+        game, rho, m0 = two_state.build_example(params)
+        cfg = SimulationConfig(master_seed=0, replications=5_000)
+        with pytest.raises(_Captured) as info:
+            deviation_gain(game, lift(rho, 100_000), 0, m0, "mc", cfg)
+        rows, slots = info.value.args
+        assert slots == 400_001
+        assert 1 <= rows and rows * slots * 8 <= 2**27
+
+    def test_byte_budgeted_chunks_change_no_result(self, monkeypatch):
+        """A budget that cuts every chunk to 7 replications (the last one
+        partial) gives the same audit and the same empirical flow."""
+        game = random_game(5, 3, 2, 2)
+        m0 = random_m0(game)
+        profile = random_profiles(game, 5)[1]
+        cfg = SimulationConfig(master_seed=3, replications=80)
+
+        def results():
+            gain = deviation_gain(game, profile, 0, m0, "mc", cfg)
+            return (gain.epsilon, gain.stderr, gain.rows), empirical_rho_n(game, profile, m0, cfg)
+
+        whole = results()
+        slots = 2 * profile.n_players + 1 + game.horizon * profile.n_players
+        monkeypatch.setattr(nplayer, "_CHUNK_BYTES", 7 * 8 * slots + 7)
+        counts = []
+        uniform_block = rng.uniform_block
+
+        def counted(seed, rep_start, rep_count, slots):
+            counts.append(rep_count)
+            return uniform_block(seed, rep_start, rep_count, slots)
+
+        monkeypatch.setattr(rng, "uniform_block", counted)
+        assert results() == whole
+        assert counts == ([7] * 11 + [3]) * 2
+
+
 class TestExactPropagationOnMixingGame:
     """exact_joint_propagate against the path oracle, for every player, on
     random games whose kernels and costs depend on the measure, so every
@@ -1154,7 +1199,7 @@ class TestDeviationGain:
     def test_rows_cover_the_support(self, game, rho, uniform_m0):
         result = deviation_gain(game, lift(rho, 2), 0, uniform_m0, "exact")
         recs = {row.recommendation for row in result.rows}
-        assert recs == set(rho.support_strategies())
+        assert recs == {phi for phi, _, _ in rho.atoms}
 
     def test_exact_matches_brute_force(self, game, uniform_m0):
         profile = symmetrize(dirac_profile(PHI_PLUS, PHI_O))
@@ -1298,7 +1343,8 @@ class TestSolveSymmetricCe:
 
 
 class _Captured(Exception):
-    """Raised in place of solving, with the LP that was to be solved."""
+    """Raised in place of a call, with what the call was given: the LP that
+    was to be solved, or the shape of a uniform block."""
 
 
 def ce_lp(monkeypatch, game, n, m0n, **kwargs):
