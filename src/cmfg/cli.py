@@ -342,7 +342,7 @@ def _run_mfg_best_response(session: _Session, opts: dict) -> int:
 def _run_mfg_propagate(session: _Session, opts: dict) -> int:
     game, rho, m0 = _load_game_flow(session, opts)
     rows = []
-    exact = game.arithmetic == "exact"
+    exact = game.arithmetic == EXACT
     _, _, conditionals = mfg.factor_flow(rho)
     for k, cond in enumerate(conditionals):
         for t, pv in enumerate(mfg.mkv_propagate(game, cond, m0).measures):
@@ -366,10 +366,10 @@ def _example_params(opts: dict) -> two_state.ExampleParams:
 
 def _run_example_section5(session: _Session, opts: dict) -> int:
     params = _example_params(opts)
-    game, rho, m0 = two_state.build_example(params)
     verdict = two_state.verify_example(params)
+    game = verdict.game
     session.write_json("game.json", io.game_to_json(game))
-    session.write_json("rho.json", io.flow_to_json(rho, game))
+    session.write_json("rho.json", io.flow_to_json(verdict.rho, game))
     session.write_json(
         "verdict.json",
         {
@@ -377,8 +377,8 @@ def _run_example_section5(session: _Session, opts: dict) -> int:
             "closed_forms_match": verdict.closed_forms_match,
             "c0": io.scalar_json(params.c0),
             "c1": io.scalar_json(params.c1),
-            "c0_threshold": io.scalar_json(verdict.c0_threshold),
-            "c1_threshold": io.scalar_json(verdict.c1_threshold),
+            "c0_threshold": io.scalar_json(params.c0_threshold),
+            "c1_threshold": io.scalar_json(params.c1_threshold),
             "margins": [io.scalar_json(m) for m in verdict.margins],
             "solution": _verdict_json(verdict.solution, game),
         },
@@ -514,7 +514,7 @@ def run(spec: CommandSpec) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     session.finish()

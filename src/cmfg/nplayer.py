@@ -581,16 +581,16 @@ class _MonteCarlo:
     """The vectorized Monte Carlo engine for one table of strategies.
 
     Holds float64 views of the game and a row-index table for strategies;
-    `batches` draws each chunk's random inputs, `run` simulates them with one
-    player on its strategy row, and `deviation_costs` walks that player's
-    action tree to cost every strategy of the table at once.  A player sees
-    the others only through its own state and the state counts, so both
-    share the step tables `_step` (pick thresholds and running costs at
-    every state and action, or terminal costs), built once per distinct
-    count row, and draw every player's next state from them by flat
-    gathers.  The tree carries the others' counts down to a node's children
-    and costs its leaves at the last internal level.  Every Monte Carlo
-    caller goes through these methods.
+    `batches` draws each chunk's random inputs (one uniform block per slot
+    range), `run` simulates them with one player on its strategy row, and
+    `deviation_costs` walks that player's action tree to cost every strategy
+    of the table at once.  A player sees the others only through its own
+    state and the state counts, so both share the step tables `_step` (pick
+    thresholds and running costs at every state and action, or terminal
+    costs), built once per distinct count row, and draw every player's next
+    state from them by flat gathers.  The tree carries the others' counts
+    down to a node's children and costs its leaves at the last internal
+    level.  Every Monte Carlo caller goes through these methods.
     """
 
     def __init__(self, game: GameSpec, strategies: Sequence[RestrictedStrategy]):
@@ -612,26 +612,23 @@ class _MonteCarlo:
     ):
         """Per chunk of replications, (start, strategy rows, initial states,
         noise) of shapes (count, N), (count, N) and (count, T, N), drawn from
-        the slot layout documented in `rng`.  A chunk holds `_CHUNK` rows, or
-        fewer when their uniforms would pass `_CHUNK_BYTES`.  The noise is a
-        copy, so the chunk's uniform block is freed before the walk; a caller
-        drops its chunk before asking for the next, which is drawn only then."""
+        one uniform block per slot range of `rng`'s layout, each read where it
+        is drawn: the noise is its block, reshaped.  A chunk holds `_CHUNK`
+        rows, or fewer when its uniforms would pass `_CHUNK_BYTES`.  Nothing
+        here holds a yielded chunk; a caller drops it before asking for the
+        next, which is drawn only then."""
         require_initial_law(self.game, m0n)
         n, T = profile.n_players, self.horizon
         sampler = _ProfileSampler(profile, self)
         w0 = np.array([float(v) for v in m0n.weights])
         slots = np.arange(2 * n + 1 + T * n, dtype=np.uint64)
-        reps = cfg.replications
+        reps, seed = cfg.replications, cfg.master_seed
         rows = min(_CHUNK, max(1, _CHUNK_BYTES // (8 * len(slots))))
         for start in range(0, reps, rows):
             count = min(rows, reps - start)
-            uni = rng.uniform_block(cfg.master_seed, start, count, slots)
-            strat_rows = sampler.draw(uni[:, : n + 1])
-            x0 = _pick(w0, uni[:, n + 1 : 2 * n + 1])
-            noise = uni[:, 2 * n + 1 :].reshape(count, T, n).copy()
-            del uni
-            yield start, strat_rows, x0, noise
-            del strat_rows, x0, noise
+            yield (start, sampler.draw(rng.uniform_block(seed, start, count, slots[: n + 1])),
+                   _pick(w0, rng.uniform_block(seed, start, count, slots[n + 1 : 2 * n + 1])),
+                   rng.uniform_block(seed, start, count, slots[2 * n + 1 :]).reshape(count, T, n))
 
     def _count(self, states: np.ndarray) -> np.ndarray:
         """State counts (reps, d) of the states (reps, N)."""
@@ -701,9 +698,10 @@ class _MonteCarlo:
         self._visit(0, 0, x0, self._count(x0), np.zeros(reps), walk)
         leaf = np.zeros((reps, len(self.strategies)), dtype=np.int64)
         rows = np.arange(len(self.strategies)) * self.d
+        r = np.arange(reps)[:, None]  # flat gathers: row r of a (reps, k) array starts at r k
         for t, xs in enumerate(visited):
-            leaf = leaf * A + self.act[t].take(rows + np.take_along_axis(xs, leaf, axis=1))
-        return np.take_along_axis(leaves, leaf, axis=1)
+            leaf = leaf * A + self.act[t].take(rows + xs.take(r * A ** t + leaf))
+        return leaves.take(r * A ** self.horizon + leaf)
 
     def _visit(self, t, node, states, counts, cost, walk):
         """Node `node` (the player's actions so far, base |A|) at time t < T
@@ -829,16 +827,13 @@ def mc_profile_cost(
     # support first: recommendation rows are 0..len(support)-1
     mc = _MonteCarlo(game, tuple({s.actions: s for s in (*support, *images)}.values()))
     remap = np.array([mc.index[s.actions] for s in images], dtype=np.int64)
-    reps = cfg.replications
-    total = 0.0
-    costs = np.empty(reps, dtype=np.float64)
+    costs = np.empty(cfg.replications, dtype=np.float64)
     for start, strat_rows, x0, noise in mc.batches(profile, m0n, cfg):
         strat_rows[:, player] = remap[strat_rows[:, player]]
         cost, _ = mc.run(strat_rows, x0, noise, player)
-        total += float(np.sum(cost))
         costs[start:start + len(cost)] = cost
         del strat_rows, x0, noise
-    return total / reps, _stderr(costs)
+    return float(np.sum(costs)) / cfg.replications, _stderr(costs)
 
 
 def _stderr(samples: np.ndarray) -> float:

@@ -6,9 +6,9 @@ counter, and each slot reuses the same generator one level down.  Results are
 independent of execution order, chunking and `uniform_block`'s in-place row
 blocks, so parallel and common-random-number runs reproduce by construction.
 
-Slot layout per replication with N players over horizon T.  Its one user is
-the batch generator of the Monte Carlo engine (`nplayer._MonteCarlo.batches`),
-which every Monte Carlo caller goes through:
+Slot layout per replication with N players over horizon T; every Monte Carlo
+caller goes through `nplayer._MonteCarlo.batches`, which draws each of its
+three ranges (0..N, N+1..2N, 2N+1 on) as its own `uniform_block`:
 
     0                     profile draw (flow atom or explicit atom)
     1 .. N                per-player strategy draws given the flow

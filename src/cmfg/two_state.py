@@ -202,23 +202,22 @@ class ExampleVerdict:
     v_plus: DpResult
     v_plus_once: DpResult
     closed_forms_match: bool
-    c0_threshold: Fraction
-    c1_threshold: Fraction
+    game: GameSpec
+    rho: CorrelatedFlow
 
     @property
     def margins(self) -> tuple[Fraction, Fraction]:
-        return (
-            self.c0_threshold - self.params.c0,
-            self.c1_threshold - self.params.c1,
-        )
+        p = self.params
+        return p.c0_threshold - p.c0, p.c1_threshold - p.c1
 
 
 def verify_example(p: ExampleParams) -> ExampleVerdict:
     game, rho, m0 = build_example(p)
     sol = verify_solution(game, rho, m0)
-    _, m1p, m2p, _, _ = example_flows(p)
-    dp_plus = dp_best_response(game, FlowTrajectory((m0, m1p, m2p)))
-    dp_once = dp_best_response(game, FlowTrajectory((m0, m1p, m0)))
+    # beta_1, beta_3 > 0: the HOLD_PLUS and HOLD_PLUS_ONCE atoms carry the DP flows
+    flows = {phi: flow for phi, flow, _ in rho.atoms}
+    dp_plus = dp_best_response(game, flows[HOLD_PLUS])
+    dp_once = dp_best_response(game, flows[HOLD_PLUS_ONCE])
 
     cf_plus, cf_once = closed_form_values(p)
     match = dp_once.values == cf_once and dp_plus.values[1:] == cf_plus[1:]
@@ -233,7 +232,5 @@ def verify_example(p: ExampleParams) -> ExampleVerdict:
         verdict = "boundary"
     else:
         verdict = "solution"
-    return ExampleVerdict(
-        p, verdict, sol, dp_plus, dp_once, match, p.c0_threshold, p.c1_threshold
-    )
+    return ExampleVerdict(p, verdict, sol, dp_plus, dp_once, match, game, rho)
 

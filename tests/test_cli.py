@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from cmfg import cli, io
+from cmfg import cli, io, two_state
 
 from oracles import MALFORMED_GAMES, malformed_game
 
@@ -174,6 +174,18 @@ class TestExampleCommand:
         lines = (example_dir / "values.csv").read_text().splitlines()
         assert lines[0] == "table,t,state,value,exact"
         assert all(line.endswith(",1") for line in lines[1:])
+
+    def test_builds_the_example_once(self, tmp_path, monkeypatch):
+        calls = []
+        example_flows = two_state.example_flows
+
+        def counted(params):
+            calls.append(params)
+            return example_flows(params)
+
+        monkeypatch.setattr(two_state, "example_flows", counted)
+        assert run_cli(["example", "section5", "-o", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
     def test_not_solution_exits_1(self, tmp_path):
         code = run_cli(

@@ -216,6 +216,11 @@ class TestProfileDocuments:
         assert isinstance(again, ExplicitProfile)
         assert again.atoms == explicit.atoms
 
+    def test_int_weight_written_as_a_ratio(self, game, rho):
+        vec = tuple(s for s, _, _ in rho.atoms[:2])
+        doc = io.profile_to_json(ExplicitProfile(2, ((vec, 1),)), game)
+        assert doc["explicit"][0]["weight"] == "1"
+
     def test_factored_roundtrip(self, game, rho):
         prof = lift(rho, 3)
         doc = io.profile_to_json(prof, game)

@@ -83,6 +83,12 @@ class TestProbabilityVector:
         with pytest.raises(ValueError):
             ProbabilityVector(sp, (0.5, 0.5), EXACT)
 
+    @pytest.mark.parametrize("mode, kind", [(EXACT, F), (FLOAT, float)])
+    def test_int_weights_take_the_mode(self, mode, kind):
+        pv = ProbabilityVector(FiniteSpace(("x", "y")), (1, 0), mode)
+        assert pv.weights == (1, 0)
+        assert [type(w) for w in pv.weights] == [kind, kind]
+
     def test_uniform_and_its_float_copy(self):
         game = random_game(0, 3, 2, 1)
         u = ProbabilityVector.uniform(game.states, EXACT)

@@ -796,7 +796,7 @@ class TestMonteCarlo:
         ref = scalar_mc_reference(
             game, profile, 0, DeviationMap.identity(), uniform_m0, small
         )
-        assert abs(mean - ref[0]) < 1e-12
+        assert mean == ref[0]
 
     def test_three_sigma_agreement_with_exact(self, game, rho, uniform_m0):
         profile = lift(rho, 2)
@@ -928,6 +928,31 @@ def random_m0(game):
     return ProbabilityVector(
         game.states, {1: (F(1),), 2: (F(1, 3), F(2, 3)), 3: MIXING_M0}[len(game.states)], EXACT
     )
+
+
+class TestMonteCarloAgainstExactOnRandomGames:
+    """`mc_profile_cost` within three standard errors of `profile_cost_exact`
+    on seeded random games whose kernels depend on the measure, the last
+    player sending one of its recommendations to another strategy."""
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["explicit-N3", "factored-N5"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_three_sigma_agreement(self, seed, kind):
+        game = random_game(seed, 3, 2, 2)
+        m0 = random_m0(game)
+        profile = random_profiles(game, seed)[kind]
+        player = profile.n_players - 1
+        if kind == 0:
+            own = [vec[player] for vec, _ in profile.atoms]
+        else:
+            own = [s for cond in profile.conditionals for s, _ in cond]
+        r = random.Random(10 + seed)
+        key = r.choice(own)
+        u = DeviationMap.single(key, r.choice([s for s in enumerate_strategies(game) if s != key]))
+        exact = profile_cost_exact(game, profile, player, u, m0)
+        cfg = SimulationConfig(master_seed=seed, replications=20_000)
+        mean, stderr = mc_profile_cost(game, profile, player, u, m0, cfg)
+        assert abs(mean - float(exact)) <= 3 * stderr
 
 
 class TestActionTreeAgainstCandidateLoop:
@@ -1080,16 +1105,18 @@ class TestChunkMemory:
                 refs.clear()
                 call()
                 alive = sum(ref() is not None for ref in refs)
-                assert (len(refs), alive) == (5, 0), name
+                # five chunks of three blocks: strategies, initial states, noise
+                assert (len(refs), alive) == (15, 0), name
         finally:
             gc.enable()
 
     def test_the_walk_holds_one_chunk_of_noise(self):
         """The Monte Carlo audit of the c1 = 3/32 lift at N=200, 10^4
-        replications: a chunk's uniform block (4,096 x 801 float64s, 25 MiB)
-        is freed before the tree walk, which keeps only the T N noise
-        columns, and before the next block is drawn.  A block held through
-        the walk and into the next draw peaks near 77 MiB."""
+        replications: a chunk's strategy and initial-state blocks (4,096 x
+        401 float64s) are freed once read, the tree walk holds only the noise
+        block (4,096 x 400), and that is freed before the next chunk is
+        drawn.  A chunk's 801 columns held through the walk and into the
+        next draw peak near 77 MiB."""
         params = two_state.ExampleParams.from_alpha(F(1, 2), F(1, 32), F(3, 32))
         game, rho, m0 = two_state.build_example(params)
         profile = lift(rho, 200)
@@ -1106,32 +1133,43 @@ class TestChunkMemory:
     def test_a_wide_chunk_keeps_its_uniforms_within_the_budget(self, monkeypatch):
         """At N = 100,000 a replication of the c1 = 3/32 lift draws 400,001
         uniforms, so a chunk of 4,096 replications would need 12.2 GiB: the
-        chunk is cut to the rows whose uniforms fit in 128 MiB."""
+        chunk is cut to the rows whose uniforms, over its three blocks, fit
+        in 128 MiB."""
+        shapes = []
 
-        def refuse(seed, rep_start, rep_count, slots):
-            raise _Captured(rep_count, len(slots))
+        def record(seed, rep_start, rep_count, slots):
+            shapes.append((rep_count, len(slots)))
+            if len(shapes) == 3:  # the first chunk's noise: stop before the walk
+                raise _Captured(*shapes[-1])
+            return np.zeros(shapes[-1])
 
-        monkeypatch.setattr(rng, "uniform_block", refuse)
+        monkeypatch.setattr(rng, "uniform_block", record)
         params = two_state.ExampleParams.from_alpha(F(1, 2), F(1, 32), F(3, 32))
         game, rho, m0 = two_state.build_example(params)
         cfg = SimulationConfig(master_seed=0, replications=5_000)
-        with pytest.raises(_Captured) as info:
+        with pytest.raises(_Captured):
             deviation_gain(game, lift(rho, 100_000), 0, m0, "mc", cfg)
-        rows, slots = info.value.args
-        assert slots == 400_001
-        assert 1 <= rows and rows * slots * 8 <= 2**27
+        rows = shapes[0][0]
+        assert shapes == [(rows, 100_001), (rows, 100_000), (rows, 200_000)]
+        assert 1 <= rows and rows * 400_001 * 8 <= 2**27
 
     def test_byte_budgeted_chunks_change_no_result(self, monkeypatch):
         """A budget that cuts every chunk to 7 replications (the last one
-        partial) gives the same audit and the same empirical flow."""
-        game = random_game(5, 3, 2, 2)
-        m0 = random_m0(game)
-        profile = random_profiles(game, 5)[1]
+        partial) gives the same audit, the same empirical flow and the same
+        profile cost.  The c1 = 3/32 lift at N=7 has measures over 6, so its
+        float sums round and their order shows."""
+        params = two_state.ExampleParams.from_alpha(F(1, 2), F(1, 32), F(3, 32))
+        game, rho, m0 = two_state.build_example(params)
+        profile = lift(rho, 7)
         cfg = SimulationConfig(master_seed=3, replications=80)
 
         def results():
             gain = deviation_gain(game, profile, 0, m0, "mc", cfg)
-            return (gain.epsilon, gain.stderr, gain.rows), empirical_rho_n(game, profile, m0, cfg)
+            return (
+                (gain.epsilon, gain.stderr, gain.rows),
+                empirical_rho_n(game, profile, m0, cfg),
+                mc_profile_cost(game, profile, 0, DeviationMap.identity(), m0, cfg),
+            )
 
         whole = results()
         slots = 2 * profile.n_players + 1 + game.horizon * profile.n_players
@@ -1145,7 +1183,7 @@ class TestChunkMemory:
 
         monkeypatch.setattr(rng, "uniform_block", counted)
         assert results() == whole
-        assert counts == ([7] * 11 + [3]) * 2
+        assert counts == ([7] * 33 + [3] * 3) * 3  # three blocks per chunk
 
 
 class TestExactPropagationOnMixingGame:
