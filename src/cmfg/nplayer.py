@@ -20,10 +20,13 @@ N-1 states.  This module provides
 Exact audits read a profile as one player's anonymous draws (own strategy,
 others-multiset, weight), never as atoms over ordered strategy tuples.
 
-Profiles and initial laws are validated once, when they are built; the
-exact propagation then reads kernel rows and costs through the raw
-`GameSpec` methods and carries its weights as integer numerators over one
-denominator per time step, divided once at the end.
+Profiles and initial laws are validated once, when they are built.  Each
+exact request (a deviation gain, a profile cost, the CE, the exchangeability
+check) is admitted once, by `_admit`, before its draws, multisets or walks;
+the walks of the count chain take admitted inputs and check nothing.  They
+read kernel rows and costs through the raw `GameSpec` methods and carry
+their weights as integer numerators over one denominator per time step,
+divided once at the end.
 """
 
 from __future__ import annotations
@@ -145,13 +148,15 @@ def _multinomial(counts: Iterable[int]) -> int:
     return math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
 
 
-def _arrangements(items: Sequence) -> set[tuple]:
-    """The distinct orderings of a multiset, built by inserting one item at
-    a time; no stage holds more orderings than the result."""
+def _spread(items: Sequence, w: Scalar, ratio) -> list[tuple]:
+    """Weight w spread evenly over the distinct orderings of a multiset,
+    built by inserting one item at a time; no stage holds more orderings
+    than the result."""
     arranged = {()}
     for x in items:
         arranged = {a[:i] + (x,) + a[i:] for a in arranged for i in range(len(a) + 1)}
-    return arranged
+    share = ratio(w, len(arranged))
+    return [(arr, share) for arr in arranged]
 
 
 def _anonymous_draws(profile: CorrelatedProfile, player: int) -> list[tuple]:
@@ -187,13 +192,9 @@ def symmetrize(profile: ExplicitProfile, cap: int = DEFAULT_ATOM_CAP) -> Explici
     n_atoms = sum(_multinomial(Counter(vec).values()) for vec, _ in profile.atoms)
     if n_atoms > cap:
         raise CapacityError(f"symmetrization needs {n_atoms} atoms, cap {cap}")
-    atoms = []
     ratio = arith(profile.mode).ratio
-    for vec, w in profile.atoms:
-        arranged = _arrangements(vec)
-        share = ratio(w, len(arranged))
-        atoms.extend((arr, share) for arr in arranged)
-    return ExplicitProfile(profile.n_players, tuple(atoms))
+    atoms = tuple(atom for vec, w in profile.atoms for atom in _spread(vec, w, ratio))
+    return ExplicitProfile(profile.n_players, atoms)
 
 
 def is_symmetric(profile: CorrelatedProfile) -> bool:
@@ -235,7 +236,6 @@ def exact_joint_propagate(
     *,
     candidates: Optional[Sequence[RestrictedStrategy]] = None,
     memo: Optional[_ChainSteps] = None,
-    joint_cap: int = DEFAULT_JOINT_CAP,
 ) -> tuple[Scalar, ...]:
     """Player 0's expected total cost under every candidate strategy
     (default: strategies[0] alone), in order, in one walk of the count chain.
@@ -261,8 +261,8 @@ def exact_joint_propagate(
     (`_ChainSteps.expected`), as the Monte Carlo tree costs its leaves at
     the last internal level.  `memo`, a `_ChainSteps` of the same game,
     carries kernel rows, costs, the others' count laws and those
-    expectations from one walk to the next.  Inputs with more than
-    `joint_cap` joint states |X|^N are refused.
+    expectations from one walk to the next.  The inputs come admitted
+    (`_admit`, once per request) and the walk checks nothing.
 
     The weights are integer numerators over one denominator per time step
     (`_ChainSteps.start`) and the costs integers over the last one times
@@ -270,7 +270,7 @@ def exact_joint_propagate(
     candidate and none per successor.  A float game runs the same loop with
     every scale 1.  The chain's laws come from `count_chain_laws`.
     """
-    steps = _admitted(game, strategies, m0n, memo, joint_cap)
+    steps = _ChainSteps(game) if memo is None else memo
     candidates = strategies[:1] if candidates is None else candidates
     walked = tuple(dict.fromkeys(s.actions for s in candidates))
     splits: dict[tuple, list] = {}  # (candidate set, t, x) -> [(action, subset)]
@@ -323,17 +323,17 @@ def count_chain_laws(
     m0n: ProbabilityVector,
     *,
     memo: Optional[_ChainSteps] = None,
-    joint_cap: int = DEFAULT_JOINT_CAP,
 ) -> tuple[dict[tuple, Scalar], ...]:
     """The law of the count chain at times 0..T, player 0 on strategies[0].
 
     The groups are the distinct strategies of players 1..N-1 in order of
     first appearance.  A chain state is the tuple (x0, c_0, c_1, ...):
     player 0's state, then for each group g the d-tuple c_g of how many of
-    its players sit in each state.  The push takes the checks, `memo` and
-    integer weights of `exact_joint_propagate`, divided once per entry.
+    its players sit in each state.  The push takes the admitted inputs,
+    `memo` and integer weights of `exact_joint_propagate`, divided once per
+    entry.
     """
-    steps = _admitted(game, strategies, m0n, memo, joint_cap)
+    steps = _ChainSteps(game) if memo is None else memo
     own = strategies[0].actions
     law, groups, den, step, _ = steps.start(m0n, strategies[1:])
     laws = [law]
@@ -348,17 +348,14 @@ def count_chain_laws(
     return tuple({k: ratio(w, q) for k, w in law.items()} for law, q in zip(laws, dens))
 
 
-def _admitted(game, strategies, m0n, memo, joint_cap) -> _ChainSteps:
-    """The memo a walk of the count chain runs on, once its inputs pass:
-    two players or more, a product initial law, |X|^N <= `joint_cap`."""
-    n = len(strategies)
-    if n < 2:
-        raise ValueError("need at least two players")
+def _admit(game: GameSpec, n_players: int, m0n: ProbabilityVector, joint_cap: int) -> None:
+    """Admit one exact request on n_players before any of its work: a
+    product initial law and |X|^N <= `joint_cap`.  Every walk of the
+    request then takes its inputs as given."""
     require_initial_law(game, m0n)
     d = len(game.states)
-    if d ** n > joint_cap:
-        raise CapacityError(f"{d ** n} joint states exceed cap {joint_cap}")
-    return _ChainSteps(game) if memo is None else memo
+    if d ** n_players > joint_cap:
+        raise CapacityError(f"{d ** n_players} joint states exceed cap {joint_cap}")
 
 
 def _push(into: dict, w: Scalar, row, spread) -> None:
@@ -533,12 +530,11 @@ class _AnonymousCostTable:
     shares one memo of kernel rows, costs and count laws.
     """
 
-    def __init__(self, game, m0n, candidates, joint_cap=DEFAULT_JOINT_CAP):
+    def __init__(self, game, m0n, candidates):
         self.game = game
         self.m0n = m0n
         self.candidates = tuple(candidates)
         self.index = {s.actions: i for i, s in enumerate(self.candidates)}
-        self.joint_cap = joint_cap
         self.steps = _ChainSteps(game)
         self.memo: dict[tuple, tuple[Scalar, ...]] = {}
 
@@ -550,7 +546,7 @@ class _AnonymousCostTable:
         if hit is None:
             hit = self.memo[key] = exact_joint_propagate(
                 self.game, (self.candidates[0], *others), self.m0n,
-                candidates=self.candidates, memo=self.steps, joint_cap=self.joint_cap,
+                candidates=self.candidates, memo=self.steps,
             )
         return hit
 
@@ -565,8 +561,9 @@ def profile_cost_exact(
     joint_cap: int = DEFAULT_JOINT_CAP,
 ) -> Scalar:
     """Expected cost of `player` when it applies modification u to its draw."""
+    _admit(game, profile.n_players, m0n, joint_cap)
     draws = [(u.apply(own), others, w) for own, others, w in _anonymous_draws(profile, player)]
-    table = _AnonymousCostTable(game, m0n, _distinct_sorted(s for s, _, _ in draws), joint_cap)
+    table = _AnonymousCostTable(game, m0n, _distinct_sorted(s for s, _, _ in draws))
     total = zero(game.arithmetic)
     for own, others, w in draws:
         total += w * table.costs(others)[table.index[own.actions]]
@@ -890,9 +887,10 @@ def deviation_gain(
 def _deviation_gain_exact(
     game, profile, player, m0n, joint_cap, strategy_cap
 ) -> DeviationGainResult:
-    draws = _anonymous_draws(profile, player)
+    _admit(game, profile.n_players, m0n, joint_cap)
     candidates = enumerate_strategies(game, strategy_cap)
-    table = _AnonymousCostTable(game, m0n, candidates, joint_cap)
+    draws = _anonymous_draws(profile, player)
+    table = _AnonymousCostTable(game, m0n, candidates)
     zeros = [zero(game.arithmetic)] * len(candidates)
     by_rec: dict[int, list] = {}  # recommendation -> every candidate's value on it
     for own, others, w in draws:
@@ -967,14 +965,14 @@ def solve_symmetric_ce(
         raise ValueError("need at least two players")
     if arith(game.arithmetic).scalar is not Fraction:
         raise ValueError("the equilibrium LP needs exact arithmetic")
+    _admit(game, n_players, m0n, joint_cap)
     strategies = enumerate_strategies(game, strategy_cap)
     n_r = len(strategies)
-    multisets = list(
-        itertools.combinations_with_replacement(range(n_r), n_players)
-    )
-    if len(multisets) > lp_cap:
-        raise CapacityError(f"{len(multisets)} LP variables exceed cap {lp_cap}")
-    numerators = _cost_numerators(game, m0n, strategies, n_players - 1, joint_cap)
+    n_vars = math.comb(n_r + n_players - 1, n_players)
+    if n_vars > lp_cap:
+        raise CapacityError(f"{n_vars} LP variables exceed cap {lp_cap}")
+    multisets = list(itertools.combinations_with_replacement(range(n_r), n_players))
+    numerators = _cost_numerators(game, m0n, strategies, n_players - 1)
 
     def costs(m_key: tuple[int, ...], rec: int) -> tuple[int, ...]:
         # every strategy's cost against the multiset m_key less one rec
@@ -1014,20 +1012,16 @@ def solve_symmetric_ce(
         ) from exc
     atoms = []
     for m_key, name in zip(multisets, names):
-        w = solution[name]
-        if w == 0:
-            continue
-        arrangements = _arrangements(m_key)
-        share = w / len(arrangements)
-        atoms.extend((tuple(strategies[j] for j in arr), share) for arr in arrangements)
+        if solution[name]:
+            atoms += _spread(tuple(strategies[j] for j in m_key), solution[name], Fraction)
     return ExplicitProfile(n_players, tuple(atoms))
 
 
-def _cost_numerators(game, m0n, strategies, n_others, joint_cap) -> dict:
+def _cost_numerators(game, m0n, strategies, n_others) -> dict:
     """Player 0's costs of every strategy against every multiset of n_others
     other strategies (index tuples in enumeration order), as integer
     numerators over one denominator, the lcm of the costs' denominators."""
-    table = _AnonymousCostTable(game, m0n, strategies, joint_cap)
+    table = _AnonymousCostTable(game, m0n, strategies)
     costs = {
         others: table.costs(tuple(strategies[j] for j in others))
         for others in itertools.combinations_with_replacement(range(len(strategies)), n_others)
@@ -1066,6 +1060,7 @@ def exchangeability_check(
 
     Requires a symmetric profile and a product initial law; checks every empirical measure with positive mass at time t.
     """
+    _admit(game, profile.n_players, m0n, joint_cap)
     if not is_symmetric(profile):
         raise ValueError("profile is not symmetric")
     if not 0 <= t <= game.horizon:
@@ -1075,7 +1070,7 @@ def exchangeability_check(
     by_counts: dict[tuple[int, ...], list] = {}  # counts of all N -> mass per x0
     steps = _ChainSteps(game)
     for own, others, w in _anonymous_draws(profile, 0):
-        laws = count_chain_laws(game, (own, *others), m0n, memo=steps, joint_cap=joint_cap)
+        laws = count_chain_laws(game, (own, *others), m0n, memo=steps)
         for key, p in laws[t].items():
             cond = by_counts.setdefault(_inclusive(key), [zero(ar.mode)] * d)
             cond[key[0]] += w * p

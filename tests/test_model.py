@@ -429,8 +429,9 @@ def test_unit_mass_rule_is_shared(game, site, mode, delta, accepted):
             build(game, mode, delta)
 
 
-# every public entry that takes an initial law, called on the example with a
-# cheap configuration (N=2, a few replications)
+# every public request that takes an initial law, called on the example with
+# a cheap configuration (N=2, a few replications); the count-chain walks take
+# the laws that their request admitted, and check nothing
 _CFG = nplayer.SimulationConfig(master_seed=0, replications=8)
 INITIAL_LAW_SITES = {
     "mfg.state_law": lambda g, rho, m0: mfg.state_law(g, *rho.atoms[0][:2], m0),
@@ -439,10 +440,6 @@ INITIAL_LAW_SITES = {
     "mfg.verify_solution": lambda g, rho, m0: mfg.verify_solution(g, rho, m0),
     "mfg.mkv_propagate": lambda g, rho, m0: mfg.mkv_propagate(
         g, mfg.factor_flow(rho)[2][0], m0),
-    "nplayer.exact_joint_propagate": lambda g, rho, m0: nplayer.exact_joint_propagate(
-        g, (rho.atoms[0][0],) * 2, m0),
-    "nplayer.count_chain_laws": lambda g, rho, m0: nplayer.count_chain_laws(
-        g, (rho.atoms[0][0],) * 2, m0),
     "nplayer.profile_cost_exact": lambda g, rho, m0: nplayer.profile_cost_exact(
         g, limits.lift(rho, 2), 0, mfg.DeviationMap.identity(), m0),
     "nplayer.mc_profile_cost": lambda g, rho, m0: nplayer.mc_profile_cost(
@@ -526,6 +523,9 @@ REFUSALS = {
         lambda g, rho, m0, tmp: mfg.mkv_propagate(g, (), m0), "empty strategy conditional"),
     "ExplicitProfile-one-player": (
         lambda g, rho, m0, tmp: nplayer.ExplicitProfile(1, (((_HOLD,), F(1)),)),
+        "need at least two players"),
+    "FactoredProfile-one-player": (
+        lambda g, rho, m0, tmp: nplayer.FactoredProfile(1, *mfg.factor_flow(rho)),
         "need at least two players"),
     "ExplicitProfile-no-atoms": (
         lambda g, rho, m0, tmp: nplayer.ExplicitProfile(2, ()), "at least one atom"),

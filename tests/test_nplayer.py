@@ -5,9 +5,10 @@ import math
 import random
 import time
 import tracemalloc
+import types
 import weakref
 from fractions import Fraction as F
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ from cmfg.nplayer import (
     solve_symmetric_ce,
     symmetrize,
 )
-from cmfg.limits import empirical_rho_n, lift
+from cmfg.limits import empirical_rho_n, epsilon_curve, lift
 from oracles import (
     brute_is_symmetric,
     candidate_costs,
@@ -265,6 +266,15 @@ class TestSymmetrize:
         s = symmetrize(dirac_profile(*(PHI_O,) * 7))
         assert s.atoms == (((PHI_O,) * 7, F(1)),)
 
+    @pytest.mark.parametrize(
+        "items", ["a", "aa", "ab", "aab", "abc", "aabb"], ids=lambda s: s)
+    def test_spread_shares_a_weight_over_the_distinct_orderings(self, items):
+        # the one expansion of a multiset that symmetrize and the CE share
+        spread = nplayer._spread(tuple(items), F(3, 7), F)
+        orderings = [arr for arr, _ in spread]
+        assert sorted(orderings) == sorted(set(permutations(items)))
+        assert {share for _, share in spread} == {F(3, 7) / len(orderings)}
+
     def test_cap_counts_the_arrangements(self):
         p = dirac_profile(PHI_PLUS, *(PHI_O,) * 6)
         assert len(symmetrize(p, cap=7).atoms) == 7
@@ -345,26 +355,6 @@ class TestExactJointPropagation:
 
     def test_repeated_strategies_against_oracle(self, game, uniform_m0):
         assert_engine_matches_oracle(game, (PHI_PLUS, PHI_O, PHI_PLUS, PHI_O), uniform_m0)
-
-    @pytest.mark.parametrize("entry", [exact_joint_propagate, count_chain_laws])
-    def test_cap(self, game, uniform_m0, entry):
-        with pytest.raises(CapacityError):
-            entry(game, (PHI_O,) * 13, uniform_m0)
-
-    @pytest.mark.parametrize("entry", [exact_joint_propagate, count_chain_laws])
-    def test_needs_two_players(self, game, uniform_m0, entry):
-        with pytest.raises(ValueError, match="at least two players"):
-            entry(game, (PHI_O,), uniform_m0)
-
-    @pytest.mark.parametrize("entry", [exact_joint_propagate, count_chain_laws])
-    def test_needs_a_product_initial_law(self, game, uniform_m0, entry):
-        with pytest.raises(ValueError, match="product initial law"):
-            entry(game, (PHI_O, PHI_O), uniform_m0.weights)
-
-    @pytest.mark.parametrize("entry", [exact_joint_propagate, count_chain_laws])
-    def test_refuses_a_float_initial_law_for_an_exact_game(self, game, uniform_m0, entry):
-        with pytest.raises(ValueError, match="mixing arithmetic modes"):
-            entry(game, (PHI_O, PHI_O), float_via_io(game, uniform_m0))
 
 
 class TestActionTreeAgainstPerCandidateWalks:
@@ -527,6 +517,149 @@ class TestCostTableWork:
         monkeypatch.setattr(nplayer._ChainSteps, "_expectation", counted)
         solve_symmetric_ce(game, 3, ProbabilityVector.uniform(game.states, EXACT))
         assert len(keys) == len(set(keys)) == 304  # 2,112 with one memo per walk
+
+
+# every exact request, over its caps: the N=13 lift (2**13 joint states,
+# cap 4096) for the audits and the curve's exact row, the N=20 CE for the
+# solver
+OVER_CAP_REQUESTS = {
+    "deviation_gain-exact": lambda g, rho, m0: deviation_gain(g, lift(rho, 13), 0, m0, "exact"),
+    "profile_cost_exact": lambda g, rho, m0: profile_cost_exact(
+        g, lift(rho, 13), 0, DeviationMap.identity(), m0),
+    "exchangeability_check": lambda g, rho, m0: exchangeability_check(g, lift(rho, 13), m0, 1),
+    "solve_symmetric_ce": lambda g, rho, m0: solve_symmetric_ce(g, 20, m0),
+    "epsilon_curve-exact": lambda g, rho, m0: epsilon_curve(
+        g, rho, m0, (13,), SimulationConfig(master_seed=0, replications=8), "exact"),
+}
+
+# every other cap of an exact request, refused before the work it bounds,
+# with the count it refused
+CAP_REFUSALS = {
+    "deviation_gain-strategy_cap": (
+        lambda g, rho, m0: deviation_gain(g, lift(rho, 2), 0, m0, "exact", strategy_cap=15),
+        "needs 16 strategies, cap is 15"),
+    "solve_symmetric_ce-strategy_cap": (
+        lambda g, rho, m0: solve_symmetric_ce(g, 2, m0, strategy_cap=15),
+        "needs 16 strategies, cap is 15"),
+    "solve_symmetric_ce-lp_cap": (
+        lambda g, rho, m0: solve_symmetric_ce(g, 3, m0, lp_cap=815),
+        "816 LP variables exceed cap 815"),
+    "profile_cost_exact-joint_cap": (
+        lambda g, rho, m0: profile_cost_exact(
+            g, lift(rho, 2), 0, DeviationMap.identity(), m0, joint_cap=3),
+        "4 joint states exceed cap 3"),
+}
+
+# every exact request on the N=3 lift of the example (the CE solves N=3):
+# each walks the count chain more than once
+N3_REQUESTS = {
+    "deviation_gain-exact": lambda g, rho, m0: deviation_gain(g, lift(rho, 3), 0, m0, "exact"),
+    "profile_cost_exact": lambda g, rho, m0: profile_cost_exact(
+        g, lift(rho, 3), 0, DeviationMap.identity(), m0),
+    "exchangeability_check": lambda g, rho, m0: exchangeability_check(g, lift(rho, 3), m0, 1),
+    "solve_symmetric_ce": lambda g, rho, m0: solve_symmetric_ce(g, 3, m0),
+    "epsilon_curve-exact": lambda g, rho, m0: epsilon_curve(
+        g, rho, m0, (3,), SimulationConfig(master_seed=0, replications=8), "exact"),
+}
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Makes building a draw or a multiset fail; returns what was built."""
+    built = []
+
+    def refuse(*args):
+        built.append(args)
+        raise AssertionError("built before the request was admitted")
+
+    monkeypatch.setattr(nplayer, "_anonymous_draws", refuse)
+    monkeypatch.setattr(
+        nplayer, "itertools", types.SimpleNamespace(combinations_with_replacement=refuse)
+    )
+    return built
+
+
+class TestAdmission:
+    """Each exact request is admitted once, before its work."""
+
+    @pytest.mark.parametrize("request_name", sorted(OVER_CAP_REQUESTS))
+    def test_an_over_cap_request_builds_no_draw_or_multiset(
+        self, no_work, game, rho, uniform_m0, request_name
+    ):
+        with pytest.raises(CapacityError, match="joint states exceed cap 4096"):
+            OVER_CAP_REQUESTS[request_name](game, rho, uniform_m0)
+        assert no_work == []
+
+    @pytest.mark.parametrize("site", sorted(CAP_REFUSALS))
+    def test_every_cap_is_checked_before_the_work_it_bounds(
+        self, no_work, game, rho, uniform_m0, site
+    ):
+        call, message = CAP_REFUSALS[site]
+        with pytest.raises(CapacityError, match=message):
+            call(game, rho, uniform_m0)
+        assert no_work == []
+
+    @pytest.mark.parametrize("request_name", sorted(N3_REQUESTS))
+    def test_each_request_checks_the_initial_law_once(
+        self, monkeypatch, game, rho, uniform_m0, request_name
+    ):
+        checks, walks = [], []
+        require = nplayer.require_initial_law
+        monkeypatch.setattr(
+            nplayer, "require_initial_law", lambda *a: checks.append(a) or require(*a))
+        for name in ("exact_joint_propagate", "count_chain_laws"):
+            walk = getattr(nplayer, name)
+            monkeypatch.setattr(
+                nplayer, name, lambda *a, walk=walk, **k: walks.append(a) or walk(*a, **k))
+        N3_REQUESTS[request_name](game, rho, uniform_m0)
+        assert len(walks) > 1
+        assert len(checks) == 1
+
+    def test_the_propagation_walk_takes_any_admitted_n(self, game, uniform_m0):
+        """Thirteen players over the default cap of 4096 joint states: the
+        request is refused, and admitted under a raised cap, where its one
+        walk is the bare walk's."""
+        profile = dirac_profile(*(PHI_O,) * 13)
+        ident = DeviationMap.identity()
+        with pytest.raises(CapacityError, match="8192 joint states exceed cap 4096"):
+            profile_cost_exact(game, profile, 0, ident, uniform_m0)
+        admitted = profile_cost_exact(game, profile, 0, ident, uniform_m0, joint_cap=2**13)
+        assert exact_joint_propagate(game, (PHI_O,) * 13, uniform_m0) == (admitted,)
+
+    def test_the_count_chain_walk_takes_any_admitted_n(self, game, uniform_m0):
+        """The thirteen-player count chain, which no request under the
+        default cap reaches: one law per time, each a probability over
+        player 0's state and the twelve others' counts."""
+        laws = count_chain_laws(game, (PHI_O,) * 13, uniform_m0)
+        assert len(laws) == game.horizon + 1
+        for law in laws:
+            assert sum(law.values()) == 1
+            assert all(sum(map(sum, key[1:])) == 12 for key in law)
+
+    def test_the_initial_law_is_checked_once_per_request(self, monkeypatch):
+        """The N=3 CE of the c1 = 3/32 example and one exact audit of its
+        answer walk the count chain 136 + 1 times, and check the initial
+        law twice: once per request, not once per walk."""
+        params = two_state.ExampleParams.from_alpha(F(1, 2), F(1, 32), F(3, 32))
+        game, _, _ = two_state.build_example(params)
+        m0 = ProbabilityVector.uniform(game.states, EXACT)
+        checks, walks = [], []
+        require, engine = nplayer.require_initial_law, nplayer.exact_joint_propagate
+
+        def counted_check(*args):
+            checks.append(args)
+            return require(*args)
+
+        def counted_walk(*args, **kwargs):
+            walks.append(len(args[1]))
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(nplayer, "require_initial_law", counted_check)
+        monkeypatch.setattr(nplayer, "exact_joint_propagate", counted_walk)
+        profile = solve_symmetric_ce(game, 3, m0)
+        deviation_gain(game, profile, 0, m0, "exact")
+        assert len(walks) == 136 + 1
+        assert len(checks) == 2
 
 
 class TestProfileCostExact:
