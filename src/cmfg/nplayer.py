@@ -14,8 +14,8 @@ N-1 states.  This module provides
     others) or by simulation with common random numbers (one walk of the
     action tree per chunk), and
   * symmetric correlated equilibria via an exact-rational feasibility LP
-    reduced to strategy multisets, whose rows come from one walk per
-    multiset of the others.
+    reduced to strategy multisets, whose columns are built, when the
+    simplex prices them, from one walk per multiset of the others.
 
 Exact audits read a profile as one player's anonymous draws (own strategy,
 others-multiset, weight), never as atoms over ordered strategy tuples.
@@ -41,7 +41,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import rng
-from .lp import EQ, GE, InfeasibleError, LinRow, LinearProgram, solve_lp
+from .lp import EQ, GE, Constraint, InfeasibleError, LinearProgram, solve_lp
 from .mfg import DeviationMap, GapRow, gap_rows
 from .model import (
     DEFAULT_ATOM_CAP,
@@ -236,7 +236,8 @@ def exact_joint_propagate(
     *,
     candidates: Optional[Sequence[RestrictedStrategy]] = None,
     memo: Optional[_ChainSteps] = None,
-) -> tuple[Scalar, ...]:
+    divide: bool = True,
+) -> tuple:
     """Player 0's expected total cost under every candidate strategy
     (default: strategies[0] alone), in order, in one walk of the count chain.
 
@@ -268,7 +269,10 @@ def exact_joint_propagate(
     (`_ChainSteps.start`) and the costs integers over the last one times
     qc (N-1), so a walk divides once at the end: one `Fraction` per
     candidate and none per successor.  A float game runs the same loop with
-    every scale 1.  The chain's laws come from `count_chain_laws`.
+    every scale 1.  With `divide` false, an exact game's walk returns the
+    candidates' integer numerators and that denominator, den step^T qc
+    (N-1), the same for every walk of one game, initial law and N.  The
+    chain's laws come from `count_chain_laws`.
     """
     steps = _ChainSteps(game) if memo is None else memo
     candidates = strategies[:1] if candidates is None else candidates
@@ -313,6 +317,9 @@ def exact_joint_propagate(
             for i in cands:
                 totals[i] += c
     scale = den * step ** game.horizon * cost_den
+    if not divide:
+        numerators = dict(zip(walked, totals))
+        return tuple(numerators[s.actions] for s in candidates), scale
     costs = {a: steps.ratio(c, scale) for a, c in zip(walked, totals)}
     return tuple(costs[s.actions] for s in candidates)
 
@@ -351,11 +358,12 @@ def count_chain_laws(
 def _admit(game: GameSpec, n_players: int, m0n: ProbabilityVector, joint_cap: int) -> None:
     """Admit one exact request on n_players before any of its work: a
     product initial law and |X|^N <= `joint_cap`.  Every walk of the
-    request then takes its inputs as given."""
+    request then takes its inputs as given.  The refusal names d and N,
+    since d**N may have more digits than Python will format."""
     require_initial_law(game, m0n)
     d = len(game.states)
-    if d ** n_players > joint_cap:
-        raise CapacityError(f"{d ** n_players} joint states exceed cap {joint_cap}")
+    if d ** min(n_players, joint_cap.bit_length()) > joint_cap:
+        raise CapacityError(f"{d}^{n_players} joint states exceed cap {joint_cap}")
 
 
 def _push(into: dict, w: Scalar, row, spread) -> None:
@@ -955,11 +963,14 @@ def solve_symmetric_ce(
     all the content because the system is permutation-covariant.  The result
     expands to explicit atoms with weight w(multiset)/#arrangements.
 
-    The system is built on ints: with every cost over one denominator D,
-    the incentive row of (rec, psi) has coefficient count(rec) (C[psi] -
+    The system is on ints: with every cost over one denominator D, the
+    incentive row of (rec, psi) has coefficient count(rec) (C[psi] -
     C[rec]) on a multiset, for C the numerators, which is N D times rec's
     share count(rec)/N of the cost gap; the total-cost objective is D times
-    the cost.  Positive scaling keeps every vertex and every pivot.
+    the cost.  Positive scaling keeps every vertex and every pivot.  The
+    LP gets the rows' relations and right-hand sides, and builds a
+    multiset's column from the numerators only when it prices it
+    (`_ObedienceColumns`).
     """
     if n_players < 2:
         raise ValueError("need at least two players")
@@ -972,38 +983,18 @@ def solve_symmetric_ce(
     if n_vars > lp_cap:
         raise CapacityError(f"{n_vars} LP variables exceed cap {lp_cap}")
     multisets = list(itertools.combinations_with_replacement(range(n_r), n_players))
-    numerators = _cost_numerators(game, m0n, strategies, n_players - 1)
-
-    def costs(m_key: tuple[int, ...], rec: int) -> tuple[int, ...]:
-        # every strategy's cost against the multiset m_key less one rec
-        others = list(m_key)
-        others.remove(rec)
-        return numerators[tuple(others)]
-
-    rows = []
-    for rec in range(n_r):
-        # every multiset containing rec: (its variable, rec's count, the
-        # costs against the others-multiset)
-        contributions = [
-            (k, m_key.count(rec), costs(m_key, rec))
-            for k, m_key in enumerate(multisets) if rec in m_key
-        ]
-        for psi in range(n_r):
-            if psi == rec:
-                continue
-            coeffs = [0] * len(multisets)
-            for k, count, c in contributions:
-                coeffs[k] = count * (c[psi] - c[rec])
-            rows.append(LinRow(tuple(coeffs), GE, 0))
-    rows.append(LinRow((1,) * len(multisets), EQ, 1))
+    columns = _ObedienceColumns(
+        multisets, _cost_numerators(game, m0n, strategies, n_players - 1), n_r
+    )
+    rows = (Constraint(GE, 0),) * (n_r * (n_r - 1)) + (Constraint(EQ, 1),)
     names = tuple("w_" + "_".join(map(str, m)) for m in multisets)
     objective = None
     if minimize_total_cost:
         objective = tuple(
-            sum(m_key.count(rec) * costs(m_key, rec)[rec] for rec in set(m_key))
-            for m_key in multisets
+            sum(count * c[rec] for rec, count, c in columns.parts(k))
+            for k in range(len(multisets))
         )
-    lp = LinearProgram(names, tuple(rows), objective)
+    lp = LinearProgram(names, rows, columns, objective)
     try:
         solution = solve_lp(lp)
     except InfeasibleError as exc:  # pragma: no cover - contradicts existence
@@ -1017,17 +1008,81 @@ def solve_symmetric_ce(
     return ExplicitProfile(n_players, tuple(atoms))
 
 
+class _ObedienceColumns:
+    """The symmetric CE's LP by columns, one per strategy multiset, each
+    built from the cost numerators when the simplex asks for it.
+
+    Row (rec, psi), at index rec (R-1) + psi - (psi > rec) for R strategies,
+    is rec's obedience against psi, and row R (R-1) is the unit mass.  A
+    column is a share and a cost vector per recommendation: for each rec in
+    the multiset, with C the numerators of every strategy's cost against the
+    multiset less one rec, count(rec) (C[psi] - C[rec]) on row (rec, psi),
+    and 1 on the mass row.
+    """
+
+    def __init__(self, multisets: list[tuple[int, ...]], numerators: dict, n_r: int):
+        self.multisets, self.numerators, self.n_r = multisets, numerators, n_r
+        self.mass = n_r * (n_r - 1)
+
+    def __len__(self) -> int:
+        return len(self.multisets)
+
+    def parts(self, k: int) -> list[tuple[int, int, tuple[int, ...]]]:
+        """(rec, count(rec), C) for each distinct rec of multiset k."""
+        m_key, numerators = self.multisets[k], self.numerators
+        return [
+            (rec, m_key.count(rec), numerators[m_key[:i] + m_key[i + 1:]])
+            for i, rec in enumerate(m_key) if i == 0 or m_key[i - 1] != rec
+        ]
+
+    def column(self, k: int) -> list[tuple[int, int]]:
+        out, width = [(self.mass, 1)], self.n_r - 1
+        for rec, count, c in self.parts(k):
+            own, base = c[rec], rec * width
+            out += [
+                (base + psi - (psi > rec), count * (v - own))
+                for psi, v in enumerate(c) if v != own
+            ]
+        return out
+
+    def pricer(self, duals: list[tuple[int, int]]):
+        # the duals of rec's rows as weights on C: y on C[psi] for row
+        # (rec, psi), and minus their sum on C[rec]
+        width, mass, by_rec, mass_y = self.n_r - 1, self.mass, {}, 0
+        for i, y in duals:
+            if i == mass:
+                mass_y = y
+                continue
+            rec, j = divmod(i, width)
+            by_rec.setdefault(rec, []).append((j + (j >= rec), y))
+        for rec, weights in by_rec.items():
+            weights.append((rec, -sum(y for _, y in weights)))
+        parts = self.parts
+
+        def price(k: int) -> int:
+            return mass_y + sum(
+                count * sum(y * c[psi] for psi, y in by_rec[rec])
+                for rec, count, c in parts(k) if rec in by_rec
+            )
+
+        return price
+
+
 def _cost_numerators(game, m0n, strategies, n_others) -> dict:
     """Player 0's costs of every strategy against every multiset of n_others
     other strategies (index tuples in enumeration order), as integer
-    numerators over one denominator, the lcm of the costs' denominators."""
-    table = _AnonymousCostTable(game, m0n, strategies)
-    costs = {
-        others: table.costs(tuple(strategies[j] for j in others))
-        for others in itertools.combinations_with_replacement(range(len(strategies)), n_others)
-    }
-    den = math.lcm(*(c.denominator for cs in costs.values() for c in cs))
-    return {others: tuple(scaled(c, den) for c in cs) for others, cs in costs.items()}
+    numerators over one denominator, the lcm of the costs' denominators.
+    Every walk puts its costs over the same denominator, so dividing it and
+    all the walks' numerators by their gcd gives that lcm."""
+    steps = _ChainSteps(game)
+    walks = {}
+    for others in itertools.combinations_with_replacement(range(len(strategies)), n_others):
+        walks[others], scale = exact_joint_propagate(
+            game, (strategies[0], *(strategies[j] for j in others)), m0n,
+            candidates=strategies, memo=steps, divide=False,
+        )
+    g = math.gcd(scale, *(c for cs in walks.values() for c in cs))
+    return {others: tuple(c // g for c in cs) for others, cs in walks.items()}
 
 
 # ---------------------------------------------------------------------------

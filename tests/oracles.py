@@ -6,14 +6,22 @@
     one propagation of the count chain per candidate strategy, which
     `nplayer.exact_joint_propagate` replaces by one walk of the deviator's
     action tree for all candidates;
+  * `LinRow` and `dense_lp`: a linear program written as dense rows, each
+    coefficient written out, handed to `lp.LinearProgram` as `Constraint`s
+    and the rows' columns (`DenseColumns`);
   * `ce_constraints`: the full correlated-equilibrium system over ordered
     strategy assignments, with costs from `candidate_costs`, of which
     `nplayer.solve_symmetric_ce` solves the multiset reduction;
+  * `dense_rows`: a linear program's rows with every coefficient written
+    out, rebuilt from its columns;
   * `check_solution`: an exact feasibility re-check of a linear program's
-    solution, independent of `lp.solve_lp`'s tableau;
+    solution, independent of `lp.solve_lp`'s simplex;
   * `fraction_lp`: the two-phase simplex on a dense `Fraction` tableau with
-    every row normalized to a basic entry of 1, which `lp.solve_lp` runs on
-    integer rows known up to a positive factor, pivot for pivot;
+    every row normalized to a basic entry of 1, which `lp.solve_lp` runs,
+    pivot for pivot, on an integer basis inverse with each tableau row
+    known up to a positive factor and each column priced on demand;
+  * `recorded` and `by_the_oracle`: a solver's values and (row, column)
+    pivots, and `fraction_lp`'s, for comparing the two pivot for pivot;
   * `lp_debug_dump`: a readable listing of a linear program;
   * `random_game`: seeded random valid games whose kernels and costs depend
     on the measure;
@@ -55,12 +63,13 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from cmfg.lp import EQ, GE, InfeasibleError, LinearProgram, LinRow, UnboundedError
+from cmfg.lp import EQ, GE, Constraint, InfeasibleError, LinearProgram, UnboundedError
 from cmfg.mfg import CorrelatedFlow, GapRow, gap_rows, state_law
 from cmfg.model import (
     DEFAULT_JOINT_CAP,
@@ -77,6 +86,7 @@ from cmfg.model import (
     ThresholdTransition,
     arith,
     enumerate_strategies,
+    require_ints,
     zero,
 )
 from cmfg.nplayer import (
@@ -103,7 +113,7 @@ def count_chain_cost(game, strategies, m0n, joint_cap: int = DEFAULT_JOINT_CAP):
     players one at a time, groups combined as independent parts."""
     n, d = len(strategies), len(game.states)
     if d ** n > joint_cap:
-        raise CapacityError(f"{d ** n} joint states exceed cap {joint_cap}")
+        raise CapacityError(f"{d}^{n} joint states exceed cap {joint_cap}")
     ratio = arith(game.arithmetic).ratio
     own, others = strategies[0], strategies[1:]
     groups = list(dict.fromkeys(s.actions for s in others))
@@ -247,6 +257,50 @@ def brute_is_symmetric(profile) -> bool:
     )
 
 
+@dataclass(frozen=True)
+class LinRow:
+    """One constraint written out in full: coefficients, relation, rhs."""
+
+    coeffs: tuple[int, ...]
+    relation: str
+    rhs: int
+
+
+class DenseColumns:
+    """The column source of dense rows: column j as {row: nonzero entry}."""
+
+    def __init__(self, rows: Sequence[LinRow], n: int):
+        self.columns: list[dict[int, int]] = [{} for _ in range(n)]
+        for i, row in enumerate(rows):
+            for j, a in enumerate(row.coeffs):
+                if a:
+                    self.columns[j][i] = a
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def column(self, j: int):
+        return self.columns[j].items()
+
+    def pricer(self, duals):
+        columns = self.columns
+        return lambda j: sum(y * columns[j].get(i, 0) for i, y in duals)
+
+
+def dense_lp(variables, rows: Sequence[LinRow], objective=None) -> LinearProgram:
+    """The program of dense rows: their relations and right-hand sides as
+    `Constraint`s, their coefficients as `DenseColumns`.  A row of the
+    wrong length, or a coefficient other than a Python int, is refused with
+    ValueError, since a column source's entries must be ints."""
+    n = len(variables)
+    for i, row in enumerate(rows):
+        if len(row.coeffs) != n:
+            raise ValueError(f"row {i} has {len(row.coeffs)} coefficients, want {n}")
+        require_ints(row.coeffs, "a row")
+    constraints = tuple(Constraint(row.relation, row.rhs) for row in rows)
+    return LinearProgram(tuple(variables), constraints, DenseColumns(rows, n), objective)
+
+
 def ce_constraints(
     game,
     n_players: int,
@@ -262,7 +316,7 @@ def ce_constraints(
     recommendation, deviation) triple plus the unit-mass equality.  The
     gamma >= 0 part is implicit: LP variables are nonnegative.  Each
     incentive row is its cost gaps times the lcm of their denominators, so
-    the rows hold ints, as `lp.LinRow` requires.
+    the rows hold ints, as `dense_lp` requires.
     """
     if game.arithmetic != EXACT:
         raise ValueError("the equilibrium LP needs exact arithmetic")
@@ -299,7 +353,17 @@ def ce_constraints(
                 q = math.lcm(*(c.denominator for c in coeffs))
                 rows.append(LinRow(tuple(int(c * q) for c in coeffs), GE, 0))
     rows.append(LinRow((1,) * len(names), EQ, 1))
-    return LinearProgram(names, tuple(rows))
+    return dense_lp(names, rows)
+
+
+def dense_rows(lp: LinearProgram) -> tuple[LinRow, ...]:
+    """The program's rows with every coefficient written out, rebuilt from
+    its columns: the rows as given for a program from `dense_lp`."""
+    coeffs = [[0] * len(lp.variables) for _ in lp.rows]
+    for j in range(len(lp.variables)):
+        for i, a in lp.columns.column(j):
+            coeffs[i][j] = a
+    return tuple(LinRow(tuple(c), row.relation, row.rhs) for c, row in zip(coeffs, lp.rows))
 
 
 def check_solution(lp: LinearProgram, values: dict) -> bool:
@@ -308,7 +372,7 @@ def check_solution(lp: LinearProgram, values: dict) -> bool:
     x = [values.get(v, Fraction(0)) for v in lp.variables]
     if any(v < 0 for v in x):
         return False
-    for row in lp.rows:
+    for row in dense_rows(lp):
         lhs = sum(c * v for c, v in zip(row.coeffs, x) if c)
         if row.relation == EQ and lhs != row.rhs:
             return False
@@ -324,7 +388,7 @@ def lp_debug_dump(lp: LinearProgram) -> str:
         if lp.objective and any(lp.objective) else "0 (feasibility)"
     )]
     lines.append(f"subject to ({len(lp.rows)} rows, {len(lp.variables)} nonnegative variables):")
-    for row in lp.rows:
+    for row in dense_rows(lp):
         terms = " + ".join(
             f"{c}*{v}" for c, v in zip(row.coeffs, lp.variables) if c
         ) or "0"
@@ -685,23 +749,50 @@ class _FractionTableau:
             self.pivot(leave, enter)
 
 
+def recorded(solver, simplex, lp: LinearProgram, first_row: int = 0):
+    """The solver's values (or exception class) and its (row, column)
+    pivots, spied on `simplex.pivot`, rows counted from 0; the oracle's
+    tableau counts them from 1, its objective row being row 0."""
+    pivots = []
+    pivot = simplex.pivot
+
+    def spy(self, r, c, *entering):
+        pivots.append((r - first_row, c))
+        pivot(self, r, c, *entering)
+
+    simplex.pivot = spy
+    try:
+        return solver(lp), pivots
+    except (InfeasibleError, UnboundedError) as exc:
+        return type(exc), pivots
+    finally:
+        simplex.pivot = pivot
+
+
+def by_the_oracle(lp: LinearProgram):
+    """`fraction_lp`'s values (or exception class) and pivots."""
+    return recorded(fraction_lp, _FractionTableau, lp, first_row=1)
+
+
 def fraction_lp(lp: LinearProgram) -> dict[str, Fraction]:
     """`lp.solve_lp` on a dense `Fraction` tableau, pivot for pivot: the same
     column layout, phase-1 and phase-2 objectives and Bland's rule, with
-    every row kept normalized to a basic entry of 1."""
+    every row kept normalized to a basic entry of 1, on the dense rows
+    rebuilt from the program's columns."""
     n = len(lp.variables)
+    rows = dense_rows(lp)
     # each row flips to rhs >= 0; a ">=" row with b <= 0 becomes
     # "-a x + s = -b" with a free basic slack, other ">=" rows keep a surplus,
     # and every row without a basic slack receives an artificial variable
-    flips = [r.rhs <= 0 if r.relation == GE else r.rhs < 0 for r in lp.rows]
-    nslack = sum(r.relation == GE for r in lp.rows)
-    nart = sum(r.relation == EQ or not f for r, f in zip(lp.rows, flips))
+    flips = [r.rhs <= 0 if r.relation == GE else r.rhs < 0 for r in rows]
+    nslack = sum(r.relation == GE for r in rows)
+    nart = sum(r.relation == EQ or not f for r, f in zip(rows, flips))
     ncols = n + nslack + nart + 1
-    tab = _FractionTableau(len(lp.rows) + 1, ncols)
+    tab = _FractionTableau(len(rows) + 1, ncols)
 
     si = n
     ai = n + nslack
-    for i, (row, flip) in enumerate(zip(lp.rows, flips)):
+    for i, (row, flip) in enumerate(zip(rows, flips)):
         r = tab.rows[i + 1]
         for j, c in enumerate(row.coeffs):
             if c:

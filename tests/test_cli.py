@@ -415,6 +415,26 @@ class TestNPlayerCommands:
         assert "exceed the cost-matrix cap" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_epsilon_exact_past_the_joint_cap_exits_3_at_any_n(
+        self, example_dir, tmp_path, capsys
+    ):
+        """The exact audit of the N=100,000 lift is refused at once, by a
+        message that names d and N: 2**100000 has more digits than Python
+        will format."""
+        lifted = tmp_path / "lift"
+        assert run_cli(["lift", "--game", str(example_dir / "game.json"),
+                        "--flow", str(example_dir / "rho.json"),
+                        "-N", "100000", "-o", str(lifted)]) == 0
+        out = tmp_path / "eps"
+        started = time.perf_counter()
+        code = run_cli(["nplayer", "epsilon", "--game", str(example_dir / "game.json"),
+                        "--profile", str(lifted / "profile.json"), "--method", "exact",
+                        "-o", str(out)])
+        assert time.perf_counter() - started < 1
+        assert code == 3
+        assert "2^100000 joint states exceed cap 4096" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["mc", "exact"])
     def test_epsilon_player_out_of_range_exits_2(self, ce_profile, tmp_path, capsys, method):
         out = tmp_path / "eps"

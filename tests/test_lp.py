@@ -1,5 +1,6 @@
 """Exact rational linear programming: feasibility, optimality, degeneracy."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,18 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-import oracles
 from cmfg import lp as lp_module
 from cmfg.lp import (
     EQ,
     GE,
+    Constraint,
     InfeasibleError,
     LinearProgram,
-    LinRow,
     UnboundedError,
     solve_lp,
 )
-from oracles import check_solution, fraction_lp, lp_debug_dump
+from oracles import (
+    LinRow,
+    by_the_oracle,
+    check_solution,
+    dense_lp,
+    fraction_lp,
+    lp_debug_dump,
+    recorded,
+)
 
 
 def sparse(names, pairs, relation, rhs):
@@ -32,7 +40,7 @@ def sparse(names, pairs, relation, rhs):
 
 def test_feasibility_only():
     names = ("x", "y")
-    lp = LinearProgram(
+    lp = dense_lp(
         variables=names,
         rows=(
             sparse(names, [("x", 1), ("y", 1)], EQ, 1),
@@ -53,7 +61,7 @@ def test_degenerate_feasibility_vertex():
     comes back.  The data are ints, and the values still come back as
     Fractions.
     """
-    lp = LinearProgram(
+    lp = dense_lp(
         variables=("a", "b", "c", "d"),
         rows=(
             LinRow((-1, 2, 2, -2), GE, 0),
@@ -72,7 +80,7 @@ def test_degenerate_feasibility_vertex():
 def test_optimum_exact():
     # min -x - 2y  s.t.  x + y <= 4, y <= 3, x,y >= 0  ->  (1, 3), value -7
     names = ("x", "y")
-    lp = LinearProgram(
+    lp = dense_lp(
         variables=names,
         rows=(
             sparse(names, [("x", -1), ("y", -1)], GE, -4),
@@ -87,7 +95,7 @@ def test_optimum_exact():
 
 def test_fractional_data():
     # 2/3 x = 5/7, times 21
-    lp = LinearProgram(
+    lp = dense_lp(
         variables=("x",),
         rows=(LinRow((14,), EQ, 15),),
         objective=(1,),
@@ -96,7 +104,7 @@ def test_fractional_data():
 
 
 def test_infeasible():
-    lp = LinearProgram(
+    lp = dense_lp(
         variables=("x",),
         rows=(LinRow((1,), GE, 1), LinRow((-2,), GE, -1)),  # x >= 1, x <= 1/2
     )
@@ -105,7 +113,7 @@ def test_infeasible():
 
 
 def test_unbounded():
-    lp = LinearProgram(
+    lp = dense_lp(
         variables=("x",),
         rows=(LinRow((1,), GE, 0),),
         objective=(-1,),
@@ -117,7 +125,7 @@ def test_unbounded():
 def test_negative_rhs_inequality():
     # x - y >= -2 is active at the optimum of min x once y is pinned at 5
     names = ("x", "y")
-    lp = LinearProgram(
+    lp = dense_lp(
         variables=names,
         rows=(
             sparse(names, [("x", 1), ("y", -1)], GE, -2),
@@ -130,7 +138,7 @@ def test_negative_rhs_inequality():
 
 def test_redundant_equalities():
     names = ("x", "y")
-    lp = LinearProgram(
+    lp = dense_lp(
         variables=names,
         rows=(
             sparse(names, [("x", 1), ("y", 1)], EQ, 1),
@@ -143,7 +151,7 @@ def test_redundant_equalities():
 
 
 def test_check_solution_rejects_wrong_values():
-    lp = LinearProgram(variables=("x",), rows=(LinRow((1,), EQ, 1),))
+    lp = dense_lp(variables=("x",), rows=(LinRow((1,), EQ, 1),))
     assert not check_solution(lp, {"x": F(1, 2)})
     assert check_solution(lp, {"x": F(1)})
     assert not check_solution(lp, {"x": F(-1)})
@@ -151,24 +159,60 @@ def test_check_solution_rejects_wrong_values():
 
 def test_row_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        LinearProgram(variables=("x",), rows=(LinRow((1, 2), GE, 0),))
+        dense_lp(variables=("x",), rows=(LinRow((1, 2), GE, 0),))
 
 
 def test_duplicate_variable_names_rejected():
     # solve_lp keys its values by name, so a second "x" would lose its value
     with pytest.raises(ValueError, match="distinct"):
-        LinearProgram(variables=("x", "x"), rows=(LinRow((1, 1), EQ, 1),))
+        dense_lp(variables=("x", "x"), rows=(LinRow((1, 1), EQ, 1),))
 
 
 def test_bad_relation_rejected():
     with pytest.raises(ValueError):
-        LinRow((1,), "<=", 0)
+        dense_lp(("x",), (LinRow((1,), "<=", 0),))
+    with pytest.raises(ValueError):
+        Constraint("<=", 0)
 
 
-def test_row_keeps_its_coefficients():
-    coeffs = (2, -1, 0)
-    row = LinRow(coeffs, GE, 0)
-    assert row.coeffs is coeffs
+def test_constraint_needs_an_int_rhs():
+    with pytest.raises(ValueError, match="ints only"):
+        Constraint(GE, F(1, 2))
+
+
+class ListedColumns:
+    """A column source over listed sparse columns, as a caller hands one."""
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def __len__(self):
+        return len(self.columns)
+
+    def column(self, j):
+        return self.columns[j]
+
+    def pricer(self, duals):
+        return lambda j: sum(y * dict(self.columns[j]).get(i, 0) for i, y in duals)
+
+
+def test_column_count_must_match_the_variables():
+    with pytest.raises(ValueError, match="column count"):
+        LinearProgram(("x", "y"), (Constraint(EQ, 1),), ListedColumns([[(0, 1)]]))
+
+
+def test_a_column_source_solves_as_its_dense_rows():
+    """x + 2y >= 2 and x + y = 3 minimizing y - x, once by columns and once
+    by rows: the same values and the same pivots."""
+    by_columns = LinearProgram(
+        ("x", "y"), (Constraint(GE, 2), Constraint(EQ, 3)),
+        ListedColumns([[(0, 1), (1, 1)], [(0, 2), (1, 1)]]), (-1, 1),
+    )
+    by_rows = dense_lp(("x", "y"), (LinRow((1, 2), GE, 2), LinRow((1, 1), EQ, 3)), (-1, 1))
+    got = recorded(solve_lp, lp_module._RevisedSimplex, by_columns)
+    assert got == recorded(solve_lp, lp_module._RevisedSimplex, by_rows)
+    assert got == by_the_oracle(by_columns)
+    assert got[0] == {"x": 3, "y": 0}
 
 
 @pytest.mark.parametrize(
@@ -187,11 +231,11 @@ def test_row_keeps_its_coefficients():
 )
 def test_non_int_data_refused(coeffs, rhs, objective):
     with pytest.raises(ValueError, match="ints only"):
-        LinearProgram(("x", "y"), (LinRow(coeffs, GE, rhs),), objective)
+        dense_lp(("x", "y"), (LinRow(coeffs, GE, rhs),), objective)
 
 
 def test_debug_dump_mentions_rows():
-    lp = LinearProgram(
+    lp = dense_lp(
         variables=("x", "y"),
         rows=(LinRow((1, 1), EQ, 1),),
         objective=(1, 0),
@@ -216,7 +260,7 @@ def test_against_float_solver():
         b = [rng.randint(-4, 4) for _ in range(m)]
         rel = [rng.choice((GE, GE, EQ)) for _ in range(m)]
         c = [rng.randint(-2, 3) for _ in range(n)]
-        lp = LinearProgram(
+        lp = dense_lp(
             variables=names,
             rows=tuple(LinRow(tuple(row), r, rhs) for row, r, rhs in zip(a, rel, b)),
             objective=tuple(c),
@@ -248,23 +292,6 @@ def test_against_float_solver():
     assert kinds == {(r, s) for r in (GE, EQ) for s in (-1, 0, 1)}
 
 
-def recorded(solver, tableau, lp):
-    """The solver's values (or exception class) and its (row, column) pivots."""
-    pivots = []
-    pivot = tableau.pivot
-
-    def spy(self, r, c):
-        pivots.append((r, c))
-        pivot(self, r, c)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tableau, "pivot", spy)
-        try:
-            return solver(lp), pivots
-        except (InfeasibleError, UnboundedError) as exc:
-            return type(exc), pivots
-
-
 # ints, zero often, negative as often as positive, small and larger
 coefficient = st.one_of(st.just(0), st.integers(-4, 4), st.integers(-60, 60))
 
@@ -285,15 +312,15 @@ def random_lps(draw):
         rows.insert(draw(st.integers(0, m)), rows[draw(st.integers(0, m - 1))])
     objective = draw(st.one_of(st.none(), st.lists(coefficient, min_size=n, max_size=n)))
     names = tuple(f"v{j}" for j in range(n))
-    return LinearProgram(names, tuple(rows), None if objective is None else tuple(objective))
+    return dense_lp(names, tuple(rows), None if objective is None else tuple(objective))
 
 
 class TestAgainstTheFractionTableau:
     @settings(max_examples=400, deadline=None)
     @given(random_lps())
     def test_same_values_and_same_pivots(self, lp):
-        got, pivots = recorded(solve_lp, lp_module._Tableau, lp)
-        want, want_pivots = recorded(fraction_lp, oracles._FractionTableau, lp)
+        got, pivots = recorded(solve_lp, lp_module._RevisedSimplex, lp)
+        want, want_pivots = by_the_oracle(lp)
         assert got == want
         assert pivots == want_pivots
         if isinstance(got, dict):
@@ -304,32 +331,35 @@ class TestAgainstTheFractionTableau:
         """-x - y - z = 0 pins every variable to 0.  Its artificial ends
         phase 1 basic at level 0 and leaves the basis on the entry -1, which
         must become a positive basic entry: phase 2 is bounded."""
-        lp = LinearProgram(
+        lp = dense_lp(
             ("x", "y", "z"),
             (LinRow((-1, -1, -1), EQ, 0), LinRow((2, 0, 0), GE, 0)),
             (0, -3, 0),
         )
-        got, pivots = recorded(solve_lp, lp_module._Tableau, lp)
+        got, pivots = recorded(solve_lp, lp_module._RevisedSimplex, lp)
         assert got == {"x": 0, "y": 0, "z": 0}
-        assert pivots[0] == (1, 0)
-        assert (got, pivots) == recorded(fraction_lp, oracles._FractionTableau, lp)
+        assert pivots[0] == (0, 0)
+        assert (got, pivots) == by_the_oracle(lp)
 
     def test_tableau_holds_ints(self):
         # 2/3 x - 1/4 y >= 1/6 and x + y = 5/2, minimizing x/3 - y/7, each
         # row times the lcm of its denominators
-        lp = LinearProgram(
+        lp = dense_lp(
             ("x", "y"),
             (LinRow((8, -3), GE, 2), LinRow((2, 2), EQ, 5)),
             (7, -3),
         )
         seen = []
-        pivot = lp_module._Tableau.pivot
+        pivot = lp_module._RevisedSimplex.pivot
 
-        def spy(self, r, c):
-            pivot(self, r, c)
-            seen.extend(type(v) for row in self.rows for v in row)
+        def spy(self, r, c, *entering):
+            pivot(self, r, c, *entering)
+            kept = (*(v for row in self.R for v in row), *self.beta, *self.basic)
+            seen.extend(type(v) for v in (*kept, self.z0, *self.y))
+            assert all(math.gcd(*row) == 1 for row in self.R)
+            assert all(v > 0 for v in self.basic)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lp_module._Tableau, "pivot", spy)
+            mp.setattr(lp_module._RevisedSimplex, "pivot", spy)
             assert solve_lp(lp) == fraction_lp(lp)
         assert seen and set(seen) == {int}

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfg import cli, io, limits, lp, mfg, model, nplayer, transport, two_state
+from cmfg import cli, io, limits, mfg, model, nplayer, transport, two_state
 from cmfg.model import (
     EXACT,
     FLOAT,
@@ -30,7 +30,7 @@ from cmfg.model import (
     validate_game,
 )
 
-from oracles import random_game
+from oracles import dense_lp, random_game
 from test_nplayer import float_via_io
 
 
@@ -567,7 +567,7 @@ REFUSALS = {
             tmp, ["nplayer", "solve-ce", "-N", "2"], game=io.game_to_json(float_via_io(g))),
         "the equilibrium LP needs exact arithmetic"),
     "LinearProgram-objective-length": (
-        lambda g, rho, m0, tmp: lp.LinearProgram(("a", "b"), (), (1,)),
+        lambda g, rho, m0, tmp: dense_lp(("a", "b"), (), (1,)),
         "objective length does not match variable count"),
     "solve_transport-empty-marginal": (
         lambda g, rho, m0, tmp: transport.solve_transport((), (1,), ()), "empty marginal"),

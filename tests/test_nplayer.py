@@ -53,15 +53,18 @@ from cmfg.nplayer import (
 from cmfg.limits import empirical_rho_n, epsilon_curve, lift
 from oracles import (
     brute_is_symmetric,
+    by_the_oracle,
     candidate_costs,
     ce_constraints,
     check_solution,
+    dense_rows,
     deviation_costs_by_candidate,
     expand,
     expanded_deviation_gain,
     expanded_exchangeability_check,
     fraction_lp,
     random_game,
+    recorded,
     uniform,
 )
 
@@ -547,7 +550,7 @@ CAP_REFUSALS = {
     "profile_cost_exact-joint_cap": (
         lambda g, rho, m0: profile_cost_exact(
             g, lift(rho, 2), 0, DeviationMap.identity(), m0, joint_cap=3),
-        "4 joint states exceed cap 3"),
+        r"2\^2 joint states exceed cap 3"),
 }
 
 # every exact request on the N=3 lift of the example (the CE solves N=3):
@@ -586,7 +589,7 @@ class TestAdmission:
     def test_an_over_cap_request_builds_no_draw_or_multiset(
         self, no_work, game, rho, uniform_m0, request_name
     ):
-        with pytest.raises(CapacityError, match="joint states exceed cap 4096"):
+        with pytest.raises(CapacityError, match=r"2\^(13|20) joint states exceed cap 4096"):
             OVER_CAP_REQUESTS[request_name](game, rho, uniform_m0)
         assert no_work == []
 
@@ -621,7 +624,7 @@ class TestAdmission:
         walk is the bare walk's."""
         profile = dirac_profile(*(PHI_O,) * 13)
         ident = DeviationMap.identity()
-        with pytest.raises(CapacityError, match="8192 joint states exceed cap 4096"):
+        with pytest.raises(CapacityError, match=r"2\^13 joint states exceed cap 4096"):
             profile_cost_exact(game, profile, 0, ident, uniform_m0)
         admitted = profile_cost_exact(game, profile, 0, ident, uniform_m0, joint_cap=2**13)
         assert exact_joint_propagate(game, (PHI_O,) * 13, uniform_m0) == (admitted,)
@@ -1533,27 +1536,13 @@ def ce_lp(monkeypatch, game, n, m0n, **kwargs):
 
 def ce_pivots(monkeypatch, game, n, m0n, **kwargs) -> int:
     """How many pivots `solve_symmetric_ce`'s LP takes, asserting that every
-    entry of the LP it captures (row, rhs, objective) is an int."""
-    pivots, systems = [], []
-    pivot = lp._Tableau.pivot
-
-    def counted(self, r, c):
-        pivots.append((r, c))
-        pivot(self, r, c)
-
-    def captured(system):
-        systems.append(system)
-        return lp.solve_lp(system)
-
-    with monkeypatch.context() as m:
-        m.setattr(lp._Tableau, "pivot", counted)
-        m.setattr(nplayer, "solve_lp", captured)
-        solve_symmetric_ce(game, n, m0n, **kwargs)
-    (system,) = systems
-    entries = [v for row in system.rows for v in (*row.coeffs, row.rhs)]
+    entry of the LP (dense rows rebuilt from its columns, rhs, objective)
+    is an int."""
+    system = ce_lp(monkeypatch, game, n, m0n, **kwargs)
+    entries = [v for row in dense_rows(system) for v in (*row.coeffs, row.rhs)]
     entries += system.objective or ()
     assert {type(v) for v in entries} == {int}
-    return len(pivots)
+    return len(recorded(lp.solve_lp, lp._RevisedSimplex, system)[1])
 
 
 class TestIntegerCeSystem:
@@ -1589,7 +1578,7 @@ class TestIntegerCeSystem:
             for psi in range(len(strategies))
             if psi != rec
         ]
-        *incentives, mass = system.rows
+        *incentives, mass = dense_rows(system)
         assert [[F(c, n * den) for c in row.coeffs] for row in incentives] == want
         assert all((row.relation, row.rhs) == (lp.GE, 0) for row in incentives)
         assert (mass.coeffs, mass.relation, mass.rhs) == ((1,) * len(multisets), lp.EQ, 1)
@@ -1597,7 +1586,7 @@ class TestIntegerCeSystem:
             sum(m_key.count(rec) * costs(m_key, rec)[rec] for rec in set(m_key))
             for m_key in multisets
         ]
-        assert {type(c) for row in system.rows for c in row.coeffs} == {int}
+        assert {type(c) for row in incentives for c in row.coeffs} == {int}
         assert {type(c) for c in system.objective} == {int}
 
     @pytest.mark.parametrize("n, minimize", [(2, False), (2, True), (3, False)])
@@ -1621,6 +1610,46 @@ class TestIntegerCeSystem:
         self, monkeypatch, game, uniform_m0, minimize, pivots
     ):
         assert ce_pivots(monkeypatch, game, 3, uniform_m0, minimize_total_cost=minimize) == pivots
+
+
+class TestCeAgainstTheFractionTableau:
+    """The CE's LP, its columns priced on demand, takes the pivots and
+    reaches the values of the dense `Fraction` tableau run on the rows
+    rebuilt from those columns."""
+
+    @pytest.mark.parametrize("seed, n, minimize", [
+        (0, 2, False), (0, 2, True), (3, 2, False), (3, 2, True), (3, 3, False), (3, 3, True),
+    ])
+    def test_random_games(self, monkeypatch, seed, n, minimize):
+        # three states, so 8 strategies; the kernels depend on the measure
+        game = random_game(seed, 3, 2, 1)
+        system = ce_lp(monkeypatch, game, n, ProbabilityVector.uniform(game.states, EXACT),
+                       minimize_total_cost=minimize)
+        got, pivots = recorded(lp.solve_lp, lp._RevisedSimplex, system)
+        assert (got, pivots) == by_the_oracle(system)
+        assert len(pivots) > 10
+        assert check_solution(system, got)
+
+    def test_least_cost_example_at_three_players(self, monkeypatch, game, uniform_m0):
+        system = ce_lp(monkeypatch, game, 3, uniform_m0, minimize_total_cost=True)
+        got, pivots = recorded(lp.solve_lp, lp._RevisedSimplex, system)
+        assert len(pivots) == 50
+        assert (got, pivots) == by_the_oracle(system)
+
+    def test_four_players_allocate_far_less_than_the_dense_system(
+        self, monkeypatch, game, uniform_m0
+    ):
+        """The N=4 LP has 241 rows and 3,876 columns; its 240 dense
+        incentive rows alone would hold 240 x 3,876 references."""
+        system = ce_lp(monkeypatch, game, 4, uniform_m0)
+        assert (len(system.rows), len(system.variables)) == (241, 3876)
+        tracemalloc.start()
+        try:
+            lp.solve_lp(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 240 * 3876 * 8 // 4
 
 
 class TestExchangeability:
