@@ -18,7 +18,6 @@ from .model import (
 )
 from .mfg import (
     CorrelatedFlow,
-    DeviationMap,
     consistency_check,
     dp_best_response,
     factor_flow,
@@ -48,7 +47,6 @@ __all__ = [
     "FLOAT",
     "CapacityError",
     "CorrelatedFlow",
-    "DeviationMap",
     "ExplicitProfile",
     "FactoredProfile",
     "FiniteSpace",

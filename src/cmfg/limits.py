@@ -139,7 +139,7 @@ def empirical_rho_n(
     mc = _MonteCarlo(game, profile.support_strategies())
     buckets: dict[tuple, int] = {}
     for _, strat_rows, x0, noise in mc.batches(profile, m0n, cfg):
-        _, seen = mc.run(strat_rows, x0, noise, 0)  # exclusive of player 1
+        seen = mc.run(strat_rows, x0, noise, 0)  # exclusive of player 1
         for rec_row, path in zip(strat_rows[:, 0].tolist(), seen.tolist()):
             key = (rec_row, tuple(map(tuple, path)))
             buckets[key] = buckets.get(key, 0) + 1

@@ -114,32 +114,6 @@ def factor_flow(rho: CorrelatedFlow) -> tuple[tuple, tuple, tuple]:
     return tuple(flows), weights, conds
 
 
-@dataclass(frozen=True)
-class DeviationMap:
-    """Partial strategy modification u: entries override, everything else is identity."""
-
-    entries: tuple[tuple[RestrictedStrategy, RestrictedStrategy], ...] = ()
-
-    def __post_init__(self):
-        keys = [k for k, _ in self.entries]
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate deviation keys")
-
-    @staticmethod
-    def identity() -> "DeviationMap":
-        return DeviationMap(())
-
-    @staticmethod
-    def single(key: RestrictedStrategy, value: RestrictedStrategy) -> "DeviationMap":
-        return DeviationMap(((key, value),))
-
-    def apply(self, phi: RestrictedStrategy) -> RestrictedStrategy:
-        for k, v in self.entries:
-            if k == phi:
-                return v
-        return phi
-
-
 def _require_game_mode(game: GameSpec, mode: str) -> None:
     if game.arithmetic != mode:
         raise ValueError(f"mixing arithmetic modes: game {game.arithmetic}, data {mode}")

@@ -21,8 +21,8 @@ Exact audits read a profile as one player's anonymous draws (own strategy,
 others-multiset, weight), never as atoms over ordered strategy tuples.
 
 Profiles and initial laws are validated once, when they are built.  Each
-exact request (a deviation gain, a profile cost, the CE, the exchangeability
-check) is admitted once, by `_admit`, before its draws, multisets or walks;
+exact request (a deviation gain, the CE, the exchangeability check) is
+admitted once, by `_admit`, before its draws, multisets or walks;
 the walks of the count chain take admitted inputs and check nothing.  They
 read kernel rows and costs through the raw `GameSpec` methods and carry
 their weights as integer numerators over one denominator per time step,
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import rng
 from .lp import EQ, GE, Constraint, InfeasibleError, LinearProgram, solve_lp
-from .mfg import DeviationMap, GapRow, gap_rows
+from .mfg import GapRow, gap_rows
 from .model import (
     DEFAULT_ATOM_CAP,
     DEFAULT_JOINT_CAP,
@@ -234,12 +234,12 @@ def exact_joint_propagate(
     strategies: Sequence[RestrictedStrategy],
     m0n: ProbabilityVector,
     *,
-    candidates: Optional[Sequence[RestrictedStrategy]] = None,
-    memo: Optional[_ChainSteps] = None,
+    candidates: Sequence[RestrictedStrategy],
+    memo: _ChainSteps,
     divide: bool = True,
 ) -> tuple:
-    """Player 0's expected total cost under every candidate strategy
-    (default: strategies[0] alone), in order, in one walk of the count chain.
+    """Player 0's expected total cost under every candidate strategy, in
+    order, in one walk of the count chain.
 
     Each player moves with the kernel evaluated at the empirical measure of
     the other N-1 players, independently given the current states, and a
@@ -274,8 +274,6 @@ def exact_joint_propagate(
     (N-1), the same for every walk of one game, initial law and N.  The
     chain's laws come from `count_chain_laws`.
     """
-    steps = _ChainSteps(game) if memo is None else memo
-    candidates = strategies[:1] if candidates is None else candidates
     walked = tuple(dict.fromkeys(s.actions for s in candidates))
     splits: dict[tuple, list] = {}  # (candidate set, t, x) -> [(action, subset)]
 
@@ -288,7 +286,7 @@ def exact_joint_propagate(
             hit = splits[cands, t, x] = [(a, tuple(sub)) for a, sub in by_action.items()]
         return hit
 
-    law, groups, den, step, cost_den = steps.start(m0n, strategies[1:])
+    law, groups, den, step, cost_den = memo.start(m0n, strategies[1:])
     nodes = {tuple(range(len(walked))): law}  # candidate set -> its part of the law
     spent: dict[tuple, Scalar] = {}  # candidate set -> running cost numerator on its histories
     ends: dict[tuple, Scalar] = {}  # candidate set -> terminal cost numerator on its histories
@@ -299,13 +297,13 @@ def exact_joint_propagate(
         for cands, law in nodes.items():
             for key, w in law.items():
                 x = key[0]
-                counts, spread = steps.others(t, key, acts)
+                counts, spread = memo.others(t, key, acts)
                 for a, sub in split(cands, t, x):
-                    row, running = steps.move(t, counts, x, a)
+                    row, running = memo.move(t, counts, x, a)
                     c = w * running
                     spent[sub] = spent[sub] + c if sub in spent else c
                     if t == last:
-                        c = w * steps.expected(key, acts, a)
+                        c = w * memo.expected(key, acts, a)
                         ends[sub] = ends[sub] + c if sub in ends else c
                         continue
                     _push(nxt.setdefault(sub, {}), w, row, spread)
@@ -320,7 +318,7 @@ def exact_joint_propagate(
     if not divide:
         numerators = dict(zip(walked, totals))
         return tuple(numerators[s.actions] for s in candidates), scale
-    costs = {a: steps.ratio(c, scale) for a, c in zip(walked, totals)}
+    costs = {a: memo.ratio(c, scale) for a, c in zip(walked, totals)}
     return tuple(costs[s.actions] for s in candidates)
 
 
@@ -559,25 +557,6 @@ class _AnonymousCostTable:
         return hit
 
 
-def profile_cost_exact(
-    game: GameSpec,
-    profile: CorrelatedProfile,
-    player: int,
-    u: DeviationMap,
-    m0n: ProbabilityVector,
-    *,
-    joint_cap: int = DEFAULT_JOINT_CAP,
-) -> Scalar:
-    """Expected cost of `player` when it applies modification u to its draw."""
-    _admit(game, profile.n_players, m0n, joint_cap)
-    draws = [(u.apply(own), others, w) for own, others, w in _anonymous_draws(profile, player)]
-    table = _AnonymousCostTable(game, m0n, _distinct_sorted(s for s, _, _ in draws))
-    total = zero(game.arithmetic)
-    for own, others, w in draws:
-        total += w * table.costs(others)[table.index[own.actions]]
-    return total
-
-
 # ---------------------------------------------------------------------------
 # vectorized Monte Carlo engine
 
@@ -587,15 +566,17 @@ class _MonteCarlo:
 
     Holds float64 views of the game and a row-index table for strategies;
     `batches` draws each chunk's random inputs (one uniform block per slot
-    range), `run` simulates them with one player on its strategy row, and
+    range, from one mix of the chunk's replication seeds), `run` walks the
+    realized path and counts the states that one player sees, and
     `deviation_costs` walks that player's action tree to cost every strategy
-    of the table at once.  A player sees the others only through its own
-    state and the state counts, so both share the step tables `_step` (pick
-    thresholds and running costs at every state and action, or terminal
-    costs), built once per distinct count row, and draw every player's next
-    state from them by flat gathers.  The tree carries the others' counts
-    down to a node's children and costs its leaves at the last internal
-    level.  Every Monte Carlo caller goes through these methods.
+    of the table at once: the tree is the one costing walk.  A player sees
+    the others only through its own state and the state counts, so both
+    walks share the step tables `_step` (pick thresholds and running costs
+    at every state and action, or terminal costs), built once per distinct
+    count row, and draw every player's next state from them by flat
+    gathers.  The tree carries the others' counts down to a node's children
+    and costs its leaves at the last internal level.  Every Monte Carlo
+    caller goes through these methods.
     """
 
     def __init__(self, game: GameSpec, strategies: Sequence[RestrictedStrategy]):
@@ -630,10 +611,10 @@ class _MonteCarlo:
         reps, seed = cfg.replications, cfg.master_seed
         rows = min(_CHUNK, max(1, _CHUNK_BYTES // (8 * len(slots))))
         for start in range(0, reps, rows):
-            count = min(rows, reps - start)
-            yield (start, sampler.draw(rng.uniform_block(seed, start, count, slots[: n + 1])),
-                   _pick(w0, rng.uniform_block(seed, start, count, slots[n + 1 : 2 * n + 1])),
-                   rng.uniform_block(seed, start, count, slots[2 * n + 1 :]).reshape(count, T, n))
+            seeds = rng.rep_seeds(seed, start, min(rows, reps - start))
+            yield (start, sampler.draw(rng.uniform_block(seeds, slots[: n + 1])),
+                   _pick(w0, rng.uniform_block(seeds, slots[n + 1 : 2 * n + 1])),
+                   rng.uniform_block(seeds, slots[2 * n + 1 :]).reshape(len(seeds), T, n))
 
     def _count(self, states: np.ndarray) -> np.ndarray:
         """State counts (reps, d) of the states (reps, N)."""
@@ -664,29 +645,22 @@ class _MonteCarlo:
 
     def run(
         self, strat_rows: np.ndarray, x0: np.ndarray, noise: np.ndarray, player: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Walk t = 0..T once from per-player strategy rows and noises.
-
-        Returns the realized total cost of `player` and the exclusive counts
-        of the other N-1 players that it sees, shape (reps, T+1, d).
+    ) -> np.ndarray:
+        """Walk t = 0..T once from per-player strategy rows and noises and
+        count the states that `player` sees: the exclusive counts of the
+        other N-1 players, shape (reps, T+1, d), the empirical flows of
+        `limits`.  It costs nothing; `deviation_costs` does.
         """
         n, T = strat_rows.shape[1], self.horizon
         seen = np.empty((len(x0), T + 1, self.d), dtype=np.int64)
-        cost = np.zeros(len(x0), dtype=np.float64)
         states = x0
         for t in range(T):
             counts = self._count(states)
-            xi = states[:, player]
-            seen[:, t] = counts - self.eye[xi]
-            inv, th, running = self._step(t, counts, n)
-            ai = self.act[t].take(strat_rows[:, player] * self.d + xi)
-            cost += running.take((inv * self.d + xi) * self.n_actions + ai)
+            seen[:, t] = counts - self.eye[states[:, player]]
+            inv, th, _ = self._step(t, counts, n)
             states = self._draw(t, inv, th, strat_rows, states, noise[:, t])
-        xi = states[:, player]
-        seen[:, T] = self._count(states) - self.eye[xi]
-        inv, _, terminal = self._step(T, seen[:, T], n)
-        cost += terminal.take(inv * self.d + xi)
-        return cost, seen
+        seen[:, T] = self._count(states) - self.eye[states[:, player]]
+        return seen
 
     def deviation_costs(
         self, strat_rows: np.ndarray, x0: np.ndarray, noise: np.ndarray, player: int
@@ -813,32 +787,6 @@ class _ProfileSampler:
             return self.rows[top]
         local = _count_below(self.cond[top][:, None, :], uniforms[:, 1:])
         return self.rows[top[:, None], local]
-
-
-def mc_profile_cost(
-    game: GameSpec,
-    profile: CorrelatedProfile,
-    player: int,
-    u: DeviationMap,
-    m0n: ProbabilityVector,
-    cfg: SimulationConfig,
-) -> tuple[float, float]:
-    """Monte Carlo estimate and standard error of one player's expected cost
-    when it plays u(recommendation) and the others their recommendations."""
-    if not 0 <= player < profile.n_players:
-        raise ValueError(f"player index {player} out of range")
-    support = profile.support_strategies()
-    images = [u.apply(s) for s in support]
-    # support first: recommendation rows are 0..len(support)-1
-    mc = _MonteCarlo(game, tuple({s.actions: s for s in (*support, *images)}.values()))
-    remap = np.array([mc.index[s.actions] for s in images], dtype=np.int64)
-    costs = np.empty(cfg.replications, dtype=np.float64)
-    for start, strat_rows, x0, noise in mc.batches(profile, m0n, cfg):
-        strat_rows[:, player] = remap[strat_rows[:, player]]
-        cost, _ = mc.run(strat_rows, x0, noise, player)
-        costs[start:start + len(cost)] = cost
-        del strat_rows, x0, noise
-    return float(np.sum(costs)) / cfg.replications, _stderr(costs)
 
 
 def _stderr(samples: np.ndarray) -> float:

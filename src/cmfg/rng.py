@@ -7,8 +7,9 @@ independent of execution order, chunking and `uniform_block`'s in-place row
 blocks, so parallel and common-random-number runs reproduce by construction.
 
 Slot layout per replication with N players over horizon T; every Monte Carlo
-caller goes through `nplayer._MonteCarlo.batches`, which draws each of its
-three ranges (0..N, N+1..2N, 2N+1 on) as its own `uniform_block`:
+caller goes through `nplayer._MonteCarlo.batches`, which mixes a chunk's
+replication seeds once (`rep_seeds`) and draws each of its three ranges
+(0..N, N+1..2N, 2N+1 on) from them as its own `uniform_block`:
 
     0                     profile draw (flow atom or explicit atom)
     1 .. N                per-player strategy draws given the flow
@@ -69,19 +70,17 @@ def rep_seeds(seed: int, rep_start: int, rep_count: int) -> np.ndarray:
     return z[0]
 
 
-def uniform_block(
-    seed: int, rep_start: int, rep_count: int, slots: np.ndarray
-) -> np.ndarray:
+def uniform_block(seeds: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """Matrix of uniforms in [0, 1) with 53 random bits, rows = replications,
-    columns = the given slots: entry (r, s) is
+    columns = the given slots, from the replications' seeds
+    ``rep_seeds(seed, rep_start, rep_count)``: entry (r, s) is
     ``(stream_value(seed, rep_start + r, slots[s]) >> 11) * 2**-53``.
     The output, the one allocation of its size, is filled in place block by
     block; a uniform depends only on its counters, so any blocking agrees.
     """
-    rs = rep_seeds(seed, rep_start, rep_count)
     slot_off = (np.asarray(slots, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
-    out = np.empty((rep_count, len(slot_off)), dtype=np.float64)
-    for rows, z in _mixed_blocks(rs, slot_off):
+    out = np.empty((len(seeds), len(slot_off)), dtype=np.float64)
+    for rows, z in _mixed_blocks(seeds, slot_off):
         z >>= np.uint64(11)
         np.multiply(z, _SCALE, out=out[rows])
     return out

@@ -27,10 +27,22 @@
     on the measure;
   * `malformed_game`: a game document with one shape fault of the kinds in
     `MALFORMED_GAMES`, each of which `io.game_from_json` must refuse;
+  * `path_costs`: one player's realized total cost along the realized path
+    of each replication, from the Monte Carlo engine's step tables, which
+    `nplayer._MonteCarlo.deviation_costs` replaces by one walk of the
+    player's action tree for every strategy of the table;
   * `deviation_costs_by_candidate`: the Monte Carlo deviation audit with one
-    simulation per candidate strategy, which
+    `path_costs` per candidate strategy, which
     `nplayer._MonteCarlo.deviation_costs` replaces by one walk of the
     deviator's action tree;
+  * `DeviationMap`: a strategy modification u as a partial table, identity
+    elsewhere, which the audits replace by every candidate at once through
+    `mfg.gap_rows`;
+  * `profile_cost_exact` and `mc_profile_cost`: one player's expected cost
+    when it plays u(recommendation) and the others their recommendations,
+    over the exact count-chain walks and over `path_costs`, which
+    `nplayer.deviation_gain` replaces by every candidate's value per
+    recommendation (one row of the gap table per recommendation);
   * `random_correlated_flow`: a seeded correlated flow on a game, with random
     strategies, flows and weights (not a solution), the flow weights
     optionally all counts over one given denominator;
@@ -83,6 +95,7 @@ from cmfg.model import (
     FlowTrajectory,
     GameSpec,
     ProbabilityVector,
+    RestrictedStrategy,
     ThresholdTransition,
     arith,
     enumerate_strategies,
@@ -94,6 +107,13 @@ from cmfg.nplayer import (
     ExchangeabilityReport,
     ExchangeabilityRow,
     ExplicitProfile,
+    SimulationConfig,
+    _admit,
+    _anonymous_draws,
+    _AnonymousCostTable,
+    _distinct_sorted,
+    _MonteCarlo,
+    _stderr,
     count_chain_laws,
 )
 from cmfg.rng import stream_value
@@ -445,15 +465,94 @@ def random_game(seed: int, d: int, n_actions: int, horizon: int) -> GameSpec:
     )
 
 
+def path_costs(mc: _MonteCarlo, strat_rows, x0, noise, player: int) -> np.ndarray:
+    """The realized total cost (reps,) of `player` on its strategy row, one
+    walk of t = 0..T per replication over `mc`'s step tables and draws:
+    running costs on all N players' counts, the terminal cost on the other
+    N-1's."""
+    n, T = strat_rows.shape[1], mc.horizon
+    cost = np.zeros(len(x0), dtype=np.float64)
+    states = x0
+    for t in range(T):
+        counts = mc._count(states)
+        xi = states[:, player]
+        inv, th, running = mc._step(t, counts, n)
+        ai = mc.act[t].take(strat_rows[:, player] * mc.d + xi)
+        cost += running.take((inv * mc.d + xi) * mc.n_actions + ai)
+        states = mc._draw(t, inv, th, strat_rows, states, noise[:, t])
+    xi = states[:, player]
+    inv, _, terminal = mc._step(T, mc._count(states) - mc.eye[xi], n)
+    cost += terminal.take(inv * mc.d + xi)
+    return cost
+
+
 def deviation_costs_by_candidate(mc, strat_rows, x0, noise, player):
-    """`_MonteCarlo.deviation_costs` with one `run` per candidate strategy on
-    the same chunk of random inputs."""
+    """`_MonteCarlo.deviation_costs` with one `path_costs` per candidate
+    strategy on the same chunk of random inputs."""
     costs = np.empty((len(x0), len(mc.strategies)), dtype=np.float64)
     rows = strat_rows.copy()
     for c in range(len(mc.strategies)):
         rows[:, player] = c
-        costs[:, c] = mc.run(rows, x0, noise, player)[0]
+        costs[:, c] = path_costs(mc, rows, x0, noise, player)
     return costs
+
+
+@dataclass(frozen=True)
+class DeviationMap:
+    """Partial strategy modification u: entries override, everything else is identity."""
+
+    entries: tuple[tuple[RestrictedStrategy, RestrictedStrategy], ...] = ()
+
+    def __post_init__(self):
+        keys = [k for k, _ in self.entries]
+        if len(set(keys)) != len(keys):
+            raise ValueError("duplicate deviation keys")
+
+    @staticmethod
+    def identity() -> "DeviationMap":
+        return DeviationMap(())
+
+    @staticmethod
+    def single(key: RestrictedStrategy, value: RestrictedStrategy) -> "DeviationMap":
+        return DeviationMap(((key, value),))
+
+    def apply(self, phi: RestrictedStrategy) -> RestrictedStrategy:
+        for k, v in self.entries:
+            if k == phi:
+                return v
+        return phi
+
+
+def profile_cost_exact(game, profile, player, u: DeviationMap, m0n,
+                       *, joint_cap: int = DEFAULT_JOINT_CAP):
+    """Expected cost of `player` when it applies modification u to its draw."""
+    _admit(game, profile.n_players, m0n, joint_cap)
+    draws = [(u.apply(own), others, w) for own, others, w in _anonymous_draws(profile, player)]
+    table = _AnonymousCostTable(game, m0n, _distinct_sorted(s for s, _, _ in draws))
+    total = zero(game.arithmetic)
+    for own, others, w in draws:
+        total += w * table.costs(others)[table.index[own.actions]]
+    return total
+
+
+def mc_profile_cost(game, profile, player, u: DeviationMap, m0n,
+                    cfg: SimulationConfig) -> tuple[float, float]:
+    """Monte Carlo estimate and standard error of one player's expected cost
+    when it plays u(recommendation) and the others their recommendations."""
+    if not 0 <= player < profile.n_players:
+        raise ValueError(f"player index {player} out of range")
+    support = profile.support_strategies()
+    images = [u.apply(s) for s in support]
+    # support first: recommendation rows are 0..len(support)-1
+    mc = _MonteCarlo(game, tuple({s.actions: s for s in (*support, *images)}.values()))
+    remap = np.array([mc.index[s.actions] for s in images], dtype=np.int64)
+    costs = np.empty(cfg.replications, dtype=np.float64)
+    for start, strat_rows, x0, noise in mc.batches(profile, m0n, cfg):
+        strat_rows[:, player] = remap[strat_rows[:, player]]
+        cost = path_costs(mc, strat_rows, x0, noise, player)
+        costs[start:start + len(cost)] = cost
+        del strat_rows, x0, noise
+    return float(np.sum(costs)) / cfg.replications, _stderr(costs)
 
 
 def random_correlated_flow(

@@ -19,7 +19,7 @@ import pytest
 
 from cmfg import model
 from cmfg.limits import convergence_report, epsilon_curve
-from cmfg.mfg import DeviationMap, factor_flow, mkv_propagate, state_law
+from cmfg.mfg import factor_flow, mkv_propagate, state_law
 from cmfg.model import (
     EXACT,
     AffineSimplexMap,
@@ -33,8 +33,6 @@ from cmfg.nplayer import (
     SimulationConfig,
     deviation_gain,
     exchangeability_check,
-    mc_profile_cost,
-    profile_cost_exact,
     solve_symmetric_ce,
     symmetrize,
 )
@@ -48,6 +46,7 @@ from cmfg.two_state import (
     build_example,
     verify_example,
 )
+from oracles import DeviationMap, mc_profile_cost, profile_cost_exact
 
 HALF = (F(1, 2), F(1, 2))
 

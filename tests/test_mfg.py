@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cmfg import two_state
 from cmfg.mfg import (
     CorrelatedFlow,
-    DeviationMap,
     consistency_check,
     dp_best_response,
     factor_flow,
@@ -29,7 +28,13 @@ from cmfg.model import (
     enumerate_strategies,
 )
 
-from oracles import flow_cost, optimality_rows, random_correlated_flow, random_game
+from oracles import (
+    DeviationMap,
+    flow_cost,
+    optimality_rows,
+    random_correlated_flow,
+    random_game,
+)
 from test_nplayer import float_via_io
 
 PHI_PLUS = RestrictedStrategy(((1, 0), (1, 0)))

@@ -430,9 +430,11 @@ def test_unit_mass_rule_is_shared(game, site, mode, delta, accepted):
 
 
 # every public request that takes an initial law, called on the example with
-# a cheap configuration (N=2, a few replications); the count-chain walks take
+# a cheap configuration (N=2, a few replications); the audits on both kinds
+# of profile, factored (the lift) and explicit; the count-chain walks take
 # the laws that their request admitted, and check nothing
 _CFG = nplayer.SimulationConfig(master_seed=0, replications=8)
+_PAIR = nplayer.ExplicitProfile(2, (((_HOLD, _IDLE), F(1, 2)), ((_IDLE, _HOLD), F(1, 2))))
 INITIAL_LAW_SITES = {
     "mfg.state_law": lambda g, rho, m0: mfg.state_law(g, *rho.atoms[0][:2], m0),
     "mfg.optimality_gap": lambda g, rho, m0: mfg.optimality_gap(g, rho, m0),
@@ -440,14 +442,14 @@ INITIAL_LAW_SITES = {
     "mfg.verify_solution": lambda g, rho, m0: mfg.verify_solution(g, rho, m0),
     "mfg.mkv_propagate": lambda g, rho, m0: mfg.mkv_propagate(
         g, mfg.factor_flow(rho)[2][0], m0),
-    "nplayer.profile_cost_exact": lambda g, rho, m0: nplayer.profile_cost_exact(
-        g, limits.lift(rho, 2), 0, mfg.DeviationMap.identity(), m0),
-    "nplayer.mc_profile_cost": lambda g, rho, m0: nplayer.mc_profile_cost(
-        g, limits.lift(rho, 2), 0, mfg.DeviationMap.identity(), m0, _CFG),
     "nplayer.deviation_gain-exact": lambda g, rho, m0: nplayer.deviation_gain(
         g, limits.lift(rho, 2), 0, m0, "exact"),
     "nplayer.deviation_gain-mc": lambda g, rho, m0: nplayer.deviation_gain(
         g, limits.lift(rho, 2), 0, m0, "mc", _CFG),
+    "nplayer.deviation_gain-exact-explicit": lambda g, rho, m0: nplayer.deviation_gain(
+        g, _PAIR, 0, m0, "exact"),
+    "nplayer.deviation_gain-mc-explicit": lambda g, rho, m0: nplayer.deviation_gain(
+        g, _PAIR, 0, m0, "mc", _CFG),
     "nplayer.solve_symmetric_ce": lambda g, rho, m0: nplayer.solve_symmetric_ce(g, 2, m0),
     "nplayer.exchangeability_check": lambda g, rho, m0: nplayer.exchangeability_check(
         g, limits.lift(rho, 2), m0, 0),

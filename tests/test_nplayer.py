@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmfg import io, lp, nplayer, rng, two_state
-from cmfg.mfg import CorrelatedFlow, DeviationMap
+from cmfg.mfg import CorrelatedFlow
 from cmfg.model import (
     EXACT,
     FLOAT,
@@ -45,13 +45,12 @@ from cmfg.nplayer import (
     exact_joint_propagate,
     exchangeability_check,
     is_symmetric,
-    mc_profile_cost,
-    profile_cost_exact,
     solve_symmetric_ce,
     symmetrize,
 )
 from cmfg.limits import empirical_rho_n, epsilon_curve, lift
 from oracles import (
+    DeviationMap,
     brute_is_symmetric,
     by_the_oracle,
     candidate_costs,
@@ -63,6 +62,8 @@ from oracles import (
     expanded_deviation_gain,
     expanded_exchangeability_check,
     fraction_lp,
+    mc_profile_cost,
+    profile_cost_exact,
     random_game,
     recorded,
     uniform,
@@ -338,13 +339,17 @@ def assert_engine_matches_oracle(game, vec, m0):
         front = (vec[i], *(s for j, s in enumerate(vec) if j != i))
         got = count_chain_laws(game, front, m0)
         assert list(got) == [lumped(law, vec, i) for law in laws]
-        assert exact_joint_propagate(game, front, m0) == (costs[i],)
+        assert exact_joint_propagate(
+            game, front, m0, candidates=front[:1], memo=nplayer._ChainSteps(game)
+        ) == (costs[i],)
 
         float_game, float_m0 = float_via_io(game), float_via_io(game, m0)
         for exact_law, float_law in zip(got, count_chain_laws(float_game, front, float_m0)):
             for key in exact_law.keys() | float_law.keys():
                 assert abs(float(exact_law.get(key, 0)) - float_law.get(key, 0.0)) < 1e-12
-        (float_cost,) = exact_joint_propagate(float_game, front, float_m0)
+        (float_cost,) = exact_joint_propagate(
+            float_game, front, float_m0, candidates=front[:1], memo=nplayer._ChainSteps(float_game)
+        )
         assert abs(float(costs[i]) - float_cost) < 1e-12
 
 
@@ -385,18 +390,20 @@ class TestActionTreeAgainstPerCandidateWalks:
         candidates.append(candidates[0])  # a repeated candidate keeps its place
         own = r.choice(strategies)
 
-        got = exact_joint_propagate(game, (own, *others), m0, candidates=candidates)
+        def walk(game, strategies, m0, candidates):
+            memo = nplayer._ChainSteps(game)
+            return exact_joint_propagate(game, strategies, m0, candidates=candidates, memo=memo)
+
+        got = walk(game, (own, *others), m0, candidates)
         want = candidate_costs(game, candidates, others, m0)
         assert got == want
         # player 0's own strategy plays no part once candidates are given
         for front in (candidates[0], candidates[-2]):
-            assert exact_joint_propagate(game, (front, *others), m0, candidates=candidates) == want
-        single = exact_joint_propagate(game, (own, *others), m0)
+            assert walk(game, (front, *others), m0, candidates) == want
+        single = walk(game, (own, *others), m0, (own,))
         assert single == candidate_costs(game, (own,), others, m0)
 
-        floats = exact_joint_propagate(
-            float_via_io(game), (own, *others), float_via_io(game, m0), candidates=candidates
-        )
+        floats = walk(float_via_io(game), (own, *others), float_via_io(game, m0), candidates)
         assert all(abs(f - float(c)) < 1e-12 for f, c in zip(floats, want))
 
 
@@ -455,7 +462,9 @@ class TestIntegerWalk:
             shared = exact_joint_propagate(
                 game, (own, *others), m0, candidates=candidates, memo=memo
             )
-            fresh = exact_joint_propagate(game, (own, *others), m0, candidates=candidates)
+            fresh = exact_joint_propagate(
+                game, (own, *others), m0, candidates=candidates, memo=nplayer._ChainSteps(game)
+            )
             assert shared == fresh == candidate_costs(game, candidates, others, m0)
             laws = count_chain_laws(game, (own, *others), m0, memo=memo)
             assert laws == count_chain_laws(game, (own, *others), m0)
@@ -523,12 +532,12 @@ class TestCostTableWork:
 
 
 # every exact request, over its caps: the N=13 lift (2**13 joint states,
-# cap 4096) for the audits and the curve's exact row, the N=20 CE for the
-# solver
+# cap 4096) for the audits and the curve's exact row, an explicit N=13
+# profile for the audit's other kind of profile, the N=20 CE for the solver
 OVER_CAP_REQUESTS = {
     "deviation_gain-exact": lambda g, rho, m0: deviation_gain(g, lift(rho, 13), 0, m0, "exact"),
-    "profile_cost_exact": lambda g, rho, m0: profile_cost_exact(
-        g, lift(rho, 13), 0, DeviationMap.identity(), m0),
+    "deviation_gain-exact-explicit": lambda g, rho, m0: deviation_gain(
+        g, dirac_profile(*(PHI_O,) * 13), 0, m0, "exact"),
     "exchangeability_check": lambda g, rho, m0: exchangeability_check(g, lift(rho, 13), m0, 1),
     "solve_symmetric_ce": lambda g, rho, m0: solve_symmetric_ce(g, 20, m0),
     "epsilon_curve-exact": lambda g, rho, m0: epsilon_curve(
@@ -547,18 +556,18 @@ CAP_REFUSALS = {
     "solve_symmetric_ce-lp_cap": (
         lambda g, rho, m0: solve_symmetric_ce(g, 3, m0, lp_cap=815),
         "816 LP variables exceed cap 815"),
-    "profile_cost_exact-joint_cap": (
-        lambda g, rho, m0: profile_cost_exact(
-            g, lift(rho, 2), 0, DeviationMap.identity(), m0, joint_cap=3),
+    "deviation_gain-joint_cap": (
+        lambda g, rho, m0: deviation_gain(g, lift(rho, 2), 0, m0, "exact", joint_cap=3),
         r"2\^2 joint states exceed cap 3"),
 }
 
-# every exact request on the N=3 lift of the example (the CE solves N=3):
-# each walks the count chain more than once
+# every exact request on the N=3 lift of the example (the CE solves N=3),
+# and the audit on an explicit N=3 profile whose player 0 draws two
+# recommendations: each walks the count chain more than once
 N3_REQUESTS = {
     "deviation_gain-exact": lambda g, rho, m0: deviation_gain(g, lift(rho, 3), 0, m0, "exact"),
-    "profile_cost_exact": lambda g, rho, m0: profile_cost_exact(
-        g, lift(rho, 3), 0, DeviationMap.identity(), m0),
+    "deviation_gain-exact-explicit": lambda g, rho, m0: deviation_gain(
+        g, symmetrize(dirac_profile(PHI_PLUS, PHI_O, PHI_O)), 0, m0, "exact"),
     "exchangeability_check": lambda g, rho, m0: exchangeability_check(g, lift(rho, 3), m0, 1),
     "solve_symmetric_ce": lambda g, rho, m0: solve_symmetric_ce(g, 3, m0),
     "epsilon_curve-exact": lambda g, rho, m0: epsilon_curve(
@@ -620,14 +629,16 @@ class TestAdmission:
 
     def test_the_propagation_walk_takes_any_admitted_n(self, game, uniform_m0):
         """Thirteen players over the default cap of 4096 joint states: the
-        request is refused, and admitted under a raised cap, where its one
-        walk is the bare walk's."""
+        request is refused, and admitted under a raised cap, where the cost
+        of its one recommendation is the bare walk's."""
         profile = dirac_profile(*(PHI_O,) * 13)
-        ident = DeviationMap.identity()
         with pytest.raises(CapacityError, match=r"2\^13 joint states exceed cap 4096"):
-            profile_cost_exact(game, profile, 0, ident, uniform_m0)
-        admitted = profile_cost_exact(game, profile, 0, ident, uniform_m0, joint_cap=2**13)
-        assert exact_joint_propagate(game, (PHI_O,) * 13, uniform_m0) == (admitted,)
+            deviation_gain(game, profile, 0, uniform_m0, "exact")
+        (row,) = deviation_gain(game, profile, 0, uniform_m0, "exact", joint_cap=2**13).rows
+        walk = exact_joint_propagate(
+            game, (PHI_O,) * 13, uniform_m0, candidates=(PHI_O,), memo=nplayer._ChainSteps(game)
+        )
+        assert walk == (row.cost,)
 
     def test_the_count_chain_walk_takes_any_admitted_n(self, game, uniform_m0):
         """The thirteen-player count chain, which no request under the
@@ -881,7 +892,7 @@ class TestMonteCarlo:
         profile = dirac_profile(PHI_PLUS, PHI_O, PHI_MINUS)
         cfg = SimulationConfig(master_seed=0, replications=8)
         with pytest.raises(ValueError, match="player index .* out of range"):
-            mc_profile_cost(game, profile, player, DeviationMap.identity(), uniform_m0, cfg)
+            deviation_gain(game, profile, player, uniform_m0, "mc", cfg)
 
     def test_bit_identical_to_scalar_reference_explicit(self, game, uniform_m0):
         profile = ExplicitProfile(
@@ -946,29 +957,18 @@ class TestMonteCarlo:
         assert abs(mean - float(exact)) <= 3 * stderr
 
     @pytest.mark.parametrize("shift", [10**8, 10**9])
-    def test_stderr_ignores_a_constant_cost_shift(self, game, rho, uniform_m0, shift):
-        # every cost moves by the same constant, so the spread stays; the
-        # one-pass form total_sq - reps * mean^2 cancelled it to 0.0 here
-        tables = game.tables()
-        tables["cost"]["terminal_base"] = tuple(
-            v + shift for v in tables["cost"]["terminal_base"]
-        )
-        moved = GameSpec.from_tables(
-            game.horizon, game.states, game.actions, tables, game.arithmetic
-        )
-        cfg = SimulationConfig(master_seed=0, replications=20_000)
-        profile, u = lift(rho, 5), DeviationMap.identity()
-        _, want = mc_profile_cost(game, profile, 0, u, uniform_m0, cfg)
-        _, got = mc_profile_cost(moved, profile, 0, u, uniform_m0, cfg)
+    def test_stderr_ignores_a_constant_cost_shift(self, shift):
+        # every sample moves by the same constant, so the spread stays; the
+        # one-pass form total_sq - reps * mean^2 is 13 times too large at
+        # 10**8 and cancels to 0.0 at 10**9
+        samples = np.random.default_rng(0).normal(-0.05, 0.1, 20_000)
+        want = nplayer._stderr(samples)
+        got = nplayer._stderr(samples + float(shift))
         assert want > 0
         assert got == pytest.approx(want, rel=1e-9, abs=0)
 
-    def test_single_replication_has_zero_stderr(self, game, rho, uniform_m0):
-        cfg = SimulationConfig(master_seed=0, replications=1)
-        _, stderr = mc_profile_cost(
-            game, lift(rho, 2), 0, DeviationMap.identity(), uniform_m0, cfg
-        )
-        assert stderr == 0.0
+    def test_single_replication_has_zero_stderr(self):
+        assert nplayer._stderr(np.array([-0.25])) == 0.0
 
 
 class TestEngineAgainstScalarOracle:
@@ -1004,7 +1004,7 @@ class TestEngineAgainstScalarOracle:
     @pytest.mark.parametrize("kind", [0, 1], ids=["explicit", "factored"])
     def test_deviation_costs_equal_the_scalar_paths(self, mixing, kind):
         """Every replication's cost under every candidate, from the action
-        tree, equals the scalar path's, which shares no code with `run`."""
+        tree, equals the scalar path's, which shares no code with the engine."""
         game, m0 = mixing
         profile = mixing_profiles(game)[kind]
         cfg = SimulationConfig(master_seed=9, replications=40)
@@ -1067,9 +1067,10 @@ def random_m0(game):
 
 
 class TestMonteCarloAgainstExactOnRandomGames:
-    """`mc_profile_cost` within three standard errors of `profile_cost_exact`
-    on seeded random games whose kernels depend on the measure, the last
-    player sending one of its recommendations to another strategy."""
+    """`oracles.mc_profile_cost` within three standard errors of
+    `oracles.profile_cost_exact` on seeded random games whose kernels depend
+    on the measure, the last player sending one of its recommendations to
+    another strategy."""
 
     @pytest.mark.parametrize("kind", [0, 1], ids=["explicit-N3", "factored-N5"])
     @pytest.mark.parametrize("seed", [1, 2])
@@ -1092,10 +1093,10 @@ class TestMonteCarloAgainstExactOnRandomGames:
 
 
 class TestActionTreeAgainstCandidateLoop:
-    """The action-tree audit against one `run` per candidate, on random games
-    whose kernel rows have zero entries (one-state games have none), over
-    three chunks (the last one partial): equal per-replication costs and
-    equal results, not close."""
+    """The action-tree audit against one `oracles.path_costs` per candidate,
+    on random games whose kernel rows have zero entries (one-state games
+    have none), over three chunks (the last one partial): equal
+    per-replication costs and equal results, not close."""
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
@@ -1191,7 +1192,8 @@ class TestDistinctRows:
 
     def test_monte_carlo_at_eight_states_and_600_players(self):
         """A path walk whose count keys take the fallback equals the scalar
-        reference, and the tree equals one `run` per candidate."""
+        reference, and the tree equals one `oracles.path_costs` per
+        candidate."""
         game = random_game(8, 8, 2, 1)
         s = enumerate_strategies(game)
         flat = FlowTrajectory((ProbabilityVector.uniform(game.states, EXACT),) * 2)
@@ -1217,8 +1219,8 @@ class TestChunkMemory:
         refs = []
         uniform_block = rng.uniform_block
 
-        def tracked(*args):
-            block = uniform_block(*args)
+        def tracked(seeds, slots):
+            block = uniform_block(seeds, slots)
             refs.append(weakref.ref(block))
             return block
 
@@ -1273,8 +1275,8 @@ class TestChunkMemory:
         in 128 MiB."""
         shapes = []
 
-        def record(seed, rep_start, rep_count, slots):
-            shapes.append((rep_count, len(slots)))
+        def record(seeds, slots):
+            shapes.append((len(seeds), len(slots)))
             if len(shapes) == 3:  # the first chunk's noise: stop before the walk
                 raise _Captured(*shapes[-1])
             return np.zeros(shapes[-1])
@@ -1313,9 +1315,9 @@ class TestChunkMemory:
         counts = []
         uniform_block = rng.uniform_block
 
-        def counted(seed, rep_start, rep_count, slots):
-            counts.append(rep_count)
-            return uniform_block(seed, rep_start, rep_count, slots)
+        def counted(seeds, slots):
+            counts.append(len(seeds))
+            return uniform_block(seeds, slots)
 
         monkeypatch.setattr(rng, "uniform_block", counted)
         assert results() == whole

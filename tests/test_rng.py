@@ -42,7 +42,7 @@ def test_uniform_unit_interval_and_granularity():
 
 def test_uniform_block_matches_scalar():
     slots = np.arange(9, dtype=np.uint64)
-    block = rng.uniform_block(123, 5, 11, slots)
+    block = rng.uniform_block(rng.rep_seeds(123, 5, 11), slots)
     assert block.shape == (11, 9)
     for r in range(11):
         for s in range(9):
@@ -51,10 +51,11 @@ def test_uniform_block_matches_scalar():
 
 def test_uniform_block_chunk_invariant():
     slots = np.arange(6, dtype=np.uint64)
-    whole = rng.uniform_block(9, 0, 20, slots)
-    parts = np.vstack(
-        [rng.uniform_block(9, 0, 7, slots), rng.uniform_block(9, 7, 13, slots)]
-    )
+    whole = rng.uniform_block(rng.rep_seeds(9, 0, 20), slots)
+    parts = np.vstack([
+        rng.uniform_block(rng.rep_seeds(9, 0, 7), slots),
+        rng.uniform_block(rng.rep_seeds(9, 7, 13), slots),
+    ])
     assert np.array_equal(whole, parts)
 
 
@@ -74,7 +75,7 @@ class TestBlocks:
     )
     def test_matches_scalar(self, n_slots, rep_count):
         slots = np.arange(2, 2 + n_slots, dtype=np.uint64)
-        block = rng.uniform_block(31, 4, rep_count, slots)
+        block = rng.uniform_block(rng.rep_seeds(31, 4, rep_count), slots)
         assert block.shape == (rep_count, n_slots) and block.dtype == np.float64
         for r in range(rep_count):
             for s in range(n_slots):
@@ -82,10 +83,11 @@ class TestBlocks:
 
     def test_chunk_invariant_across_a_block_boundary(self):
         slots = np.arange(3, dtype=np.uint64)  # two rows per block
-        whole = rng.uniform_block(9, 0, 20, slots)
-        parts = np.vstack(
-            [rng.uniform_block(9, 0, 7, slots), rng.uniform_block(9, 7, 13, slots)]
-        )
+        whole = rng.uniform_block(rng.rep_seeds(9, 0, 20), slots)
+        parts = np.vstack([
+            rng.uniform_block(rng.rep_seeds(9, 0, 7), slots),
+            rng.uniform_block(rng.rep_seeds(9, 7, 13), slots),
+        ])
         assert np.array_equal(whole, parts)
 
     def test_rep_seeds_wider_than_a_block(self):
@@ -101,7 +103,7 @@ def test_uniform_block_memory_is_its_output():
     slots = np.arange(201, dtype=np.uint64)
     tracemalloc.start()
     try:
-        block = rng.uniform_block(0, 0, 4096, slots)
+        block = rng.uniform_block(rng.rep_seeds(0, 0, 4096), slots)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
